@@ -172,13 +172,6 @@ let measure cfg test =
   let words = estimate (Analyze.all ols alloc results) in
   (time, words)
 
-let json_escape name =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length name) (String.get name)))
-
 let write_json path rows =
   let oc = open_out path in
   Fun.protect
@@ -192,7 +185,7 @@ let write_json path rows =
         (fun k row ->
           Printf.fprintf oc
             "    { \"name\": \"%s\", \"ns_per_run\": %.3f%s }%s\n"
-            (json_escape row.name) row.ns_per_run
+            (Because_telemetry.Manifest.json_escape row.name) row.ns_per_run
             (match row.minor_words with
             | Some w -> Printf.sprintf ", \"minor_words_per_run\": %.1f" w
             | None -> "")

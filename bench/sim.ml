@@ -7,9 +7,7 @@
      the domain-parallel speedup is visible on multi-core runners (on a
      single-core machine jobs=4 is expected to tie or lose slightly to the
      sequential run);
-   - the router hot path in isolation: ns per [handle_update] for the
-     flattened router against [Baseline_router], the pre-flattening
-     tuple-keyed implementation kept as a measurement reference.
+   - the router hot path in isolation: ns per [handle_update].
 
    Results go to stdout and BENCH_sim.json (CI artifact, like
    BENCH_kernels.json). *)
@@ -23,6 +21,7 @@ module Script = Because_sim.Script
 module Sharded = Because_sim.Sharded
 module Schedule = Because_beacon.Schedule
 module Site = Because_beacon.Site
+module Manifest = Because_telemetry.Manifest
 
 (* The same stimulus Campaign.run_multi records for a one-interval
    fault-free campaign: Beacon sites plus exponential background churn. *)
@@ -117,8 +116,8 @@ let time_run world ~jobs ?(telemetry = Because_telemetry.Registry.disabled)
 
 (* Router hot path: one router with a dozen sessions absorbing a fixed
    randomized stream of announcements and withdrawals over 64 prefixes,
-   with internet-realistic 6-hop AS paths.  The same stream drives both
-   implementations; the run is long enough that [create] is noise. *)
+   with internet-realistic 6-hop AS paths; the run is long enough that
+   [create] is noise. *)
 
 let n_hot_updates = 8000
 
@@ -156,7 +155,7 @@ let hot_relationship i =
   | 1 -> Policy.Peer
   | _ -> Policy.Provider
 
-let flattened_config =
+let router_config =
   {
     Router.asn = Asn.of_int 1;
     neighbors =
@@ -169,39 +168,14 @@ let flattened_config =
     rfd_params = Rfd_params.cisco;
   }
 
-let baseline_config =
-  {
-    Baseline_router.asn = Asn.of_int 1;
-    neighbors =
-      List.mapi
-        (fun i a ->
-          { Baseline_router.neighbor_asn = a; relationship = hot_relationship i;
-            mrai = 0.0 })
-        hot_neighbor_asns;
-    rfd_scope = Policy.All_neighbors;
-    rfd_params = Rfd_params.cisco;
-  }
-
-let router_tests () =
+let router_test ~name =
   let steps = hot_steps () in
-  let flattened =
-    Bechamel.Test.make ~name:"router 1k updates (flattened)"
-      (Bechamel.Staged.stage (fun () ->
-           let r = Router.create flattened_config in
-           List.iter
-             (fun (now, from, u) -> ignore (Router.handle_update r ~now ~from u))
-             steps))
-  in
-  let baseline =
-    Bechamel.Test.make ~name:"router 1k updates (baseline)"
-      (Bechamel.Staged.stage (fun () ->
-           let r = Baseline_router.create baseline_config in
-           List.iter
-             (fun (now, from, u) ->
-               ignore (Baseline_router.handle_update r ~now ~from u))
-             steps))
-  in
-  [ flattened; baseline ]
+  Bechamel.Test.make ~name
+    (Bechamel.Staged.stage (fun () ->
+         let r = Router.create router_config in
+         List.iter
+           (fun (now, from, u) -> ignore (Router.handle_update r ~now ~from u))
+           steps))
 
 type row =
   | Throughput of {
@@ -230,12 +204,12 @@ let write_json path rows =
                 "    { \"name\": \"%s\", \"kind\": \"throughput\", \"jobs\": \
                  %d, \"events\": %d, \"seconds\": %.3f, \"events_per_sec\": \
                  %.1f }"
-                (Kernels.json_escape name) jobs events seconds events_per_sec
+                (Manifest.json_escape name) jobs events seconds events_per_sec
           | Hot_path { name; ns_per_update } ->
               Printf.fprintf oc
                 "    { \"name\": \"%s\", \"kind\": \"router\", \
                  \"ns_per_update\": %.2f }"
-                (Kernels.json_escape name) ns_per_update);
+                (Manifest.json_escape name) ns_per_update);
           output_string oc (if k = List.length rows - 1 then "\n" else ",\n"))
         rows;
       output_string oc "  ]\n}\n")
@@ -331,34 +305,23 @@ let run () =
       Printf.printf "%-32s %+10.2f%%\n" "sim checkpoint overhead"
         (((off.events_per_sec /. on.events_per_sec) -. 1.0) *. 100.0)
   | _ -> ());
-  Ctx.section "Router hot path (flattened vs baseline)";
+  Ctx.section "Router hot path";
   let cfg =
     Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.5)
       ~kde:None ()
   in
+  let name = "router 1k updates (flattened)" in
+  let test = router_test ~name in
   let hot_rows =
-    List.filter_map
-      (fun test ->
-        let name =
-          match Bechamel.Test.elements test with
-          | [ e ] -> Bechamel.Test.Elt.name e
-          | _ -> "?"
-        in
-        match Kernels.measure cfg test with
-        | Some ns, _ ->
-            let ns_per_update = ns /. float_of_int n_hot_updates in
-            Printf.printf "%-32s %12.1f ns/update\n" name ns_per_update;
-            Some (Hot_path { name; ns_per_update })
-        | None, _ ->
-            Printf.printf "%-32s (no estimate)\n" name;
-            None)
-      (router_tests ())
+    match Kernels.measure cfg test with
+    | Some ns, _ ->
+        let ns_per_update = ns /. float_of_int n_hot_updates in
+        Printf.printf "%-32s %12.1f ns/update\n" name ns_per_update;
+        [ Hot_path { name; ns_per_update } ]
+    | None, _ ->
+        Printf.printf "%-32s (no estimate)\n" name;
+        []
   in
-  (match hot_rows with
-  | [ Hot_path flat; Hot_path base ] when flat.ns_per_update > 0.0 ->
-      Printf.printf "%-32s %11.2fx\n" "router flattening speedup"
-        (base.ns_per_update /. flat.ns_per_update)
-  | _ -> ());
   let rows = throughput @ [ telemetry_row; checkpoint_row ] @ hot_rows in
   write_json "BENCH_sim.json" rows;
   Printf.printf "wrote BENCH_sim.json (%d rows)\n" (List.length rows)

@@ -585,49 +585,6 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 (* infer                                                                *)
 
-let parse_observation line_number line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [] | [ "" ] -> None
-  | label :: (_ :: _ as path) ->
-      let rfd =
-        match String.lowercase_ascii label with
-        | "rfd" | "1" | "true" -> true
-        | "clean" | "0" | "false" -> false
-        | other ->
-            failwith
-              (Printf.sprintf "line %d: unknown label %S (use rfd|clean)"
-                 line_number other)
-      in
-      let asns =
-        List.map
-          (fun token ->
-            match int_of_string_opt token with
-            | Some v -> Asn.of_int v
-            | None ->
-                failwith
-                  (Printf.sprintf "line %d: bad ASN %S" line_number token))
-          path
-      in
-      Some (asns, rfd)
-  | _ ->
-      failwith
-        (Printf.sprintf "line %d: expected 'label asn asn ...'" line_number)
-
-let read_observations file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go n acc =
-        match input_line ic with
-        | line -> (
-            match parse_observation n line with
-            | Some obs -> go (n + 1) (obs :: acc)
-            | None -> go (n + 1) acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go 1 [])
-
 let infer_cmd =
   let file_arg =
     Arg.(
@@ -636,7 +593,8 @@ let infer_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "Labeled paths, one per line: 'rfd|clean ASN ASN ...' with the \
-             vantage-point side first.")
+             vantage-point side first; blank lines and '#' comments are \
+             ignored (the streaming spool grammar).")
   in
   let samples_arg =
     Arg.(
@@ -644,8 +602,16 @@ let infer_cmd =
       & info [ "samples" ] ~doc:"Posterior draws per sampler.")
   in
   let run seed file samples jobs chains =
-    let observations = read_observations file in
-    if observations = [] then failwith "no observations in file";
+    let observations =
+      match Because_service.Stream.parse_observations file with
+      | Ok (_ :: _ as observations) -> observations
+      | Ok [] ->
+          Printf.eprintf "because: %s: no observations\n" file;
+          exit 1
+      | Error e ->
+          Printf.eprintf "because: %s: %s\n" file e;
+          exit 1
+    in
     let data = Because.Tomography.of_observations observations in
     Printf.printf "%d paths (%d RFD) over %d ASs\n"
       (Because.Tomography.n_paths data)

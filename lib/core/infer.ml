@@ -6,6 +6,7 @@ module Rng = Because_stats.Rng
 module Target = Because_mcmc.Target
 module Tel = Because_telemetry.Registry
 module Supervise = Because_recover.Supervise
+module Policy = Because_resilience.Policy
 module Chain_ckpt = Because_recover.Chain_ckpt
 module Sampler_state = Because_recover.Sampler_state
 
@@ -80,6 +81,11 @@ let chain_healthy chain = Chain.for_all_values Float.is_finite chain
    fail-after-resume trajectory stays bit-for-bit identical. *)
 let run_with_restarts ~config ~rng ~name ~chain_index sample =
   let max_restarts = config.max_restarts in
+  (* Restart [k] waits [retry_backoff_s * 2^k], capped at one second. *)
+  let backoff =
+    Policy.make ~base_s:(2.0 *. config.retry_backoff_s) ~cap_s:1.0
+      ~jitter:0.0 ()
+  in
   let key = Printf.sprintf "%s.chain%d" name chain_index in
   let final_sweep = config.burn_in + (config.n_samples * config.thin) in
   let saved =
@@ -103,8 +109,7 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
     (* Backoff only before a genuinely fresh retry — a resumed attempt
        already paid it in its first life.  Wall-clock only; never touches
        any RNG stream. *)
-    if k > 0 && resume = None then
-      Supervise.wait_backoff ~attempt:k ~base_s:config.retry_backoff_s;
+    if k > 0 && resume = None then Policy.wait backoff ~attempt:k;
     let token = Supervise.start ~label:key config.supervise in
     (* Every chain gets a control callback so a process-wide drain request
        (SIGTERM, service shutdown) reaches it at the next sweep boundary.

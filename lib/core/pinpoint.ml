@@ -95,7 +95,26 @@ let apply categories promotions =
       else (asn, c))
     categories
 
+type pipeline = {
+  step1 : (Asn.t * Categorize.t) list;
+  insufficient : Asn.t list;
+  promotions : promotion list;
+  categories : (Asn.t * Categorize.t) list;
+}
+
+let pipeline ?threshold ?min_support ~min_path_support result =
+  let step1 = Categorize.assign ~min_support:min_path_support result in
+  let insufficient =
+    Categorize.insufficient result ~min_support:min_path_support
+  in
+  (* An AS demoted for lack of surviving evidence must stay "insufficient
+     data", not get promoted back to C4. *)
+  let promotions =
+    List.filter
+      (fun p -> not (List.exists (Asn.equal p.asn) insufficient))
+      (promotions ?threshold ?min_support result ~categories:step1)
+  in
+  { step1; insufficient; promotions; categories = apply step1 promotions }
+
 let assign_with_pinpointing ?threshold ?min_support result =
-  let categories = Categorize.assign result in
-  let promos = promotions ?threshold ?min_support result ~categories in
-  apply categories promos
+  (pipeline ?threshold ?min_support ~min_path_support:1 result).categories

@@ -44,7 +44,27 @@ val apply :
   (Asn.t * Categorize.t) list -> promotion list -> (Asn.t * Categorize.t) list
 (** Raise promoted ASs to at least Category 4. *)
 
+type pipeline = {
+  step1 : (Asn.t * Categorize.t) list;  (** {!Categorize.assign}'s flags. *)
+  insufficient : Asn.t list;  (** {!Categorize.insufficient}. *)
+  promotions : promotion list;
+      (** {!promotions} minus the insufficient ASs: an AS demoted for lack
+          of evidence is never promoted back to C4. *)
+  categories : (Asn.t * Categorize.t) list;
+      (** [step1] with [promotions] applied. *)
+}
+
+val pipeline :
+  ?threshold:float ->
+  ?min_support:int ->
+  min_path_support:int ->
+  Infer.result ->
+  pipeline
+(** The full two-step identification procedure: Table-1 flags with
+    [min_path_support] as {!Categorize.assign}'s [min_support], then the
+    eq. 8 promotions ([threshold], [min_support] as in {!promotions}).
+    Campaigns and streaming epochs both categorize through it. *)
+
 val assign_with_pinpointing :
   ?threshold:float -> ?min_support:int -> Infer.result -> (Asn.t * Categorize.t) list
-(** {!Categorize.assign} followed by {!promotions} and {!apply} — the full
-    two-step procedure. *)
+(** [(pipeline ~min_path_support:1 result).categories]: no AS is demoted. *)

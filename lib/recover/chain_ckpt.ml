@@ -28,16 +28,7 @@ let decode_saved payload =
 let store_hooks store ~namespace ?(every_sweeps = None)
     ?(every_seconds = Some default_every_seconds) () =
   let full key = namespace ^ key in
-  let load ~key =
-    match Checkpoint.load store ~key:(full key) with
-    | None -> None
-    | Some payload -> (
-        (* A payload that passed the CRC but fails to decode is treated
-           the same as corruption: warn and start the chain fresh. *)
-        match decode_saved payload with
-        | sv -> Some sv
-        | exception Codec.Malformed _ -> None)
-  in
+  let load ~key = Checkpoint.load_decoded store ~key:(full key) decode_saved in
   let save ~key ~sweep:_ sv =
     Checkpoint.save store ~key:(full key) (encode_saved sv)
   in

@@ -37,8 +37,9 @@ val store_hooks :
   hooks
 (** Hooks backed by a {!Checkpoint} store; [namespace] prefixes every key
     (e.g. one namespace per Beacon interval).  A snapshot that passes the
-    CRC but fails to decode loads as [None] (fresh start), never an
-    exception. *)
+    CRC but fails to decode is quarantined ({!Checkpoint.load_decoded}):
+    the chain falls back to its previous snapshot or starts fresh, never
+    an exception. *)
 
 val save_now :
   hooks ->

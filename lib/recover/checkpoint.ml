@@ -278,11 +278,11 @@ let keys t =
 
 (* Caller holds [t.mutex] (the OCaml runtime Mutex is not recursive), so
    counters and warnings are mutated directly here. *)
-let load_file_unlocked t ~key file =
+let load_file_unlocked t ~key ~decode file =
   if not (Sys.file_exists file) then None
   else
-    match unseal ~key (read_file file) with
-    | payload -> Some payload
+    match decode (unseal ~key (read_file file)) with
+    | value -> Some value
     | exception Codec.Malformed reason ->
         let where = quarantine t file in
         t.fallbacks <- t.fallbacks + 1;
@@ -293,27 +293,31 @@ let load_file_unlocked t ~key file =
           :: t.warnings;
         None
 
-let load t ~key =
+let load_decoded t ~key decode =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       let result =
-        match load_file_unlocked t ~key (path t key ".ck") with
-        | Some payload -> Some payload
+        match load_file_unlocked t ~key ~decode (path t key ".ck") with
+        | Some value -> Some value
         | None -> (
-            match load_file_unlocked t ~key (path t key ".prev.ck") with
-            | Some payload ->
+            match
+              load_file_unlocked t ~key ~decode (path t key ".prev.ck")
+            with
+            | Some value ->
                 t.warnings <-
                   Printf.sprintf "recovered %S from the previous snapshot" key
                   :: t.warnings;
-                Some payload
+                Some value
             | None -> None)
       in
       (match result with
       | Some _ -> t.restores <- t.restores + 1
       | None -> ());
       result)
+
+let load t ~key = load_decoded t ~key Fun.id
 
 let latest t =
   let file = Filename.concat t.dir "LATEST" in

@@ -61,6 +61,11 @@ val load : t -> key:string -> string option
     current one fails its checksum, and [None] when no valid snapshot
     exists. *)
 
+val load_decoded : t -> key:string -> (string -> 'a) -> 'a option
+(** {!load} through a payload decoder.  A payload that passes the checksum
+    but that [decode] rejects with {!Codec.Malformed} is quarantined and
+    falls back exactly like a checksum failure. *)
+
 val latest : t -> (string * int) option
 (** Rolling pointer: key of the most recent save and the store's save
     counter at that point.  Informational. *)

@@ -4,9 +4,7 @@
     record the sampler itself defines.  The encode/decode pair is the only
     place the on-disk layout of MCMC state is known.
 
-    Two on-disk generations exist: legacy tags 0/1/2 stored kept draws as
-    an array of rows, current tags 3/4/5 store them flat (row-major).
-    {!encode} always writes the flat form; {!decode} accepts both. *)
+    Kept draws are stored flat (row-major) under tags 3/4/5. *)
 
 type t =
   | Mh of Because_mcmc.Metropolis.state
@@ -23,4 +21,5 @@ val encode : Codec.writer -> t -> unit
 
 val decode : Codec.reader -> t
 (** Raises {!Codec.Malformed} on an unrecognized or inconsistent
-    serialization. *)
+    serialization — including the retired row-array tags 0/1/2, which a
+    checkpoint store then quarantines like a checksum failure. *)

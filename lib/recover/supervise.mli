@@ -64,14 +64,6 @@ val clear_drain : unit -> unit
 val draining : unit -> bool
 val check_drain : unit -> unit
 
-val backoff_s : attempt:int -> base_s:float -> float
-(** Exponential backoff delay before restart [attempt] (1-based), capped
-    at one second.  [attempt <= 0] is [0]. *)
-
-val wait_backoff : attempt:int -> base_s:float -> unit
-(** Busy-wait the backoff delay on the monotonic clock ([cpu_relax] in the
-    loop; no Unix dependency). *)
-
 (** {1 Campaign health} *)
 
 type status =

@@ -416,24 +416,14 @@ let run_multi ?recovery world params ~intervals =
         | Some r ->
             Tel.Span.with_ params.telemetry ~name:"campaign.categorize"
               (fun () ->
-                let min_support = params.min_path_support in
-                let step1 = Because.Categorize.assign ~min_support r in
-                let insufficient =
-                  Because.Categorize.insufficient r ~min_support
+                let p =
+                  Because.Pinpoint.pipeline
+                    ~min_path_support:params.min_path_support r
                 in
-                let promos =
-                  (* An AS demoted for lack of surviving evidence must stay
-                     "insufficient data", not get promoted back to C4. *)
-                  List.filter
-                    (fun (p : Because.Pinpoint.promotion) ->
-                      not (List.exists (Asn.equal p.Because.Pinpoint.asn)
-                             insufficient))
-                    (Because.Pinpoint.promotions r ~categories:step1)
-                in
-                ( step1,
-                  Because.Pinpoint.apply step1 promos,
-                  promos,
-                  insufficient,
+                ( p.Because.Pinpoint.step1,
+                  p.categories,
+                  p.promotions,
+                  p.insufficient,
                   r.Because.Infer.warnings ))
       in
       let heuristic_verdicts =

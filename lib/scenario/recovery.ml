@@ -286,18 +286,11 @@ let chain_hooks t ~namespace =
   {
     Chain_ckpt.load =
       (fun ~key ->
-        match load_payload t ~key:(namespace ^ key) with
+        match t.store with
         | None -> None
-        | Some payload -> (
-            match Chain_ckpt.decode_saved payload with
-            | sv -> Some sv
-            | exception Codec.Malformed reason ->
-                record_warning t
-                  (Printf.sprintf
-                     "checkpointed chain %s%s failed to decode (%s); \
-                      restarting the chain"
-                     namespace key reason);
-                None));
+        | Some store ->
+            Checkpoint.load_decoded store ~key:(namespace ^ key)
+              Chain_ckpt.decode_saved);
     save =
       (fun ~key ~sweep:_ sv ->
         save_payload t ~key:(namespace ^ key) (Chain_ckpt.encode_saved sv));

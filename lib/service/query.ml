@@ -1,5 +1,6 @@
 module H = Because_http
 module Tel = Because_telemetry.Registry
+module Manifest = Because_telemetry.Manifest
 
 let status_of_reason = function
   | Admission.Invalid _ -> 400
@@ -170,7 +171,8 @@ let router ?(registry = Tel.disabled) service =
       match Spec.of_line req.H.Request.body with
       | Error e ->
           H.Response.json ~status:400
-            (Printf.sprintf "{ \"error\": \"%s\" }\n" (Store.json_escape e))
+            (Printf.sprintf "{ \"error\": \"%s\" }\n"
+               (Manifest.json_escape e))
       | Ok spec -> (
           match Service.submit service spec with
           | Ok seq ->
@@ -181,7 +183,7 @@ let router ?(registry = Tel.disabled) service =
               let resp =
                 H.Response.json ~status
                   (Printf.sprintf "{ \"error\": \"%s\" }\n"
-                     (Store.json_escape
+                     (Manifest.json_escape
                         (Admission.reason_to_string reason)))
               in
               if status = 429 || status = 503 then backpressure service resp

@@ -7,6 +7,7 @@ module Io = Because_recover.Io
 module Policy = Because_resilience.Policy
 module Retry = Because_resilience.Retry
 module Tel = Because_telemetry.Registry
+module Manifest = Because_telemetry.Manifest
 
 type config = {
   state_dir : string;
@@ -753,7 +754,7 @@ let estimates_snapshot t =
                    "{ \"campaign\": \"%s\", \"asn\": \"%s\", \"mean\": \
                     %.17g, \"lo\": %.17g, \"hi\": %.17g, \"category\": %d, \
                     \"damping\": %b }"
-                   (Store.json_escape e.Store.spec.Spec.id)
+                   (Manifest.json_escape e.Store.spec.Spec.id)
                    (Asn.to_string est.Store.asn)
                    est.Store.mean est.Store.lo est.Store.hi
                    est.Store.category est.Store.damping )))

@@ -1,6 +1,7 @@
 open Because_bgp
 module Sc = Because_scenario
 module Supervise = Because_recover.Supervise
+module Manifest = Because_telemetry.Manifest
 
 type estimate = {
   asn : Asn.t;
@@ -163,22 +164,6 @@ let report entry =
     entry.estimates;
   Buffer.contents b
 
-(* Ids are validated to [A-Za-z0-9._-] and reasons come from our own code,
-   but escape anyway so the JSON stays well-formed no matter what. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t ~draining ~limit ~depth =
   let b = Buffer.create 2048 in
   let status = rollup t in
@@ -208,7 +193,7 @@ let to_json t ~draining ~limit ~depth =
         match e.health with
         | Done s ->
             List.map
-              (fun r -> "\"" ^ json_escape r ^ "\"")
+              (fun r -> "\"" ^ Manifest.json_escape r ^ "\"")
               (Supervise.status_reasons s)
         | _ -> []
       in
@@ -229,7 +214,7 @@ let to_json t ~draining ~limit ~depth =
            "    { \"id\": \"%s\", \"seq\": %d, \"health\": \"%s\", \
             \"attempts\": %d, \"ases\": %d, \"flagged\": [%s], \
             \"reasons\": [%s]%s }%s\n"
-           (json_escape e.spec.Spec.id) e.seq (health_label e.health)
+           (Manifest.json_escape e.spec.Spec.id) e.seq (health_label e.health)
            e.attempts (Array.length e.estimates)
            (String.concat ", " flagged)
            (String.concat ", " reasons) stream

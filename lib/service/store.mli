@@ -85,10 +85,6 @@ val report : entry -> string
     host state — so an interrupted-and-resumed service reproduces the
     uninterrupted report byte-for-byte. *)
 
-val json_escape : string -> string
-(** JSON string-body escaping: quotes, backslashes and every control byte
-    (as [\uXXXX]); the output is always a valid JSON string body. *)
-
 val to_json : t -> draining:bool -> limit:int -> depth:int -> string
 (** Service status document: rollup, queue stats, per-campaign health and
     flagged ASs. *)

@@ -12,39 +12,45 @@ type outcome = {
   seed : Seed.t option;
 }
 
+(* One spool line: [rfd|clean ASN ...]; blank lines and [#] comments
+   parse to [None]. *)
 let parse_line lineno line =
-  match
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
-  with
-  | [] -> Ok None
-  | label :: ases -> (
-      let damped =
-        match label with
-        | "rfd" -> Some true
-        | "clean" -> Some false
-        | _ -> None
-      in
-      match damped with
-      | None ->
-          Error
-            (Printf.sprintf "line %d: want 'rfd' or 'clean', got %S" lineno
-               label)
-      | Some damped -> (
-          if ases = [] then
-            Error (Printf.sprintf "line %d: empty AS path" lineno)
-          else
-            match
-              List.map
-                (fun s ->
-                  match int_of_string_opt s with
-                  | Some n when n >= 0 -> Asn.of_int n
-                  | _ -> raise Exit)
-                ases
-            with
-            | path -> Ok (Some (path, damped))
-            | exception Exit ->
-                Error (Printf.sprintf "line %d: malformed ASN" lineno)))
+  let line = String.trim line in
+  if line = "" || line.[0] = '#' then Ok None
+  else
+    match
+      String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+    with
+    | [] -> Ok None
+    | label :: ases -> (
+        let damped =
+          match label with
+          | "rfd" -> Some true
+          | "clean" -> Some false
+          | _ -> None
+        in
+        match damped with
+        | None ->
+            Error
+              (Printf.sprintf "line %d: want 'rfd' or 'clean', got %S" lineno
+                 label)
+        | Some damped -> (
+            if ases = [] then
+              Error (Printf.sprintf "line %d: empty AS path" lineno)
+            else
+              (* [Asn.of_int] rejects values outside [0, 2^32). *)
+              match
+                List.map
+                  (fun s ->
+                    match int_of_string_opt s with
+                    | Some n -> (
+                        try Asn.of_int n with Invalid_argument _ -> raise Exit)
+                    | None -> raise Exit)
+                  ases
+              with
+              | path -> Ok (Some (path, damped))
+              | exception Exit ->
+                  Error (Printf.sprintf "line %d: malformed ASN" lineno)))
 
 let parse_observations path =
   match open_in_bin path with
@@ -56,31 +62,13 @@ let parse_observations path =
           let rec go lineno acc =
             match input_line ic with
             | exception End_of_file -> Ok (List.rev acc)
-            | line ->
-                if String.length (String.trim line) = 0 then
-                  go (lineno + 1) acc
-                else if String.length line > 0 && line.[0] = '#' then
-                  go (lineno + 1) acc
-                else (
-                  match parse_line lineno line with
-                  | Ok None -> go (lineno + 1) acc
-                  | Ok (Some ob) -> go (lineno + 1) (ob :: acc)
-                  | Error _ as e -> e)
+            | line -> (
+                match parse_line lineno line with
+                | Ok None -> go (lineno + 1) acc
+                | Ok (Some ob) -> go (lineno + 1) (ob :: acc)
+                | Error _ as e -> e)
           in
           go 1 [])
-
-(* Mirror of the campaign's categorize step so warm and cold epochs feed
-   the identical category pipeline. *)
-let categorize ~min_support result =
-  let step1 = Because.Categorize.assign ~min_support result in
-  let insufficient = Because.Categorize.insufficient result ~min_support in
-  let promos =
-    List.filter
-      (fun (p : Because.Pinpoint.promotion) ->
-        not (List.exists (Asn.equal p.Because.Pinpoint.asn) insufficient))
-      (Because.Pinpoint.promotions result ~categories:step1)
-  in
-  Because.Pinpoint.apply step1 promos
 
 let seed_of_result ~epoch ~gate_sweeps result =
   if result.Because.Infer.runs = [] then None
@@ -162,7 +150,9 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
                 Because.Infer.run ~rng ~config data)
           in
           let categories =
-            categorize ~min_support:spec.Spec.min_path_support result
+            (Because.Pinpoint.pipeline
+               ~min_path_support:spec.Spec.min_path_support result)
+              .categories
           in
           let estimates = Store.estimates_of_result result ~categories in
           let gate_sweeps =

@@ -23,11 +23,16 @@ type outcome = {
 
 val parse_observations :
   string -> ((Because_bgp.Asn.t list * bool) list, string) result
-(** Parse a spool file.  Each non-empty, non-[#] line is
+(** Parse a labeled-path file: the one observation grammar, shared by
+    streaming spools and [because infer].  Each line is
     [rfd ASN ASN ...] (damping observed on the path) or
-    [clean ASN ASN ...]; [Error] names the first offending line.  A
-    missing file is an error (the admission layer validates the spec, not
-    the file — it may legitimately appear later). *)
+    [clean ASN ASN ...]: lowercase label, then at least one decimal ASN in
+    [\[0, 2{^32})], tokens separated by spaces.  Blank lines and
+    lines starting with [#] are ignored; surrounding whitespace (a CRLF
+    line end included) is trimmed.  [Error] names the first offending
+    line ("line N: ...").  A missing file is an error (the admission
+    layer validates the spec, not the file — it may legitimately appear
+    later). *)
 
 val run :
   spec:Spec.t ->

@@ -15,7 +15,10 @@ val make : ?seed:int -> ?params:(string * string) list -> unit -> t
     [Sys.argv] at call time. *)
 
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
+(** JSON string-body escaping, shared by every JSON writer in the tree:
+    quotes, backslashes, [\n]/[\t]/[\r] as short escapes and every other
+    control byte as [\uXXXX]; the output is always a valid JSON string
+    body. *)
 
 val to_json : t -> string
 (** The manifest as one JSON object (no trailing newline). *)

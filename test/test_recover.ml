@@ -10,6 +10,7 @@ module Codec = Because_recover.Codec
 module Checkpoint = Because_recover.Checkpoint
 module Supervise = Because_recover.Supervise
 module Sampler_state = Because_recover.Sampler_state
+module Chain_ckpt = Because_recover.Chain_ckpt
 module Chain = Because_mcmc.Chain
 module Target = Because_mcmc.Target
 module Metropolis = Because_mcmc.Metropolis
@@ -94,18 +95,7 @@ let qcheck_codec_floats =
       Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float back))
 
 (* ------------------------------------------------------------------ *)
-(* Sampler snapshot format: legacy (row-array) generation               *)
-
-(* Snapshots written before the flat-chain change stored the kept draws as
-   an array of per-draw rows under tags 0/1/2.  These tests hand-encode
-   that generation byte-for-byte and check that (a) decode flattens it to
-   the layout the samplers now hold in memory and (b) resuming from such a
-   snapshot replays the identical trajectory. *)
-
-let rows_of_flat ~dim flat =
-  Array.init
-    (Array.length flat / dim)
-    (fun k -> Array.sub flat (k * dim) dim)
+(* Sampler snapshot format                                              *)
 
 (* A Beta(3,2) × Beta(2,5) target on the unit box, with a gradient so the
    same fixture drives all three samplers. *)
@@ -123,9 +113,6 @@ let unit_target =
       done;
       !acc)
 
-let check_float_bits msg a b =
-  Alcotest.(check int64) msg (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let check_flat_array msg a b =
   Alcotest.(check (array int64))
     msg
@@ -142,132 +129,6 @@ let capture_at capture_sweep run =
   match !captured with
   | Some s -> (s, result)
   | None -> Alcotest.failf "control hook never reached sweep %d" capture_sweep
-
-let test_legacy_mh_snapshot () =
-  let n_samples = 40 and burn_in = 20 in
-  let run ~control =
-    Metropolis.run_single_site ~rng:(Rng.create 5) ~control ~n_samples
-      ~burn_in unit_target
-  in
-  (* Sweep 35 = burn-in done, 15 draws kept: a mid-stream snapshot. *)
-  let st, full = capture_at 35 run in
-  Alcotest.(check bool) "snapshot holds draws" true
-    (Array.length st.Metropolis.s_kept > 0);
-  let encode_legacy (s : Metropolis.state) =
-    let w = Codec.writer () in
-    Codec.u8 w 0;
-    Codec.int w s.s_sweep;
-    Codec.string w s.s_rng;
-    Codec.float_array w s.s_current;
-    Codec.float_array w s.s_steps;
-    Codec.float w s.s_log_post;
-    Codec.int_array w s.s_accept_window;
-    Codec.array w Codec.float_array (rows_of_flat ~dim:2 s.s_kept);
-    Codec.int w s.s_accepted_post;
-    Codec.int w s.s_proposed_post;
-    Codec.option w Codec.float_array s.s_cache;
-    Codec.contents w
-  in
-  let decoded =
-    match Sampler_state.decode (Codec.reader (encode_legacy st)) with
-    | Sampler_state.Mh s -> s
-    | _ -> Alcotest.fail "legacy tag 0 did not decode to Mh"
-  in
-  Alcotest.(check int) "sweep" st.Metropolis.s_sweep decoded.Metropolis.s_sweep;
-  Alcotest.(check string) "rng" st.Metropolis.s_rng decoded.Metropolis.s_rng;
-  check_flat_array "current" st.Metropolis.s_current
-    decoded.Metropolis.s_current;
-  check_flat_array "steps" st.Metropolis.s_steps decoded.Metropolis.s_steps;
-  check_float_bits "log_post" st.Metropolis.s_log_post
-    decoded.Metropolis.s_log_post;
-  check_flat_array "kept draws flattened row-major" st.Metropolis.s_kept
-    decoded.Metropolis.s_kept;
-  Alcotest.(check int) "draws_kept" 15
-    (Sampler_state.draws_kept (Sampler_state.Mh decoded));
-  (* Resume from the pre-flat snapshot: the finished chain must be
-     bit-for-bit the uninterrupted one. *)
-  let resumed =
-    Metropolis.run_single_site ~rng:(Rng.create 0) ~resume:decoded ~n_samples
-      ~burn_in unit_target
-  in
-  Alcotest.(check bool) "resumed chain bit-for-bit" true
-    (Chain.equal full.Metropolis.chain resumed.Metropolis.chain);
-  check_float_bits "resumed acceptance" full.Metropolis.acceptance
-    resumed.Metropolis.acceptance;
-  (* A burn-in-era legacy snapshot has zero rows: must flatten to [||]. *)
-  let early, _ = capture_at 5 run in
-  Alcotest.(check int) "no draws yet" 0 (Array.length early.Metropolis.s_kept);
-  match Sampler_state.decode (Codec.reader (encode_legacy early)) with
-  | Sampler_state.Mh s ->
-      Alcotest.(check int) "empty rows flatten to empty" 0
-        (Array.length s.Metropolis.s_kept)
-  | _ -> Alcotest.fail "legacy tag 0 did not decode to Mh"
-
-let test_legacy_hmc_snapshot () =
-  let n_samples = 20 and burn_in = 10 in
-  let run ~control =
-    Hmc.run ~rng:(Rng.create 7) ~control ~n_samples ~burn_in
-      ~leapfrog_steps:5 unit_target
-  in
-  let st, full = capture_at 18 run in
-  Alcotest.(check bool) "snapshot holds draws" true
-    (Array.length st.Hmc.s_kept > 0);
-  let w = Codec.writer () in
-  Codec.u8 w 1;
-  Codec.int w st.Hmc.s_iter;
-  Codec.string w st.Hmc.s_rng;
-  Codec.float_array w st.Hmc.s_position;
-  Codec.float w st.Hmc.s_step;
-  Codec.float w st.Hmc.s_log_post;
-  Codec.int w st.Hmc.s_accept_window;
-  Codec.array w Codec.float_array (rows_of_flat ~dim:2 st.Hmc.s_kept);
-  Codec.int w st.Hmc.s_accepted_post;
-  Codec.int w st.Hmc.s_proposed_post;
-  let decoded =
-    match Sampler_state.decode (Codec.reader (Codec.contents w)) with
-    | Sampler_state.Hmc s -> s
-    | _ -> Alcotest.fail "legacy tag 1 did not decode to Hmc"
-  in
-  check_flat_array "kept draws flattened row-major" st.Hmc.s_kept
-    decoded.Hmc.s_kept;
-  check_flat_array "position" st.Hmc.s_position decoded.Hmc.s_position;
-  check_float_bits "step" st.Hmc.s_step decoded.Hmc.s_step;
-  let resumed =
-    Hmc.run ~rng:(Rng.create 0) ~resume:decoded ~n_samples ~burn_in
-      ~leapfrog_steps:5 unit_target
-  in
-  Alcotest.(check bool) "resumed chain bit-for-bit" true
-    (Chain.equal full.Hmc.chain resumed.Hmc.chain)
-
-let test_legacy_gibbs_snapshot () =
-  let n_samples = 20 and burn_in = 5 in
-  let run ~control =
-    Gibbs.run ~rng:(Rng.create 11) ~control ~n_samples ~burn_in unit_target
-  in
-  let st, full = capture_at 15 run in
-  Alcotest.(check bool) "snapshot holds draws" true
-    (Array.length st.Gibbs.s_kept > 0);
-  let w = Codec.writer () in
-  Codec.u8 w 2;
-  Codec.int w st.Gibbs.s_sweep;
-  Codec.string w st.Gibbs.s_rng;
-  Codec.float_array w st.Gibbs.s_current;
-  Codec.array w Codec.float_array (rows_of_flat ~dim:2 st.Gibbs.s_kept);
-  Codec.int w st.Gibbs.s_moved_sweeps;
-  Codec.option w Codec.float_array st.Gibbs.s_cache;
-  let decoded =
-    match Sampler_state.decode (Codec.reader (Codec.contents w)) with
-    | Sampler_state.Gibbs s -> s
-    | _ -> Alcotest.fail "legacy tag 2 did not decode to Gibbs"
-  in
-  check_flat_array "kept draws flattened row-major" st.Gibbs.s_kept
-    decoded.Gibbs.s_kept;
-  let resumed =
-    Gibbs.run ~rng:(Rng.create 0) ~resume:decoded ~n_samples ~burn_in
-      unit_target
-  in
-  Alcotest.(check bool) "resumed chain bit-for-bit" true
-    (Chain.equal full.Gibbs.chain resumed.Gibbs.chain)
 
 let test_sampler_state_flat_roundtrip () =
   (* The current generation: encode always writes flat tags, and the
@@ -395,16 +256,6 @@ let test_supervise_sweep_budget_exact () =
       Alcotest.(check bool) "labelled" true
         (String.length msg > 0 && String.sub msg 0 1 = "t")
 
-let test_supervise_backoff () =
-  Alcotest.(check (float 1e-9)) "attempt 0" 0.0
-    (Supervise.backoff_s ~attempt:0 ~base_s:0.01);
-  Alcotest.(check (float 1e-9)) "attempt 1" 0.02
-    (Supervise.backoff_s ~attempt:1 ~base_s:0.01);
-  Alcotest.(check (float 1e-9)) "attempt 2" 0.04
-    (Supervise.backoff_s ~attempt:2 ~base_s:0.01);
-  Alcotest.(check (float 1e-9)) "capped at 1s" 1.0
-    (Supervise.backoff_s ~attempt:30 ~base_s:0.01)
-
 let test_exit_codes () =
   Alcotest.(check int) "healthy" 0 (Supervise.exit_code Supervise.Healthy);
   Alcotest.(check int) "degraded" 3
@@ -468,6 +319,53 @@ let runs_equal a b =
               (Int64.bits_of_float rb.Because.Infer.acceptance)
          && Chain.equal ra.Because.Infer.chain rb.Because.Infer.chain)
        a b
+
+(* Tags 0/1/2 (the retired row-array generation) no longer decode.  A
+   store holding one quarantines it like a checksum failure, and the chain
+   starts cold: bit-for-bit the draws of a run with no checkpoint at all. *)
+let test_retired_snapshot_tag_quarantined () =
+  let st, _ =
+    capture_at 25 (fun ~control ->
+        Metropolis.run_single_site ~rng:(Rng.create 13) ~control
+          ~n_samples:30 ~burn_in:10 unit_target)
+  in
+  let flat =
+    Chain_ckpt.encode_saved
+      { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [] }
+  in
+  let retired = "\000" ^ String.sub flat 1 (String.length flat - 1) in
+  (match Chain_ckpt.decode_saved retired with
+  | _ -> Alcotest.fail "retired tag 0 decoded"
+  | exception Codec.Malformed msg ->
+      Alcotest.(check string) "names the tag"
+        "unsupported sampler snapshot tag 0" msg);
+  let data =
+    Because.Tomography.of_observations
+      (List.map
+         (fun (path, rfd) -> (List.map Because_bgp.Asn.of_int path, rfd))
+         [ ([ 1; 2; 3 ], true); ([ 1; 4 ], false); ([ 2; 5 ], true);
+           ([ 4; 5 ], false) ])
+  in
+  let run checkpoint =
+    Because.Infer.run ~rng:(Rng.create 3)
+      ~config:
+        { Because.Infer.default_config with
+          n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+      data
+  in
+  let dir = fresh_dir () in
+  let store = Checkpoint.open_ ~dir ~fingerprint:"fp-retired" () in
+  Checkpoint.save store ~key:"MH.chain0" retired;
+  let resumed =
+    run (Some (Chain_ckpt.store_hooks store ~namespace:"" ()))
+  in
+  Alcotest.(check int) "quarantine counted" 1 (Checkpoint.fallbacks store);
+  Alcotest.(check bool) "file quarantined" true
+    (List.exists
+       (fun f -> contains ~sub:"corrupt" f)
+       (Array.to_list (Sys.readdir dir)));
+  Alcotest.(check bool) "chain starts cold" true
+    (runs_equal (run None).Because.Infer.runs resumed.Because.Infer.runs)
 
 let check_outcomes_equal ~what a b =
   Alcotest.(check string)
@@ -708,12 +606,6 @@ let suite =
       Alcotest.test_case "codec truncation detected" `Quick
         test_codec_truncation;
       QCheck_alcotest.to_alcotest qcheck_codec_floats;
-      Alcotest.test_case "legacy MH snapshot decodes and resumes" `Quick
-        test_legacy_mh_snapshot;
-      Alcotest.test_case "legacy HMC snapshot decodes and resumes" `Quick
-        test_legacy_hmc_snapshot;
-      Alcotest.test_case "legacy Gibbs snapshot decodes and resumes" `Quick
-        test_legacy_gibbs_snapshot;
       Alcotest.test_case "flat sampler snapshot round-trip" `Quick
         test_sampler_state_flat_roundtrip;
       Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
@@ -723,9 +615,10 @@ let suite =
         test_store_fingerprint_mismatch;
       Alcotest.test_case "store rejects transplanted key" `Quick
         test_store_wrong_key_rejected;
+      Alcotest.test_case "retired snapshot tag quarantined" `Quick
+        test_retired_snapshot_tag_quarantined;
       Alcotest.test_case "sweep budget exact" `Quick
         test_supervise_sweep_budget_exact;
-      Alcotest.test_case "backoff schedule" `Quick test_supervise_backoff;
       Alcotest.test_case "exit codes 0/3/4" `Quick test_exit_codes;
       Alcotest.test_case "shard_result codec round-trip" `Quick
         test_shard_result_codec_roundtrip;

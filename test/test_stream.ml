@@ -78,6 +78,24 @@ let test_parse_observations () =
   (match Stream.parse_observations path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative ASN accepted");
+  write_lines path [ "rfd 1 4294967296" ];
+  (match Stream.parse_observations path with
+  | Error e ->
+      Alcotest.(check string) "ASN >= 2^32 is a typed error"
+        "line 1: malformed ASN" e
+  | Ok _ -> Alcotest.fail "ASN >= 2^32 accepted");
+  write_lines path [ "rfd 64512 4294967295\r" ];
+  (match Stream.parse_observations path with
+  | Ok [ (p1, true) ] ->
+      Alcotest.(check (list int)) "CRLF line" [ 64512; 4294967295 ]
+        (List.map Asn.to_int p1)
+  | Ok l -> Alcotest.failf "CRLF: parsed %d observations" (List.length l)
+  | Error e -> Alcotest.fail e);
+  write_lines path [ "1 64512 901" ];
+  (match Stream.parse_observations path with
+  | Error e ->
+      Alcotest.(check bool) "label 1 rejected" true (contains ~sub:"line 1" e)
+  | Ok _ -> Alcotest.fail "label 1 accepted");
   match Stream.parse_observations (Filename.concat dir "missing") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file accepted"
@@ -544,7 +562,8 @@ let qcheck_json_escape_roundtrip =
   QCheck.Test.make ~name:"json_escape output is always a JSON string body"
     ~count:200
     QCheck.(string_gen_of_size (Gen.int_range 0 60) Gen.char)
-    (fun s -> json_valid ("\"" ^ Store.json_escape s ^ "\""))
+    (fun s ->
+      json_valid ("\"" ^ Because_telemetry.Manifest.json_escape s ^ "\""))
 
 let suite =
   ( "stream",
