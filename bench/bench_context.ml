@@ -76,3 +76,17 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let paper note = Printf.printf "paper: %s\n" note
+
+(* The one writer behind every BENCH_*.json: a schema tag, the quick flag
+   and the section's rows, each already rendered as one JSON object. *)
+let write_json ~schema path rows =
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"schema\": \"%s\",\n  \"quick\": %b,\n  \"results\": [\n%s\n  ]\n}\n"
+        schema quick
+        (String.concat ",\n" (List.map (fun row -> "    " ^ row) rows)))
+
+(* A name/value/unit row, the shape of the service and HTTP files. *)
+let value_row ~name ~value ~unit_ =
+  Printf.sprintf "{ \"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\" }"
+    (Because_telemetry.Manifest.json_escape name) value unit_

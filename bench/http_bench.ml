@@ -386,24 +386,6 @@ let overload_rows () =
         { name = "overload_shed"; value = float_of_int (shed_n + !burst_shed);
           unit_ = "1" } ])
 
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-http/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\" }%s\n"
-            row.name row.value row.unit_
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
-
 let run () =
   Ctx.section "http query plane";
   let dir = fresh_dir () in
@@ -428,5 +410,8 @@ let run () =
           [ ("status", "/status"); ("matrix", "/matrix") ])
   in
   let rows = rows @ overload_rows () @ stream_gate_rows () in
-  write_json "BENCH_http.json" rows;
+  Ctx.write_json ~schema:"because-bench-http/1" "BENCH_http.json"
+    (List.map
+       (fun { name; value; unit_ } -> Ctx.value_row ~name ~value ~unit_)
+       rows);
   Printf.printf "wrote BENCH_http.json (%d rows)\n" (List.length rows)

@@ -172,26 +172,12 @@ let measure cfg test =
   let words = estimate (Analyze.all ols alloc results) in
   (time, words)
 
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-kernels/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"ns_per_run\": %.3f%s }%s\n"
-            (Because_telemetry.Manifest.json_escape row.name) row.ns_per_run
-            (match row.minor_words with
-            | Some w -> Printf.sprintf ", \"minor_words_per_run\": %.1f" w
-            | None -> "")
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
+let row_json row =
+  Printf.sprintf "{ \"name\": \"%s\", \"ns_per_run\": %.3f%s }"
+    (Because_telemetry.Manifest.json_escape row.name) row.ns_per_run
+    (match row.minor_words with
+    | Some w -> Printf.sprintf ", \"minor_words_per_run\": %.1f" w
+    | None -> "")
 
 let speedup rows ~slow ~fast ~label =
   match
@@ -258,5 +244,6 @@ let run () =
   overhead rows ~off:"inference 4 chains (jobs=1)"
     ~on:"inference 4 chains (jobs=1, checkpoint)"
     ~label:"inference checkpoint overhead";
-  write_json "BENCH_kernels.json" rows;
+  Ctx.write_json ~schema:"because-bench-kernels/1" "BENCH_kernels.json"
+    (List.map row_json rows);
   Printf.printf "wrote BENCH_kernels.json (%d kernels)\n" (List.length rows)

@@ -41,24 +41,6 @@ let percentile sorted p =
       let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
       sorted.(max 0 (min (n - 1) rank))
 
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-service/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          Printf.fprintf oc
-            "    { \"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\" }%s\n"
-            row.name row.value row.unit_
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "  ]\n}\n")
-
 let run () =
   Ctx.section "service scheduler";
   (* Sustained throughput: n campaigns through the bounded queue over a
@@ -122,5 +104,8 @@ let run () =
       { name = "drain_restart_run"; value = interrupted_s; unit_ = "s" };
       { name = "drain_restart_overhead"; value = overhead; unit_ = "%" } ]
   in
-  write_json "BENCH_service.json" rows;
+  Ctx.write_json ~schema:"because-bench-service/1" "BENCH_service.json"
+    (List.map
+       (fun { name; value; unit_ } -> Ctx.value_row ~name ~value ~unit_)
+       rows);
   Printf.printf "wrote BENCH_service.json (%d rows)\n" (List.length rows)

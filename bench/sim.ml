@@ -187,32 +187,16 @@ type row =
     }
   | Hot_path of { name : string; ns_per_update : float }
 
-let write_json path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      Printf.fprintf oc "  \"schema\": \"because-bench-sim/1\",\n";
-      Printf.fprintf oc "  \"quick\": %b,\n" Ctx.quick;
-      output_string oc "  \"results\": [\n";
-      List.iteri
-        (fun k row ->
-          (match row with
-          | Throughput { name; jobs; events; seconds; events_per_sec } ->
-              Printf.fprintf oc
-                "    { \"name\": \"%s\", \"kind\": \"throughput\", \"jobs\": \
-                 %d, \"events\": %d, \"seconds\": %.3f, \"events_per_sec\": \
-                 %.1f }"
-                (Manifest.json_escape name) jobs events seconds events_per_sec
-          | Hot_path { name; ns_per_update } ->
-              Printf.fprintf oc
-                "    { \"name\": \"%s\", \"kind\": \"router\", \
-                 \"ns_per_update\": %.2f }"
-                (Manifest.json_escape name) ns_per_update);
-          output_string oc (if k = List.length rows - 1 then "\n" else ",\n"))
-        rows;
-      output_string oc "  ]\n}\n")
+let row_json = function
+  | Throughput { name; jobs; events; seconds; events_per_sec } ->
+      Printf.sprintf
+        "{ \"name\": \"%s\", \"kind\": \"throughput\", \"jobs\": %d, \
+         \"events\": %d, \"seconds\": %.3f, \"events_per_sec\": %.1f }"
+        (Manifest.json_escape name) jobs events seconds events_per_sec
+  | Hot_path { name; ns_per_update } ->
+      Printf.sprintf
+        "{ \"name\": \"%s\", \"kind\": \"router\", \"ns_per_update\": %.2f }"
+        (Manifest.json_escape name) ns_per_update
 
 let run () =
   Ctx.section "Simulator throughput (sharded, domain-parallel)";
@@ -323,5 +307,6 @@ let run () =
         []
   in
   let rows = throughput @ [ telemetry_row; checkpoint_row ] @ hot_rows in
-  write_json "BENCH_sim.json" rows;
+  Ctx.write_json ~schema:"because-bench-sim/1" "BENCH_sim.json"
+    (List.map row_json rows);
   Printf.printf "wrote BENCH_sim.json (%d rows)\n" (List.length rows)

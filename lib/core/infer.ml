@@ -425,3 +425,12 @@ let combined_chain result =
   | runs -> Chain.concat (List.map (fun run -> run.chain) runs)
 
 let dataset result = Model.dataset result.model
+
+let status result =
+  if result.aborted <> [] then Supervise.Degraded result.aborted
+  else if result.runs = [] then
+    Supervise.Degraded
+      (match result.warnings with
+      | [] -> [ "every sampler chain was dropped" ]
+      | ws -> ws)
+  else Supervise.Healthy

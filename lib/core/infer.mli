@@ -126,3 +126,8 @@ val gate_draws : ?threshold:float -> result -> int option
     report [burn_in + gate_draws·thin] as their sweeps-to-convergence. *)
 
 val dataset : result -> Tomography.t
+
+val status : result -> Because_recover.Supervise.status
+(** Health of a finished inference: [Degraded] when a chain hit its
+    supervision budget ([aborted]) or every chain was dropped, otherwise
+    [Healthy]. *)

@@ -9,7 +9,7 @@
     closed form under the path-product likelihood, so exact inversion needs a
     per-coordinate density sweep — which is precisely where the cost lives).
 
-    One Gibbs sweep costs [grid] single-site density evaluations per
+    One Gibbs sweep costs {!grid} single-site density evaluations per
     coordinate versus one for Metropolis–Hastings, and mixes no better — the
     `ablations` bench quantifies the ESS-per-work gap against MH and HMC. *)
 
@@ -20,42 +20,24 @@ type result = {
           coordinate landed in a different grid cell than it occupied
           before the sweep.  Gibbs proposals are never {e rejected} in the
           Metropolis–Hastings sense, so this measures mobility — how often
-          a full conditional sweep actually moved the state — and is the
+          a full conditional sweep actually moved the point — and is the
           comparable "did the chain move" number next to MH/HMC acceptance
           rates.  Intra-cell jitter does not count as movement.  1.0 means
           every sweep moved; values near 0 flag a chain frozen on the
           grid. *)
-  grid : int;
 }
 
-type state = {
-  s_sweep : int;
-  s_rng : string;
-  s_current : float array;
-  s_kept : float array;
-      (** Retained draws so far, flat row-major ([kept × dim] values). *)
-  s_moved_sweeps : int;
-  s_cache : float array option;
-}
-(** Complete between-sweeps state of {!run}; same contract as
-    {!Metropolis.state} — resuming replays the identical trajectory. *)
+val grid : int
+(** Conditional-density evaluation points per coordinate update (64). *)
 
 val run :
   rng:Because_stats.Rng.t ->
-  ?init:float array ->
-  ?grid:int ->
-  ?thin:int ->
-  ?resume:state ->
-  ?control:(sweep:int -> state:(unit -> state) -> unit) ->
   n_samples:int ->
   burn_in:int ->
   Target.t ->
   result
-(** [run ~rng ~n_samples ~burn_in target] requires a target on the unit box.
-    [grid] (default 64) is the number of conditional-density evaluation
-    points per coordinate update.  Uses [target.log_density_delta] when
-    available, the full density otherwise.  [resume]/[control] follow the
-    {!Metropolis.run_single_site} contract (note: [grid] must match the
-    original run — it is part of the trajectory, not of the saved state).
-    @raise Invalid_argument when [thin <= 0], [grid < 4], the target is not
-    on the unit box, or a [resume] state does not match the target. *)
+(** [run ~rng ~n_samples ~burn_in target] requires a target on the unit box
+    and starts every coordinate at 0.5.  Uses the target's cache protocol
+    when present, then [target.log_density_delta], the full density
+    otherwise.
+    @raise Invalid_argument when the target is not on the unit box. *)

@@ -48,9 +48,9 @@ val run :
   Target.t ->
   result
 (** [run ~rng ~n_samples ~burn_in target] requires [target.grad_log_density].
-    [leapfrog_steps] defaults to 15 and, like [grid] for Gibbs, must match
-    the original run when resuming.  The step size adapts towards a 0.75
-    acceptance rate during burn-in.  [resume]/[control] follow the
+    [leapfrog_steps] defaults to 15 and must match the original run when
+    resuming.  The step size adapts towards a 0.75 acceptance rate during
+    burn-in.  [resume]/[control] follow the
     {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
     the target has no gradient, [thin <= 0], or a [resume] state has the
     wrong dimension.

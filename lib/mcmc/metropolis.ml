@@ -36,16 +36,6 @@ let default_init target =
 
 let clamp_unit x = Float.max 1e-9 (Float.min (1.0 -. 1e-9) x)
 
-let check_initial_lp ~who lp point =
-  if not (Float.is_finite lp) then
-    failwith
-      (Printf.sprintf
-         "%s: non-finite log-density (%g) at the initial point [%s] — the \
-          target is broken or the initializer lies outside its support"
-         who lp
-         (String.concat "; "
-            (Array.to_list (Array.map (Printf.sprintf "%g") point))))
-
 (* Robbins–Monro style log-scale adaptation towards a target acceptance. *)
 let adapt_step step ~observed ~target_rate ~sweep =
   let rate = 1.0 /. Float.sqrt (float_of_int (sweep + 1)) in
@@ -90,7 +80,15 @@ let run_single_site ~rng ?init ?(initial_step = 0.2) ?(thin = 1) ?resume
     | Some s -> ref s.s_log_post
     | None ->
         let lp = target.Target.log_density current in
-        check_initial_lp ~who:"Metropolis.run_single_site" lp current;
+        if not (Float.is_finite lp) then
+          failwith
+            (Printf.sprintf
+               "Metropolis.run_single_site: non-finite log-density (%g) at \
+                the initial point [%s] — the target is broken or the \
+                initializer lies outside its support"
+               lp
+               (String.concat "; "
+                  (Array.to_list (Array.map (Printf.sprintf "%g") current))));
         ref lp
   in
   let accept_window =
@@ -229,62 +227,3 @@ let run_single_site ~rng ?init ?(initial_step = 0.2) ?(thin = 1) ?resume
     else float_of_int !accepted_post /. float_of_int !proposed_post
   in
   { chain = Chain.Builder.to_chain kept; acceptance; step_sizes = steps }
-
-let run_vector ~rng ?init ?(initial_step = 0.05) ?(thin = 1) ~n_samples
-    ~burn_in target =
-  if thin <= 0 then invalid_arg "Metropolis.run_vector: thin must be positive";
-  let dim = target.Target.dim in
-  let current =
-    match init with Some p -> Array.copy p | None -> default_init target
-  in
-  let step = ref initial_step in
-  let log_post = ref (target.Target.log_density current) in
-  check_initial_lp ~who:"Metropolis.run_vector" !log_post current;
-  let kept = Chain.Builder.create ~dim ~capacity:n_samples in
-  let accepted_post = ref 0 and proposed_post = ref 0 in
-  let accept_window = ref 0 in
-  let window = 25 in
-  let sweep_idx = ref 0 in
-  let total_sweeps = burn_in + (n_samples * thin) in
-  let finished = ref false in
-  while not !finished do
-    let in_burn_in = !sweep_idx < burn_in in
-    let proposal =
-      Array.map
-        (fun v ->
-          let v' = v +. Dist.normal rng ~mu:0.0 ~sigma:!step in
-          match target.Target.support with
-          | Target.Unit_interval -> clamp_unit (reflect_unit v')
-          | Target.Unbounded -> v')
-        current
-    in
-    let lp' = target.Target.log_density proposal in
-    let d = lp' -. !log_post in
-    let accept = d >= 0.0 || Rng.float rng < Float.exp d in
-    if not in_burn_in then incr proposed_post;
-    if accept then begin
-      Array.blit proposal 0 current 0 dim;
-      log_post := lp';
-      if in_burn_in then incr accept_window else incr accepted_post
-    end;
-    if in_burn_in && (!sweep_idx + 1) mod window = 0 then begin
-      let observed = float_of_int !accept_window /. float_of_int window in
-      step := adapt_step !step ~observed ~target_rate:0.234 ~sweep:!sweep_idx;
-      accept_window := 0
-    end;
-    if not in_burn_in then begin
-      let post_sweep = !sweep_idx - burn_in in
-      if post_sweep mod thin = 0 && Chain.Builder.count kept < n_samples then
-        Chain.Builder.push kept current
-    end;
-    incr sweep_idx;
-    if Chain.Builder.count kept >= n_samples then finished := true;
-    (* Defensive: the loop is bounded by construction, but guard anyway. *)
-    if !sweep_idx > total_sweeps + thin then finished := true
-  done;
-  let acceptance =
-    if !proposed_post = 0 then 0.0
-    else float_of_int !accepted_post /. float_of_int !proposed_post
-  in
-  { chain = Chain.Builder.to_chain kept; acceptance;
-    step_sizes = Array.make dim !step }

@@ -1,21 +1,16 @@
-(** Metropolis–Hastings samplers (§3.2 of the paper).
+(** Single-site Metropolis–Hastings (§3.2 of the paper).
 
-    Two proposal schemes are provided:
+    {!run_single_site} updates one coordinate at a time with a reflected
+    Gaussian random walk.  When the target supplies a stateful cache
+    ([Target.make_cache]) the sampler drives it — deltas reuse the cached
+    per-path sufficient statistics and accepted moves are committed
+    incrementally; otherwise it falls back to [log_density_delta], and
+    finally to full recomputation.  This is what makes 500+-dimensional
+    tomography posteriors practical.
 
-    - {!run_single_site}: a sweep updates one coordinate at a time with a
-      reflected Gaussian random walk.  When the target supplies a stateful
-      cache ([Target.make_cache]) the sampler drives it — deltas reuse the
-      cached per-path sufficient statistics and accepted moves are committed
-      incrementally; otherwise it falls back to [log_density_delta], and
-      finally to full recomputation.  This is what makes 500+-dimensional
-      tomography posteriors practical.
-    - {!run_vector}: a classic full-vector Gaussian random walk, useful for
-      low-dimensional or generic targets.
-
-    Both adapt their step size(s) during burn-in (Robbins–Monro towards the
-    standard optimal acceptance rates: 0.44 single-site, 0.234 vector) and
-    freeze them afterwards, preserving detailed balance for the retained
-    draws. *)
+    Per-coordinate step sizes adapt during burn-in (Robbins–Monro towards
+    the single-site optimal acceptance rate 0.44) and are frozen
+    afterwards, preserving detailed balance for the retained draws. *)
 
 type result = {
   chain : Chain.t;           (** Post burn-in, thinned draws. *)
@@ -72,19 +67,6 @@ val run_single_site :
     @raise Failure when the log-density is non-finite at the initial point
     (a broken target or an initializer outside the support) — instead of
     silently propagating NaN through every acceptance test. *)
-
-val run_vector :
-  rng:Because_stats.Rng.t ->
-  ?init:float array ->
-  ?initial_step:float ->
-  ?thin:int ->
-  n_samples:int ->
-  burn_in:int ->
-  Target.t ->
-  result
-(** Full-vector variant; same initial-point and [thin] guards as
-    {!run_single_site}.  Not resumable (nothing in the pipeline runs it
-    long enough to checkpoint). *)
 
 val reflect_unit : float -> float
 (** Reflect a proposal into [\[0, 1\]] (symmetric, so the MH ratio needs no

@@ -25,15 +25,6 @@ let decode_saved payload =
   Codec.expect_end r;
   { state; prior_warnings }
 
-let store_hooks store ~namespace ?(every_sweeps = None)
-    ?(every_seconds = Some default_every_seconds) () =
-  let full key = namespace ^ key in
-  let load ~key = Checkpoint.load_decoded store ~key:(full key) decode_saved in
-  let save ~key ~sweep:_ sv =
-    Checkpoint.save store ~key:(full key) (encode_saved sv)
-  in
-  { load; save; every_sweeps; every_seconds }
-
 let save_now hooks ~key ~prior_warnings ~sweep ~state =
   hooks.save ~key ~sweep { state = state (); prior_warnings }
 

@@ -1,8 +1,9 @@
 (** Per-chain checkpoint hooks for the inference driver.
 
     The driver sees only {!hooks}: a way to load the last snapshot for a
-    chain key and a way to save one.  How snapshots are stored
-    ({!Checkpoint}), and when ({!make_control}'s cadence), is decided
+    chain key and a way to save one.  Where snapshots are stored is the
+    hooks' builder's business (the campaign's [Recovery.chain_hooks], over
+    a {!Checkpoint} store); when ({!make_control}'s cadence) is decided
     here, so the sampling code has no filesystem or policy knowledge. *)
 
 type saved = {
@@ -27,19 +28,6 @@ val default_every_seconds : float
 val encode_saved : saved -> string
 val decode_saved : string -> saved
 (** Raises {!Codec.Malformed} on bad input. *)
-
-val store_hooks :
-  Checkpoint.t ->
-  namespace:string ->
-  ?every_sweeps:int option ->
-  ?every_seconds:float option ->
-  unit ->
-  hooks
-(** Hooks backed by a {!Checkpoint} store; [namespace] prefixes every key
-    (e.g. one namespace per Beacon interval).  A snapshot that passes the
-    CRC but fails to decode is quarantined ({!Checkpoint.load_decoded}):
-    the chain falls back to its previous snapshot or starts fresh, never
-    an exception. *)
 
 val save_now :
   hooks ->

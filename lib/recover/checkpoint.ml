@@ -3,7 +3,6 @@
    Layout of a store directory:
 
      MANIFEST            envelope, payload = fingerprint string
-     LATEST              envelope, payload = key + save counter (informational)
      <key>.ck            current snapshot for [key]
      <key>.prev.ck       previous snapshot (fallback if .ck is corrupt)
      <key>.ck.corrupt-*  quarantined files that failed CRC/version checks
@@ -140,7 +139,6 @@ let quarantine _t file =
 (* --- store lifecycle --- *)
 
 let manifest_key = "__manifest__"
-let latest_key = "__latest__"
 
 let list_snapshots dir =
   Sys.readdir dir |> Array.to_list
@@ -219,14 +217,7 @@ let save t ~key payload =
              write. *)
           if Sys.file_exists current then Io.rename current prev;
           write_file_atomic ~dir:t.dir ~file:current blob);
-      t.saves <- t.saves + 1;
-      let w = Codec.writer () in
-      Codec.string w key;
-      Codec.int w t.saves;
-      with_write_retry t ~label:"checkpoint:latest" (fun () ->
-          write_file_atomic ~dir:t.dir
-            ~file:(Filename.concat t.dir "LATEST")
-            (seal ~key:latest_key (Codec.contents w))))
+      t.saves <- t.saves + 1)
 
 let remove t ~key =
   Mutex.lock t.mutex;
@@ -318,16 +309,3 @@ let load_decoded t ~key decode =
       result)
 
 let load t ~key = load_decoded t ~key Fun.id
-
-let latest t =
-  let file = Filename.concat t.dir "LATEST" in
-  if not (Sys.file_exists file) then None
-  else
-    match unseal ~key:latest_key (read_file file) with
-    | payload ->
-        let r = Codec.reader payload in
-        let key = Codec.read_string r in
-        let saves = Codec.read_int r in
-        Codec.expect_end r;
-        Some (key, saves)
-    | exception Codec.Malformed _ -> None

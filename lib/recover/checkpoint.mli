@@ -9,11 +9,11 @@
 
     Durability protocol per {!save}: write to a temp file, rotate the
     current snapshot to [<key>.prev.ck], then atomically rename the temp
-    file to [<key>.ck] and refresh the rolling [LATEST] pointer.  {!load}
-    tries [<key>.ck] first; a file that fails validation is renamed to a
-    unique [*.corrupt-N] quarantine name (kept for post-mortem, never
-    retried) and the previous snapshot is used instead, with a recorded
-    warning — never a crash, never a silent wrong answer.
+    file to [<key>.ck].  {!load} tries [<key>.ck] first; a file that fails
+    validation is renamed to a unique [*.corrupt-N] quarantine name (kept
+    for post-mortem, never retried) and the previous snapshot is used
+    instead, with a recorded warning — never a crash, never a silent wrong
+    answer.
 
     The directory's [MANIFEST] pins the campaign fingerprint; opening a
     store whose manifest names a different fingerprint quarantines the
@@ -65,10 +65,6 @@ val load_decoded : t -> key:string -> (string -> 'a) -> 'a option
 (** {!load} through a payload decoder.  A payload that passes the checksum
     but that [decode] rejects with {!Codec.Malformed} is quarantined and
     falls back exactly like a checksum failure. *)
-
-val latest : t -> (string * int) option
-(** Rolling pointer: key of the most recent save and the store's save
-    counter at that point.  Informational. *)
 
 val dir : t -> string
 val fingerprint : t -> string

@@ -5,32 +5,15 @@
    never learn about envelopes or checksums, and the wire format can
    version independently of the sampler internals.
 
-   Tags 3/4/5 (Mh/Hmc/Gibbs) store the kept draws as one flat row-major
+   Tags 3/4 (Mh/Hmc) store the kept draws as one flat row-major
    float array, matching the samplers' in-memory representation.  Tags
    0/1/2 belonged to a retired row-array generation and are rejected like
    any other unknown tag. *)
 
 module Metropolis = Because_mcmc.Metropolis
 module Hmc = Because_mcmc.Hmc
-module Gibbs = Because_mcmc.Gibbs
 
-type t =
-  | Mh of Metropolis.state
-  | Hmc of Hmc.state
-  | Gibbs of Gibbs.state
-
-let sweep = function
-  | Mh s -> s.Metropolis.s_sweep
-  | Hmc s -> s.Hmc.s_iter
-  | Gibbs s -> s.Gibbs.s_sweep
-
-(* [s_kept] is flat, so the draw count is values / dim; the dimension comes
-   from the current point, which always has the target's (positive) dim. *)
-let draws_kept = function
-  | Mh s ->
-      Array.length s.Metropolis.s_kept / Array.length s.Metropolis.s_current
-  | Hmc s -> Array.length s.Hmc.s_kept / Array.length s.Hmc.s_position
-  | Gibbs s -> Array.length s.Gibbs.s_kept / Array.length s.Gibbs.s_current
+type t = Mh of Metropolis.state | Hmc of Hmc.state
 
 let encode_mh w (s : Metropolis.state) =
   Codec.int w s.s_sweep;
@@ -101,23 +84,6 @@ let decode_hmc r : Hmc.state =
     s_proposed_post;
   }
 
-let encode_gibbs w (s : Gibbs.state) =
-  Codec.int w s.s_sweep;
-  Codec.string w s.s_rng;
-  Codec.float_array w s.s_current;
-  Codec.float_array w s.s_kept;
-  Codec.int w s.s_moved_sweeps;
-  Codec.option w Codec.float_array s.s_cache
-
-let decode_gibbs r : Gibbs.state =
-  let s_sweep = Codec.read_int r in
-  let s_rng = Codec.read_string r in
-  let s_current = Codec.read_float_array r in
-  let s_kept = Codec.read_float_array r in
-  let s_moved_sweeps = Codec.read_int r in
-  let s_cache = Codec.read_option r Codec.read_float_array in
-  { s_sweep; s_rng; s_current; s_kept; s_moved_sweeps; s_cache }
-
 let encode w = function
   | Mh s ->
       Codec.u8 w 3;
@@ -125,15 +91,11 @@ let encode w = function
   | Hmc s ->
       Codec.u8 w 4;
       encode_hmc w s
-  | Gibbs s ->
-      Codec.u8 w 5;
-      encode_gibbs w s
 
 let decode r =
   match Codec.read_u8 r with
   | 3 -> Mh (decode_mh r)
   | 4 -> Hmc (decode_hmc r)
-  | 5 -> Gibbs (decode_gibbs r)
   | tag ->
       raise
         (Codec.Malformed

@@ -4,18 +4,11 @@
     record the sampler itself defines.  The encode/decode pair is the only
     place the on-disk layout of MCMC state is known.
 
-    Kept draws are stored flat (row-major) under tags 3/4/5. *)
+    Kept draws are stored flat (row-major) under tags 3/4. *)
 
 type t =
   | Mh of Because_mcmc.Metropolis.state
   | Hmc of Because_mcmc.Hmc.state
-  | Gibbs of Because_mcmc.Gibbs.state
-
-val sweep : t -> int
-(** Completed sweeps (iterations for HMC) at the snapshot. *)
-
-val draws_kept : t -> int
-(** Retained posterior draws at the snapshot. *)
 
 val encode : Codec.writer -> t -> unit
 

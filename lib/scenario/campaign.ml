@@ -35,7 +35,6 @@ type params = {
   feed_spill_dir : string option;
   feed_buffer : int;
   telemetry : Tel.t;
-  init_posterior : (Asn.t * float) list option;
 }
 
 let default_params ~update_interval =
@@ -65,7 +64,6 @@ let default_params ~update_interval =
     feed_spill_dir = None;
     feed_buffer = Because_sim.Feed_log.default_buffer;
     telemetry = Tel.disabled;
-    init_posterior = None;
   }
 
 type outcome = {
@@ -177,31 +175,16 @@ let fingerprint world params ~intervals ~script =
       params.background_mean_gap,
       params.min_path_support )
   in
-  let base =
-    Marshal.to_string
-      ( World.params world,
-        Script.ops script,
-        intervals,
-        campaign_scalars,
-        params.noise,
-        params.faults,
-        infer_scalars )
-      [ Marshal.No_sharing ]
-  in
-  (* The warm-start seed determines the chains' trajectories, so it must be
-     covered — but only when present, so every historical (cold) campaign
-     keeps its exact historical fingerprint and its checkpoints stay
-     resumable. *)
-  let keyed =
-    match params.init_posterior with
-    | None -> base
-    | Some seed ->
-        base
-        ^ Marshal.to_string
-            (List.map (fun (a, m) -> (Asn.to_int a, m)) seed)
-            [ Marshal.No_sharing ]
-  in
-  Digest.to_hex (Digest.string keyed)
+  Marshal.to_string
+    ( World.params world,
+      Script.ops script,
+      intervals,
+      campaign_scalars,
+      params.noise,
+      params.faults,
+      infer_scalars )
+    [ Marshal.No_sharing ]
+  |> Digest.string |> Digest.to_hex
 
 (* Campaign health for one interval's outcome: inference that was asked for
    but starved of observations is [Insufficient]; budget-aborted or fully
@@ -219,15 +202,7 @@ let status_of ~params ~interval ~observations result =
                 interval;
             ]
         else Supervise.Healthy
-    | Some r ->
-        if r.Because.Infer.aborted <> [] then
-          Supervise.Degraded r.Because.Infer.aborted
-        else if r.Because.Infer.runs = [] then
-          Supervise.Degraded
-            (match r.Because.Infer.warnings with
-            | [] -> [ "every sampler chain was dropped" ]
-            | ws -> ws)
-        else Supervise.Healthy
+    | Some r -> Because.Infer.status r
 
 let run_multi ?recovery world params ~intervals =
   if intervals = [] then invalid_arg "Campaign.run_multi: no intervals";
@@ -296,11 +271,11 @@ let run_multi ?recovery world params ~intervals =
   (* The store opens only once the stimulus is complete: the fingerprint
      covers the recorded script, so a snapshot can never be replayed into a
      different campaign. *)
-  (match recovery with
-  | Some r ->
-      Recovery.attach r ~fingerprint:(fingerprint world params ~intervals ~script);
-      Recovery.note_phase r "stimulus"
-  | None -> ());
+  Option.iter
+    (fun r ->
+      Recovery.attach r
+        ~fingerprint:(fingerprint world params ~intervals ~script))
+    recovery;
   let sim =
     Tel.Span.with_ params.telemetry ~name:"campaign.sim" (fun () ->
         Sharded.run ?fault_rng ~telemetry:params.telemetry
@@ -317,7 +292,6 @@ let run_multi ?recovery world params ~intervals =
           ~monitored:(World.monitored world)
           ~until:campaign_end script)
   in
-  Option.iter (fun r -> Recovery.note_phase r "simulated") recovery;
   (* Drain boundary: a shutdown requested mid-simulation lands here once
      the in-flight shards have checkpointed; everything below is cheaper to
      recompute on resume than to persist. *)
@@ -378,31 +352,11 @@ let run_multi ?recovery world params ~intervals =
                      ~namespace:(Printf.sprintf "iv%d." k))
             | None -> params.infer_config.Because.Infer.checkpoint
           in
-          let init =
-            match params.init_posterior with
-            | None -> params.infer_config.Because.Infer.init
-            | Some seed ->
-                (* One starting value per dataset node, in node order; an AS
-                   the previous epoch never saw starts at the sampler
-                   default for the unit interval.  Clamped strictly inside
-                   (0, 1) so the HMC logit transform stays finite. *)
-                let clamp m = Float.max 1e-4 (Float.min (1.0 -. 1e-4) m) in
-                Some
-                  (Array.map
-                     (fun asn ->
-                       match
-                         List.find_opt (fun (a, _) -> Asn.equal a asn) seed
-                       with
-                       | Some (_, m) -> clamp m
-                       | None -> 0.5)
-                     (Because.Tomography.nodes data))
-          in
           let config =
             { params.infer_config with
               Because.Infer.node_priors = World.node_priors world;
               telemetry = params.telemetry;
-              checkpoint;
-              init }
+              checkpoint }
           in
           Tel.Span.with_ params.telemetry ~name:"campaign.infer" (fun () ->
               Some (Because.Infer.run ~rng:infer_rng ~config data))
@@ -464,11 +418,7 @@ let run_multi ?recovery world params ~intervals =
     if Tel.is_enabled params.telemetry then Some (Tel.snapshot params.telemetry)
     else None
   in
-  (match recovery with
-  | Some r ->
-      Recovery.note_phase r "complete";
-      Option.iter (Recovery.save_telemetry r) snap
-  | None -> ());
+  Option.iter (fun r -> Option.iter (Recovery.save_telemetry r) snap) recovery;
   match snap with
   | Some s -> List.map (fun o -> { o with telemetry = Some s }) outcomes
   | None -> outcomes

@@ -58,15 +58,6 @@ type params = {
           {!Because_telemetry.Registry.disabled} — the default — costs one
           predictable branch per record site and leaves the outcome
           bit-for-bit identical (property-tested). *)
-  init_posterior : (Asn.t * float) list option;
-      (** Warm-start seed: per-AS posterior means from a previous epoch of
-          the same streaming campaign.  When set, every chain starts at the
-          seeded mean (clamped into the open unit interval; ASs absent from
-          the seed start at the sampler default) and the campaign
-          fingerprint is extended with the seed, so checkpoints of warm and
-          cold runs can never be mixed.  [None] — the default — changes
-          nothing: fingerprints and outcomes stay bit-for-bit the
-          historical ones. *)
 }
 
 val default_params : update_interval:float -> params

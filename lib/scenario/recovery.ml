@@ -25,8 +25,6 @@ type t = {
   kill_switch : (unit -> bool) option;
   save_count : int Atomic.t;
   mutable store : Checkpoint.t option;
-  mutex : Mutex.t;
-  mutable decode_warnings : string list; (* newest first *)
 }
 
 let create ~dir ?(resume = false) ?every_sweeps
@@ -41,23 +39,12 @@ let create ~dir ?(resume = false) ?every_sweeps
     kill_switch;
     save_count = Atomic.make 0;
     store = None;
-    mutex = Mutex.create ();
-    decode_warnings = [];
   }
 
 let dir t = t.dir
-let resuming t = t.resume
-
-let record_warning t msg =
-  Mutex.lock t.mutex;
-  t.decode_warnings <- msg :: t.decode_warnings;
-  Mutex.unlock t.mutex
 
 let warnings t =
-  let store_warnings =
-    match t.store with Some s -> Checkpoint.warnings s | None -> []
-  in
-  store_warnings @ List.rev t.decode_warnings
+  match t.store with Some s -> Checkpoint.warnings s | None -> []
 
 let saves t = match t.store with Some s -> Checkpoint.saves s | None -> 0
 
@@ -74,10 +61,8 @@ let wipe_snapshots dir =
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.iter
       (fun f ->
-        if
-          Filename.check_suffix f ".ck"
-          || f = "MANIFEST" || f = "LATEST"
-        then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        if Filename.check_suffix f ".ck" || f = "MANIFEST" then
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
 
 let attach t ~fingerprint =
@@ -100,8 +85,12 @@ let save_payload t ~key payload =
       maybe_kill t;
       Checkpoint.save store ~key payload
 
-let load_payload t ~key =
-  match t.store with None -> None | Some store -> Checkpoint.load store ~key
+(* A payload that passes its CRC but fails [decode] is quarantined by the
+   store and falls back to the previous snapshot, like a checksum failure. *)
+let load_decoded t ~key decode =
+  match t.store with
+  | None -> None
+  | Some store -> Checkpoint.load_decoded store ~key decode
 
 (* --- scenario value codecs ---
 
@@ -263,18 +252,7 @@ let sim_hooks t =
   {
     Sharded.load_shard =
       (fun ~shard ~shards ->
-        match load_payload t ~key:(shard_key ~shard ~shards) with
-        | None -> None
-        | Some payload -> (
-            match decode_shard_result payload with
-            | sr -> Some sr
-            | exception Codec.Malformed reason ->
-                record_warning t
-                  (Printf.sprintf
-                     "checkpointed shard %d/%d failed to decode (%s); \
-                      re-simulating"
-                     shard shards reason);
-                None));
+        load_decoded t ~key:(shard_key ~shard ~shards) decode_shard_result);
     save_shard =
       (fun ~shard ~shards sr ->
         save_payload t
@@ -286,11 +264,7 @@ let chain_hooks t ~namespace =
   {
     Chain_ckpt.load =
       (fun ~key ->
-        match t.store with
-        | None -> None
-        | Some store ->
-            Checkpoint.load_decoded store ~key:(namespace ^ key)
-              Chain_ckpt.decode_saved);
+        load_decoded t ~key:(namespace ^ key) Chain_ckpt.decode_saved);
     save =
       (fun ~key ~sweep:_ sv ->
         save_payload t ~key:(namespace ^ key) (Chain_ckpt.encode_saved sv));
@@ -298,16 +272,7 @@ let chain_hooks t ~namespace =
     every_seconds = t.every_seconds;
   }
 
-(* Informational snapshots: phase progress and the final telemetry view.
-   Both replace-on-write; neither participates in resume decisions. *)
-
-let note_phase t phase = save_payload t ~key:"campaign.phase" phase
-
-let phase t =
-  match load_payload t ~key:"campaign.phase" with
-  | Some p -> Some p
-  | None -> None
-
+(* The final telemetry view: replace-on-write, never read on resume. *)
 let save_telemetry t snapshot =
   save_payload t ~key:"telemetry.json"
     (Because_telemetry.Export.to_json snapshot)

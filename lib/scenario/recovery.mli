@@ -2,10 +2,10 @@
 
     One {!Because_recover.Checkpoint} store shared by everything a campaign
     run produces incrementally: finished simulation shards, in-flight MCMC
-    chain states, a phase-progress note and the final telemetry snapshot.
-    The store is bound to a fingerprint of the campaign's full stimulus, so
-    snapshots can only resume the exact campaign that wrote them —
-    mismatches quarantine the old snapshots and start fresh.
+    chain states and the final telemetry snapshot.  The store is bound to a
+    fingerprint of the campaign's full stimulus, so snapshots can only
+    resume the exact campaign that wrote them — mismatches quarantine the
+    old snapshots and start fresh.
 
     Construction is cheap and pure; nothing touches the filesystem until
     {!attach} is called (which {!Campaign.run} does once the stimulus is
@@ -43,31 +43,24 @@ val attach : t -> fingerprint:string -> unit
     [fingerprint].  Wipes prior snapshots first unless resuming. *)
 
 val dir : t -> string
-val resuming : t -> bool
 
 val warnings : t -> string list
-(** Store-level recovery notes (corruption, quarantine, fallback) followed
-    by decode-level notes (snapshot re-simulated / chain restarted),
-    oldest first.  These never enter the campaign outcome — a resumed run
-    must equal a clean one — and are surfaced on stderr by the CLI. *)
+(** The store's recovery notes (corruption, quarantine, fallback), oldest
+    first.  These never enter the campaign outcome — a resumed run must
+    equal a clean one — and are surfaced on stderr by the CLI. *)
 
 val saves : t -> int
 val restores : t -> int
 val fallbacks : t -> int
 
 val sim_hooks : t -> Because_sim.Sharded.checkpoint_hooks
-(** Shard save/load keyed [sim.shard<i>of<n>]; a snapshot that passes the
-    CRC but fails to decode re-simulates with a warning, never raises. *)
+(** Shard save/load keyed [sim.shard<i>of<n>].  A snapshot that passes the
+    CRC but fails to decode is quarantined and falls back to the previous
+    snapshot (re-simulating when there is none), like a chain snapshot. *)
 
 val chain_hooks : t -> namespace:string -> Because_recover.Chain_ckpt.hooks
 (** Chain snapshot hooks with keys prefixed by [namespace] (one namespace
     per Beacon interval), on this store's cadence. *)
-
-val note_phase : t -> string -> unit
-(** Record an informational phase-progress note (replaces the previous
-    one).  Purely diagnostic — resume decisions never read it. *)
-
-val phase : t -> string option
 
 val save_telemetry : t -> Because_telemetry.Snapshot.t -> unit
 (** Persist the final telemetry snapshot as JSON under [telemetry.json]. *)

@@ -493,146 +493,136 @@ let epoch_store t ~id =
     ~dir:(Filename.concat (campaign_dir t.cfg ~id) "epochs.d")
     ~id
 
-let run_stream_entry t (entry : Store.entry) =
+(* The supervised attempt loop shared by both entry kinds.  [body t entry n]
+   runs attempt [n] and either settles the entry itself ([Ok ()]) or
+   reports a failed attempt as [Error (e, recovery)]: the failure is noted
+   (with the attempt's recovery warnings, if it had a store), and the entry
+   gives up as [Insufficient] once the retry budget is spent, is
+   interrupted when the service is draining, or backs off and tries
+   again. *)
+let run_attempts t (entry : Store.entry) body =
   let id = entry.Store.spec.Spec.id in
   let policy = retry_policy t.cfg ~label:id in
+  let rec attempt n =
+    Mutex.lock t.mutex;
+    entry.Store.attempts <- n;
+    Mutex.unlock t.mutex;
+    match body t entry n with
+    | Ok () -> ()
+    | Error (e, recovery) ->
+        let msg = Printexc.to_string e in
+        Mutex.lock t.mutex;
+        note t (Printf.sprintf "%s: attempt %d/%d failed: %s" id n
+                  t.cfg.max_attempts msg);
+        Option.iter (note_recovery t ~id) recovery;
+        Mutex.unlock t.mutex;
+        if not (Policy.retries_left policy ~attempt:n) then
+          finish t entry
+            ~status:
+              (Supervise.Insufficient
+                 [ Printf.sprintf
+                     "retry budget exhausted after %d attempts (last: %s)"
+                     t.cfg.max_attempts msg ])
+            ~estimates:[||] None
+        else if t.drain_requested then
+          interrupted t entry ~persist:true ~kill:false None
+        else begin
+          if Tel.is_enabled t.cfg.telemetry then
+            Tel.Counter.incr t.m.m_retries;
+          Policy.wait policy ~attempt:n;
+          attempt (n + 1)
+        end
+  in
+  attempt 1
+
+let stream_attempt t (entry : Store.entry) _n =
+  let id = entry.Store.spec.Spec.id in
   let budget =
     { Supervise.deadline_s = t.cfg.chain_deadline_s;
       max_sweeps = t.cfg.sweep_budget }
   in
-  let rec attempt n =
-    Mutex.lock t.mutex;
-    entry.Store.attempts <- n;
-    let epoch = entry.Store.epoch in
-    Mutex.unlock t.mutex;
-    let store = epoch_store t ~id in
-    let seed =
-      (* Epoch 1 is always cold, even when a stale epoch directory
-         survived a state wipe. *)
-      if epoch <= 1 then None else Epochs.load store
-    in
-    match
-      Stream.run ~spec:entry.Store.spec ~seed ~telemetry:t.cfg.telemetry
-        ~supervise:budget ~jobs:t.cfg.campaign_jobs ()
-    with
-    | Ok outcome ->
-        Option.iter
-          (fun s ->
-            Epochs.append store s;
-            if
-              t.cfg.compact_every > 0
-              && s.Because_recover.Seed.epoch mod t.cfg.compact_every = 0
-            then Epochs.compact store ~keep:t.cfg.compact_every)
-          outcome.Stream.seed;
-        Mutex.lock t.mutex;
-        entry.Store.warm <- seed <> None;
-        entry.Store.gate_sweeps <- outcome.Stream.gate_sweeps;
-        entry.Store.obs_count <- outcome.Stream.obs_count;
-        Mutex.unlock t.mutex;
-        finish t entry ~status:outcome.Stream.status
-          ~estimates:outcome.Stream.estimates None
-    | Error msg ->
-        (* A missing or malformed spool is a property of the epoch, not a
-           transient fault: retrying would re-read the same bytes. *)
-        finish t entry ~status:(Supervise.Insufficient [ msg ])
-          ~estimates:[||] None
-    | exception Supervise.Drained ->
-        interrupted t entry ~persist:true ~kill:false None
-    | exception e ->
-        let msg = Printexc.to_string e in
-        Mutex.lock t.mutex;
-        note t (Printf.sprintf "%s: attempt %d/%d failed: %s" id n
-                  t.cfg.max_attempts msg);
-        Mutex.unlock t.mutex;
-        if not (Policy.retries_left policy ~attempt:n) then
-          finish t entry
-            ~status:
-              (Supervise.Insufficient
-                 [ Printf.sprintf
-                     "retry budget exhausted after %d attempts (last: %s)"
-                     t.cfg.max_attempts msg ])
-            ~estimates:[||] None
-        else if t.drain_requested then
-          interrupted t entry ~persist:true ~kill:false None
-        else begin
-          if Tel.is_enabled t.cfg.telemetry then
-            Tel.Counter.incr t.m.m_retries;
-          Policy.wait policy ~attempt:n;
-          attempt (n + 1)
-        end
+  Mutex.lock t.mutex;
+  let epoch = entry.Store.epoch in
+  Mutex.unlock t.mutex;
+  let store = epoch_store t ~id in
+  let seed =
+    (* Epoch 1 is always cold, even when a stale epoch directory survived
+       a state wipe. *)
+    if epoch <= 1 then None else Epochs.load store
   in
-  attempt 1
+  match
+    Stream.run ~spec:entry.Store.spec ~seed ~telemetry:t.cfg.telemetry
+      ~supervise:budget ~jobs:t.cfg.campaign_jobs ()
+  with
+  | Ok outcome ->
+      Option.iter
+        (fun s ->
+          Epochs.append store s;
+          if
+            t.cfg.compact_every > 0
+            && s.Because_recover.Seed.epoch mod t.cfg.compact_every = 0
+          then Epochs.compact store ~keep:t.cfg.compact_every)
+        outcome.Stream.seed;
+      Mutex.lock t.mutex;
+      entry.Store.warm <- seed <> None;
+      entry.Store.gate_sweeps <- outcome.Stream.gate_sweeps;
+      entry.Store.obs_count <- outcome.Stream.obs_count;
+      Mutex.unlock t.mutex;
+      Ok
+        (finish t entry ~status:outcome.Stream.status
+           ~estimates:outcome.Stream.estimates None)
+  | Error msg ->
+      (* A missing or malformed spool is a property of the epoch, not a
+         transient fault: retrying would re-read the same bytes. *)
+      Ok
+        (finish t entry ~status:(Supervise.Insufficient [ msg ])
+           ~estimates:[||] None)
+  | exception Supervise.Drained ->
+      Ok (interrupted t entry ~persist:true ~kill:false None)
+  | exception e -> Error (e, None)
 
-let run_campaign_entry t (entry : Store.entry) =
+let campaign_attempt t (entry : Store.entry) n =
   let id = entry.Store.spec.Spec.id in
-  let policy = retry_policy t.cfg ~label:id in
-  let dir = campaign_dir t.cfg ~id in
-  let rec attempt n =
-    Mutex.lock t.mutex;
-    entry.Store.attempts <- n;
-    Mutex.unlock t.mutex;
-    let kill_after_saves =
-      match t.cfg.chaos with Some f -> f ~id ~attempt:n | None -> None
-    in
-    (* resume:true always: a fresh campaign has no snapshots to read, and
-       everything else (prior generation, prior attempt, drained run) must
-       continue rather than start over. *)
-    let recovery =
-      Sc.Recovery.create ~dir ~resume:true ?every_sweeps:t.cfg.every_sweeps
-        ?kill_after_saves
-        ?kill_switch:(Atomic.get t.kill_switch) ()
-    in
-    let world = Spec.world entry.Store.spec in
-    let params =
-      Spec.params entry.Store.spec ~world ~jobs:t.cfg.campaign_jobs
-    in
-    let params =
-      { params with
-        Sc.Campaign.telemetry = t.cfg.telemetry;
-        infer_config =
-          { params.Sc.Campaign.infer_config with
-            Because.Infer.supervise =
-              { Supervise.deadline_s = t.cfg.chain_deadline_s;
-                max_sweeps = t.cfg.sweep_budget } } }
-    in
-    match Sc.Campaign.run ~recovery world params with
-    | outcome ->
-        finish t entry ~status:outcome.Sc.Campaign.status
-          ~estimates:(Store.estimates_of_outcome outcome)
-          (Some recovery)
-    | exception Supervise.Drained ->
-        interrupted t entry ~persist:true ~kill:false (Some recovery)
-    | exception Sc.Recovery.Killed when Atomic.get t.kill_tripped ->
-        interrupted t entry ~persist:false ~kill:true (Some recovery)
-    | exception e ->
-        let msg = Printexc.to_string e in
-        Mutex.lock t.mutex;
-        note t (Printf.sprintf "%s: attempt %d/%d failed: %s" id n
-                  t.cfg.max_attempts msg);
-        note_recovery t ~id recovery;
-        Mutex.unlock t.mutex;
-        if not (Policy.retries_left policy ~attempt:n) then
-          finish t entry
-            ~status:
-              (Supervise.Insufficient
-                 [ Printf.sprintf
-                     "retry budget exhausted after %d attempts (last: %s)"
-                     t.cfg.max_attempts msg ])
-            ~estimates:[||] None
-        else if t.drain_requested then
-          interrupted t entry ~persist:true ~kill:false None
-        else begin
-          if Tel.is_enabled t.cfg.telemetry then
-            Tel.Counter.incr t.m.m_retries;
-          Policy.wait policy ~attempt:n;
-          attempt (n + 1)
-        end
+  let kill_after_saves =
+    match t.cfg.chaos with Some f -> f ~id ~attempt:n | None -> None
   in
-  attempt 1
+  (* resume:true always: a fresh campaign has no snapshots to read, and
+     everything else (prior generation, prior attempt, drained run) must
+     continue rather than start over. *)
+  let recovery =
+    Sc.Recovery.create ~dir:(campaign_dir t.cfg ~id) ~resume:true
+      ?every_sweeps:t.cfg.every_sweeps ?kill_after_saves
+      ?kill_switch:(Atomic.get t.kill_switch) ()
+  in
+  let world = Spec.world entry.Store.spec in
+  let params =
+    Spec.params entry.Store.spec ~world ~jobs:t.cfg.campaign_jobs
+  in
+  let params =
+    { params with
+      Sc.Campaign.telemetry = t.cfg.telemetry;
+      infer_config =
+        { params.Sc.Campaign.infer_config with
+          Because.Infer.supervise =
+            { Supervise.deadline_s = t.cfg.chain_deadline_s;
+              max_sweeps = t.cfg.sweep_budget } } }
+  in
+  match Sc.Campaign.run ~recovery world params with
+  | outcome ->
+      Ok
+        (finish t entry ~status:outcome.Sc.Campaign.status
+           ~estimates:(Store.estimates_of_outcome outcome)
+           (Some recovery))
+  | exception Supervise.Drained ->
+      Ok (interrupted t entry ~persist:true ~kill:false (Some recovery))
+  | exception Sc.Recovery.Killed when Atomic.get t.kill_tripped ->
+      Ok (interrupted t entry ~persist:false ~kill:true (Some recovery))
+  | exception e -> Error (e, Some recovery)
 
 let run_entry t (entry : Store.entry) =
-  if entry.Store.spec.Spec.obs <> None then run_stream_entry t entry
-  else run_campaign_entry t entry
+  run_attempts t entry
+    (if entry.Store.spec.Spec.obs <> None then stream_attempt
+     else campaign_attempt)
 
 let rec worker_loop t =
   match claim t with

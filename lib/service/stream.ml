@@ -62,6 +62,7 @@ let parse_observations path =
           let rec go lineno acc =
             match input_line ic with
             | exception End_of_file -> Ok (List.rev acc)
+            | exception Sys_error e -> Error e
             | line -> (
                 match parse_line lineno line with
                 | Ok None -> go (lineno + 1) acc
@@ -80,16 +81,6 @@ let seed_of_result ~epoch ~gate_sweeps result =
     in
     Array.sort (fun (a, _) (b, _) -> Int.compare a b) means;
     Some { Seed.epoch; gate_sweeps; means }
-
-let status_of result =
-  if result.Because.Infer.aborted <> [] then
-    Supervise.Degraded result.Because.Infer.aborted
-  else if result.Because.Infer.runs = [] then
-    Supervise.Degraded
-      (match result.Because.Infer.warnings with
-      | [] -> [ "every sampler chain was dropped" ]
-      | ws -> ws)
-  else Supervise.Healthy
 
 let run ~spec ~seed ~telemetry ~supervise ~jobs () =
   match spec.Spec.obs with
@@ -161,7 +152,7 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
               (Because.Infer.gate_draws result)
           in
           Ok
-            { status = status_of result;
+            { status = Because.Infer.status result;
               estimates;
               obs_count = List.length observations;
               gate_sweeps;

@@ -84,13 +84,6 @@ let test_mh_single_site_gaussian () =
   Alcotest.(check bool) "acceptance sane" true
     (r.Metropolis.acceptance > 0.15 && r.Metropolis.acceptance < 0.85)
 
-let test_mh_vector_gaussian () =
-  let rng = Rng.create 103 in
-  let r =
-    Metropolis.run_vector ~rng ~n_samples:8000 ~burn_in:2000 gaussian_target
-  in
-  run_and_check_moments "mh-vector" r.Metropolis.chain
-
 let test_hmc_gaussian () =
   let rng = Rng.create 107 in
   let r =
@@ -482,9 +475,6 @@ let expect_failure name f =
 let test_mh_rejects_nan_target () =
   expect_failure "single-site" (fun () ->
       Metropolis.run_single_site ~rng:(Rng.create 1) ~n_samples:10 ~burn_in:5
-        nan_target);
-  expect_failure "vector" (fun () ->
-      Metropolis.run_vector ~rng:(Rng.create 1) ~n_samples:10 ~burn_in:5
         nan_target)
 
 let test_hmc_rejects_nan_target () =
@@ -518,7 +508,6 @@ let suite =
       Alcotest.test_case "with_coordinate" `Quick test_with_coordinate;
       Alcotest.test_case "MH single-site gaussian" `Slow
         test_mh_single_site_gaussian;
-      Alcotest.test_case "MH vector gaussian" `Slow test_mh_vector_gaussian;
       Alcotest.test_case "HMC gaussian" `Slow test_hmc_gaussian;
       Alcotest.test_case "MH beta posterior" `Slow test_mh_beta;
       Alcotest.test_case "HMC beta posterior" `Slow test_hmc_beta;

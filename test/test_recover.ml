@@ -15,7 +15,6 @@ module Chain = Because_mcmc.Chain
 module Target = Because_mcmc.Target
 module Metropolis = Because_mcmc.Metropolis
 module Hmc = Because_mcmc.Hmc
-module Gibbs = Because_mcmc.Gibbs
 module Sc = Because_scenario
 module Rng = Because_stats.Rng
 module Dist = Because_stats.Dist
@@ -356,10 +355,12 @@ let test_retired_snapshot_tag_quarantined () =
   let dir = fresh_dir () in
   let store = Checkpoint.open_ ~dir ~fingerprint:"fp-retired" () in
   Checkpoint.save store ~key:"MH.chain0" retired;
+  let recovery = Sc.Recovery.create ~dir ~resume:true () in
+  Sc.Recovery.attach recovery ~fingerprint:"fp-retired";
   let resumed =
-    run (Some (Chain_ckpt.store_hooks store ~namespace:"" ()))
+    run (Some (Sc.Recovery.chain_hooks recovery ~namespace:""))
   in
-  Alcotest.(check int) "quarantine counted" 1 (Checkpoint.fallbacks store);
+  Alcotest.(check int) "quarantine counted" 1 (Sc.Recovery.fallbacks recovery);
   Alcotest.(check bool) "file quarantined" true
     (List.exists
        (fun f -> contains ~sub:"corrupt" f)
@@ -496,6 +497,51 @@ let test_corrupted_checkpoint_recovers () =
       Alcotest.(check bool) "corruption warned" true
         (Sc.Recovery.warnings recovery <> [])
 
+(* A shard snapshot that passes its CRC but fails to decode goes through
+   the store's quarantine, exactly like a chain snapshot: it is renamed
+   *.corrupt-N, counted as a fallback, and the previous snapshot is used. *)
+let test_undecodable_shard_snapshot_recovers () =
+  let dir = fresh_dir () in
+  let clean =
+    match run_checkpointed ~resume:false ~dir ~jobs:1 ~sim_jobs:1 () with
+    | Some (o, _) -> o
+    | None -> Alcotest.fail "clean run was killed"
+  in
+  (* The MANIFEST payload is the campaign fingerprint; reopening the store
+     under it keeps the run's snapshots. *)
+  let fingerprint =
+    let blob =
+      In_channel.with_open_bin (Filename.concat dir "MANIFEST")
+        In_channel.input_all
+    in
+    let r = Codec.reader (String.sub blob 0 (String.length blob - 8)) in
+    ignore (Codec.read_string r);
+    ignore (Codec.read_int r);
+    ignore (Codec.read_string r);
+    Codec.read_string r
+  in
+  let store = Checkpoint.open_ ~dir ~fingerprint () in
+  let key = "sim.shard0of1" in
+  (match Checkpoint.load store ~key with
+  | Some payload ->
+      (* One trailing byte: the envelope is sound, the payload is not. *)
+      Checkpoint.save store ~key (payload ^ "\000")
+  | None -> Alcotest.failf "no %s snapshot after a checkpointed run" key);
+  match run_checkpointed ~resume:true ~dir ~jobs:1 ~sim_jobs:1 () with
+  | None -> Alcotest.fail "resume over an undecodable shard was killed"
+  | Some (resumed, recovery) ->
+      Alcotest.(check string) "outcome digest" (outcome_digest clean)
+        (outcome_digest resumed);
+      Alcotest.(check int) "one fallback" 1 (Sc.Recovery.fallbacks recovery);
+      Alcotest.(check bool) "shard snapshot quarantined" true
+        (Array.exists
+           (fun f -> contains ~sub:"sim.shard0of1.ck.corrupt-" f)
+           (Sys.readdir dir));
+      Alcotest.(check bool) "previous snapshot used" true
+        (List.exists
+           (contains ~sub:"from the previous snapshot")
+           (Sc.Recovery.warnings recovery))
+
 let test_budget_degrades_campaign () =
   let world = Lazy.force mini_world in
   let p = mini_params ~jobs:1 ~sim_jobs:1 in
@@ -629,6 +675,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_kill_any_save_point;
       Alcotest.test_case "corrupted chain snapshot recovers" `Slow
         test_corrupted_checkpoint_recovers;
+      Alcotest.test_case "undecodable shard snapshot recovers" `Slow
+        test_undecodable_shard_snapshot_recovers;
       Alcotest.test_case "budget degrades, exit 3" `Slow
         test_budget_degrades_campaign;
       Alcotest.test_case "resume under different parallelism" `Slow

@@ -367,21 +367,28 @@ let test_two_epoch_warm_start () =
 let test_stream_missing_spool_is_insufficient () =
   with_drain_reset @@ fun () ->
   let dir = fresh_dir () in
-  let spec =
-    stream_spec ~obs:(Filename.concat dir "never-written.obs") "ghost"
+  (* A spool path that is a directory opens fine but fails on the first
+     read: still a property of the epoch, not a transient fault. *)
+  let spool_dir = Filename.concat dir "spool.d" in
+  Sys.mkdir spool_dir 0o755;
+  let inputs =
+    [ ("ghost", Filename.concat dir "never-written.obs"); ("folder", spool_dir) ]
   in
   let svc = Service.create (Service.default_config ~state_dir:dir) in
-  ignore (submit_ok svc spec);
+  List.iter (fun (id, obs) -> ignore (submit_ok svc (stream_spec ~obs id))) inputs;
   (match Service.run_until_idle svc with
   | Service.Completed -> ()
   | _ -> Alcotest.fail "service did not complete");
-  match Store.find (Service.store svc) ~id:"ghost" with
-  | Some e ->
-      Alcotest.(check string) "insufficient, not retried to death"
-        "insufficient"
-        (Store.health_label e.Store.health);
-      Alcotest.(check int) "single attempt" 1 e.Store.attempts
-  | None -> Alcotest.fail "ghost missing"
+  List.iter
+    (fun (id, _) ->
+      match Store.find (Service.store svc) ~id with
+      | Some e ->
+          Alcotest.(check string) (id ^ ": insufficient, not retried to death")
+            "insufficient"
+            (Store.health_label e.Store.health);
+          Alcotest.(check int) (id ^ ": single attempt") 1 e.Store.attempts
+      | None -> Alcotest.fail (id ^ " missing"))
+    inputs
 
 (* ------------------------------------------------------------------ *)
 (* Classic campaigns stay byte-identical: no stream fields anywhere      *)
