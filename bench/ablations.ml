@@ -31,8 +31,8 @@ let samplers () =
         let best = ref 0 in
         for i = 0 to Because.Tomography.n_nodes data - 1 do
           if
-            Array.length (Because.Tomography.paths_through data i)
-            > Array.length (Because.Tomography.paths_through data !best)
+            Because.Tomography.support data i
+            > Because.Tomography.support data !best
           then best := i
         done;
         !best
@@ -314,7 +314,10 @@ let sat_baseline () =
   else begin
     let data = Because.Tomography.of_observations observations in
     let verdict = Because_sat.Binary_tomography.solve ~solution_limit:4 data in
-    Format.printf "full 1-minute campaign dataset (%d paths, %d ASs): %a@."
+    Format.printf
+      "full 1-minute campaign dataset (%d observations on %d distinct paths, \
+       %d ASs): %a@."
+      (Because.Tomography.n_observations data)
       (Because.Tomography.n_paths data)
       (Because.Tomography.n_nodes data)
       Because_sat.Binary_tomography.pp_verdict verdict;

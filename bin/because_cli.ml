@@ -613,9 +613,10 @@ let infer_cmd =
           exit 1
     in
     let data = Because.Tomography.of_observations observations in
-    Printf.printf "%d paths (%d RFD) over %d ASs\n"
-      (Because.Tomography.n_paths data)
+    Printf.printf "%d observations (%d RFD) on %d distinct paths over %d ASs\n"
+      (Because.Tomography.n_observations data)
       (Because.Tomography.rfd_path_count data)
+      (Because.Tomography.n_paths data)
       (Because.Tomography.n_nodes data);
     let config =
       { Because.Infer.default_config with

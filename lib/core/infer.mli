@@ -56,7 +56,10 @@ type config = {
   checkpoint : Because_recover.Chain_ckpt.hooks option;
       (** Per-chain durable snapshots.  When set, each chain loads its last
           snapshot before starting (continuing mid-stream, bit-for-bit) and
-          saves on the hooks' cadence plus once at its final sweep.  [None]
+          saves on the hooks' cadence plus once at its final sweep.  A
+          snapshot the sampler rejects (wrong dimension or cache-state
+          size for this dataset) never raises: that chain starts cold with
+          a warning, drawing exactly what it would with no snapshot.  [None]
           (the default) is the historical zero-overhead path. *)
   init : float array option;
       (** Starting point handed to every chain (original-space, one value
@@ -84,8 +87,8 @@ type result = {
           deterministic (sampler, chain) order; a chain exhausting its
           restarts is dropped (see [warnings]). *)
   warnings : string list;
-      (** Human-readable notes on diverged attempts and disabled chains;
-          [\[\]] on a clean run. *)
+      (** Human-readable notes on diverged attempts, disabled chains and
+          unusable checkpoint snapshots; [\[\]] on a clean run. *)
   aborted : string list;
       (** One entry per chain terminated by the supervision budget
           ([config.supervise]).  Non-empty means the posterior is partial:

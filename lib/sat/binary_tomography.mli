@@ -24,7 +24,8 @@ type verdict =
       (** Under-determined: several damping sets fit. *)
 
 val encode : Because.Tomography.t -> int list list
-(** CNF over variables 1..n_nodes (variable = node index + 1). *)
+(** CNF over variables 1..n_nodes (variable = node index + 1), one clause
+    set per distinct path and label. *)
 
 val solve : ?solution_limit:int -> Because.Tomography.t -> verdict
 (** [solution_limit] (default 16) caps the multiplicity enumeration. *)

@@ -22,8 +22,10 @@ let test_tomography_indexing () =
     (Tomography.index_of data (asn 2));
   Alcotest.(check (option int)) "unknown" None
     (Tomography.index_of data (asn 99));
-  Alcotest.(check bool) "label 0" true (Tomography.label data 0);
-  Alcotest.(check bool) "label 1" false (Tomography.label data 1)
+  Alcotest.(check (pair int int)) "path 0 counts" (1, 0)
+    (Tomography.n_rfd data 0, Tomography.n_clean data 0);
+  Alcotest.(check (pair int int)) "path 1 counts" (0, 1)
+    (Tomography.n_rfd data 1, Tomography.n_clean data 1)
 
 let test_tomography_incidence () =
   let data = Tomography.of_observations obs in
@@ -280,6 +282,117 @@ let qcheck_likelihood_monotone_on_positive =
       let ll v = Model.log_likelihood model [| v; 0.3 |] in
       ll higher > ll base)
 
+(* Count-collapsed dataset ≡ per-observation model.  Observations draw from
+   a handful of base paths with random labels, so most are duplicates and
+   some paths carry both labels.  The reference below walks the raw
+   observation list, one term per observation, as the likelihood is
+   written in the paper. *)
+let duplicate_heavy rng =
+  let bases =
+    List.init (2 + Rng.int rng 5) (fun _ ->
+        List.sort_uniq Int.compare
+          (List.init (1 + Rng.int rng 4) (fun _ -> 1 + Rng.int rng 8)))
+  in
+  let bases = Array.of_list bases in
+  List.init (10 + Rng.int rng 40) (fun _ ->
+      (path bases.(Rng.int rng (Array.length bases)), Rng.bool rng))
+
+let ref_log_q p data path =
+  List.fold_left
+    (fun acc a ->
+      let i = Option.get (Tomography.index_of data a) in
+      acc +. Float.log1p (-.p.(i)))
+    0.0 path
+
+let ref_log_posterior ~epsilon ~prior data observations p =
+  let ll =
+    List.fold_left
+      (fun acc (path, label) ->
+        let s = ref_log_q p data path in
+        acc
+        +.
+        if label then Float.log (1.0 -. epsilon) +. Float.log (-.Float.expm1 s)
+        else Float.log (epsilon +. ((1.0 -. epsilon) *. Float.exp s)))
+      0.0 observations
+  in
+  Array.fold_left (fun acc v -> acc +. Prior.log_pdf prior v) ll p
+
+let ref_grad ~epsilon ~prior data observations p =
+  let g = Array.map (Prior.grad_log_pdf prior) p in
+  List.iter
+    (fun (path, label) ->
+      let s = ref_log_q p data path in
+      let coef =
+        if label then 1.0 /. Float.expm1 (-.s)
+        else
+          -.((1.0 -. epsilon) *. Float.exp s
+            /. (epsilon +. ((1.0 -. epsilon) *. Float.exp s)))
+      in
+      List.iter
+        (fun a ->
+          let i = Option.get (Tomography.index_of data a) in
+          g.(i) <- g.(i) +. (coef /. (1.0 -. p.(i))))
+        path)
+    observations;
+  g
+
+let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b)
+
+let qcheck_collapsed_matches_per_observation =
+  QCheck.Test.make
+    ~name:"collapsed counts match the per-observation model" ~count:60
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 700) in
+      let observations = duplicate_heavy rng in
+      let data = Tomography.of_observations observations in
+      let epsilon = if seed mod 2 = 0 then 0.0 else 0.1 in
+      let prior = Prior.default in
+      let model = Model.create ~prior ~false_negative_rate:epsilon data in
+      let n = Tomography.n_nodes data in
+      let p = Array.init n (fun _ -> 0.05 +. (0.9 *. Rng.float rng)) in
+      let reference = ref_log_posterior ~epsilon ~prior data observations in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      (* Counts and support are their per-observation definitions. *)
+      let n_obs = List.length observations in
+      let n_pos = List.length (List.filter snd observations) in
+      check (Tomography.n_observations data = n_obs);
+      check (Tomography.rfd_path_count data = n_pos);
+      check
+        (Tomography.positive_share data
+        = float_of_int n_pos /. float_of_int n_obs);
+      check
+        (Tomography.n_paths data
+        = List.length (List.sort_uniq compare (List.map fst observations)));
+      for i = 0 to n - 1 do
+        let a = Tomography.node data i in
+        check
+          (Tomography.support data i
+          = List.length
+              (List.filter (fun (path, _) -> List.mem a path) observations))
+      done;
+      (* Likelihood and gradient. *)
+      check (close (Model.log_posterior model p) (reference p));
+      let g = Model.grad_log_posterior model p in
+      let g_ref = ref_grad ~epsilon ~prior data observations p in
+      Array.iteri (fun i v -> check (close v g_ref.(i))) g;
+      (* Cached deltas and commits along a random walk. *)
+      let cache = Model.make_cache model p in
+      for _ = 1 to 40 do
+        let i = Rng.int rng n in
+        let v = 0.05 +. (0.9 *. Rng.float rng) in
+        let p' = Array.copy p in
+        p'.(i) <- v;
+        let expected = reference p' -. reference p in
+        check (close (cache.Because_mcmc.Target.cached_delta i v) expected);
+        check (close (Model.delta_log_posterior model p i v) expected);
+        if Rng.bool rng then begin
+          cache.Because_mcmc.Target.cached_commit i v;
+          p.(i) <- v
+        end
+      done;
+      !ok)
+
 let suite =
   ( "core-model",
     [
@@ -303,6 +416,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_likelihood_is_log_probability;
       QCheck_alcotest.to_alcotest qcheck_delta_matches_full;
       QCheck_alcotest.to_alcotest qcheck_cache_matches_stateless;
+      QCheck_alcotest.to_alcotest qcheck_collapsed_matches_per_observation;
       Alcotest.test_case "cached target statistically equivalent" `Slow
         test_cached_target_statistically_equivalent;
       QCheck_alcotest.to_alcotest qcheck_gradient_matches_fd;

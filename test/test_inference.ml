@@ -315,15 +315,20 @@ let test_predictive_scores () =
     (Printf.sprintf "log score sane (%.3f)" p.Because.Predictive.log_score)
     true
     (p.Because.Predictive.log_score > -0.5);
-  Alcotest.(check int) "one prediction per path" 20
+  Alcotest.(check int) "one prediction per distinct path" 10
     (List.length p.Because.Predictive.predictions);
+  Alcotest.(check int) "counts cover every observation" 20
+    (List.fold_left
+       (fun acc (pr : Because.Predictive.path_prediction) ->
+         acc + pr.Because.Predictive.n_rfd + pr.Because.Predictive.n_clean)
+       0 p.Because.Predictive.predictions);
   List.iter
     (fun (pr : Because.Predictive.path_prediction) ->
       Alcotest.(check bool) "probability in [0,1]" true
         (pr.Because.Predictive.probability >= 0.0
         && pr.Because.Predictive.probability <= 1.0);
       (* positive paths predicted above negative ones *)
-      if pr.Because.Predictive.label then
+      if pr.Because.Predictive.n_rfd > 0 then
         Alcotest.(check bool) "positives scored high" true
           (pr.Because.Predictive.probability > 0.5))
     p.Because.Predictive.predictions
@@ -349,6 +354,88 @@ let test_path_probability_bounds () =
   (* draw 1: 1 − 0.25 = 0.75; draw 2: 1 − 0 = 1.0 → mean 0.875 *)
   Alcotest.(check (float 1e-9)) "hand computed" 0.875
     (Because.Predictive.path_probability data chain 0)
+
+(* Collapsing duplicate observations keeps pinpointing and predictive
+   scoring per observation.  Both build the result by hand so the chain —
+   and thus every probability — is fixed. *)
+let hand_result observations draws =
+  let data = Tomography.of_observations observations in
+  { Infer.model = Because.Model.create data;
+    runs =
+      [ { Infer.name = "MH"; chain_index = 0;
+          chain = Because_mcmc.Chain.of_samples draws; acceptance = 0.5 } ];
+    warnings = [];
+    aborted = [] }
+
+let test_pinpoint_counts_repeated_observations () =
+  (* AS1 is every draw's most likely damper on the RFD path 1-2, and no AS
+     is flagged, so the path is unexplained. *)
+  let draws = Array.init 20 (fun k -> [| 0.6 +. (0.01 *. float_of_int k); 0.1 |]) in
+  let categories = [ (asn 1, Categorize.C1); (asn 2, Categorize.C1) ] in
+  let promoted observations =
+    List.map
+      (fun (p : Pinpoint.promotion) -> Asn.to_int p.Pinpoint.asn)
+      (Pinpoint.promotions ~min_support:2 (hand_result observations draws)
+         ~categories)
+  in
+  Alcotest.(check (list int)) "observed twice: two supports" [ 1 ]
+    (promoted [ (path [ 1; 2 ], true); (path [ 1; 2 ], true) ]);
+  Alcotest.(check (list int)) "observed once: one support" []
+    (promoted [ (path [ 1; 2 ], true) ]);
+  Alcotest.(check (list int)) "clean repeats add no support" []
+    (promoted [ (path [ 1; 2 ], true); (path [ 1; 2 ], false) ])
+
+let test_predictive_per_observation () =
+  let rng = Rng.create 17 in
+  let bases = [| [ 1; 2 ]; [ 2; 3; 4 ]; [ 4 ]; [ 1; 5 ] |] in
+  let observations =
+    List.init 60 (fun _ ->
+        (path bases.(Rng.int rng (Array.length bases)), Rng.bool rng))
+  in
+  let result =
+    hand_result observations
+      (Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.float rng)))
+  in
+  let data = Infer.dataset result in
+  let chain = Infer.combined_chain result in
+  (* Per observation: mean over draws of 1 − ∏ (1 − pᵢ) on its own path. *)
+  let prob (p, _) =
+    let n = Because_mcmc.Chain.length chain in
+    let acc = ref 0.0 in
+    for k = 0 to n - 1 do
+      acc :=
+        !acc
+        +. 1.0
+        -. List.fold_left
+             (fun q a ->
+               let i = Option.get (Tomography.index_of data a) in
+               q *. (1.0 -. Because_mcmc.Chain.value chain k i))
+             1.0 p
+    done;
+    !acc /. float_of_int n
+  in
+  let mean f =
+    List.fold_left (fun acc o -> acc +. f o) 0.0 observations
+    /. float_of_int (List.length observations)
+  in
+  let brier =
+    mean (fun ((_, y) as o) ->
+        let d = prob o -. if y then 1.0 else 0.0 in
+        d *. d)
+  in
+  let log_score =
+    mean (fun ((_, y) as o) ->
+        Float.log (Float.max 1e-9 (if y then prob o else 1.0 -. prob o)))
+  in
+  let p = Because.Predictive.evaluate result in
+  Alcotest.(check (float 1e-12)) "Brier" brier p.Because.Predictive.brier;
+  Alcotest.(check (float 1e-12)) "log score" log_score
+    p.Because.Predictive.log_score;
+  Alcotest.(check int) "bins hold every observation" 60
+    (List.fold_left
+       (fun acc (b : Because.Predictive.calibration_bin) ->
+         acc + b.Because.Predictive.count)
+       0 p.Because.Predictive.calibration)
 
 (* Evaluate. *)
 let test_evaluate_counts () =
@@ -418,7 +505,11 @@ let suite =
       Alcotest.test_case "pinpoint min support" `Slow test_pinpoint_min_support;
       Alcotest.test_case "pinpoint skips explained" `Slow
         test_pinpoint_skips_explained_paths;
+      Alcotest.test_case "pinpoint counts repeated observations" `Quick
+        test_pinpoint_counts_repeated_observations;
       Alcotest.test_case "predictive scores" `Slow test_predictive_scores;
+      Alcotest.test_case "predictive per observation" `Quick
+        test_predictive_per_observation;
       Alcotest.test_case "predictive calibration bins" `Slow
         test_predictive_calibration_bins;
       Alcotest.test_case "path probability" `Quick test_path_probability_bounds;

@@ -368,6 +368,66 @@ let test_retired_snapshot_tag_quarantined () =
   Alcotest.(check bool) "chain starts cold" true
     (runs_equal (run None).Because.Infer.runs resumed.Because.Infer.runs)
 
+(* A snapshot whose cache state has the wrong length — what an MH snapshot
+   written before duplicate observations were collapsed (point ++ one sum
+   per observation, not per distinct path) looks like — is unusable: the
+   chain starts cold with a warning, bit-for-bit the draws of a run with no
+   checkpoint, instead of raising out of [Infer.run]. *)
+let test_wrong_size_cache_snapshot_starts_cold () =
+  let data =
+    Because.Tomography.of_observations
+      (List.map
+         (fun (path, rfd) -> (List.map Because_bgp.Asn.of_int path, rfd))
+         [ ([ 1; 2; 3 ], true); ([ 1; 4 ], false); ([ 1; 2; 3 ], true);
+           ([ 2; 5 ], true); ([ 1; 4 ], true); ([ 4; 5 ], false) ])
+  in
+  let run checkpoint =
+    Because.Infer.run ~rng:(Rng.create 3)
+      ~config:
+        { Because.Infer.default_config with
+          n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+      data
+  in
+  let saved = Hashtbl.create 4 in
+  let hooks load =
+    { Chain_ckpt.load;
+      save = (fun ~key ~sweep:_ sv -> Hashtbl.replace saved key sv);
+      every_sweeps = Some 10;
+      every_seconds = None }
+  in
+  let cold = run None in
+  ignore (run (Some (hooks (fun ~key:_ -> None))));
+  let sv = Hashtbl.find saved "MH.chain0" in
+  let st =
+    match sv.Chain_ckpt.state with
+    | Sampler_state.Mh st -> st
+    | _ -> Alcotest.fail "MH snapshot expected"
+  in
+  let extra =
+    Because.Tomography.n_observations data - Because.Tomography.n_paths data
+  in
+  let wrong =
+    { st with
+      Metropolis.s_cache =
+        Option.map
+          (fun c -> Array.append c (Array.make extra 0.0))
+          st.Metropolis.s_cache }
+  in
+  let resumed =
+    run
+      (Some
+         (hooks (fun ~key ->
+              if key = "MH.chain0" then
+                Some { sv with Chain_ckpt.state = Sampler_state.Mh wrong }
+              else None)))
+  in
+  Alcotest.(check bool) "chain starts cold" true
+    (runs_equal cold.Because.Infer.runs resumed.Because.Infer.runs);
+  Alcotest.(check bool) "warning names the snapshot" true
+    (List.exists
+       (fun w -> contains ~sub:"snapshot unusable" w)
+       resumed.Because.Infer.warnings)
+
 let check_outcomes_equal ~what a b =
   Alcotest.(check string)
     (what ^ ": outcome digest")
@@ -649,6 +709,8 @@ let suite =
   ( "recover",
     [
       Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
+      Alcotest.test_case "wrong-size cache snapshot starts cold" `Quick
+        test_wrong_size_cache_snapshot_starts_cold;
       Alcotest.test_case "codec truncation detected" `Quick
         test_codec_truncation;
       QCheck_alcotest.to_alcotest qcheck_codec_floats;
