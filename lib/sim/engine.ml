@@ -1,17 +1,22 @@
+(* The clock sits in an all-float record, stored flat: advancing it once
+   per event writes a float in place instead of boxing a fresh one. *)
+type clock = { mutable time : float }
+
 type 'a t = {
   heap : 'a Heap.t;
-  mutable clock : float;
+  clock : clock;
   mutable processed : int;
   mutable max_pending : int;
 }
 
 let create () =
-  { heap = Heap.create (); clock = 0.0; processed = 0; max_pending = 0 }
+  { heap = Heap.create (); clock = { time = 0.0 }; processed = 0;
+    max_pending = 0 }
 
-let now t = t.clock
+let now t = t.clock.time
 
 let schedule t ~time payload =
-  Heap.push t.heap ~time:(Float.max time t.clock) payload;
+  Heap.push t.heap ~time:(Float.max time t.clock.time) payload;
   let depth = Heap.size t.heap in
   if depth > t.max_pending then t.max_pending <- depth
 
@@ -19,20 +24,22 @@ let pending t = Heap.size t.heap
 let processed t = t.processed
 let max_pending t = t.max_pending
 
+(* The caller has checked the queue is non-empty. *)
+let dispatch t ~handler =
+  let time = Heap.min_time t.heap in
+  let payload = Heap.remove_min t.heap in
+  t.clock.time <- time;
+  t.processed <- t.processed + 1;
+  handler ~now:time payload
+
 let step t ~handler =
-  match Heap.pop t.heap with
-  | None -> false
-  | Some (time, payload) ->
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      handler ~now:time payload;
-      true
+  if Heap.is_empty t.heap then false
+  else begin
+    dispatch t ~handler;
+    true
+  end
 
 let run t ~until ~handler =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_time t.heap with
-    | None -> continue := false
-    | Some time when time > until -> continue := false
-    | Some _ -> ignore (step t ~handler)
+  while (not (Heap.is_empty t.heap)) && not (Heap.min_time t.heap > until) do
+    dispatch t ~handler
   done

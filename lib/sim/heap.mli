@@ -1,7 +1,9 @@
 (** Binary min-heap keyed by (time, insertion sequence).
 
     Equal-time events pop in insertion order, which keeps the simulator
-    deterministic. *)
+    deterministic.  Times, sequence numbers and payloads live in parallel
+    arrays, so the hot path ({!push}, {!min_time}, {!remove_min}) allocates
+    nothing. *)
 
 type 'a t
 
@@ -10,6 +12,14 @@ val is_empty : 'a t -> bool
 val size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
+
+val min_time : 'a t -> float
+(** Time of the earliest event, read in place.  Raises [Invalid_argument]
+    on an empty heap. *)
+
+val remove_min : 'a t -> 'a
+(** Remove the earliest event and return its payload.  Raises
+    [Invalid_argument] on an empty heap. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
