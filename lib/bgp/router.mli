@@ -16,7 +16,9 @@
     The router is a pure event reactor: every entry point returns the
     {!action} list the caller (normally {!Because_sim.Network}) must
     perform — message deliveries, timer requests, and full-feed observations
-    for an attached vantage point. *)
+    for an attached vantage point.  Only a router created as monitored
+    emits {!Feed} actions (and keeps the per-prefix last-observation table
+    that de-duplicates them). *)
 
 type neighbor = {
   neighbor_asn : Asn.t;
@@ -52,7 +54,7 @@ type action =
   | Feed of Update.t
       (** What a full-feed customer session (a route-collector vantage point)
           observes at this instant: the loc-RIB change with this AS
-          prepended. *)
+          prepended.  Emitted only by a monitored router. *)
 
 type t
 
@@ -72,7 +74,11 @@ type table_sizes = {
   loc_rib_entries : int;
 }
 
-val create : config -> t
+val create : ?monitored:bool -> config -> t
+(** [monitored] (default [true]): a vantage point listens at this AS, so the
+    router emits {!Feed} actions.  An unmonitored router builds no
+    observations at all; its routing behaviour is identical. *)
+
 val asn : t -> Asn.t
 val config : t -> config
 
