@@ -6,7 +6,6 @@ type t = {
   mutable last_time : float;
   mutable suppressed : bool;
   mutable suppressed_since : float;
-  mutable history : (float * float) list;  (* newest first *)
 }
 
 let create params =
@@ -16,7 +15,6 @@ let create params =
     last_time = 0.0;
     suppressed = false;
     suppressed_since = 0.0;
-    history = [];
   }
 
 let params t = t.params
@@ -69,8 +67,7 @@ let record t ~now event =
   then begin
     t.suppressed <- true;
     t.suppressed_since <- now
-  end;
-  t.history <- (now, t.penalty) :: t.history
+  end
 
 let reuse_eta t ~now =
   refresh t ~now;
@@ -93,4 +90,3 @@ let reuse_eta t ~now =
   end
 
 let suppression_started t = if t.suppressed then Some t.suppressed_since else None
-let history t = List.rev t.history

@@ -36,7 +36,3 @@ val reuse_eta : t -> now:float -> float option
 
 val suppression_started : t -> float option
 (** Time at which the current suppression began, if suppressed. *)
-
-val history : t -> (float * float) list
-(** [(time, penalty-after-event)] pairs, oldest first — used to draw the
-    Fig. 2 penalty curve. *)

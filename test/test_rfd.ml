@@ -183,17 +183,6 @@ let test_timer_based_suppression () =
   Alcotest.(check (float 0.0)) "new epoch start" (release +. 60.0)
     (Option.get (Rfd.suppression_started s))
 
-let test_history () =
-  let s = Rfd.create Rfd_params.cisco in
-  Rfd.record s ~now:1.0 Rfd.Withdrawal;
-  Rfd.record s ~now:2.0 Rfd.Withdrawal;
-  match Rfd.history s with
-  | [ (t1, p1); (t2, p2) ] ->
-      Alcotest.(check (float 0.0)) "t1" 1.0 t1;
-      Alcotest.(check (float 0.0)) "t2" 2.0 t2;
-      Alcotest.(check bool) "monotone penalty" true (p2 > p1)
-  | _ -> Alcotest.fail "history length"
-
 let qcheck_penalty_invariants =
   QCheck.Test.make ~name:"penalty stays within [0, ceiling]" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (pair (float_range 0.0 7200.0) (int_bound 2)))
@@ -253,7 +242,6 @@ let suite =
         test_rfc7454_needs_fast_flapping;
       Alcotest.test_case "timer-based suppression" `Quick
         test_timer_based_suppression;
-      Alcotest.test_case "history" `Quick test_history;
       QCheck_alcotest.to_alcotest qcheck_penalty_invariants;
       QCheck_alcotest.to_alcotest qcheck_release_monotone;
     ] )
