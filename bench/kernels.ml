@@ -29,7 +29,7 @@ let make_dataset () =
 
 type row = { name : string; ns_per_run : float; minor_words : float option }
 
-let tests () =
+let tests ~scratch =
   let data = make_dataset () in
   let model = Because.Model.create data in
   let target = Because.Model.target model in
@@ -68,13 +68,14 @@ let tests () =
   in
   let mh_cached = mh_sweep target "MH run 50 draws (cached)" in
   let mh_uncached = mh_sweep target_uncached "MH run 50 draws (uncached)" in
-  let infer_jobs ?(telemetry = Because_telemetry.Registry.disabled)
-      ?checkpoint jobs name =
-    let config =
-      { Because.Infer.default_config with
-        n_samples = 100; burn_in = 100; n_chains = 2; jobs; telemetry;
-        checkpoint }
-    in
+  let config ?(telemetry = Because_telemetry.Registry.disabled) ?checkpoint
+      jobs =
+    { Because.Infer.default_config with
+      n_samples = 100; burn_in = 100; n_chains = 2; jobs; telemetry;
+      checkpoint }
+  in
+  let infer_jobs ?telemetry jobs name =
+    let config = config ?telemetry jobs in
     Bechamel.Test.make ~name
       (Bechamel.Staged.stage (fun () ->
            ignore (Because.Infer.run ~rng:(Rng.create 7) ~config data)))
@@ -90,15 +91,29 @@ let tests () =
   (* Paired with [infer_seq]: the same run with live checkpoint hooks at the
      default cadence (wall-clock driven, so a bench-length run only pays the
      per-sweep cadence test plus the end-of-chain save).  The acceptance bar
-     for the recovery subsystem is < 2% overhead on this pair. *)
+     for the recovery subsystem is < 2% overhead on this pair.  Every run
+     takes a fresh store: one that already holds finished chains would
+     resume them and measure nothing.  Bechamel calls [allocate] once per
+     run before it times a sample, so store creation stays outside the
+     timed region; it hands every run of a sample the same resource slot,
+     though, so the stores wait in a queue and each run takes the next. *)
   let infer_ckpt =
-    let dir = Filename.temp_file "because-bench-ckpt" ".dir" in
-    Sys.remove dir;
-    let recovery = Sc.Recovery.create ~dir () in
-    Sc.Recovery.attach recovery ~fingerprint:"bench-kernels";
-    infer_jobs
-      ~checkpoint:(Sc.Recovery.chain_hooks recovery ~namespace:"bench.")
-      1 "inference 4 chains (jobs=1, checkpoint)"
+    let fresh = Queue.create () and made = ref 0 in
+    Bechamel.Test.make_with_resource
+      ~name:"inference 4 chains (jobs=1, checkpoint)" Bechamel.Test.multiple
+      ~allocate:(fun () ->
+        incr made;
+        let dir = Filename.concat scratch (string_of_int !made) in
+        let recovery = Sc.Recovery.create ~dir () in
+        Sc.Recovery.attach recovery ~fingerprint:"bench-kernels";
+        Queue.push recovery fresh)
+      ~free:ignore
+      (Bechamel.Staged.stage (fun () ->
+           let hooks =
+             Sc.Recovery.chain_hooks (Queue.pop fresh) ~namespace:"bench."
+           in
+           let config = config ~checkpoint:hooks 1 in
+           ignore (Because.Infer.run ~rng:(Rng.create 7) ~config data)))
   in
   (* One live registry reused across iterations: spans overwrite their ring
      and counters just keep summing, so steady-state record cost — not
@@ -204,7 +219,12 @@ let run () =
     Bechamel.Benchmark.cfg ~limit:2000
       ~quota:(Bechamel.Time.second 0.5) ~kde:None ()
   in
+  (* Checkpoint stores live here for the section's duration. *)
+  let scratch = Filename.temp_file "because-bench-ckpt" ".dir" in
+  Sys.remove scratch;
+  Sys.mkdir scratch 0o755;
   let rows =
+    Fun.protect ~finally:(fun () -> Ctx.rm_rf scratch) @@ fun () ->
     List.filter_map
       (fun test ->
         let name =
@@ -226,7 +246,7 @@ let run () =
         | None, _ ->
             Printf.printf "%-32s (no estimate)\n" name;
             None)
-      (tests ())
+      (tests ~scratch)
   in
   speedup rows ~slow:"MH run 50 draws (uncached)" ~fast:"MH run 50 draws (cached)"
     ~label:"MH sweep cache speedup";

@@ -78,16 +78,6 @@ let hwm_kb () =
            with End_of_file -> ());
           !peak)
 
-let rm_rf dir =
-  let rec go path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then go dir
-
 (* ------------------------------------------------------------------ *)
 (* Child: measure one size, print a RESULT line, exit.                  *)
 
@@ -134,7 +124,7 @@ let child = function
         | None -> 0
         | Some a -> List.length (Sharded.feed r a)
       in
-      Option.iter rm_rf spill_dir;
+      Option.iter Ctx.rm_rf spill_dir;
       Printf.printf
         "RESULT ases=%d links=%d prefixes=%d events=%d seconds=%.3f \
          hwm_kb=%d replayed=%d\n%!"
