@@ -71,13 +71,17 @@ let parse_observations path =
           in
           go 1 [])
 
+(* Means only: the same combined chain and [Summary.mean] as
+   [Posterior.combined], without its per-node HDPI sort. *)
 let seed_of_result ~epoch ~gate_sweeps result =
   if result.Because.Infer.runs = [] then None
   else
+    let data = Because.Infer.dataset result in
+    let chain = Because.Infer.combined_chain result in
     let means =
-      Because.Posterior.combined result
-      |> Array.map (fun (m : Because.Posterior.marginal) ->
-             (Asn.to_int m.Because.Posterior.asn, m.Because.Posterior.mean))
+      Array.init (Because.Tomography.n_nodes data) (fun i ->
+          ( Asn.to_int (Because.Tomography.node data i),
+            Because_stats.Summary.mean (Because_mcmc.Chain.marginal chain i) ))
     in
     Array.sort (fun (a, _) (b, _) -> Int.compare a b) means;
     Some { Seed.epoch; gate_sweeps; means }

@@ -34,6 +34,15 @@ val parse_observations :
     layer validates the spec, not the file — it may legitimately appear
     later). *)
 
+val seed_of_result :
+  epoch:int ->
+  gate_sweeps:int option ->
+  Because.Infer.result ->
+  Because_recover.Seed.t option
+(** The next epoch's seed: every node's posterior mean over the combined
+    chains, ascending ASN — the [mean] of {!Because.Posterior.combined},
+    bit for bit.  [None] when no sampler run survived. *)
+
 val run :
   spec:Spec.t ->
   seed:Because_recover.Seed.t option ->

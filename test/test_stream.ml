@@ -217,6 +217,37 @@ let test_seed_codec () =
   Alcotest.(check bool) "wrong version decodes to None" true
     (Seed.decode (Bytes.to_string tampered) = None)
 
+(* The seed keeps exactly the posterior means [Posterior.combined]
+   reports, in ascending ASN order. *)
+let test_seed_means_match_posterior () =
+  let data =
+    Because.Tomography.of_observations
+      (List.map
+         (fun (path, rfd) -> (List.map Asn.of_int path, rfd))
+         [ ([ 64512; 901 ], true); ([ 64513; 901 ], true);
+           ([ 64512; 64513 ], false); ([ 64513; 64514 ], false);
+           ([ 64512; 64514 ], false); ([ 7; 64514; 901 ], true) ])
+  in
+  let config =
+    { Because.Infer.default_config with
+      Because.Infer.n_samples = 120; burn_in = 40; n_chains = 2 }
+  in
+  let result = Because.Infer.run ~rng:(Rng.create 5) ~config data in
+  let expected =
+    Because.Posterior.combined result
+    |> Array.map (fun (m : Because.Posterior.marginal) ->
+           (Asn.to_int m.Because.Posterior.asn, m.Because.Posterior.mean))
+  in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) expected;
+  match Stream.seed_of_result ~epoch:2 ~gate_sweeps:(Some 9) result with
+  | None -> Alcotest.fail "no seed"
+  | Some seed ->
+      Alcotest.(check int) "epoch" 2 seed.Seed.epoch;
+      Alcotest.(check (option int)) "gate" (Some 9) seed.Seed.gate_sweeps;
+      Alcotest.(check (array (pair int int64))) "means, bit for bit"
+        (Array.map (fun (a, m) -> (a, Int64.bits_of_float m)) expected)
+        (Array.map (fun (a, m) -> (a, Int64.bits_of_float m)) seed.Seed.means)
+
 (* ------------------------------------------------------------------ *)
 (* Two-epoch warm start: same categories as a cold epoch-2 run, fewer
    sweeps through the convergence gate                                  *)
@@ -584,6 +615,8 @@ let suite =
       Alcotest.test_case "spool surfaces the same name renamed twice" `Quick
         test_spool_renamed_twice;
       Alcotest.test_case "posterior seed codec" `Quick test_seed_codec;
+      Alcotest.test_case "seed means equal the combined posterior means"
+        `Quick test_seed_means_match_posterior;
       Alcotest.test_case "two epochs: warm equals cold, converges sooner"
         `Quick test_two_epoch_warm_start;
       Alcotest.test_case "missing spool file is insufficient, no retry loop"
