@@ -72,16 +72,6 @@ let campaign interval_minutes =
 
 let one_minute () = campaign 1.0
 
-let rm_rf dir =
-  let rec go path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then go dir
-
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 

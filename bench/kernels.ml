@@ -148,7 +148,7 @@ let tests ~scratch =
              Because_sim.Heap.push h ~time:(Rng.float local) ()
            done;
            while not (Because_sim.Heap.is_empty h) do
-             ignore (Because_sim.Heap.pop h)
+             ignore (Because_sim.Heap.remove_min h)
            done))
   in
   let topology =
@@ -224,7 +224,7 @@ let run () =
   Sys.remove scratch;
   Sys.mkdir scratch 0o755;
   let rows =
-    Fun.protect ~finally:(fun () -> Ctx.rm_rf scratch) @@ fun () ->
+    Fun.protect ~finally:(fun () -> Because_recover.Io.rm_rf scratch) @@ fun () ->
     List.filter_map
       (fun test ->
         let name =

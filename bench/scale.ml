@@ -124,7 +124,7 @@ let child = function
         | None -> 0
         | Some a -> List.length (Sharded.feed r a)
       in
-      Option.iter Ctx.rm_rf spill_dir;
+      Option.iter Because_recover.Io.rm_rf spill_dir;
       Printf.printf
         "RESULT ases=%d links=%d prefixes=%d events=%d seconds=%.3f \
          hwm_kb=%d replayed=%d\n%!"

@@ -196,7 +196,7 @@ let emit_telemetry ~seed ~manifest_params ~telemetry ~metrics_out ~trace_out
         Printf.printf "trace written to %s\n" path)
       trace_out;
     if telemetry then begin
-      Format.printf "%a@." Tel.Telemetry.pp_summary snap;
+      Format.printf "%a@." Tel.Snapshot.pp_summary snap;
       Format.printf "%a@." Tel.Manifest.pp manifest
     end
   end

@@ -202,64 +202,47 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
    output *values* — are identical for every [jobs]. *)
 let run_tasks ~jobs tasks = Because_stats.Parallel.run_tasks ~jobs tasks
 
-let r_hat result =
-  let groups =
+(* Worst-coordinate R-hat per sampler, in first-run order: across-chain
+   R-hat when the sampler ran several chains, split-R-hat on its single
+   chain.  [view] picks the part of each chain that is diagnosed.  The
+   [_coord] diagnostics walk the chains' flat storage directly —
+   bit-identical to extracting each marginal, without the per-coordinate
+   array materialisation. *)
+let worst_r_hats view runs =
+  let names =
     List.fold_left
-      (fun acc run ->
-        match List.assoc_opt run.name acc with
-        | Some chains ->
-            (run.name, run.chain :: chains)
-            :: List.remove_assoc run.name acc
-        | None -> (run.name, [ run.chain ]) :: acc)
-      [] result.runs
+      (fun acc run -> if List.mem run.name acc then acc else run.name :: acc)
+      [] runs
   in
   List.rev_map
-    (fun (name, chains_rev) ->
-      let chains = List.rev chains_rev in
-      let dim = Chain.dim (List.hd chains) in
-      let many = Array.of_list chains in
+    (fun name ->
+      let chains =
+        Array.of_list
+          (List.filter_map
+             (fun run -> if run.name = name then Some (view run.chain) else None)
+             runs)
+      in
       let worst = ref neg_infinity in
-      for i = 0 to dim - 1 do
-        (* The [_coord] diagnostics walk the chains' flat storage directly —
-           bit-identical to extracting each marginal, without the per-
-           coordinate array materialisation. *)
+      for i = 0 to Chain.dim chains.(0) - 1 do
         let v =
           match chains with
-          | [ only ] -> Diagnostics.split_r_hat_coord only i
-          | _ -> Diagnostics.r_hat_coord many i
+          | [| only |] -> Diagnostics.split_r_hat_coord only i
+          | _ -> Diagnostics.r_hat_coord chains i
         in
         if v > !worst then worst := v
       done;
       (name, !worst))
-    groups
+    names
+
+let r_hat result = worst_r_hats Fun.id result.runs
 
 (* Worst R-hat over every sampler group and coordinate when each chain is
    truncated to its first [n] retained draws. *)
 let worst_r_hat_at runs n =
-  let groups =
-    List.fold_left
-      (fun acc run ->
-        let c = Chain.prefix run.chain n in
-        match List.assoc_opt run.name acc with
-        | Some chains -> (run.name, c :: chains) :: List.remove_assoc run.name acc
-        | None -> (run.name, [ c ]) :: acc)
-      [] runs
-  in
   List.fold_left
-    (fun worst (_, chains) ->
-      let dim = Chain.dim (List.hd chains) in
-      let many = Array.of_list (List.rev chains) in
-      let w = ref worst in
-      for i = 0 to dim - 1 do
-        let v =
-          match Array.length many with
-          | 1 -> Diagnostics.split_r_hat_coord many.(0) i
-          | _ -> Diagnostics.r_hat_coord many i
-        in
-        if v > !w then w := v
-      done;
-      !w)
-    neg_infinity groups
+    (fun worst (_, v) -> if v > worst then v else worst)
+    neg_infinity
+    (worst_r_hats (fun c -> Chain.prefix c n) runs)
 
 let gate_points = 16
 
@@ -297,13 +280,7 @@ let flush_chain_telemetry reg config ~target ~name ~chain_index outcome =
   Tel.Counter.add (Tel.Counter.v reg "mcmc.sweeps") sweeps;
   let dim = target.Target.dim in
   (if name = "MH" then
-     let counter_name =
-       if target.Target.make_cache <> None then "mcmc.mh.deltas_cached"
-       else if target.Target.log_density_delta <> None then
-         "mcmc.mh.deltas_stateless"
-       else "mcmc.mh.deltas_full"
-     in
-     Tel.Counter.add (Tel.Counter.v reg counter_name) (dim * sweeps)
+     Tel.Counter.add (Tel.Counter.v reg "mcmc.mh.deltas_cached") (dim * sweeps)
    else
      Tel.Counter.add
        (Tel.Counter.v reg "mcmc.hmc.grad_evals")
@@ -327,6 +304,19 @@ let flush_chain_telemetry reg config ~target ~name ~chain_index outcome =
       Tel.Counter.add (Tel.Counter.v reg "mcmc.restarts")
         (max 0 (List.length warnings - extra_notes))
 
+(* The one resume/control adapter between a sampler's own state record and
+   the checkpoint layer's [Sampler_state.t].  A saved state for a different
+   sampler (possible only through key collision in a hand-edited store) is
+   ignored rather than trusted. *)
+let adapt run ~wrap ~unwrap rng ~resume ~control =
+  let r : Because_mcmc.Driver.result =
+    run rng (Option.bind resume unwrap)
+      (Option.map
+         (fun f ~sweep ~state -> f ~sweep ~state:(fun () -> wrap (state ())))
+         control)
+  in
+  (r.chain, r.acceptance)
+
 let run ~rng ?(config = default_config) data =
   if not (config.run_mh || config.run_hmc) then
     invalid_arg "Infer.run: at least one sampler must be enabled";
@@ -346,53 +336,29 @@ let run ~rng ?(config = default_config) data =
   (* The model and target are immutable and shared read-only across domains;
      all mutable sampler state (including the likelihood cache) is created
      inside each sampler call. *)
-  (* Each spec adapts the generic resume/control plumbing to its sampler's
-     own state type.  A saved state for a different sampler (possible only
-     through key collision in a hand-edited store) is ignored rather than
-     trusted. *)
+  let mh rng resume control =
+    Metropolis.run_single_site ~rng ~thin:config.thin ?resume ?control
+      ?init:config.init ~n_samples:config.n_samples ~burn_in:config.burn_in
+      target
+  in
+  let hmc rng resume control =
+    Hmc.run ~rng ~leapfrog_steps:config.leapfrog_steps ~thin:config.thin
+      ?resume ?control ?init:config.init ~n_samples:config.n_samples
+      ~burn_in:config.burn_in target
+  in
   let sampler_specs =
     (if config.run_mh then
        [ ( "MH",
-           fun sub ~resume ~control ->
-             let resume =
-               match resume with
-               | Some (Sampler_state.Mh s) -> Some s
-               | Some _ | None -> None
-             in
-             let control =
-               Option.map
-                 (fun f ~sweep ~state ->
-                   f ~sweep ~state:(fun () -> Sampler_state.Mh (state ())))
-                 control
-             in
-             let r =
-               Metropolis.run_single_site ~rng:sub ~thin:config.thin ?resume
-                 ?control ?init:config.init ~n_samples:config.n_samples
-                 ~burn_in:config.burn_in target
-             in
-             (r.Metropolis.chain, r.Metropolis.acceptance) ) ]
+           adapt mh
+             ~wrap:(fun s -> Sampler_state.Mh s)
+             ~unwrap:(function Sampler_state.Mh s -> Some s | _ -> None) ) ]
      else [])
     @
     if config.run_hmc then
       [ ( "HMC",
-          fun sub ~resume ~control ->
-            let resume =
-              match resume with
-              | Some (Sampler_state.Hmc s) -> Some s
-              | Some _ | None -> None
-            in
-            let control =
-              Option.map
-                (fun f ~sweep ~state ->
-                  f ~sweep ~state:(fun () -> Sampler_state.Hmc (state ())))
-                control
-            in
-            let r =
-              Hmc.run ~rng:sub ~leapfrog_steps:config.leapfrog_steps
-                ~thin:config.thin ?resume ?control ?init:config.init
-                ~n_samples:config.n_samples ~burn_in:config.burn_in target
-            in
-            (r.Hmc.chain, r.Hmc.acceptance) ) ]
+          adapt hmc
+            ~wrap:(fun s -> Sampler_state.Hmc s)
+            ~unwrap:(function Sampler_state.Hmc s -> Some s | _ -> None) ) ]
     else []
   in
   let specs =

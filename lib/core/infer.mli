@@ -42,7 +42,7 @@ type config = {
       (** Observability sink.  Disabled (the default) costs one branch per
           record site and changes nothing; enabled, each chain task records
           a span, per-chain acceptance gauges, sampler work counters
-          ([mcmc.sweeps], [mcmc.mh.deltas_*], [mcmc.hmc.grad_evals],
+          ([mcmc.sweeps], [mcmc.mh.deltas_cached], [mcmc.hmc.grad_evals],
           [mcmc.restarts], [mcmc.aborts]) and — after the result is
           assembled — worst-case [mcmc.rhat.<sampler>] gauges.  Telemetry
           never touches the RNG streams, so results are identical either

@@ -2,11 +2,11 @@ module Rng = Because_stats.Rng
 module Dist = Because_stats.Dist
 module Special = Because_stats.Special
 
-type result = { chain : Chain.t; acceptance : float }
+type result = Driver.result = { chain : Chain.t; acceptance : float }
 
 let grid = 64
 
-let run ~rng ~n_samples ~burn_in target =
+let start target =
   (match target.Target.support with
   | Target.Unit_interval -> ()
   | Target.Unbounded ->
@@ -18,22 +18,9 @@ let run ~rng ~n_samples ~burn_in target =
     Array.init grid (fun k -> (float_of_int k +. 0.5) /. float_of_int grid)
   in
   let log_weights = Array.make grid 0.0 in
-  (* Prefer the stateful protocol: every grid point is evaluated relative to
-     the same cached sufficient statistics, and the chosen value is committed
-     once per coordinate.  Fall back to the stateless delta, then to a full
-     recompute. *)
-  let cache = Option.map (fun mk -> mk current) target.Target.make_cache in
-  let delta =
-    match cache with
-    | Some c -> fun _ i v -> c.Target.cached_delta i v
-    | None -> (
-        match target.Target.log_density_delta with
-        | Some d -> d
-        | None ->
-            fun p i v ->
-              let p' = Target.with_coordinate p i v in
-              target.Target.log_density p' -. target.Target.log_density p)
-  in
+  (* Every grid point is evaluated relative to the same cached sufficient
+     statistics, and the chosen value is committed once per coordinate. *)
+  let cache = Target.cache_at target current in
   (* Grid cell containing a value — the movement criterion below compares
      cells, not jittered values, so intra-cell jitter does not count as a
      state change. *)
@@ -44,11 +31,11 @@ let run ~rng ~n_samples ~burn_in target =
      instead of a fresh [Array.map] per update (grid words × dim × sweeps
      of garbage in the old code). *)
   let weights = Array.make grid 0.0 in
-  let resample_coordinate i =
+  let resample_coordinate rng i =
     (* Conditional density on the grid, relative to the current value —
        the per-point delta makes the grid sweep O(grid · paths-through-i). *)
     for k = 0 to grid - 1 do
-      log_weights.(k) <- delta current i points.(k)
+      log_weights.(k) <- cache.Target.cached_delta i points.(k)
     done;
     let log_norm = Special.log_sum_exp log_weights in
     for k = 0 to grid - 1 do
@@ -60,24 +47,19 @@ let run ~rng ~n_samples ~burn_in target =
     let width = 1.0 /. float_of_int grid in
     let v = points.(cell) +. ((Rng.float rng -. 0.5) *. width) in
     let v = Float.max 1e-9 (Float.min (1.0 -. 1e-9) v) in
-    (match cache with Some c -> c.Target.cached_commit i v | None -> ());
+    cache.Target.cached_commit i v;
     current.(i) <- v;
     cell <> old_cell
   in
-  let kept = Chain.Builder.create ~dim ~capacity:n_samples in
-  let sweep_idx = ref 0 in
-  let moved_sweeps = ref 0 in
-  while Chain.Builder.count kept < n_samples do
+  let advance rng ~in_burn_in:_ ~sweep:_ =
     let moved = ref false in
     for i = 0 to dim - 1 do
-      if resample_coordinate i then moved := true
+      if resample_coordinate rng i then moved := true
     done;
-    if !moved then incr moved_sweeps;
-    if !sweep_idx >= burn_in then Chain.Builder.push kept current;
-    incr sweep_idx
-  done;
-  let acceptance =
-    if !sweep_idx = 0 then 0.0
-    else float_of_int !moved_sweeps /. float_of_int !sweep_idx
+    if !moved then 1 else 0
   in
-  { chain = Chain.Builder.to_chain kept; acceptance }
+  { Driver.dim; log_density = target.Target.log_density current;
+    proposals = 1; advance; draw = (fun () -> current); save = ignore }
+
+let run ~rng ~n_samples ~burn_in target =
+  Driver.run ~name:"Gibbs.run" ~rng ~n_samples ~burn_in (start target)

@@ -13,10 +13,10 @@
     coordinate versus one for Metropolis–Hastings, and mixes no better — the
     `ablations` bench quantifies the ESS-per-work gap against MH and HMC. *)
 
-type result = {
+type result = Driver.result = {
   chain : Chain.t;
   acceptance : float;
-      (** Fraction of sweeps (burn-in included) in which at least one
+      (** Fraction of post-burn-in sweeps in which at least one
           coordinate landed in a different grid cell than it occupied
           before the sweep.  Gibbs proposals are never {e rejected} in the
           Metropolis–Hastings sense, so this measures mobility — how often
@@ -37,7 +37,7 @@ val run :
   Target.t ->
   result
 (** [run ~rng ~n_samples ~burn_in target] requires a target on the unit box
-    and starts every coordinate at 0.5.  Uses the target's cache protocol
-    when present, then [target.log_density_delta], the full density
-    otherwise.
-    @raise Invalid_argument when the target is not on the unit box. *)
+    and starts every coordinate at 0.5.  Evaluates the grid through
+    {!Target.cache_at}; one sweep is one {!Driver.step}, kept unthinned.
+    @raise Invalid_argument when the target is not on the unit box.
+    @raise Failure when the log-density is non-finite at the start. *)

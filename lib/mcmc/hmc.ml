@@ -1,7 +1,7 @@
 module Rng = Because_stats.Rng
 module Dist = Because_stats.Dist
 
-type result = { chain : Chain.t; acceptance : float; step_size : float }
+type result = Driver.result = { chain : Chain.t; acceptance : float }
 
 (* All-float mutable record: stored flat, so loop accumulation through it
    does not allocate (a [float ref] boxes every store). *)
@@ -21,6 +21,10 @@ type state = {
   s_accepted_post : int;
   s_proposed_post : int;
 }
+
+let name = "Hmc.run"
+let initial_step = 0.05
+let window = 10
 
 let sigmoid x =
   if x >= 0.0 then 1.0 /. (1.0 +. Float.exp (-.x))
@@ -89,81 +93,26 @@ let transformed target =
       in
       (log_density, grad_theta, to_p, of_p)
 
-let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
-    ?resume ?control ~n_samples ~burn_in target =
-  if thin <= 0 then invalid_arg "Hmc.run: thin must be positive";
+let start ?init ?(leapfrog_steps = 15) ?resume target =
   let dim = target.Target.dim in
   let log_density, grad, to_constrained, of_constrained =
     transformed target
   in
-  let rng =
-    match resume with Some s -> Rng.of_state s.s_rng | None -> rng
-  in
-  let theta =
+  let theta, step, accept_window, current_lp =
     match resume with
     | Some s ->
-        if Array.length s.s_position <> dim then
-          invalid_arg "Hmc.run: resume state dimension mismatch";
-        Array.copy s.s_position
-    | None -> (
-        match init with
-        | Some p -> (
-            match target.Target.support with
-            | Target.Unit_interval -> of_constrained p
-            | Target.Unbounded -> Array.copy p)
-        | None -> Array.make dim 0.0)
-  in
-  let step =
-    ref (match resume with Some s -> s.s_step | None -> initial_step)
-  in
-  let kept = Chain.Builder.create ~dim ~capacity:n_samples in
-  (match resume with
-  | Some s ->
-      if Array.length s.s_kept > n_samples * dim then
-        invalid_arg "Hmc.run: resume state has more draws than n_samples";
-      (match Chain.Builder.load_flat kept s.s_kept with
-      | () -> ()
-      | exception Invalid_argument _ ->
-          invalid_arg "Hmc.run: resume state dimension mismatch")
-  | None -> ());
-  let accepted_post = ref 0 and proposed_post = ref 0 in
-  let accept_window = ref 0 in
-  (match resume with
-  | Some s ->
-      accepted_post := s.s_accepted_post;
-      proposed_post := s.s_proposed_post;
-      accept_window := s.s_accept_window
-  | None -> ());
-  let window = 10 in
-  let iter_idx =
-    ref (match resume with Some s -> s.s_iter | None -> 0)
-  in
-  let current_lp =
-    match resume with
-    | Some s -> ref s.s_log_post
+        ( Driver.restore ~name ~dim s.s_position,
+          ref s.s_step,
+          ref s.s_accept_window,
+          ref s.s_log_post )
     | None ->
-        let lp = log_density theta in
-        if not (Float.is_finite lp) then
-          failwith
-            (Printf.sprintf
-               "Hmc.run: non-finite log-density (%g) at the initial point — \
-                the target is broken or the initializer lies outside its \
-                support"
-               lp);
-        ref lp
-  in
-  let snapshot () =
-    {
-      s_iter = !iter_idx;
-      s_rng = Rng.state rng;
-      s_position = Array.copy theta;
-      s_step = !step;
-      s_log_post = !current_lp;
-      s_accept_window = !accept_window;
-      s_kept = Chain.Builder.flat_prefix kept;
-      s_accepted_post = !accepted_post;
-      s_proposed_post = !proposed_post;
-    }
+        let theta =
+          match (init, target.Target.support) with
+          | Some p, Target.Unit_interval -> of_constrained p
+          | Some p, Target.Unbounded -> Array.copy p
+          | None, _ -> Array.make dim 0.0
+        in
+        (theta, ref initial_step, ref 0, ref (log_density theta))
   in
   (* Scratch arena: the integrator state is three buffers reused across
      iterations (blit, not copy), so one iteration's array traffic is the
@@ -180,9 +129,7 @@ let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
     done;
     0.5 *. acc.k
   in
-  let finished = ref (Chain.Builder.count kept >= n_samples) in
-  while not !finished do
-    let in_burn_in = !iter_idx < burn_in in
+  let advance rng ~in_burn_in ~sweep =
     (* Fresh Gaussian momentum, unit mass matrix; same draw order as the
        historical [Array.init]. *)
     for i = 0 to dim - 1 do
@@ -213,32 +160,41 @@ let run ~rng ?init ?(initial_step = 0.05) ?(leapfrog_steps = 15) ?(thin = 1)
       Float.is_finite lp1
       && (log_alpha >= 0.0 || Rng.float rng < Float.exp log_alpha)
     in
-    if not in_burn_in then incr proposed_post;
     if accept then begin
       Array.blit q 0 theta 0 dim;
       current_lp := lp1;
-      if in_burn_in then incr accept_window else incr accepted_post
+      if in_burn_in then incr accept_window
     end;
-    if in_burn_in && (!iter_idx + 1) mod window = 0 then begin
+    if in_burn_in && (sweep + 1) mod window = 0 then begin
       let observed = float_of_int !accept_window /. float_of_int window in
-      let rate = 1.0 /. Float.sqrt (float_of_int (!iter_idx + 1)) in
+      let rate = 1.0 /. Float.sqrt (float_of_int (sweep + 1)) in
       step := !step *. Float.exp (rate *. (observed -. 0.75));
       step := Float.max 1e-4 (Float.min 1.0 !step);
       accept_window := 0
     end;
-    if not in_burn_in then begin
-      let post = !iter_idx - burn_in in
-      if post mod thin = 0 && Chain.Builder.count kept < n_samples then
-        Chain.Builder.push kept (to_constrained theta)
-    end;
-    incr iter_idx;
-    if Chain.Builder.count kept >= n_samples then finished := true;
-    match control with
-    | Some f -> f ~sweep:!iter_idx ~state:snapshot
-    | None -> ()
-  done;
-  let acceptance =
-    if !proposed_post = 0 then 0.0
-    else float_of_int !accepted_post /. float_of_int !proposed_post
+    if accept then 1 else 0
   in
-  { chain = Chain.Builder.to_chain kept; acceptance; step_size = !step }
+  let save (p : Driver.progress) =
+    {
+      s_iter = p.sweep;
+      s_rng = p.rng;
+      s_position = Array.copy theta;
+      s_step = !step;
+      s_log_post = !current_lp;
+      s_accept_window = !accept_window;
+      s_kept = p.kept;
+      s_accepted_post = p.accepted;
+      s_proposed_post = p.proposed;
+    }
+  in
+  { Driver.dim; log_density = !current_lp; proposals = 1; advance;
+    draw = (fun () -> to_constrained theta); save }
+
+let progress s =
+  { Driver.sweep = s.s_iter; rng = s.s_rng; kept = s.s_kept;
+    accepted = s.s_accepted_post; proposed = s.s_proposed_post }
+
+let run ~rng ?init ?leapfrog_steps ?thin ?resume ?control ~n_samples ~burn_in
+    target =
+  Driver.run ~name ~rng ?thin ?resume:(Option.map progress resume) ?control
+    ~n_samples ~burn_in (start ?init ?leapfrog_steps ?resume target)

@@ -11,12 +11,14 @@
     log P(p) + Σᵢ log(pᵢ(1−pᵢ)) (the change-of-variables Jacobian), whose
     gradient adds the (1 − 2pᵢ) Jacobian term.  Draws are mapped back to p
     before being stored, so the returned chain always lives in the original
-    parametrisation. *)
+    parametrisation.
 
-type result = {
-  chain : Chain.t;       (** Post burn-in draws in the original space. *)
-  acceptance : float;    (** Post burn-in trajectory acceptance rate. *)
-  step_size : float;     (** Frozen leapfrog step size. *)
+    One trajectory is one {!Driver.step}; burn-in, thinning, resume and the
+    supervision hook are {!Driver.run}'s. *)
+
+type result = Driver.result = {
+  chain : Chain.t;     (** Post burn-in draws in the original space. *)
+  acceptance : float;  (** Post burn-in trajectory acceptance rate. *)
 }
 
 type state = {
@@ -38,7 +40,6 @@ type state = {
 val run :
   rng:Because_stats.Rng.t ->
   ?init:float array ->
-  ?initial_step:float ->
   ?leapfrog_steps:int ->
   ?thin:int ->
   ?resume:state ->
@@ -49,8 +50,8 @@ val run :
   result
 (** [run ~rng ~n_samples ~burn_in target] requires [target.grad_log_density].
     [leapfrog_steps] defaults to 15 and must match the original run when
-    resuming.  The step size adapts towards a 0.75 acceptance rate during
-    burn-in.  [resume]/[control] follow the
+    resuming.  The step size starts at 0.05 and adapts towards a 0.75
+    acceptance rate during burn-in.  [resume]/[control] follow the
     {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
     the target has no gradient, [thin <= 0], or a [resume] state has the
     wrong dimension.

@@ -1,21 +1,22 @@
 (** Single-site Metropolis–Hastings (§3.2 of the paper).
 
     {!run_single_site} updates one coordinate at a time with a reflected
-    Gaussian random walk.  When the target supplies a stateful cache
-    ([Target.make_cache]) the sampler drives it — deltas reuse the cached
-    per-path sufficient statistics and accepted moves are committed
-    incrementally; otherwise it falls back to [log_density_delta], and
-    finally to full recomputation.  This is what makes 500+-dimensional
-    tomography posteriors practical.
+    Gaussian random walk.  It evaluates every proposal through
+    {!Target.cache_at}: the target's own stateful cache when it has one —
+    deltas reuse the cached per-path sufficient statistics and accepted
+    moves are committed incrementally — else the generic cache over
+    [log_density_delta] or a full recompute.  This is what makes
+    500+-dimensional tomography posteriors practical.
 
-    Per-coordinate step sizes adapt during burn-in (Robbins–Monro towards
-    the single-site optimal acceptance rate 0.44) and are frozen
-    afterwards, preserving detailed balance for the retained draws. *)
+    Per-coordinate step sizes start at 0.2, adapt during burn-in
+    (Robbins–Monro towards the single-site optimal acceptance rate 0.44)
+    and are frozen afterwards, preserving detailed balance for the
+    retained draws.  One sweep is one {!Driver.step}; burn-in, thinning,
+    resume and the supervision hook are {!Driver.run}'s. *)
 
-type result = {
-  chain : Chain.t;           (** Post burn-in, thinned draws. *)
-  acceptance : float;        (** Post burn-in acceptance rate. *)
-  step_sizes : float array;  (** Frozen proposal scales. *)
+type result = Driver.result = {
+  chain : Chain.t;     (** Post burn-in, thinned draws. *)
+  acceptance : float;  (** Post burn-in acceptance rate. *)
 }
 
 type state = {
@@ -31,9 +32,10 @@ type state = {
   s_accepted_post : int;
   s_proposed_post : int;
   s_cache : float array option;
-      (** Incremental cache state ([Target.cached_state]) when the target
-          has one — carried verbatim because rebuilt statistics differ in
-          the last ulp. *)
+      (** Incremental cache state ([Target.cached_state]) — carried
+          verbatim because rebuilt statistics differ in the last ulp.
+          Always [Some] when written; a resume state with [None] is
+          rejected. *)
 }
 (** Complete between-sweeps state of {!run_single_site}.  Resuming from a
     snapshot replays the identical trajectory: same draws, same adapted
@@ -44,7 +46,6 @@ type state = {
 val run_single_site :
   rng:Because_stats.Rng.t ->
   ?init:float array ->
-  ?initial_step:float ->
   ?thin:int ->
   ?resume:state ->
   ?control:(sweep:int -> state:(unit -> state) -> unit) ->

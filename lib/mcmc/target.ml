@@ -25,13 +25,15 @@ let create ?grad ?delta ?cache ~dim ~support log_density =
    point and evaluates deltas with [log_density_delta] (or a full recompute).
    Correct for any target, fast only when a real [delta] exists — model
    implementations should supply a bespoke [?cache] instead. *)
+type probe = { mutable coord : int; mutable value : float; mutable d : float }
+
 let default_cache t p0 =
   let point = Array.copy p0 in
   let lp = ref (t.log_density point) in
   (* Scratch proposal buffer: equal to [point] between calls, so a delta
      costs one store + one restore instead of a full [Array.copy]. *)
   let scratch = Array.copy point in
-  let delta =
+  let eval =
     match t.log_density_delta with
     | Some d -> fun i v -> d point i v
     | None ->
@@ -41,8 +43,20 @@ let default_cache t p0 =
           scratch.(i) <- point.(i);
           d
   in
+  (* The last probe: a sampler that commits the value it just probed
+     (single-site MH) reuses that delta instead of evaluating it twice. *)
+  let last = { coord = -1; value = nan; d = nan } in
+  let delta i v =
+    let d = eval i v in
+    last.coord <- i;
+    last.value <- v;
+    last.d <- d;
+    d
+  in
   let commit i v =
-    lp := !lp +. delta i v;
+    let d = if i = last.coord && v = last.value then last.d else eval i v in
+    last.coord <- -1;
+    lp := !lp +. d;
     point.(i) <- v;
     scratch.(i) <- v
   in
@@ -53,6 +67,7 @@ let default_cache t p0 =
       invalid_arg "Target.default_cache: saved cache state has wrong size";
     Array.blit s 0 point 0 dim;
     Array.blit s 0 scratch 0 dim;
+    last.coord <- -1;
     lp := s.(dim)
   in
   { cached_delta = delta; cached_commit = commit; cached_state;

@@ -53,8 +53,8 @@ type t = {
           so the cached fast path can always be cross-checked. *)
   make_cache : (float array -> cache) option;
       (** [make_cache p0] builds a stateful evaluator positioned at [p0].
-          When present, {!Metropolis.run_single_site} and {!Gibbs.run}
-          prefer it over [log_density_delta]. *)
+          {!Metropolis.run_single_site} and {!Gibbs.run} evaluate only
+          through {!cache_at}, which prefers it over the generic cache. *)
 }
 
 val create :
@@ -69,7 +69,9 @@ val create :
 val cache_at : t -> float array -> cache
 (** The target's own cache when it has one, else a generic fallback that
     tracks the point and answers deltas via [log_density_delta] (or a full
-    recompute).  Always safe; only as fast as the pieces it wraps. *)
+    recompute).  Committing the value just probed reuses that probe's
+    delta, so single-site MH evaluates each proposal once.  Always safe;
+    only as fast as the pieces it wraps. *)
 
 val with_coordinate : float array -> int -> float -> float array
 (** Functional single-coordinate update (copies). *)

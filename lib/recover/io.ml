@@ -56,3 +56,18 @@ let write_file_atomic ~dir ~file data =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise (Sys_error (file ^ ": rename failed (injected)"))
   | _ -> Sys.rename tmp file
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    (* A concurrent creator may win the race between the check and here. *)
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path

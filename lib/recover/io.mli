@@ -46,3 +46,11 @@ val write_file_atomic : dir:string -> file:string -> string -> unit
 val rename : string -> string -> unit
 (** [rename src dst], subject to injected faults.  A faulted rename
     raises [Sys_error] and leaves [src] in place. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents; an existing directory is
+    fine.  Not subject to injected faults.  Raises [Sys_error]. *)
+
+val rm_rf : string -> unit
+(** Remove a file, or a directory and everything under it; a missing path
+    is fine.  Not subject to injected faults.  Raises [Sys_error]. *)

@@ -89,20 +89,6 @@ let report_path t ~id =
 let status_path t = Filename.concat t.cfg.state_dir "status.json"
 let metrics_path t = Filename.concat t.cfg.state_dir "metrics.prom"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 (* Reports and status documents ride the same injectable I/O shim and
    retry policy as checkpoints: a transient disk fault costs a backoff,
    not a missing report. *)
@@ -251,9 +237,9 @@ let set_gauges t =
 let make cfg =
   if cfg.jobs < 1 then invalid_arg "Service: jobs must be >= 1";
   if cfg.max_attempts < 1 then invalid_arg "Service: max_attempts must be >= 1";
-  mkdir_p cfg.state_dir;
-  mkdir_p (campaigns_dir cfg);
-  mkdir_p (reports_dir cfg);
+  Io.mkdir_p cfg.state_dir;
+  Io.mkdir_p (campaigns_dir cfg);
+  Io.mkdir_p (reports_dir cfg);
   let qstore =
     Checkpoint.open_ ~dir:(queue_dir cfg) ~fingerprint:queue_fingerprint ()
   in
@@ -293,9 +279,9 @@ let make cfg =
   t
 
 let create cfg =
-  rm_rf (queue_dir cfg);
-  rm_rf (campaigns_dir cfg);
-  rm_rf (reports_dir cfg);
+  Io.rm_rf (queue_dir cfg);
+  Io.rm_rf (campaigns_dir cfg);
+  Io.rm_rf (reports_dir cfg);
   let t = make cfg in
   (try Sys.remove (status_path t) with Sys_error _ -> ());
   (try Sys.remove (metrics_path t) with Sys_error _ -> ());
@@ -488,7 +474,7 @@ let interrupted t (entry : Store.entry) ~persist ~kill recovery =
    O(1) no matter how many epochs the spool accumulated; every
    [compact_every] epochs the chain itself is pruned. *)
 let epoch_store t ~id =
-  mkdir_p (campaign_dir t.cfg ~id);
+  Io.mkdir_p (campaign_dir t.cfg ~id);
   Epochs.open_
     ~dir:(Filename.concat (campaign_dir t.cfg ~id) "epochs.d")
     ~id

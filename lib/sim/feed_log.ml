@@ -74,13 +74,6 @@ type spill = { dir : string; buffer : int }
 
 let default_buffer = 4096
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* --- writer ---
 
    The file stays closed between flushes: a 10k-AS world with 400+ monitored
@@ -96,7 +89,7 @@ type writer = {
 }
 
 let writer ~dir ~asn ~buffer =
-  mkdir_p dir;
+  Because_recover.Io.mkdir_p dir;
   let path =
     Filename.concat dir (Printf.sprintf "feed-%d.log" (Asn.to_int asn))
   in

@@ -19,9 +19,6 @@ type spill = {
 val default_buffer : int
 (** Default in-memory buffer size (4096 updates per vantage). *)
 
-val mkdir_p : string -> unit
-(** Create a directory and any missing parents. *)
-
 (** {1 Writer} *)
 
 type writer

@@ -92,11 +92,3 @@ let remove_min t =
     payloads.(!i) <- payload
   end;
   top
-
-let pop t =
-  if t.len = 0 then None
-  else
-    let time = t.times.(0) in
-    Some (time, remove_min t)
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)

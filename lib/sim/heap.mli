@@ -20,8 +20,3 @@ val min_time : 'a t -> float
 val remove_min : 'a t -> 'a
 (** Remove the earliest event and return its payload.  Raises
     [Invalid_argument] on an empty heap. *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event. *)
-
-val peek_time : 'a t -> float option

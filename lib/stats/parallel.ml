@@ -6,22 +6,22 @@
    counter and write into disjoint result slots, so the output order is that
    of the task array regardless of [jobs].
 
-   Two execution paths share that claiming protocol:
+   Worker domains are spawned once (lazily, up to a cap) and reused across
+   batches, parked on a condition variable between them.  Spawning a domain
+   costs a stop-the-world synchronisation of every running domain, so
+   spawn-per-call made repeated small fan-outs (per-interval inference,
+   per-campaign simulation) pay that tax over and over.  Pool workers also
+   run with a larger minor heap and a lazier major GC (see
+   [tune_worker_gc]) — minor collections are stop-the-world across *all*
+   domains in OCaml 5, so fewer, bigger collections is what makes
+   chain-parallel sampling scale.
 
-   - a *persistent pool*: worker domains are spawned once (lazily, up to a
-     cap) and reused across batches, parked on a condition variable between
-     them.  Spawning a domain costs a stop-the-world synchronisation of
-     every running domain, so spawn-per-call made repeated small fan-outs
-     (per-interval inference, per-campaign simulation) pay that tax over
-     and over.  Pool workers also run with a larger minor heap and a lazier
-     major GC (see [tune_worker_gc]) — minor collections are stop-the-world
-     across *all* domains in OCaml 5, so fewer, bigger collections is what
-     makes chain-parallel sampling scale.
-   - a *spawn fallback* used when the pool is already busy (a nested
-     [run_tasks] from inside a pool task, or concurrent submitters such as
-     service-mode campaign workers): fresh domains per call, exactly the
-     historical behaviour.  This keeps every caller deadlock-free without
-     serialising independent submitters.
+   A batch submitted while the pool is busy (a nested [run] from inside a
+   pool task, or a concurrent submitter such as a service-mode campaign
+   worker) runs inline on the submitting domain.  The pool's workers are
+   already occupied, so fresh domains would only oversubscribe the cores;
+   inline keeps every caller deadlock-free and the domain count bounded by
+   the pool width.
 
    Both paths produce bit-identical results: scheduling only decides *who*
    runs a task, never *what* it computes, and results land in task order. *)
@@ -194,56 +194,19 @@ let run_pooled pool ~workers tasks results =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* Historical spawn-per-call path, kept as the fallback when the pool is
-   busy.  Same claiming protocol, fresh domains, all joined before
-   returning. *)
-let run_spawn ~workers tasks results =
-  let n = Array.length tasks in
-  let next = Atomic.make 0 in
-  let failed : (exn * Printexc.raw_backtrace) option Atomic.t =
-    Atomic.make None
-  in
-  let worker ~tuned () =
-    if tuned then tune_worker_gc ();
-    let rec loop () =
-      if Atomic.get failed = None then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match tasks.(i) () with
-          | r -> results.(i) <- Some r
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set failed None (Some (e, bt))));
-          loop ()
-        end
-      end
-    in
-    loop ()
-  in
-  let domains =
-    List.init (workers - 1) (fun _ -> Domain.spawn (worker ~tuned:true))
-  in
-  worker ~tuned:false ();
-  List.iter Domain.join domains;
-  match Atomic.get failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
 let run pool ~jobs tasks =
   if jobs < 1 then invalid_arg "Parallel.run: jobs must be positive";
   let n = Array.length tasks in
   let results = Array.make n None in
   let workers = min jobs n in
-  if workers <= 1 then
-    Array.iteri (fun i task -> results.(i) <- Some (task ())) tasks
-  else if Mutex.try_lock pool.submit then
-    (* [try_lock] rather than [lock]: a nested call from inside a pool task
-       would deadlock waiting for its own batch, and independent concurrent
-       submitters shouldn't serialise — both take the spawn path instead. *)
+  (* [try_lock] rather than [lock]: a nested call from inside a pool task
+     would deadlock waiting for its own batch, and independent concurrent
+     submitters shouldn't wait for each other — both run inline instead. *)
+  if workers > 1 && Mutex.try_lock pool.submit then
     Fun.protect
       ~finally:(fun () -> Mutex.unlock pool.submit)
       (fun () -> run_pooled pool ~workers tasks results)
-  else run_spawn ~workers tasks results;
+  else Array.iteri (fun i task -> results.(i) <- Some (task ())) tasks;
   Array.map Option.get results
 
 let run_tasks ~jobs tasks =

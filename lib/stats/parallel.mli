@@ -10,8 +10,9 @@
     and reused across batches — spawning a domain forces a stop-the-world
     synchronisation, so per-call spawning made repeated fan-outs pay that
     cost every interval.  When a pool is already mid-batch (a nested call,
-    or a concurrent submitter), execution transparently falls back to
-    spawn-per-call.  Which path runs never affects the results. *)
+    or a concurrent submitter), the batch runs inline on the calling
+    domain: its workers are busy, and fresh domains would only
+    oversubscribe the cores.  Which path runs never affects the results. *)
 
 type pool
 (** A persistent set of worker domains plus the submission protocol. *)
@@ -35,7 +36,8 @@ val run : pool -> jobs:int -> (unit -> 'a) array -> 'a array
     task-array order — the order (and, when tasks draw from pre-split RNG
     streams, the values) are identical for every [jobs] and for every
     pool.  At most [min jobs (Array.length tasks)] tasks run concurrently;
-    a pool narrower than [jobs] runs at pool width, same results.  Raises
+    a pool narrower than [jobs] runs at pool width, and a busy pool runs
+    the batch on the caller alone, same results.  Raises
     [Invalid_argument] if [jobs < 1].
 
     If a task raises, no further tasks are started (in-flight ones run to

@@ -87,3 +87,37 @@ let span_rollup t =
       let n, total = Hashtbl.find tbl name in
       (name, n, total))
     !order
+
+let pp_summary fmt (s : t) =
+  let rollup = span_rollup s in
+  if rollup <> [] then begin
+    Format.fprintf fmt "phase wall-times:@.";
+    List.iter
+      (fun (name, n, total) ->
+        Format.fprintf fmt "  %-36s %9.3f s" name (seconds_of_ns total);
+        if n > 1 then Format.fprintf fmt "  (%d spans)" n;
+        Format.fprintf fmt "@.")
+      rollup
+  end;
+  if s.counters <> [] then begin
+    Format.fprintf fmt "counters:@.";
+    List.iter
+      (fun (name, v) -> Format.fprintf fmt "  %-36s %12d@." name v)
+      s.counters
+  end;
+  if s.gauges <> [] then begin
+    Format.fprintf fmt "gauges:@.";
+    List.iter
+      (fun (name, v) -> Format.fprintf fmt "  %-36s %12.4g@." name v)
+      s.gauges
+  end;
+  if s.hists <> [] then begin
+    Format.fprintf fmt "histograms:@.";
+    List.iter
+      (fun (name, h) ->
+        Format.fprintf fmt "  %-36s count %d  mean %.4g@." name h.count
+          (hist_mean h))
+      s.hists
+  end;
+  if s.dropped_spans > 0 then
+    Format.fprintf fmt "dropped spans (ring overflow): %d@." s.dropped_spans

@@ -54,3 +54,7 @@ val seconds_of_ns : int64 -> float
 val span_rollup : t -> (string * int * int64) list
 (** Distinct span names in first-start order with occurrence count and total
     duration — the phase wall-time table. *)
+
+val pp_summary : Format.formatter -> t -> unit
+(** Phase wall-times (span rollup), counters, gauges and histogram
+    count/mean — the generic part of the CLI's [--telemetry] table. *)

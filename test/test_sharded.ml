@@ -86,16 +86,6 @@ let fresh_spill_dir () =
 (* A tiny buffer (3) forces many flush blocks per feed, exercising the
    multi-block replay path, not just the final flush. *)
 
-let rm_rf dir =
-  let rec go path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then go dir
-
 let run ?fault_rng_seed ?shards ?feed_spill ~jobs ~with_flap
     (configs, delay, origin, n_transit, monitored) script =
   let script =
@@ -245,7 +235,7 @@ let qcheck_spill_equivalence =
           check_stats_equal what mem.Sharded.stats disk.Sharded.stats;
           Alcotest.(check int)
             (what ^ ": events") mem.Sharded.events disk.Sharded.events;
-          rm_rf spill.Because_sim.Feed_log.dir)
+          Because_recover.Io.rm_rf spill.Because_sim.Feed_log.dir)
         [ (1, false, None); (4, false, None);
           (1, true, Some (seed + 77)); (4, true, Some (seed + 77)) ];
       true)
@@ -270,7 +260,7 @@ let test_shards_exceed_jobs () =
     queued.Sharded.stats;
   Alcotest.(check int) "events conserved" sequential.Sharded.events
     queued.Sharded.events;
-  rm_rf spill.Because_sim.Feed_log.dir;
+  Because_recover.Io.rm_rf spill.Because_sim.Feed_log.dir;
   Alcotest.check_raises "shards = 0 rejected"
     (Invalid_argument "Sharded.run: shards must be positive") (fun () ->
       ignore (run ~jobs:2 ~shards:0 ~with_flap:false world script))
@@ -281,7 +271,7 @@ let test_feed_log_roundtrip () =
   let module Feed_log = Because_sim.Feed_log in
   let spill = fresh_spill_dir () in
   let dir = spill.Feed_log.dir in
-  Feed_log.mkdir_p dir;
+  Because_recover.Io.mkdir_p dir;
   let w = Feed_log.writer ~dir ~asn:(asn 64512) ~buffer:3 in
   let entries =
     List.init 10 (fun i ->
@@ -317,7 +307,7 @@ let test_feed_log_roundtrip () =
     entries back;
   Alcotest.(check int) "missing file is empty feed" 0
     (List.length (Feed_log.entries (Filename.concat dir "feed-9999.log")));
-  rm_rf dir
+  Because_recover.Io.rm_rf dir
 
 let test_shards_clamped () =
   let rng = Rng.create 7 in

@@ -8,21 +8,16 @@ let test_heap_orders () =
   let h = Heap.create () in
   List.iter (fun t -> Heap.push h ~time:t t) [ 3.0; 1.0; 2.0; 0.5; 2.5 ];
   let popped = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, v) ->
-        popped := v :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    popped := Heap.remove_min h :: !popped
+  done;
   Alcotest.(check (list (float 0.0))) "sorted" [ 0.5; 1.0; 2.0; 2.5; 3.0 ]
     (List.rev !popped)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.push h ~time:1.0 v) [ "a"; "b"; "c" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 3 (fun _ -> Heap.remove_min h) in
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ] order
 
 let test_heap_size_empty () =
@@ -30,7 +25,7 @@ let test_heap_size_empty () =
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Heap.push h ~time:1.0 ();
   Alcotest.(check int) "size" 1 (Heap.size h);
-  Alcotest.(check (option (float 0.0))) "peek" (Some 1.0) (Heap.peek_time h)
+  Alcotest.(check (float 0.0)) "min time" 1.0 (Heap.min_time h)
 
 let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap pops in time order" ~count:200
@@ -39,9 +34,11 @@ let qcheck_heap_sorted =
       let h = Heap.create () in
       List.iter (fun t -> Heap.push h ~time:t t) times;
       let rec drain acc =
-        match Heap.pop h with
-        | Some (t, _) -> drain (t :: acc)
-        | None -> List.rev acc
+        if Heap.is_empty h then List.rev acc
+        else
+          let t = Heap.min_time h in
+          ignore (Heap.remove_min h);
+          drain (t :: acc)
       in
       let out = drain [] in
       out = List.sort Float.compare times)

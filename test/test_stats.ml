@@ -270,6 +270,26 @@ let test_parallel_nested () =
     [| 6; 46; 86 |]
     got
 
+let test_parallel_busy_pool_inline () =
+  (* Two outer tasks on a one-worker pool each fan out again with jobs=4.
+     The pool is busy with the outer batch, so the inner batches run on the
+     domains that submitted them: the submitter and the one worker. *)
+  let pool = Parallel.create ~workers:1 in
+  let self () = (Domain.self () :> int) in
+  let ids =
+    Parallel.run pool ~jobs:2
+      (Array.init 2 (fun _ ->
+           fun () ->
+             self ()
+             :: Array.to_list
+                  (Parallel.run pool ~jobs:4 (Array.make 4 self))))
+  in
+  let distinct = List.sort_uniq compare (List.concat (Array.to_list ids)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 domains (saw %d)" (List.length distinct))
+    true
+    (List.length distinct <= 2)
+
 let test_parallel_invalid () =
   Alcotest.check_raises "workers=0"
     (Invalid_argument "Parallel.create: workers must be positive") (fun () ->
@@ -323,6 +343,8 @@ let suite =
         test_parallel_dedicated_pool;
       Alcotest.test_case "parallel exception" `Quick test_parallel_exception;
       Alcotest.test_case "parallel nested" `Quick test_parallel_nested;
+      Alcotest.test_case "parallel busy pool runs inline" `Quick
+        test_parallel_busy_pool_inline;
       Alcotest.test_case "parallel invalid args" `Quick test_parallel_invalid;
       Alcotest.test_case "parallel empty/single" `Quick
         test_parallel_empty_and_single;

@@ -51,7 +51,7 @@ let test_disabled_is_inert () =
     (Registry.snapshot reg = Snapshot.empty)
 
 let test_spans_and_overflow () =
-  let reg = Tel.Telemetry.create ~span_capacity:4 () in
+  let reg = Registry.create ~span_capacity:4 () in
   for k = 1 to 10 do
     ignore (Registry.Span.with_ reg ~name:(Printf.sprintf "p%d" (k mod 2))
               (fun () -> Sys.opaque_identity k))
