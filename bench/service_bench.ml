@@ -31,7 +31,7 @@ let submit_all svc n =
     match Svc.submit svc (spec i) with
     | Ok _ -> ()
     | Error r ->
-        failwith ("bench submit: " ^ Because_service.Admission.reason_to_string r)
+        failwith ("bench submit: " ^ Svc.reason_to_string r)
   done
 
 let percentile sorted p =

@@ -657,47 +657,6 @@ let infer_cmd =
 (* ------------------------------------------------------------------ *)
 (* export-dump / label-dump: the file-based pipeline                    *)
 
-(* The windows sidecar: "prefix burst_start burst_end break_end" lines. *)
-let write_windows path outcome =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Prefix.Set.iter
-        (fun prefix ->
-          List.iter
-            (fun (bs, be, bend) ->
-              Printf.fprintf oc "%s %f %f %f\n" (Prefix.to_string prefix) bs
-                be bend)
-            (Sc.Campaign.windows_of outcome prefix))
-        outcome.Sc.Campaign.oscillating)
-
-let read_windows path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let table = Hashtbl.create 8 in
-      let rec go () =
-        match input_line ic with
-        | line ->
-            (match String.split_on_char ' ' (String.trim line) with
-            | [ p; bs; be; bend ] ->
-                let prefix = Prefix.of_string p in
-                let window =
-                  (float_of_string bs, float_of_string be, float_of_string bend)
-                in
-                Hashtbl.replace table prefix
-                  (window
-                  :: Option.value (Hashtbl.find_opt table prefix) ~default:[])
-            | _ -> failwith ("bad windows line: " ^ line));
-            go ()
-        | exception End_of_file -> ()
-      in
-      go ();
-      fun prefix ->
-        List.rev (Option.value (Hashtbl.find_opt table prefix) ~default:[]))
-
 let export_dump_cmd =
   let out_arg =
     Arg.(
@@ -714,7 +673,10 @@ let export_dump_cmd =
     let outcome = Sc.Campaign.run world params in
     Because_collector.Mrt.write_file (out ^ ".mrt")
       outcome.Sc.Campaign.records;
-    write_windows (out ^ ".windows") outcome;
+    Because_labeling.Label.write_windows (out ^ ".windows")
+      (List.map
+         (fun prefix -> (prefix, Sc.Campaign.windows_of outcome prefix))
+         (Prefix.Set.elements outcome.Sc.Campaign.oscillating));
     Printf.printf "wrote %s.mrt (%d records) and %s.windows\n" out
       (List.length outcome.Sc.Campaign.records)
       out
@@ -736,23 +698,30 @@ let label_dump_cmd =
       & info [] ~docv:"BASE" ~doc:"Base name written by export-dump.")
   in
   let run base =
-    match Because_collector.Mrt.read_file (base ^ ".mrt") with
-    | Error e -> failwith e
-    | Ok records ->
-        let windows_of = read_windows (base ^ ".windows") in
-        let labeled =
-          Because_labeling.Label.label_all ~min_r_delta:480.0 ~records
-            ~windows_of ()
-        in
-        List.iter
-          (fun (lp : Because_labeling.Label.labeled_path) ->
-            Printf.printf "%s %s\n"
-              (if lp.Because_labeling.Label.rfd then "rfd" else "clean")
-              (String.concat " "
-                 (List.map
-                    (fun a -> string_of_int (Asn.to_int a))
-                    lp.Because_labeling.Label.path)))
-          labeled
+    let read file reader =
+      match reader file with
+      | Ok v -> v
+      | Error e ->
+          Printf.eprintf "because: %s: %s\n" file e;
+          exit 1
+    in
+    let records = read (base ^ ".mrt") Because_collector.Mrt.read_file in
+    let windows_of =
+      read (base ^ ".windows") Because_labeling.Label.read_windows
+    in
+    let labeled =
+      Because_labeling.Label.label_all ~min_r_delta:480.0 ~records
+        ~windows_of ()
+    in
+    List.iter
+      (fun (lp : Because_labeling.Label.labeled_path) ->
+        Printf.printf "%s %s\n"
+          (if lp.Because_labeling.Label.rfd then "rfd" else "clean")
+          (String.concat " "
+             (List.map
+                (fun a -> string_of_int (Asn.to_int a))
+                lp.Because_labeling.Label.path)))
+      labeled
   in
   Cmd.v
     (Cmd.info "label-dump"
@@ -790,7 +759,6 @@ let rov_cmd =
 
 module Service = Because_service.Service
 module Sspec = Because_service.Spec
-module Admission = Because_service.Admission
 
 let ingest_line svc line =
   let line = String.trim line in
@@ -804,7 +772,7 @@ let ingest_line svc line =
             Printf.printf "serve: admitted %s (seq %d)\n%!" spec.Sspec.id seq
         | Error reason ->
             Printf.eprintf "serve: reject %s: %s\n%!" spec.Sspec.id
-              (Admission.reason_to_string reason))
+              (Service.reason_to_string reason))
 
 let ingest_file svc path =
   In_channel.with_open_text path (fun ic ->

@@ -115,10 +115,6 @@ let write_file path records =
     (fun () -> output_bytes oc (encode_records records))
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let data = really_input_string ic len in
-      decode_records (Bytes.of_string data))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | data -> decode_records (Bytes.of_string data)

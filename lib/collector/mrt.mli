@@ -20,3 +20,4 @@ val write_file : string -> Dump.record list -> unit
 (** Raises [Sys_error] on I/O failure. *)
 
 val read_file : string -> (Dump.record list, string) result
+(** [Error] on a malformed dump or an unreadable file (the I/O error). *)

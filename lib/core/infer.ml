@@ -6,7 +6,6 @@ module Rng = Because_stats.Rng
 module Target = Because_mcmc.Target
 module Tel = Because_telemetry.Registry
 module Supervise = Because_recover.Supervise
-module Policy = Because_resilience.Policy
 module Chain_ckpt = Because_recover.Chain_ckpt
 module Sampler_state = Because_recover.Sampler_state
 
@@ -21,7 +20,6 @@ type config = {
   run_mh : bool;
   run_hmc : bool;
   max_restarts : int;
-  retry_backoff_s : float;
   n_chains : int;
   jobs : int;
   telemetry : Tel.t;
@@ -42,7 +40,6 @@ let default_config =
     run_mh = true;
     run_hmc = true;
     max_restarts = 2;
-    retry_backoff_s = 0.01;
     n_chains = 1;
     jobs = 1;
     telemetry = Tel.disabled;
@@ -81,11 +78,6 @@ let chain_healthy chain = Chain.for_all_values Float.is_finite chain
    fail-after-resume trajectory stays bit-for-bit identical. *)
 let run_with_restarts ~config ~rng ~name ~chain_index sample =
   let max_restarts = config.max_restarts in
-  (* Restart [k] waits [retry_backoff_s * 2^k], capped at one second. *)
-  let backoff =
-    Policy.make ~base_s:(2.0 *. config.retry_backoff_s) ~cap_s:1.0
-      ~jitter:0.0 ()
-  in
   let key = Printf.sprintf "%s.chain%d" name chain_index in
   let final_sweep = config.burn_in + (config.n_samples * config.thin) in
   let saved =
@@ -106,11 +98,9 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
     ignore (Rng.split rng)
   done;
   let rec attempt k warnings ~resume =
+    (* A restart is an in-process recomputation on a fresh split, so it
+       starts at once: waiting first would change nothing. *)
     let attempt_rng = if k = 0 then rng else Rng.split rng in
-    (* Backoff only before a genuinely fresh retry — a resumed attempt
-       already paid it in its first life.  Wall-clock only; never touches
-       any RNG stream. *)
-    if k > 0 && resume = None then Policy.wait backoff ~attempt:k;
     let token = Supervise.start ~label:key config.supervise in
     (* Every chain gets a control callback so a process-wide drain request
        (SIGTERM, service shutdown) reaches it at the next sweep boundary.
@@ -326,8 +316,6 @@ let run ~rng ?(config = default_config) data =
     invalid_arg "Infer.run: n_chains must be positive";
   if config.jobs < 1 then invalid_arg "Infer.run: jobs must be positive";
   if config.thin < 1 then invalid_arg "Infer.run: thin must be positive";
-  if config.retry_backoff_s < 0.0 then
-    invalid_arg "Infer.run: retry_backoff_s must be non-negative";
   let model =
     Model.create ~prior:config.prior ~node_priors:config.node_priors
       ~false_negative_rate:config.false_negative_rate data

@@ -24,12 +24,6 @@ type config = {
   max_restarts : int;
       (** Automatic restarts (fresh RNG split each) granted to a chain
           whose run diverges or raises on a non-finite log-density. *)
-  retry_backoff_s : float;
-      (** Base of the exponential wall-clock backoff before restart [k]
-          (delay = base·2ᵏ, capped at 1 s, no jitter — a
-          {!Because_resilience.Policy} wait).  Pure wall time — never
-          touches an RNG stream, so results stay deterministic.  0
-          disables. *)
   n_chains : int;
       (** Independent chains per enabled sampler.  1 (the default)
           reproduces the single-chain behaviour exactly; more chains feed

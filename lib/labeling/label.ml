@@ -152,3 +152,51 @@ let label_all ?min_r_delta ?margin ?match_threshold ?(gaps_of = fun _ -> [])
 
 let observations labeled =
   List.map (fun lp -> (lp.path, lp.rfd)) labeled
+
+(* The windows sidecar: one "prefix burst_start burst_end break_end" line
+   per Burst–Break window. *)
+let write_windows path windows =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun (prefix, ws) ->
+          List.iter
+            (fun (bs, be, bend) ->
+              Printf.fprintf oc "%s %f %f %f\n" (Prefix.to_string prefix) bs
+                be bend)
+            ws)
+        windows)
+
+let parse_window_line lineno line =
+  let fail fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
+  in
+  match String.split_on_char ' ' (String.trim line) with
+  | [ p; bs; be; bend ] -> (
+      match Prefix.of_string p with
+      | exception Invalid_argument _ -> fail "malformed prefix %S" p
+      | prefix -> (
+          match List.map float_of_string_opt [ bs; be; bend ] with
+          | [ Some bs; Some be; Some bend ]
+            when List.for_all Float.is_finite [ bs; be; bend ] ->
+              Ok (prefix, (bs, be, bend))
+          | _ -> fail "malformed window time in %S" line))
+  | _ -> fail "want 'prefix burst_start burst_end break_end', got %S" line
+
+let read_windows path =
+  match In_channel.with_open_text path In_channel.input_lines with
+  | exception Sys_error e -> Error e
+  | lines ->
+      let table = Hashtbl.create 8 in
+      let windows prefix =
+        Option.value (Hashtbl.find_opt table prefix) ~default:[]
+      in
+      let rec go lineno = function
+        | [] -> Ok (fun prefix -> List.rev (windows prefix))
+        | line :: rest -> (
+            match parse_window_line lineno line with
+            | Error _ as e -> e
+            | Ok (prefix, w) ->
+                Hashtbl.replace table prefix (w :: windows prefix);
+                go (lineno + 1) rest)
+      in
+      go 1 lines

@@ -60,3 +60,16 @@ val label_all :
 
 val observations : labeled_path list -> (Asn.t list * bool) list
 (** The tomography input: [(path, shows-RFD)] pairs. *)
+
+val write_windows :
+  string -> (Prefix.t * (float * float * float) list) list -> unit
+(** Write the Burst–Break windows sidecar: one
+    ["prefix burst_start burst_end break_end"] line per window. *)
+
+val read_windows :
+  string -> (Prefix.t -> (float * float * float) list, string) result
+(** Read a {!write_windows} sidecar as the [windows_of] lookup
+    {!label_all} takes (windows in file order).  [Error] names the first
+    malformed line ("line N: ...") — too few or too many fields, a bad
+    prefix, a non-numeric or non-finite time — or carries the I/O error
+    of an unreadable file. *)

@@ -3,10 +3,10 @@ module Tel = Because_telemetry.Registry
 module Manifest = Because_telemetry.Manifest
 
 let status_of_reason = function
-  | Admission.Invalid _ -> 400
-  | Admission.Duplicate _ -> 409
-  | Admission.Queue_full _ -> 429
-  | Admission.Draining -> 503
+  | Service.Invalid _ -> 400
+  | Service.Duplicate _ -> 409
+  | Service.Queue_full _ -> 429
+  | Service.Draining -> 503
 
 (* One generation-stamped document.  [cache] holds immutable (gen, value)
    pairs swapped atomically, so readers are lock-free; [rendering] makes
@@ -184,7 +184,7 @@ let router ?(registry = Tel.disabled) service =
                 H.Response.json ~status
                   (Printf.sprintf "{ \"error\": \"%s\" }\n"
                      (Manifest.json_escape
-                        (Admission.reason_to_string reason)))
+                        (Service.reason_to_string reason)))
               in
               if status = 429 || status = 503 then backpressure service resp
               else resp));

@@ -40,7 +40,7 @@
     {- [POST /submit] — a spec line; admission rejections map to typed
        status codes (see {!status_of_reason}).}} *)
 
-val status_of_reason : Admission.reason -> int
+val status_of_reason : Service.reason -> int
 (** [Invalid] 400, [Duplicate] 409, [Queue_full] 429, [Draining] 503. *)
 
 val router :

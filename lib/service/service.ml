@@ -41,6 +41,19 @@ let retry_policy cfg ~label =
 
 type verdict = Completed | Drained | Killed
 
+type reason =
+  | Queue_full of { limit : int }
+  | Duplicate of { id : string }
+  | Draining
+  | Invalid of string
+
+let reason_to_string = function
+  | Queue_full { limit } ->
+      Printf.sprintf "queue full (limit %d); resubmit later" limit
+  | Duplicate { id } -> Printf.sprintf "duplicate campaign id %S" id
+  | Draining -> "service is draining; not accepting new campaigns"
+  | Invalid msg -> "invalid spec: " ^ msg
+
 type metrics = {
   m_submitted : Tel.Counter.handle;
   m_rejected : Tel.Counter.handle;
@@ -56,12 +69,9 @@ type t = {
   cfg : config;
   mutex : Mutex.t;
   cond : Condition.t;
-  queue : Spec.t Admission.t;
   store : Store.t;
   qstore : Checkpoint.t;
-  submit_ns : (string, int64) Hashtbl.t;
   mutable workers : unit Domain.t list;
-  mutable running_n : int;
   mutable stop_idle : bool;
   mutable drain_requested : bool;
   mutable killed : bool;
@@ -228,8 +238,8 @@ let note_recovery t ~id recovery =
 
 let set_gauges t =
   if Tel.is_enabled t.cfg.telemetry then begin
-    Tel.Gauge.set t.m.m_depth (float_of_int (Admission.depth t.queue));
-    Tel.Gauge.set t.m.m_running (float_of_int t.running_n)
+    Tel.Gauge.set t.m.m_depth (float_of_int (Store.depth t.store));
+    Tel.Gauge.set t.m.m_running (float_of_int (Store.running t.store))
   end
 
 (* ------------------------------------------------------------- create *)
@@ -237,6 +247,7 @@ let set_gauges t =
 let make cfg =
   if cfg.jobs < 1 then invalid_arg "Service: jobs must be >= 1";
   if cfg.max_attempts < 1 then invalid_arg "Service: max_attempts must be >= 1";
+  if cfg.limit < 1 then invalid_arg "Service: limit must be >= 1";
   Io.mkdir_p cfg.state_dir;
   Io.mkdir_p (campaigns_dir cfg);
   Io.mkdir_p (reports_dir cfg);
@@ -256,8 +267,7 @@ let make cfg =
   in
   let t =
     { cfg; mutex = Mutex.create (); cond = Condition.create ();
-      queue = Admission.create ~limit:cfg.limit; store = Store.create ();
-      qstore; submit_ns = Hashtbl.create 16; workers = []; running_n = 0;
+      store = Store.create (); qstore; workers = [];
       stop_idle = false; drain_requested = false; killed = false;
       kill_count = Atomic.make 0; kill_tripped = Atomic.make false;
       kill_switch = Atomic.make None; notes = []; m;
@@ -308,16 +318,12 @@ let load cfg =
               | Some status ->
                   entry.Store.health <- Store.Done status;
                   entry.Store.estimates <- d.d_estimates;
-                  Admission.reserve t.queue ~id:d.d_spec.Spec.id;
                   (* Reports are pure functions of the stored result, so a
                      missing one is re-materialized rather than mourned. *)
                   if not (Sys.file_exists (report_path t ~id:d.d_spec.Spec.id))
                   then write_report t entry
-              | None ->
-                  entry.Store.health <- Store.Interrupted;
-                  Admission.readmit t.queue ~seq:d.d_seq ~id:d.d_spec.Spec.id
-                    d.d_spec)
-            (List.sort (fun a b -> Int.compare a.d_seq b.d_seq) decoded)));
+              | None -> entry.Store.health <- Store.Interrupted)
+            decoded));
   t
 
 let config t = t.cfg
@@ -327,48 +333,46 @@ let bump t = Atomic.incr t.generation
 
 (* ------------------------------------------------------------- submit *)
 
+let draining t = t.drain_requested || Supervise.draining ()
+let killed t = t.killed
+
+(* Admission is a query over the store, after [submit]'s draining and
+   validity checks: a duplicate id is rejected before a full queue, and an
+   admitted campaign gets one past the highest sequence number in the
+   store, finished campaigns included, so a warm start never reuses one. *)
+let admit t spec =
+  let id = spec.Spec.id in
+  match Store.find t.store ~id with
+  | Some entry
+    when entry.Store.spec.Spec.obs <> None
+         && Spec.equal entry.Store.spec spec
+         && (match entry.Store.health with Store.Done _ -> true | _ -> false)
+    ->
+      (* Re-submitting a completed streaming spec is not a duplicate: its
+         spool has (presumably) grown, so it re-enters the queue as the
+         next epoch at its original sequence number. *)
+      entry.Store.health <- Store.Queued;
+      entry.Store.epoch <- entry.Store.epoch + 1;
+      Ok entry
+  | Some _ -> Error (Duplicate { id })
+  | None when Store.depth t.store >= t.cfg.limit ->
+      Error (Queue_full { limit = t.cfg.limit })
+  | None -> Ok (Store.add t.store spec ~seq:(Store.next_seq t.store))
+
 let submit t spec =
   Mutex.lock t.mutex;
   let result =
-    if t.killed || Supervise.draining () then Error Admission.Draining
+    if t.killed || draining t then Error Draining
     else
       match Spec.validate spec with
-      | Error e -> Error (Admission.Invalid e)
+      | Error e -> Error (Invalid e)
       | Ok spec -> (
-          let readmission =
-            (* Re-submitting a completed streaming spec is not a duplicate:
-               its spool has (presumably) grown, so it re-enters the queue
-               as the next epoch at its original sequence number. *)
-            match Store.find t.store ~id:spec.Spec.id with
-            | Some entry
-              when entry.Store.spec.Spec.obs <> None
-                   && Spec.equal entry.Store.spec spec
-                   && (match entry.Store.health with
-                      | Store.Done _ -> true
-                      | _ -> false) ->
-                Some entry
-            | _ -> None
-          in
-          match readmission with
-          | Some entry ->
-              entry.Store.health <- Store.Queued;
-              entry.Store.epoch <- entry.Store.epoch + 1;
-              Admission.readmit t.queue ~seq:entry.Store.seq
-                ~id:spec.Spec.id spec;
-              Hashtbl.replace t.submit_ns spec.Spec.id
-                (Monotonic_clock.now ());
+          match admit t spec with
+          | Error _ as e -> e
+          | Ok entry ->
+              entry.Store.submitted_ns <- Some (Monotonic_clock.now ());
               persist_queue t;
-              Ok entry.Store.seq
-          | None -> (
-              match Admission.admit t.queue ~id:spec.Spec.id spec with
-              | Error _ as e -> e
-              | Ok seq ->
-                  let entry = Store.add t.store spec ~seq in
-                  entry.Store.health <- Store.Queued;
-                  Hashtbl.replace t.submit_ns spec.Spec.id
-                    (Monotonic_clock.now ());
-                  persist_queue t;
-                  Ok seq))
+              Ok entry.Store.seq)
   in
   (match result with
   | Ok _ ->
@@ -381,20 +385,8 @@ let submit t spec =
   Mutex.unlock t.mutex;
   result
 
-let pending t =
-  Mutex.lock t.mutex;
-  let d = Admission.depth t.queue in
-  Mutex.unlock t.mutex;
-  d
-
-let running t =
-  Mutex.lock t.mutex;
-  let r = t.running_n in
-  Mutex.unlock t.mutex;
-  r
-
-let draining t = t.drain_requested || Supervise.draining ()
-let killed t = t.killed
+let pending t = Mutex.protect t.mutex (fun () -> Store.depth t.store)
+let running t = Mutex.protect t.mutex (fun () -> Store.running t.store)
 
 (* -------------------------------------------------------- worker loop *)
 
@@ -403,15 +395,13 @@ let claim t =
   let rec go () =
     (* The global drain flag is checked too: a signal handler can only
        safely set that flag (one atomic store), not take our mutex. *)
-    if t.killed || t.drain_requested || Supervise.draining () then None
+    if t.killed || draining t then None
     else
-      match Admission.take t.queue with
-      | Some (_, id, _) ->
-          let entry = Option.get (Store.find t.store ~id) in
+      match Store.next_pending t.store with
+      | Some entry ->
           entry.Store.health <- Store.Running;
-          t.running_n <- t.running_n + 1;
           bump t;
-          (match Hashtbl.find_opt t.submit_ns id with
+          (match entry.Store.submitted_ns with
           | Some ns ->
               let wait =
                 Int64.to_float (Int64.sub (Monotonic_clock.now ()) ns) *. 1e-9
@@ -438,7 +428,6 @@ let finish t (entry : Store.entry) ~status ~estimates recovery =
   entry.Store.estimates <- estimates;
   entry.Store.health <- Store.Done status;
   Option.iter (note_recovery t ~id:entry.Store.spec.Spec.id) recovery;
-  t.running_n <- t.running_n - 1;
   write_report t entry;
   persist_queue t;
   bump t;
@@ -451,10 +440,7 @@ let interrupted t (entry : Store.entry) ~persist ~kill recovery =
   Mutex.lock t.mutex;
   if kill then t.killed <- true;
   entry.Store.health <- Store.Interrupted;
-  Admission.readmit t.queue ~seq:entry.Store.seq ~id:entry.Store.spec.Spec.id
-    entry.Store.spec;
   Option.iter (note_recovery t ~id:entry.Store.spec.Spec.id) recovery;
-  t.running_n <- t.running_n - 1;
   (* A chaos kill leaves the queue file exactly as the last completed save
      did — a real SIGKILL would not have flushed anything either. *)
   if persist then persist_queue t;
@@ -647,7 +633,6 @@ let stop_when_idle t =
 let drain t =
   Mutex.lock t.mutex;
   t.drain_requested <- true;
-  Admission.set_draining t.queue true;
   bump t;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
@@ -662,8 +647,7 @@ let rollup t =
 let write_status t =
   Mutex.lock t.mutex;
   let json =
-    Store.to_json t.store ~draining:t.drain_requested
-      ~limit:(Admission.limit t.queue) ~depth:(Admission.depth t.queue)
+    Store.to_json t.store ~draining:t.drain_requested ~limit:t.cfg.limit
   in
   let prom =
     if Tel.is_enabled t.cfg.telemetry then begin
@@ -687,8 +671,7 @@ let write_status t =
 let status_json t =
   Mutex.lock t.mutex;
   let json =
-    Store.to_json t.store ~draining:t.drain_requested
-      ~limit:(Admission.limit t.queue) ~depth:(Admission.depth t.queue)
+    Store.to_json t.store ~draining:t.drain_requested ~limit:t.cfg.limit
   in
   Mutex.unlock t.mutex;
   json
@@ -749,7 +732,7 @@ let join t =
   List.iter Domain.join workers;
   let verdict =
     if t.killed then Killed
-    else if t.drain_requested || Supervise.draining () then Drained
+    else if draining t then Drained
     else Completed
   in
   write_status t;
@@ -767,7 +750,6 @@ let reset_drain t =
     invalid_arg "Service.reset_drain: join the workers first"
   end;
   t.drain_requested <- false;
-  Admission.set_draining t.queue false;
   bump t;
   Mutex.unlock t.mutex;
   Supervise.clear_drain ()

@@ -7,7 +7,7 @@
     {- {!create} (fresh state directory) or {!load} (warm start from a
        previous generation's durable queue and per-campaign checkpoints);}
     {- {!submit} specs — admitted into the bounded queue and persisted, or
-       rejected with a typed {!Admission.reason};}
+       rejected with a typed {!reason};}
     {- {!start} spawns the worker domains; each claims the oldest queued
        campaign and runs it under {!Because_recover.Supervise} budgets with
        capped-backoff retries, isolated from its siblings: a campaign that
@@ -27,7 +27,8 @@
 
 type config = {
   state_dir : string;  (** Root of all durable state. *)
-  limit : int;         (** Admission queue bound. *)
+  limit : int;
+      (** Admission bound on pending (queued or interrupted) campaigns. *)
   jobs : int;          (** Worker domains (concurrent campaigns). *)
   campaign_jobs : int;
       (** Inference pool size inside each campaign; outcomes are
@@ -69,7 +70,9 @@ type verdict =
   | Killed     (** Chaos kill tripped: state as a crash left it. *)
 
 val create : config -> t
-(** Fresh service: wipes any previous durable state under [state_dir]. *)
+(** Fresh service: wipes any previous durable state under [state_dir].
+    Raises [Invalid_argument] unless [jobs], [max_attempts] and [limit]
+    are all [>= 1]. *)
 
 val load : config -> t
 (** Warm start: restore the durable queue — completed campaigns keep
@@ -81,12 +84,26 @@ val load : config -> t
 val config : t -> config
 val store : t -> Store.t
 
-val submit : t -> Spec.t -> (int, Admission.reason) result
+type reason =
+  | Queue_full of { limit : int }  (** Backpressure: resubmit later. *)
+  | Duplicate of { id : string }   (** Id already queued, running or done. *)
+  | Draining  (** Service is draining or stopped; no new work accepted. *)
+  | Invalid of string              (** Spec failed {!Spec.validate}. *)
+
+val reason_to_string : reason -> string
+
+val submit : t -> Spec.t -> (int, reason) result
 (** Validate, admit, record and persist one campaign submission.
-    Re-submitting a {e completed streaming} spec (same id, same line,
-    [obs] set) is not a duplicate: the entry re-enters the queue as its
-    next epoch at its original sequence number, to be warm-started from
-    the posterior seed the previous epoch saved. *)
+    [Ok seq] is the campaign's admission sequence number — its FIFO
+    position, one past the highest in the store ({!Store.next_seq}), so
+    never reused, across warm starts too.  Rejections are checked in
+    order: draining, invalid spec, duplicate id, queue full.  An id stays
+    taken after its campaign finishes, since its report and checkpoint
+    directory keep existing.  Re-submitting a {e completed streaming}
+    spec (same id, same line, [obs] set) is not a duplicate: the entry
+    re-enters the queue as its next epoch at its original sequence
+    number, to be warm-started from the posterior seed the previous
+    epoch saved. *)
 
 val generation : t -> int
 (** Monotonic store generation: bumped on every observable mutation
@@ -115,6 +132,8 @@ val estimates_snapshot : t -> (int * string) list
     admission order — the query plane's per-AS lookup table. *)
 
 val pending : t -> int
+(** Queued and interrupted campaigns ({!Store.depth}). *)
+
 val running : t -> int
 
 val draining : t -> bool

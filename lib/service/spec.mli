@@ -39,7 +39,7 @@ val default : id:string -> t
 
 val validate : t -> (t, string) result
 (** Check the id alphabet and every numeric range; [Error] carries a
-    human-readable reason (surfaced as an {!Admission} rejection). *)
+    human-readable reason (surfaced as a {!Service.reason} rejection). *)
 
 val severity : t -> Because_faults.Plan.severity option
 (** [None] for ["none"]; raises [Invalid_argument] on an unknown name

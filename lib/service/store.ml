@@ -35,6 +35,7 @@ type entry = {
   mutable warm : bool;
   mutable gate_sweeps : int option;
   mutable obs_count : int;
+  mutable submitted_ns : int64 option;
 }
 
 type t = { by_id : (string, entry) Hashtbl.t }
@@ -47,7 +48,7 @@ let add t (spec : Spec.t) ~seq =
   let entry =
     { spec; seq; health = Queued; attempts = 0; estimates = [||];
       queue_wait_s = 0.0; epoch = 1; warm = false; gate_sweeps = None;
-      obs_count = 0 }
+      obs_count = 0; submitted_ns = None }
   in
   Hashtbl.replace t.by_id spec.Spec.id entry;
   entry
@@ -57,6 +58,22 @@ let find t ~id = Hashtbl.find_opt t.by_id id
 let entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.by_id []
   |> List.sort (fun a b -> Int.compare a.seq b.seq)
+
+let next_seq t = Hashtbl.fold (fun _ e acc -> max acc (e.seq + 1)) t.by_id 0
+
+let pending e = match e.health with Queued | Interrupted -> true | _ -> false
+let is_running e = match e.health with Running -> true | _ -> false
+let count p t = Hashtbl.fold (fun _ e n -> if p e then n + 1 else n) t.by_id 0
+let depth t = count pending t
+let running t = count is_running t
+
+let next_pending t =
+  Hashtbl.fold
+    (fun _ e best ->
+      match best with
+      | Some b when b.seq < e.seq -> best
+      | _ -> if pending e then Some e else best)
+    t.by_id None
 
 let labels = [ "queued"; "running"; "interrupted"; "healthy"; "degraded";
                "insufficient" ]
@@ -164,7 +181,7 @@ let report entry =
     entry.estimates;
   Buffer.contents b
 
-let to_json t ~draining ~limit ~depth =
+let to_json t ~draining ~limit =
   let b = Buffer.create 2048 in
   let status = rollup t in
   Buffer.add_string b "{\n";
@@ -173,7 +190,7 @@ let to_json t ~draining ~limit ~depth =
     (Printf.sprintf "  \"rollup\": \"%s\",\n" (Supervise.status_label status));
   Buffer.add_string b
     (Printf.sprintf "  \"draining\": %b,\n  \"queue\": { \"depth\": %d, \"limit\": %d },\n"
-       draining depth limit);
+       draining (depth t) limit);
   Buffer.add_string b "  \"counts\": {";
   Buffer.add_string b
     (String.concat ", "

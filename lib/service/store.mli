@@ -1,6 +1,9 @@
-(** In-memory results store: the latest per-AS damping-probability
-    estimates and health state of every campaign the service has seen,
-    plus the service-level rollup — what a status endpoint would serve.
+(** In-memory results store: the one record of every campaign the service
+    has seen — its admission sequence number, queue/health state and
+    latest per-AS damping-probability estimates — plus the service-level
+    rollup, what a status endpoint would serve.  The submission queue is
+    a view of it: the pending campaigns are the [Queued] and
+    [Interrupted] entries, claimed lowest sequence first.
 
     Entries are mutated only by the service (under its mutex); readers go
     through the service's snapshot functions. *)
@@ -31,7 +34,9 @@ val health_label : health -> string
 
 type entry = {
   spec : Spec.t;
-  seq : int;  (** Admission sequence number. *)
+  seq : int;
+      (** Admission sequence number: FIFO position, never reused (see
+          {!next_seq}). *)
   mutable health : health;
   mutable attempts : int;
   mutable estimates : estimate array;
@@ -46,6 +51,10 @@ type entry = {
           R̂ convergence gate; [None] when unknown or never passed. *)
   mutable obs_count : int;
       (** Observations read from the spool file by the last epoch. *)
+  mutable submitted_ns : int64 option;
+      (** Monotonic-clock time of the last (re-)submission in this
+          process; [None] for entries restored by a warm start.  Never
+          persisted. *)
 }
 
 type t
@@ -56,6 +65,19 @@ val add : t -> Spec.t -> seq:int -> entry
 
 val find : t -> id:string -> entry option
 val entries : t -> entry list  (** Ascending admission sequence. *)
+
+val next_seq : t -> int
+(** One past the highest sequence number of any entry (0 when empty), so
+    a sequence number is never reused — finished campaigns included. *)
+
+val depth : t -> int
+(** Pending entries: [Queued] or [Interrupted]. *)
+
+val running : t -> int
+(** [Running] entries. *)
+
+val next_pending : t -> entry option
+(** The lowest-sequence pending entry — the queue's head. *)
 
 val counts : t -> (string * int) list
 (** Health-label histogram over all entries, fixed label order. *)
@@ -85,9 +107,9 @@ val report : entry -> string
     host state — so an interrupted-and-resumed service reproduces the
     uninterrupted report byte-for-byte. *)
 
-val to_json : t -> draining:bool -> limit:int -> depth:int -> string
-(** Service status document: rollup, queue stats, per-campaign health and
-    flagged ASs. *)
+val to_json : t -> draining:bool -> limit:int -> string
+(** Service status document: rollup, queue stats ({!depth} against
+    [limit]), per-campaign health and flagged ASs. *)
 
 val matrix : t -> string
 (** Compact per-campaign text table (id, health, attempts, flagged ASs) —

@@ -71,17 +71,13 @@ let parse_observations path =
           in
           go 1 [])
 
-(* Means only: the same combined chain and [Summary.mean] as
-   [Posterior.combined], without its per-node HDPI sort. *)
-let seed_of_result ~epoch ~gate_sweeps result =
-  if result.Because.Infer.runs = [] then None
+let seed_of_estimates ~epoch ~gate_sweeps estimates =
+  if Array.length estimates = 0 then None
   else
-    let data = Because.Infer.dataset result in
-    let chain = Because.Infer.combined_chain result in
     let means =
-      Array.init (Because.Tomography.n_nodes data) (fun i ->
-          ( Asn.to_int (Because.Tomography.node data i),
-            Because_stats.Summary.mean (Because_mcmc.Chain.marginal chain i) ))
+      Array.map
+        (fun (e : Store.estimate) -> (Asn.to_int e.Store.asn, e.Store.mean))
+        estimates
     in
     Array.sort (fun (a, _) (b, _) -> Int.compare a b) means;
     Some { Seed.epoch; gate_sweeps; means }
@@ -160,4 +156,4 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
               estimates;
               obs_count = List.length observations;
               gate_sweeps;
-              seed = seed_of_result ~epoch ~gate_sweeps result })
+              seed = seed_of_estimates ~epoch ~gate_sweeps estimates })

@@ -34,14 +34,15 @@ val parse_observations :
     layer validates the spec, not the file — it may legitimately appear
     later). *)
 
-val seed_of_result :
+val seed_of_estimates :
   epoch:int ->
   gate_sweeps:int option ->
-  Because.Infer.result ->
+  Store.estimate array ->
   Because_recover.Seed.t option
-(** The next epoch's seed: every node's posterior mean over the combined
-    chains, ascending ASN — the [mean] of {!Because.Posterior.combined},
-    bit for bit.  [None] when no sampler run survived. *)
+(** The next epoch's seed: every estimate's posterior mean, ascending
+    ASN.  Over {!Store.estimates_of_result} these are the [mean]s of
+    {!Because.Posterior.combined}, bit for bit.  [None] for no estimates
+    (no sampler run survived). *)
 
 val run :
   spec:Spec.t ->

@@ -43,7 +43,7 @@ let submit_ok svc spec =
   | Ok _ -> ()
   | Error r ->
       Alcotest.failf "submit %s: %s" spec.Sspec.id
-        (Because_service.Admission.reason_to_string r)
+        (Because_service.Service.reason_to_string r)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch compaction: O(1) cold load over an arbitrarily long chain      *)

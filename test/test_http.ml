@@ -15,7 +15,6 @@ module Server = Because_http.Server
 module Service = Because_service.Service
 module Query = Because_service.Query
 module Sspec = Because_service.Spec
-module Admission = Because_service.Admission
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -536,7 +535,7 @@ let test_query_cache_coherence () =
      it. *)
   (match Service.submit svc (Sspec.default ~id:"camp1") with
   | Ok _ -> ()
-  | Error r -> Alcotest.failf "submit: %s" (Admission.reason_to_string r));
+  | Error r -> Alcotest.failf "submit: %s" (Service.reason_to_string r));
   let g1 = Service.generation svc in
   Alcotest.(check bool) "mutation bumped generation" true (g1 > g0);
   let r3 = get "/status" in
@@ -576,7 +575,7 @@ let test_query_submit_contract () =
      (post "id=q3 seed=1").Resp.status);
   Because_recover.Supervise.clear_drain ();
   Alcotest.(check int) "reason map total" 400
-    (Query.status_of_reason (Admission.Invalid "r"))
+    (Query.status_of_reason (Service.Invalid "r"))
 
 let suite =
   ( "http",

@@ -197,6 +197,49 @@ let test_label_all_groups () =
   let obs = Label.observations labeled in
   Alcotest.(check int) "observations" 2 (List.length obs)
 
+(* The windows sidecar round-trips, and a truncated or garbled line, a
+   bad time or a missing file is a typed error naming the line — never an
+   exception. *)
+let test_windows_sidecar () =
+  let path = Filename.temp_file "because" ".windows" in
+  let other = Prefix.of_string "10.0.2.0/24" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Label.write_windows path
+        [ (prefix, [ (0.0, 600.0, 7800.0); (9000.0, 9600.0, 16800.0) ]);
+          (other, [ (1.5, 2.5, 3.5) ]) ];
+      (match Label.read_windows path with
+      | Ok windows_of ->
+          Alcotest.(check (list (triple (float 0.0) (float 0.0) (float 0.0))))
+            "file order" [ (0.0, 600.0, 7800.0); (9000.0, 9600.0, 16800.0) ]
+            (windows_of prefix);
+          Alcotest.(check int) "other prefix" 1 (List.length (windows_of other));
+          Alcotest.(check int) "unknown prefix" 0
+            (List.length (windows_of (Prefix.of_string "10.9.9.0/24")))
+      | Error e -> Alcotest.fail e);
+      let rejects name body ~line =
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc body);
+        match Label.read_windows path with
+        | Ok _ -> Alcotest.failf "%s accepted" name
+        | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names line %d: %s" name line e) true
+              (String.starts_with ~prefix:(Printf.sprintf "line %d: " line) e)
+      in
+      let good = "10.0.1.0/24 0.000000 600.000000 7800.000000\n" in
+      rejects "truncated line" (good ^ "10.0.1.0/24 9000.000000 96") ~line:2;
+      rejects "truncated prefix" "10.0.1\n" ~line:1;
+      rejects "garbled prefix" (good ^ good ^ "10.0.300.0/24 1 2 3\n") ~line:3;
+      rejects "garbled time" (good ^ "10.0.1.0/24 0.0 x6 7800.0\n") ~line:2;
+      rejects "non-finite time" "10.0.1.0/24 nan 1.0 2.0\n" ~line:1;
+      rejects "extra field" "10.0.1.0/24 1 2 3 4\n" ~line:1;
+      rejects "blank line" (good ^ "\n" ^ good) ~line:2);
+  match Label.read_windows (Filename.concat path "missing") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing sidecar accepted"
+
 let suite =
   ( "labeling",
     [
@@ -215,4 +258,6 @@ let suite =
       Alcotest.test_case "90% threshold" `Quick test_label_threshold;
       Alcotest.test_case "path evidence split" `Quick test_label_path_split;
       Alcotest.test_case "label_all grouping" `Quick test_label_all_groups;
+      Alcotest.test_case "windows sidecar errors are typed" `Quick
+        test_windows_sidecar;
     ] )

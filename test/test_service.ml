@@ -9,7 +9,6 @@
 
 module Service = Because_service.Service
 module Sspec = Because_service.Spec
-module Admission = Because_service.Admission
 module Store = Because_service.Store
 module Supervise = Because_recover.Supervise
 
@@ -62,7 +61,7 @@ let submit_ok svc spec =
   match Service.submit svc spec with
   | Ok _ -> ()
   | Error r -> Alcotest.failf "submit %s: %s" spec.Sspec.id
-                 (Admission.reason_to_string r)
+                 (Service.reason_to_string r)
 
 let reports svc specs =
   List.map
@@ -111,38 +110,112 @@ let test_spec_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                            *)
 
+let submit_seq svc spec =
+  match Service.submit svc spec with
+  | Ok seq -> seq
+  | Error r ->
+      Alcotest.failf "submit %s: %s" spec.Sspec.id (Service.reason_to_string r)
+
+let ids svc =
+  List.map
+    (fun (e : Store.entry) -> (e.Store.spec.Sspec.id, e.Store.seq))
+    (Store.entries (Service.store svc))
+
+let run_completed svc =
+  match Service.run_until_idle svc with
+  | Service.Completed -> ()
+  | _ -> Alcotest.fail "service did not complete"
+
+(* Admission is a query over the store: typed reasons in order (draining,
+   duplicate, queue full), monotonic sequence numbers, ids that stay taken
+   after their campaign finishes, and readmitted entries that keep their
+   original sequence number and FIFO place. *)
 let test_admission_rejections () =
-  (match Admission.create ~limit:0 with
+  with_drain_reset @@ fun () ->
+  (match Service.create (cfg ~limit:0 ~dir:(fresh_dir ()) ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "limit 0 accepted");
-  let q = Admission.create ~limit:2 in
-  Alcotest.(check int) "seq 0" 0 (Result.get_ok (Admission.admit q ~id:"a" 'a'));
-  Alcotest.(check int) "seq 1" 1 (Result.get_ok (Admission.admit q ~id:"b" 'b'));
-  (match Admission.admit q ~id:"a" 'x' with
-  | Error (Admission.Duplicate { id }) ->
-      Alcotest.(check string) "dup id" "a" id
+  let dir = fresh_dir () in
+  let svc = Service.create (cfg ~limit:2 ~dir ()) in
+  Alcotest.(check int) "seq 0" 0 (submit_seq svc (tiny_spec "a"));
+  Alcotest.(check int) "seq 1" 1 (submit_seq svc (tiny_spec "b"));
+  (* Duplicate is checked before the (now full) queue. *)
+  (match Service.submit svc (tiny_spec ~seed:9 "a") with
+  | Error (Service.Duplicate { id }) -> Alcotest.(check string) "dup id" "a" id
   | _ -> Alcotest.fail "duplicate admitted");
-  (match Admission.admit q ~id:"c" 'c' with
-  | Error (Admission.Queue_full { limit }) ->
+  (match Service.submit svc (tiny_spec "c") with
+  | Error (Service.Queue_full { limit }) ->
       Alcotest.(check int) "limit reported" 2 limit
   | _ -> Alcotest.fail "over-limit admitted");
-  (* FIFO order, and taking frees capacity but never the id. *)
-  (match Admission.take q with
-  | Some (0, "a", 'a') -> ()
-  | _ -> Alcotest.fail "take order");
-  (match Admission.admit q ~id:"a" 'x' with
-  | Error (Admission.Duplicate _) -> ()
-  | _ -> Alcotest.fail "taken id reusable");
-  Alcotest.(check int) "seq 2" 2 (Result.get_ok (Admission.admit q ~id:"c" 'c'));
-  (* Requeued entries come back first. *)
-  Admission.readmit q ~seq:0 ~id:"a" 'a';
-  (match Admission.take q with
-  | Some (0, "a", _) -> ()
-  | _ -> Alcotest.fail "readmitted order");
-  Admission.set_draining q true;
-  match Admission.admit q ~id:"z" 'z' with
-  | Error Admission.Draining -> ()
-  | _ -> Alcotest.fail "draining admitted"
+  (* Running frees capacity but never the id. *)
+  run_completed svc;
+  (match Service.submit svc (tiny_spec "a") with
+  | Error (Service.Duplicate _) -> ()
+  | _ -> Alcotest.fail "finished id reusable");
+  Alcotest.(check int) "seq 2" 2 (submit_seq svc (tiny_spec "c"));
+  (* Draining is checked before everything else, duplicates included. *)
+  Service.drain svc;
+  (match Service.submit svc (tiny_spec "a") with
+  | Error Service.Draining -> ()
+  | _ -> Alcotest.fail "draining service accepted a duplicate");
+  (match Service.join svc with
+  | Service.Drained -> ()
+  | _ -> Alcotest.fail "drained service did not report Drained");
+  Service.reset_drain svc;
+  (* Completed ids stay taken across a warm start, and the pending "c"
+     keeps its sequence number. *)
+  let reloaded = Service.load (cfg ~limit:2 ~dir ()) in
+  (match Service.submit reloaded (tiny_spec "b") with
+  | Error (Service.Duplicate _) -> ()
+  | _ -> Alcotest.fail "completed id free after load");
+  Alcotest.(check (list (pair string int))) "seqs survive load"
+    [ ("a", 0); ("b", 1); ("c", 2) ] (ids reloaded);
+  Alcotest.(check int) "seq 3" 3 (submit_seq reloaded (tiny_spec "d"))
+
+(* A campaign interrupted mid-run is readmitted at its original sequence
+   number and is claimed ahead of everything submitted after it. *)
+let test_readmit_keeps_fifo_place () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let killed = Service.create (cfg ~kill:1 ~dir ()) in
+  submit_ok killed (tiny_spec "a");
+  submit_ok killed (tiny_spec ~seed:7 "b");
+  (match Service.run_until_idle killed with
+  | Service.Killed -> ()
+  | _ -> Alcotest.fail "chaos kill did not trip");
+  let order = ref [] in
+  let mu = Mutex.create () in
+  let chaos ~id ~attempt:_ =
+    Mutex.protect mu (fun () -> order := id :: !order);
+    None
+  in
+  let resumed = Service.load (cfg ~chaos ~dir ()) in
+  Alcotest.(check int) "both pending" 2 (Service.pending resumed);
+  Alcotest.(check int) "seq 2" 2 (submit_seq resumed (tiny_spec ~seed:8 "c"));
+  run_completed resumed;
+  Alcotest.(check (list string)) "claimed in seq order" [ "a"; "b"; "c" ]
+    (List.rev !order);
+  Alcotest.(check (list (pair string int))) "seqs kept"
+    [ ("a", 0); ("b", 1); ("c", 2) ] (ids resumed)
+
+(* After a warm start where every earlier campaign finished, the next
+   submission continues the sequence instead of restarting it at 0 (which
+   would list it before the campaigns submitted earlier). *)
+let test_warm_restart_continues_seq () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let svc = Service.create (cfg ~dir ()) in
+  List.iter (submit_ok svc)
+    [ tiny_spec "a"; tiny_spec ~seed:5 "b"; tiny_spec ~seed:6 "c" ];
+  run_completed svc;
+  let warm = Service.load (cfg ~dir ()) in
+  Alcotest.(check int) "d gets seq 3" 3 (submit_seq warm (tiny_spec ~seed:8 "d"));
+  let expected = [ ("a", 0); ("b", 1); ("c", 2); ("d", 3) ] in
+  Alcotest.(check (list (pair string int))) "entries in submission order"
+    expected (ids warm);
+  run_completed warm;
+  Alcotest.(check (list (pair string int))) "order survives a second load"
+    expected (ids (Service.load (cfg ~dir ())))
 
 let test_service_admission () =
   with_drain_reset @@ fun () ->
@@ -151,18 +224,18 @@ let test_service_admission () =
   submit_ok svc (tiny_spec "a");
   submit_ok svc (tiny_spec "b");
   (match Service.submit svc (tiny_spec "c") with
-  | Error (Admission.Queue_full { limit = 2 }) -> ()
+  | Error (Service.Queue_full { limit = 2 }) -> ()
   | _ -> Alcotest.fail "no backpressure past the limit");
   (match Service.submit svc (tiny_spec "a") with
-  | Error (Admission.Duplicate _) -> ()
+  | Error (Service.Duplicate _) -> ()
   | _ -> Alcotest.fail "duplicate id admitted");
   (match Service.submit svc { (tiny_spec "ok") with Sspec.cycles = 0 } with
-  | Error (Admission.Invalid _) -> ()
+  | Error (Service.Invalid _) -> ()
   | _ -> Alcotest.fail "invalid spec admitted");
   Alcotest.(check int) "both queued" 2 (Service.pending svc);
   Service.drain svc;
   (match Service.submit svc (tiny_spec "d") with
-  | Error Admission.Draining -> ()
+  | Error Service.Draining -> ()
   | _ -> Alcotest.fail "draining service admitted");
   (match Service.run_until_idle svc with
   | Service.Drained -> ()
@@ -361,6 +434,10 @@ let suite =
         test_admission_rejections;
       Alcotest.test_case "service admission + backpressure" `Quick
         test_service_admission;
+      Alcotest.test_case "readmitted campaign keeps its FIFO place" `Quick
+        test_readmit_keeps_fifo_place;
+      Alcotest.test_case "warm restart continues the seq" `Quick
+        test_warm_restart_continues_seq;
       Alcotest.test_case "campaigns complete, store serves results" `Quick
         test_service_completes;
       QCheck_alcotest.to_alcotest qcheck_service_kill_restart;

@@ -13,7 +13,6 @@ module Sspec = Because_service.Spec
 module Store = Because_service.Store
 module Stream = Because_service.Stream
 module Spool = Because_service.Spool
-module Admission = Because_service.Admission
 module Seed = Because_recover.Seed
 module Supervise = Because_recover.Supervise
 module Rng = Because_stats.Rng
@@ -42,7 +41,7 @@ let submit_ok svc spec =
   | Ok seq -> seq
   | Error r ->
       Alcotest.failf "submit %s: %s" spec.Sspec.id
-        (Admission.reason_to_string r)
+        (Service.reason_to_string r)
 
 (* ------------------------------------------------------------------ *)
 (* Observation-spool parsing                                            *)
@@ -239,7 +238,8 @@ let test_seed_means_match_posterior () =
            (Asn.to_int m.Because.Posterior.asn, m.Because.Posterior.mean))
   in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) expected;
-  match Stream.seed_of_result ~epoch:2 ~gate_sweeps:(Some 9) result with
+  let estimates = Store.estimates_of_result result ~categories:[] in
+  match Stream.seed_of_estimates ~epoch:2 ~gate_sweeps:(Some 9) estimates with
   | None -> Alcotest.fail "no seed"
   | Some seed ->
       Alcotest.(check int) "epoch" 2 seed.Seed.epoch;
@@ -451,7 +451,7 @@ let test_classic_output_unchanged () =
     (contains ~sub:"epoch:" report);
   Alcotest.(check bool) "report has no observations line" false
     (contains ~sub:"observations:" report);
-  let json = Store.to_json store ~draining:false ~limit:16 ~depth:0 in
+  let json = Store.to_json store ~draining:false ~limit:16 in
   Alcotest.(check bool) "status json has no epoch key" false
     (contains ~sub:"\"epoch\"" json);
   Alcotest.(check bool) "status json has no warm key" false
@@ -594,7 +594,7 @@ let qcheck_to_json_valid =
       e.Store.health <- Store.Done (Supervise.Insufficient reasons);
       let ok = Store.add store (Sspec.default ~id:(id ^ "~2")) ~seq:1 in
       ok.Store.health <- Store.Done (Supervise.Degraded reasons);
-      json_valid (Store.to_json store ~draining:true ~limit:4 ~depth:2))
+      json_valid (Store.to_json store ~draining:true ~limit:4))
 
 let qcheck_json_escape_roundtrip =
   QCheck.Test.make ~name:"json_escape output is always a JSON string body"

@@ -182,9 +182,13 @@ let test_mrt_file_io () =
       | Error e -> Alcotest.fail e)
 
 let test_mrt_garbage_rejected () =
-  match Mrt.decode_records (Bytes.of_string "not an MRT file") with
+  (match Mrt.decode_records (Bytes.of_string "not an MRT file") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted garbage"
+  | Ok _ -> Alcotest.fail "accepted garbage");
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "no/such.mrt" in
+  match Mrt.read_file missing with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing file accepted"
 
 let suite =
   ( "wire",
