@@ -159,16 +159,18 @@ let stream_gate_rows () =
       let supervise =
         { Because_recover.Supervise.deadline_s = None; max_sweeps = None }
       in
-      let run ~seed =
-        match Stream.run ~spec ~seed ~telemetry ~supervise ~jobs:1 () with
+      let run ~epoch ~prior =
+        match
+          Stream.run ~spec ~epoch ~prior ~telemetry ~supervise ~jobs:1 ()
+        with
         | Ok o -> o
         | Error e -> failwith ("bench stream: " ^ e)
       in
       let obs1 = reps 8 base_obs in
       write obs1;
-      let epoch1 = run ~seed:None in
+      let epoch1 = run ~epoch:1 ~prior:[||] in
       write (obs1 @ reps 5 growth_obs);
-      let warm = run ~seed:epoch1.Stream.seed in
+      let warm = run ~epoch:2 ~prior:epoch1.Stream.estimates in
       (* A cold epoch 2: same observations and epoch-derived RNG, full
          burn-in, default chain initialisation. *)
       let cold_gate =

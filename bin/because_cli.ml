@@ -933,20 +933,10 @@ let serve_cmd =
             "Connection-queue depth at which new clients are shed with \
              503 + Retry-After instead of queueing (default 2*threads+8).")
   in
-  let compact_every_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "compact-every" ] ~docv:"N"
-          ~doc:
-            "Streaming epoch-chain compaction cadence: prune the \
-             per-campaign epoch chain down to its newest N entries every \
-             N epochs (the CRC-sealed compacted seed keeps cold resume \
-             O(1) regardless).  0 disables pruning.")
-  in
   let run state_dir spool spec_files max_queue jobs campaign_jobs
       max_attempts resume oneshot poll_s checkpoint_every chain_deadline
       sweep_budget telemetry metrics_out trace_out kill_after http_port
-      http_threads http_deadline http_shed compact_every =
+      http_threads http_deadline http_shed =
     (* The query plane serves /metrics, so an HTTP port implies a live
        registry (campaign results are bit-for-bit identical either way). *)
     let reg =
@@ -965,8 +955,7 @@ let serve_cmd =
         chain_deadline_s = chain_deadline;
         sweep_budget;
         telemetry = reg;
-        kill_after_saves = kill_after;
-        compact_every }
+        kill_after_saves = kill_after }
     in
     let svc = if resume then Service.load cfg else Service.create cfg in
     List.iter (Printf.eprintf "serve: recovery: %s\n%!") (Service.warnings svc);
@@ -1044,8 +1033,7 @@ let serve_cmd =
       $ serve_resume_arg $ oneshot_arg $ poll_arg $ checkpoint_every_arg
       $ chain_deadline_arg $ sweep_budget_arg $ telemetry_arg
       $ metrics_out_arg $ trace_out_arg $ kill_after_arg $ http_port_arg
-      $ http_threads_arg $ http_deadline_arg $ http_shed_arg
-      $ compact_every_arg)
+      $ http_threads_arg $ http_deadline_arg $ http_shed_arg)
 
 (* ------------------------------------------------------------------ *)
 

@@ -114,7 +114,13 @@ let write_file path records =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_bytes oc (encode_records records))
 
+let io_error path e =
+  let prefix = path ^ ": " in
+  let n = String.length prefix in
+  if String.starts_with ~prefix e then String.sub e n (String.length e - n)
+  else e
+
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (io_error path e)
   | data -> decode_records (Bytes.of_string data)

@@ -20,4 +20,11 @@ val write_file : string -> Dump.record list -> unit
 (** Raises [Sys_error] on I/O failure. *)
 
 val read_file : string -> (Dump.record list, string) result
-(** [Error] on a malformed dump or an unreadable file (the I/O error). *)
+(** [Error] on a malformed dump or an unreadable file (the I/O error,
+    see {!io_error}). *)
+
+val io_error : string -> string -> string
+(** [io_error path msg] is the message of a [Sys_error] raised on
+    [path] without its leading ["path: "], so a caller that names the
+    file itself names it once.  Every file reader that returns the I/O
+    error as [Error] goes through it. *)

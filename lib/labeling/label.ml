@@ -184,7 +184,7 @@ let parse_window_line lineno line =
 
 let read_windows path =
   match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (Because_collector.Mrt.io_error path e)
   | lines ->
       let table = Hashtbl.create 8 in
       let windows prefix =

@@ -72,4 +72,4 @@ val read_windows :
     {!label_all} takes (windows in file order).  [Error] names the first
     malformed line ("line N: ...") — too few or too many fields, a bad
     prefix, a non-numeric or non-finite time — or carries the I/O error
-    of an unreadable file. *)
+    of an unreadable file ({!Because_collector.Mrt.io_error}). *)

@@ -47,9 +47,8 @@ val save : t -> key:string -> string -> unit
     writes go through {!Io} and the store's retry policy. *)
 
 val remove : t -> key:string -> unit
-(** Delete the snapshot (and its fallback) for [key], if any.  Used by
-    epoch compaction to prune folded chain entries.  Quarantined
-    [*.corrupt-N] files are never touched. *)
+(** Delete the snapshot (and its fallback) for [key], if any.
+    Quarantined [*.corrupt-N] files are never touched. *)
 
 val keys : t -> string list
 (** Keys with a current snapshot file on disk, sorted.  Fallback-only

@@ -16,7 +16,6 @@ type config = {
   campaign_jobs : int;
   max_attempts : int;
   retry_backoff_s : float;
-  compact_every : int;
   every_sweeps : int option;
   chain_deadline_s : float option;
   sweep_budget : int option;
@@ -27,14 +26,14 @@ type config = {
 
 let default_config ~state_dir =
   { state_dir; limit = 16; jobs = 1; campaign_jobs = 1; max_attempts = 3;
-    retry_backoff_s = 0.01; compact_every = 8; every_sweeps = Some 25;
+    retry_backoff_s = 0.01; every_sweeps = Some 25;
     chain_deadline_s = None; sweep_budget = None; telemetry = Tel.disabled;
     kill_after_saves = None; chaos = None }
 
-(* One policy value drives every retry loop in the service — campaign
-   supervision below, checkpoint writes inside the stores, report/status
-   writes in [atomic_write].  The jitter seed is derived per label so
-   concurrent campaigns don't retry in lockstep, deterministically. *)
+(* The campaign attempt policy ([run_attempts]); durable writes retry
+   under their own policies ([write_retry] below, the checkpoint stores'
+   default).  The jitter seed is derived per label so concurrent campaigns
+   don't retry in lockstep, deterministically. *)
 let retry_policy cfg ~label =
   Policy.make ~base_s:cfg.retry_backoff_s ~cap_s:1.0
     ~max_attempts:cfg.max_attempts ~jitter:0.25 ~seed:(Hashtbl.hash label) ()
@@ -116,19 +115,12 @@ let atomic_write path content =
 let queue_fingerprint = "because-service-queue/1"
 let queue_key = "queue"
 
-(* Version 1 is the PR-6 layout; version 2 appends the streaming fields
-   (epoch, warm, gate, observation count) per entry.  A queue with no
-   streaming entries still writes version 1, byte-for-byte the historical
-   snapshot, so mixed-version service generations interoperate. *)
+(* Version 2 appends the streaming fields (epoch, warm, gate, observation
+   count) to each entry.  Version 1 snapshots, without them, still decode
+   (as epoch 1, cold, no observations) so older state directories load. *)
 let encode_queue t =
-  let entries = Store.entries t.store in
-  let has_stream =
-    List.exists (fun (e : Store.entry) -> e.Store.spec.Spec.obs <> None)
-      entries
-  in
-  let version = if has_stream then 2 else 1 in
   let w = Codec.writer () in
-  Codec.int w version;
+  Codec.int w 2;
   Codec.list w
     (fun w (e : Store.entry) ->
       Codec.string w (Spec.to_line e.Store.spec);
@@ -151,13 +143,11 @@ let encode_queue t =
           Codec.int w est.Store.category;
           Codec.bool w est.Store.damping)
         (Array.to_list e.Store.estimates);
-      if version >= 2 then begin
-        Codec.int w e.Store.epoch;
-        Codec.bool w e.Store.warm;
-        Codec.option w Codec.int e.Store.gate_sweeps;
-        Codec.int w e.Store.obs_count
-      end)
-    entries;
+      Codec.int w e.Store.epoch;
+      Codec.bool w e.Store.warm;
+      Codec.option w Codec.int e.Store.gate_sweeps;
+      Codec.int w e.Store.obs_count)
+    (Store.entries t.store);
   Codec.contents w
 
 type decoded = {
@@ -299,8 +289,10 @@ let create cfg =
 
 let load cfg =
   let t = make cfg in
+  let payload = Checkpoint.load t.qstore ~key:queue_key in
+  (* After the load: its quarantines and fallbacks are warnings too. *)
   List.iter (fun w -> note t ("queue: " ^ w)) (Checkpoint.warnings t.qstore);
-  (match Checkpoint.load t.qstore ~key:queue_key with
+  (match payload with
   | None -> ()
   | Some payload -> (
       match decode_queue payload with
@@ -314,10 +306,12 @@ let load cfg =
               entry.Store.warm <- d.d_warm;
               entry.Store.gate_sweeps <- d.d_gate_sweeps;
               entry.Store.obs_count <- d.d_obs_count;
+              (* A requeued streaming epoch warm-starts from these: they
+                 are still the previous epoch's. *)
+              entry.Store.estimates <- d.d_estimates;
               match d.d_done with
               | Some status ->
                   entry.Store.health <- Store.Done status;
-                  entry.Store.estimates <- d.d_estimates;
                   (* Reports are pure functions of the stored result, so a
                      missing one is re-materialized rather than mourned. *)
                   if not (Sys.file_exists (report_path t ~id:d.d_spec.Spec.id))
@@ -450,21 +444,6 @@ let interrupted t (entry : Store.entry) ~persist ~kill recovery =
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
-(* --------------------------------------------------- streaming epochs *)
-
-(* Posterior seeds live in the per-campaign epoch store ([epochs.d]) with
-   a fingerprint stable across epochs: the per-epoch chain stores are
-   fingerprint-pinned to one epoch's exact inputs and would quarantine
-   anything older.  Every completed epoch is appended to the chain and
-   folded into the compacted snapshot, so a cold start warm-starts in
-   O(1) no matter how many epochs the spool accumulated; every
-   [compact_every] epochs the chain itself is pruned. *)
-let epoch_store t ~id =
-  Io.mkdir_p (campaign_dir t.cfg ~id);
-  Epochs.open_
-    ~dir:(Filename.concat (campaign_dir t.cfg ~id) "epochs.d")
-    ~id
-
 (* The supervised attempt loop shared by both entry kinds.  [body t entry n]
    runs attempt [n] and either settles the entry itself ([Ok ()]) or
    reports a failed attempt as [Error (e, recovery)]: the failure is noted
@@ -508,35 +487,26 @@ let run_attempts t (entry : Store.entry) body =
   attempt 1
 
 let stream_attempt t (entry : Store.entry) _n =
-  let id = entry.Store.spec.Spec.id in
   let budget =
     { Supervise.deadline_s = t.cfg.chain_deadline_s;
       max_sweeps = t.cfg.sweep_budget }
   in
-  Mutex.lock t.mutex;
-  let epoch = entry.Store.epoch in
-  Mutex.unlock t.mutex;
-  let store = epoch_store t ~id in
-  let seed =
-    (* Epoch 1 is always cold, even when a stale epoch directory survived
-       a state wipe. *)
-    if epoch <= 1 then None else Epochs.load store
+  (* Until [finish] replaces them, the entry's estimates are the previous
+     epoch's: the one durable record of the posterior this epoch
+     warm-starts from.  Epoch 1 is always cold. *)
+  let epoch, prior =
+    Mutex.protect t.mutex (fun () ->
+        ( entry.Store.epoch,
+          if entry.Store.epoch > 1 then entry.Store.estimates else [||] ))
   in
   match
-    Stream.run ~spec:entry.Store.spec ~seed ~telemetry:t.cfg.telemetry
-      ~supervise:budget ~jobs:t.cfg.campaign_jobs ()
+    Stream.run ~spec:entry.Store.spec ~epoch ~prior
+      ~telemetry:t.cfg.telemetry ~supervise:budget ~jobs:t.cfg.campaign_jobs
+      ()
   with
   | Ok outcome ->
-      Option.iter
-        (fun s ->
-          Epochs.append store s;
-          if
-            t.cfg.compact_every > 0
-            && s.Because_recover.Seed.epoch mod t.cfg.compact_every = 0
-          then Epochs.compact store ~keep:t.cfg.compact_every)
-        outcome.Stream.seed;
       Mutex.lock t.mutex;
-      entry.Store.warm <- seed <> None;
+      entry.Store.warm <- Array.length prior > 0;
       entry.Store.gate_sweeps <- outcome.Stream.gate_sweeps;
       entry.Store.obs_count <- outcome.Stream.obs_count;
       Mutex.unlock t.mutex;

@@ -36,14 +36,10 @@ type config = {
           default when [jobs > 1]. *)
   max_attempts : int;  (** Runs per campaign before giving up. *)
   retry_backoff_s : float;
-      (** Base of the unified {!Because_resilience.Policy} backoff
-          (capped exponential, deterministic seeded jitter) used by
-          campaign supervision and durable writes alike. *)
-  compact_every : int;
-      (** Epoch-chain compaction cadence for streaming campaigns: every
-          this many epochs the chain is pruned to its newest
-          [compact_every] entries (the compacted seed itself is folded
-          on every epoch).  [0] disables pruning.  Default 8. *)
+      (** Base of the {!Because_resilience.Policy} backoff (capped
+          exponential, deterministic seeded jitter) between a campaign's
+          attempts.  Durable writes — checkpoints, reports, status files —
+          retry under their own fixed policies. *)
   every_sweeps : int option;  (** Chain checkpoint cadence. *)
   chain_deadline_s : float option;  (** Per-chain wall-clock budget. *)
   sweep_budget : int option;        (** Per-chain sweep budget. *)
@@ -77,7 +73,9 @@ val create : config -> t
 val load : config -> t
 (** Warm start: restore the durable queue — completed campaigns keep
     their results (reports re-materialized if missing), pending and
-    interrupted ones are requeued for (resumed) execution.  A corrupt or
+    interrupted ones are requeued for (resumed) execution; a requeued
+    streaming epoch keeps the previous epoch's estimates to warm-start
+    from.  A corrupt or
     mismatched snapshot is quarantined by the checkpoint layer and the
     service starts cold rather than crashing; see {!warnings}. *)
 
@@ -102,8 +100,8 @@ val submit : t -> Spec.t -> (int, reason) result
     directory keep existing.  Re-submitting a {e completed streaming}
     spec (same id, same line, [obs] set) is not a duplicate: the entry
     re-enters the queue as its next epoch at its original sequence
-    number, to be warm-started from the posterior seed the previous
-    epoch saved. *)
+    number, to be warm-started from the previous epoch's estimates, which
+    the entry keeps until the new epoch finishes. *)
 
 val generation : t -> int
 (** Monotonic store generation: bumped on every observable mutation

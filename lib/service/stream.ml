@@ -1,6 +1,5 @@
 open Because_bgp
 module Supervise = Because_recover.Supervise
-module Seed = Because_recover.Seed
 module Rng = Because_stats.Rng
 module Tel = Because_telemetry.Registry
 
@@ -9,7 +8,6 @@ type outcome = {
   estimates : Store.estimate array;
   obs_count : int;
   gate_sweeps : int option;
-  seed : Seed.t option;
 }
 
 (* One spool line: [rfd|clean ASN ...]; blank lines and [#] comments
@@ -54,7 +52,7 @@ let parse_line lineno line =
 
 let parse_observations path =
   match open_in_bin path with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e -> Error (Because_collector.Mrt.io_error path e)
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
@@ -62,7 +60,8 @@ let parse_observations path =
           let rec go lineno acc =
             match input_line ic with
             | exception End_of_file -> Ok (List.rev acc)
-            | exception Sys_error e -> Error e
+            | exception Sys_error e ->
+                Error (Because_collector.Mrt.io_error path e)
             | line -> (
                 match parse_line lineno line with
                 | Ok None -> go (lineno + 1) acc
@@ -71,18 +70,21 @@ let parse_observations path =
           in
           go 1 [])
 
-let seed_of_estimates ~epoch ~gate_sweeps estimates =
-  if Array.length estimates = 0 then None
-  else
-    let means =
-      Array.map
-        (fun (e : Store.estimate) -> (Asn.to_int e.Store.asn, e.Store.mean))
-        estimates
-    in
-    Array.sort (fun (a, _) (b, _) -> Int.compare a b) means;
-    Some { Seed.epoch; gate_sweeps; means }
+let warm_init prior nodes =
+  let clamp m = Float.max 1e-4 (Float.min (1.0 -. 1e-4) m) in
+  let means = Hashtbl.create (Array.length prior) in
+  Array.iter
+    (fun (e : Store.estimate) ->
+      Hashtbl.replace means (Asn.to_int e.Store.asn) e.Store.mean)
+    prior;
+  Array.map
+    (fun asn ->
+      match Hashtbl.find_opt means (Asn.to_int asn) with
+      | Some m -> clamp m
+      | None -> 0.5)
+    nodes
 
-let run ~spec ~seed ~telemetry ~supervise ~jobs () =
+let run ~spec ~epoch ~prior ~telemetry ~supervise ~jobs () =
   match spec.Spec.obs with
   | None -> Error "Stream.run: spec has no obs path"
   | Some path -> (
@@ -93,16 +95,10 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
             { status =
                 Supervise.Insufficient
                   [ Printf.sprintf "observation spool %s is empty" path ];
-              estimates = [||]; obs_count = 0; gate_sweeps = None;
-              seed = None }
+              estimates = [||]; obs_count = 0; gate_sweeps = None }
       | Ok observations ->
           let data = Because.Tomography.of_observations observations in
-          let epoch =
-            match seed with
-            | Some s -> s.Seed.epoch + 1
-            | None -> 1
-          in
-          let warm = seed <> None in
+          let warm = Array.length prior > 0 in
           (* A warm epoch starts where the last posterior ended, so most of
              the burn-in budget is adaptation it no longer needs. *)
           let burn_in =
@@ -110,18 +106,9 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
             else spec.Spec.burn_in
           in
           let init =
-            Option.map
-              (fun s ->
-                let clamp m =
-                  Float.max 1e-4 (Float.min (1.0 -. 1e-4) m)
-                in
-                Array.map
-                  (fun asn ->
-                    match Seed.lookup s (Asn.to_int asn) with
-                    | Some m -> clamp m
-                    | None -> 0.5)
-                  (Because.Tomography.nodes data))
-              seed
+            if warm then
+              Some (warm_init prior (Because.Tomography.nodes data))
+            else None
           in
           let config =
             { Because.Infer.default_config with
@@ -155,5 +142,4 @@ let run ~spec ~seed ~telemetry ~supervise ~jobs () =
             { status = Because.Infer.status result;
               estimates;
               obs_count = List.length observations;
-              gate_sweeps;
-              seed = seed_of_estimates ~epoch ~gate_sweeps estimates })
+              gate_sweeps })

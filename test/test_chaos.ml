@@ -1,7 +1,6 @@
-(* Chaos harness: epoch-chain compaction under corruption, and the
-   whole-service soak — campaigns completing under injected disk faults
-   while HTTP clients hammer the query plane through a socket-level
-   fault proxy.
+(* Chaos harness: the whole-service soak — campaigns completing under
+   injected disk faults while HTTP clients hammer the query plane through
+   a socket-level fault proxy.
 
    The soak's contract is threefold: the final store state (reports and
    suspect matrix) is bit-for-bit identical to a fault-free run's; no
@@ -12,8 +11,6 @@ module Service = Because_service.Service
 module Sspec = Because_service.Spec
 module Store = Because_service.Store
 module Query = Because_service.Query
-module Epochs = Because_service.Epochs
-module Seed = Because_recover.Seed
 module Io = Because_recover.Io
 module Supervise = Because_recover.Supervise
 module Server = Because_http.Server
@@ -44,147 +41,6 @@ let submit_ok svc spec =
   | Error r ->
       Alcotest.failf "submit %s: %s" spec.Sspec.id
         (Because_service.Service.reason_to_string r)
-
-(* ------------------------------------------------------------------ *)
-(* Epoch compaction: O(1) cold load over an arbitrarily long chain      *)
-
-let mk_seed epoch =
-  { Seed.epoch;
-    gate_sweeps = (if epoch mod 2 = 0 then Some (100 + epoch) else None);
-    means =
-      [| (901, 0.875 +. (0.0001 *. float_of_int epoch)); (64512, 0.125) |] }
-
-let seeds_equal (a : Seed.t) (b : Seed.t) =
-  a.Seed.epoch = b.Seed.epoch
-  && a.Seed.gate_sweeps = b.Seed.gate_sweeps
-  && a.Seed.means = b.Seed.means
-
-let test_epochs_compacted_cold_load () =
-  let dir = fresh_dir () in
-  let st = Epochs.open_ ~dir ~id:"long" in
-  for e = 1 to 22 do
-    Epochs.append st (mk_seed e)
-  done;
-  Alcotest.(check (list int)) "chain holds every epoch"
-    (List.init 22 (fun i -> i + 1))
-    (Epochs.chain st);
-  (* Cold start: a fresh handle answers from the compacted seed without
-     touching one chain snapshot — the O(1) acceptance check. *)
-  let cold = Epochs.open_ ~dir ~id:"long" in
-  (match Epochs.load cold with
-  | Some s ->
-      Alcotest.(check bool) "newest epoch" true (seeds_equal s (mk_seed 22))
-  | None -> Alcotest.fail "cold load found nothing");
-  Alcotest.(check int) "zero chain snapshots consulted" 0
-    (Epochs.chain_loads cold);
-  (* Pruning bounds the chain; the compacted seed is untouched. *)
-  Epochs.compact st ~keep:4;
-  Alcotest.(check (list int)) "pruned to newest 4" [ 19; 20; 21; 22 ]
-    (Epochs.chain st);
-  let cold2 = Epochs.open_ ~dir ~id:"long" in
-  (match Epochs.load cold2 with
-  | Some s -> Alcotest.(check int) "still newest" 22 s.Seed.epoch
-  | None -> Alcotest.fail "load after compact");
-  Alcotest.(check int) "still zero chain loads" 0 (Epochs.chain_loads cold2);
-  (match Epochs.compact st ~keep:0 with
-  | () -> Alcotest.fail "keep 0 accepted"
-  | exception Invalid_argument _ -> ())
-
-let corrupt_file path =
-  let data = Bytes.of_string (read_file path) in
-  let mid = Bytes.length data / 2 in
-  Bytes.set data mid (Char.chr (Char.code (Bytes.get data mid) lxor 0xff));
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_bytes oc data)
-
-let test_epochs_corrupt_compacted_falls_back () =
-  let dir = fresh_dir () in
-  let st = Epochs.open_ ~dir ~id:"fallback" in
-  for e = 1 to 6 do
-    Epochs.append st (mk_seed e)
-  done;
-  (* Flip a bit in the compacted snapshot AND its rotated fallback: the
-     checkpoint layer must quarantine both and load must walk the chain
-     instead — the same bytes, one level down. *)
-  corrupt_file (Filename.concat dir "compacted.ck");
-  corrupt_file (Filename.concat dir "compacted.prev.ck");
-  let cold = Epochs.open_ ~dir ~id:"fallback" in
-  (match Epochs.load cold with
-  | Some s ->
-      Alcotest.(check bool) "chain serves identical newest seed" true
-        (seeds_equal s (mk_seed 6))
-  | None -> Alcotest.fail "fallback load found nothing");
-  Alcotest.(check bool) "chain was consulted" true
-    (Epochs.chain_loads cold >= 1);
-  Alcotest.(check bool) "quarantine warning recorded" true
-    (Epochs.warnings cold <> []);
-  (* The corrupt snapshots were quarantined (renamed aside for
-     post-mortem), not deleted. *)
-  Alcotest.(check bool) "corrupt file kept for post-mortem" true
-    (Array.exists
-       (fun f -> find_sub f ".corrupt-" 0 <> None)
-       (Sys.readdir dir))
-
-(* ------------------------------------------------------------------ *)
-(* Streaming service integration: epochs fold as they complete          *)
-
-let write_lines path lines =
-  Out_channel.with_open_bin path (fun oc ->
-      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines)
-
-let stream_obs =
-  [ "rfd 64512 901"; "rfd 64513 901"; "clean 64512 64513";
-    "clean 64513 64514"; "clean 64512 64514" ]
-
-let test_service_epoch_compaction () =
-  with_drain_reset @@ fun () ->
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  let obs_path = Filename.concat dir "paths.obs" in
-  write_lines obs_path stream_obs;
-  let spec =
-    { (Sspec.default ~id:"streamc") with
-      Sspec.seed = 11;
-      samples = 120;
-      burn_in = 60;
-      chains = 2;
-      obs = Some obs_path }
-  in
-  let cfg =
-    { (Service.default_config ~state_dir:dir) with
-      Service.retry_backoff_s = 0.0;
-      compact_every = 2 }
-  in
-  let svc = Service.create cfg in
-  (* Four epochs: re-submitting a completed streaming spec starts the
-     next one. *)
-  for epoch = 1 to 4 do
-    Out_channel.with_open_gen [ Open_append ] 0o644 obs_path (fun oc ->
-        Out_channel.output_string oc "clean 64512 64514\n");
-    submit_ok svc spec;
-    match Service.run_until_idle svc with
-    | Service.Completed -> ()
-    | _ -> Alcotest.failf "epoch %d did not complete" epoch
-  done;
-  (match Store.find (Service.store svc) ~id:"streamc" with
-  | Some e ->
-      Alcotest.(check int) "reached epoch 4" 4 e.Store.epoch;
-      Alcotest.(check bool) "warm-started" true e.Store.warm
-  | None -> Alcotest.fail "campaign missing");
-  (* The epoch store was compacted on the cadence: chain bounded at
-     [compact_every], compacted seed answers a cold open in O(1). *)
-  let epochs_dir =
-    Filename.concat (Filename.concat dir "campaigns")
-      (Filename.concat "streamc" "epochs.d")
-  in
-  let cold = Epochs.open_ ~dir:epochs_dir ~id:"streamc" in
-  Alcotest.(check (list int)) "chain pruned to the cadence" [ 3; 4 ]
-    (Epochs.chain cold);
-  (match Epochs.load cold with
-  | Some s -> Alcotest.(check int) "compacted seed is newest" 4 s.Seed.epoch
-  | None -> Alcotest.fail "no compacted seed");
-  Alcotest.(check int) "cold load bypassed the chain" 0
-    (Epochs.chain_loads cold)
 
 (* ------------------------------------------------------------------ *)
 (* Response classification (torn vs truncated)                          *)
@@ -461,12 +317,6 @@ let test_shed_headers_end_to_end () =
 let suite =
   ( "chaos",
     [
-      Alcotest.test_case "epochs: compacted cold load is O(1)" `Quick
-        test_epochs_compacted_cold_load;
-      Alcotest.test_case "epochs: corrupt compacted falls back to chain"
-        `Quick test_epochs_corrupt_compacted_falls_back;
-      Alcotest.test_case "service: streaming epochs compact on cadence"
-        `Slow test_service_epoch_compaction;
       Alcotest.test_case "torn/truncated classifier sanity" `Quick
         test_classifier_sanity;
       QCheck_alcotest.to_alcotest ~long:false qcheck_chaos_soak;

@@ -236,8 +236,14 @@ let test_windows_sidecar () =
       rejects "non-finite time" "10.0.1.0/24 nan 1.0 2.0\n" ~line:1;
       rejects "extra field" "10.0.1.0/24 1 2 3 4\n" ~line:1;
       rejects "blank line" (good ^ "\n" ^ good) ~line:2);
-  match Label.read_windows (Filename.concat path "missing") with
-  | Error _ -> ()
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "no/such.windows"
+  in
+  match Label.read_windows missing with
+  | Error e ->
+      (* The caller names the file; the reason must not name it again. *)
+      Alcotest.(check string) "I/O reason without the path"
+        "No such file or directory" e
   | Ok _ -> Alcotest.fail "missing sidecar accepted"
 
 let suite =

@@ -11,6 +11,7 @@ module Service = Because_service.Service
 module Sspec = Because_service.Spec
 module Store = Because_service.Store
 module Supervise = Because_recover.Supervise
+module Codec = Because_recover.Codec
 
 let fresh_dir () =
   let f = Filename.temp_file "because-service" ".dir" in
@@ -424,6 +425,46 @@ let test_corrupt_queue_warm_start () =
     (String.equal reference
        (read_file (Service.report_path reloaded ~id:"solo")))
 
+(* Version 1 queue snapshots, written before the streaming fields
+   existed, still load: a pending streaming entry comes back as epoch 1,
+   cold, with no observations read yet. *)
+let test_v1_queue_snapshot_loads () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let queue_dir = Filename.concat dir "queue.d" in
+  Because_recover.Io.mkdir_p queue_dir;
+  let spec =
+    { (Sspec.default ~id:"old") with Sspec.obs = Some "/tmp/old.obs" }
+  in
+  let w = Codec.writer () in
+  Codec.int w 1;
+  Codec.list w
+    (fun w () ->
+      Codec.string w (Sspec.to_line spec);
+      Codec.int w 3;
+      Codec.u8 w 0;
+      Codec.list w Codec.string [];
+      Codec.list w (fun _ () -> ()) [])
+    [ () ];
+  let ck =
+    Because_recover.Checkpoint.open_ ~dir:queue_dir
+      ~fingerprint:"because-service-queue/1" ()
+  in
+  Because_recover.Checkpoint.save ck ~key:"queue"
+    (Codec.contents w);
+  let svc = Service.load (cfg ~dir ()) in
+  Alcotest.(check (list string)) "no warnings" [] (Service.warnings svc);
+  match Store.find (Service.store svc) ~id:"old" with
+  | None -> Alcotest.fail "v1 entry lost"
+  | Some e ->
+      Alcotest.(check int) "seq" 3 e.Store.seq;
+      Alcotest.(check string) "requeued" "interrupted"
+        (Store.health_label e.Store.health);
+      Alcotest.(check int) "epoch 1" 1 e.Store.epoch;
+      Alcotest.(check bool) "cold" false e.Store.warm;
+      Alcotest.(check (option int)) "no gate" None e.Store.gate_sweeps;
+      Alcotest.(check int) "0 observations" 0 e.Store.obs_count
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -447,4 +488,6 @@ let suite =
         test_isolation_and_retry_exhaustion;
       Alcotest.test_case "corrupt queue quarantined on warm start" `Quick
         test_corrupt_queue_warm_start;
+      Alcotest.test_case "v1 queue snapshot loads as a cold epoch 1" `Quick
+        test_v1_queue_snapshot_loads;
     ] )

@@ -1,6 +1,7 @@
 (* Streaming intake: the observation-spool parser, the rename-into-place
-   spool convention, posterior-seed persistence, warm-started epochs, and
-   the JSON status document under hostile strings.
+   spool convention, the warm start from the queue snapshot's estimates,
+   warm-started epochs, and the JSON status document under hostile
+   strings.
 
    The load-bearing property is the warm-start contract: epoch 2 of a
    streaming campaign, started from epoch 1's posterior means, must reach
@@ -13,7 +14,7 @@ module Sspec = Because_service.Spec
 module Store = Because_service.Store
 module Stream = Because_service.Stream
 module Spool = Because_service.Spool
-module Seed = Because_recover.Seed
+module Io = Because_recover.Io
 module Supervise = Because_recover.Supervise
 module Rng = Because_stats.Rng
 module Asn = Because_bgp.Asn
@@ -96,7 +97,9 @@ let test_parse_observations () =
       Alcotest.(check bool) "label 1 rejected" true (contains ~sub:"line 1" e)
   | Ok _ -> Alcotest.fail "label 1 accepted");
   match Stream.parse_observations (Filename.concat dir "missing") with
-  | Error _ -> ()
+  | Error e ->
+      Alcotest.(check string) "I/O reason without the path"
+        "No such file or directory" e
   | Ok _ -> Alcotest.fail "missing file accepted"
 
 (* ------------------------------------------------------------------ *)
@@ -189,35 +192,12 @@ let test_spool_renamed_twice () =
     (read_file (live ^ ".done"))
 
 (* ------------------------------------------------------------------ *)
-(* Posterior seed codec                                                 *)
+(* Warm start                                                            *)
 
-let test_seed_codec () =
-  let seed =
-    { Seed.epoch = 3; gate_sweeps = Some 42;
-      means = [| (7, 0.25); (901, 0.875); (64512, 0.5) |] }
-  in
-  (match Seed.decode (Seed.encode seed) with
-  | Some back ->
-      Alcotest.(check int) "epoch" 3 back.Seed.epoch;
-      Alcotest.(check (option int)) "gate" (Some 42) back.Seed.gate_sweeps;
-      Alcotest.(check (option (float 0.0))) "lookup hit" (Some 0.875)
-        (Seed.lookup back 901);
-      Alcotest.(check (option (float 0.0))) "lookup miss" None
-        (Seed.lookup back 8)
-  | None -> Alcotest.fail "roundtrip failed");
-  let none_gate = { seed with Seed.gate_sweeps = None } in
-  (match Seed.decode (Seed.encode none_gate) with
-  | Some back -> Alcotest.(check (option int)) "no gate" None back.Seed.gate_sweeps
-  | None -> Alcotest.fail "no-gate roundtrip failed");
-  Alcotest.(check bool) "garbage decodes to None" true
-    (Seed.decode "not a seed" = None);
-  let tampered = Bytes.of_string (Seed.encode seed) in
-  Bytes.set tampered 0 '\xee';
-  Alcotest.(check bool) "wrong version decodes to None" true
-    (Seed.decode (Bytes.to_string tampered) = None)
-
-(* The seed keeps exactly the posterior means [Posterior.combined]
-   reports, in ascending ASN order. *)
+(* A warm epoch starts each chain at the AS's posterior mean as the
+   previous epoch stored it — bit for bit the mean {!Posterior.combined}
+   reports, matched by ASN whatever the node order — and at 0.5 for an AS
+   the previous epoch never saw. *)
 let test_seed_means_match_posterior () =
   let data =
     Because.Tomography.of_observations
@@ -232,21 +212,25 @@ let test_seed_means_match_posterior () =
       Because.Infer.n_samples = 120; burn_in = 40; n_chains = 2 }
   in
   let result = Because.Infer.run ~rng:(Rng.create 5) ~config data in
+  let combined = List.rev (Array.to_list (Because.Posterior.combined result)) in
+  let clamp m = Float.max 1e-4 (Float.min (1.0 -. 1e-4) m) in
   let expected =
-    Because.Posterior.combined result
-    |> Array.map (fun (m : Because.Posterior.marginal) ->
-           (Asn.to_int m.Because.Posterior.asn, m.Because.Posterior.mean))
+    List.map
+      (fun (m : Because.Posterior.marginal) ->
+        Int64.bits_of_float (clamp m.Because.Posterior.mean))
+      combined
+    @ [ Int64.bits_of_float 0.5 ]
   in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) expected;
+  let nodes =
+    List.map (fun (m : Because.Posterior.marginal) -> m.Because.Posterior.asn)
+      combined
+    @ [ Asn.of_int 65000 ]
+  in
   let estimates = Store.estimates_of_result result ~categories:[] in
-  match Stream.seed_of_estimates ~epoch:2 ~gate_sweeps:(Some 9) estimates with
-  | None -> Alcotest.fail "no seed"
-  | Some seed ->
-      Alcotest.(check int) "epoch" 2 seed.Seed.epoch;
-      Alcotest.(check (option int)) "gate" (Some 9) seed.Seed.gate_sweeps;
-      Alcotest.(check (array (pair int int64))) "means, bit for bit"
-        (Array.map (fun (a, m) -> (a, Int64.bits_of_float m)) expected)
-        (Array.map (fun (a, m) -> (a, Int64.bits_of_float m)) seed.Seed.means)
+  Alcotest.(check (list int64)) "chain starts, bit for bit" expected
+    (Array.to_list
+       (Array.map Int64.bits_of_float
+          (Stream.warm_init estimates (Array.of_list nodes))))
 
 (* ------------------------------------------------------------------ *)
 (* Two-epoch warm start: same categories as a cold epoch-2 run, fewer
@@ -394,6 +378,193 @@ let test_two_epoch_warm_start () =
         e.Store.gate_sweeps;
       Alcotest.(check int) "reloaded obs" e2.Store.obs_count e.Store.obs_count
   | None -> Alcotest.fail "stream entry lost across warm start")
+
+(* ------------------------------------------------------------------ *)
+(* The queue snapshot is the one durable record of a streaming epoch     *)
+
+let run_completed svc what =
+  match Service.run_until_idle svc with
+  | Service.Completed -> ()
+  | _ -> Alcotest.failf "%s did not complete" what
+
+let append_lines path lines =
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines)
+
+(* Everything an epoch leaves behind: every estimate's fields (floats as
+   bits), the gate and the report. *)
+let epoch_result svc id =
+  match Store.find (Service.store svc) ~id with
+  | None -> Alcotest.failf "%s missing" id
+  | Some e ->
+      ( Array.to_list
+          (Array.map
+             (fun (est : Store.estimate) ->
+               Printf.sprintf "%d %Lx %Lx %Lx %d %b"
+                 (Asn.to_int est.Store.asn)
+                 (Int64.bits_of_float est.Store.mean)
+                 (Int64.bits_of_float est.Store.lo)
+                 (Int64.bits_of_float est.Store.hi)
+                 est.Store.category est.Store.damping)
+             e.Store.estimates),
+        e.Store.gate_sweeps,
+        read_file (Service.report_path svc ~id) )
+
+let check_epoch_result what (est, gate, report) (est', gate', report') =
+  Alcotest.(check (list string)) (what ^ ": estimates") est est';
+  Alcotest.(check (option int)) (what ^ ": gate sweeps") gate gate';
+  Alcotest.(check string) (what ^ ": report") report report'
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      let p = Filename.concat src f in
+      if (Unix.stat p).Unix.st_kind = Unix.S_REG then
+        Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+            Out_channel.output_string oc (read_file p)))
+    (Sys.readdir src)
+
+let restore_dir ~saved dst =
+  Io.rm_rf dst;
+  copy_dir saved dst
+
+(* A service over [dir] that ran epoch 1 of [spec] over [obs_epoch1]; the
+   spool has then grown by [obs_epoch2_growth]. *)
+let after_epoch1 ~dir spec =
+  write_lines (Option.get spec.Sspec.obs) obs_epoch1;
+  let svc = Service.create (Service.default_config ~state_dir:dir) in
+  ignore (submit_ok svc spec);
+  run_completed svc "epoch 1";
+  append_lines (Option.get spec.Sspec.obs) obs_epoch2_growth;
+  svc
+
+(* A kill after epoch 2 wrote its report but before it persisted the
+   queue leaves the snapshot the re-submission wrote: epoch 2 pending,
+   epoch 1's estimates still on the entry.  The resumed epoch must
+   warm-start from those and equal the uninterrupted epoch 2 bit for
+   bit. *)
+let test_requeued_epoch_resumes () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let spec = stream_spec ~obs:(Filename.concat dir "paths.obs") "stream1" in
+  let svc = after_epoch1 ~dir spec in
+  let queue = Filename.concat dir "queue.d" in
+  let saved = Filename.concat dir "queue.saved" in
+  let writes = ref [] in
+  Io.with_faults
+    (fun op ->
+      (match op with
+      | Io.Write f -> writes := Filename.basename f :: !writes
+      | Io.Rename _ -> ());
+      None)
+    (fun () ->
+      ignore (submit_ok svc spec);
+      copy_dir queue saved;
+      run_completed svc "epoch 2");
+  (* The epoch's three durable writes, then the status file of the
+     service's join. *)
+  Alcotest.(check (list string)) "durable writes"
+    [ "queue.ck"; "stream1.report"; "queue.ck"; "status.json" ]
+    (List.rev !writes);
+  Alcotest.(check bool) "no per-campaign state directory" false
+    (Sys.file_exists
+       (Filename.concat (Filename.concat dir "campaigns") "stream1"));
+  let uninterrupted = epoch_result svc "stream1" in
+  restore_dir ~saved queue;
+  let resumed = Service.load (Service.default_config ~state_dir:dir) in
+  (match Store.find (Service.store resumed) ~id:"stream1" with
+  | Some e ->
+      Alcotest.(check int) "still epoch 2" 2 e.Store.epoch;
+      Alcotest.(check string) "requeued" "interrupted"
+        (Store.health_label e.Store.health);
+      Alcotest.(check bool) "epoch 1's estimates restored" true
+        (Array.length e.Store.estimates > 0)
+  | None -> Alcotest.fail "stream entry lost");
+  run_completed resumed "resumed epoch 2";
+  (match Store.find (Service.store resumed) ~id:"stream1" with
+  | Some e ->
+      Alcotest.(check int) "epoch 2, not 3" 2 e.Store.epoch;
+      Alcotest.(check bool) "warm" true e.Store.warm
+  | None -> Alcotest.fail "stream entry lost");
+  check_epoch_result "resumed" uninterrupted (epoch_result resumed "stream1")
+
+let corrupt_file path =
+  let data = Bytes.of_string (read_file path) in
+  let mid = Bytes.length data / 2 in
+  Bytes.set data mid (Char.chr (Char.code (Bytes.get data mid) lxor 0xff));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data)
+
+(* The queue store keeps one fallback snapshot.  With a requeued epoch 2
+   in both (a later submission wrote the newer one), a corrupt newest
+   snapshot is quarantined and the fallback still resumes epoch 2 warm
+   and bit-identical. *)
+let test_corrupt_queue_resumes_requeued_epoch () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let spec = stream_spec ~obs:(Filename.concat dir "paths.obs") "stream1" in
+  let other = stream_spec ~obs:(Filename.concat dir "other.obs") "other" in
+  write_lines (Option.get other.Sspec.obs) obs_epoch1;
+  let svc = after_epoch1 ~dir spec in
+  ignore (submit_ok svc spec);
+  ignore (submit_ok svc other);
+  let queue = Filename.concat dir "queue.d" in
+  let saved = Filename.concat dir "queue.saved" in
+  copy_dir queue saved;
+  run_completed svc "epoch 2";
+  let uninterrupted = epoch_result svc "stream1" in
+  restore_dir ~saved queue;
+  corrupt_file (Filename.concat queue "queue.ck");
+  let resumed = Service.load (Service.default_config ~state_dir:dir) in
+  Alcotest.(check bool) "quarantine warned" true
+    (Service.warnings resumed <> []);
+  Alcotest.(check bool) "the fallback predates the later submission" true
+    (Store.find (Service.store resumed) ~id:"other" = None);
+  run_completed resumed "resumed epoch 2";
+  (match Store.find (Service.store resumed) ~id:"stream1" with
+  | Some e ->
+      Alcotest.(check int) "epoch 2" 2 e.Store.epoch;
+      Alcotest.(check bool) "warm" true e.Store.warm
+  | None -> Alcotest.fail "stream entry lost");
+  check_epoch_result "from the fallback" uninterrupted
+    (epoch_result resumed "stream1")
+
+(* An epoch whose predecessor left no estimates (here: the spool did not
+   exist yet) runs cold, under its own epoch number. *)
+let test_epoch_after_empty_runs_cold () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let obs = Filename.concat dir "late.obs" in
+  let spec = stream_spec ~obs "late" in
+  let svc = Service.create (Service.default_config ~state_dir:dir) in
+  ignore (submit_ok svc spec);
+  run_completed svc "epoch 1";
+  write_lines obs obs_epoch1;
+  ignore (submit_ok svc spec);
+  run_completed svc "epoch 2";
+  match Store.find (Service.store svc) ~id:"late" with
+  | None -> Alcotest.fail "entry missing"
+  | Some e -> (
+      Alcotest.(check int) "epoch 2" 2 e.Store.epoch;
+      Alcotest.(check bool) "cold" false e.Store.warm;
+      let supervise = { Supervise.deadline_s = None; max_sweeps = None } in
+      match
+        Stream.run ~spec ~epoch:2 ~prior:[||]
+          ~telemetry:Because_telemetry.Registry.disabled ~supervise ~jobs:1 ()
+      with
+      | Error msg -> Alcotest.fail msg
+      | Ok o ->
+          Alcotest.(check (list int64)) "a cold epoch-2 run, bit for bit"
+            (Array.to_list
+               (Array.map
+                  (fun (est : Store.estimate) ->
+                    Int64.bits_of_float est.Store.mean)
+                  o.Stream.estimates))
+            (Array.to_list
+               (Array.map
+                  (fun (est : Store.estimate) ->
+                    Int64.bits_of_float est.Store.mean)
+                  e.Store.estimates)))
 
 let test_stream_missing_spool_is_insufficient () =
   with_drain_reset @@ fun () ->
@@ -614,11 +785,16 @@ let suite =
         test_spool_inode_hardening;
       Alcotest.test_case "spool surfaces the same name renamed twice" `Quick
         test_spool_renamed_twice;
-      Alcotest.test_case "posterior seed codec" `Quick test_seed_codec;
       Alcotest.test_case "seed means equal the combined posterior means"
         `Quick test_seed_means_match_posterior;
       Alcotest.test_case "two epochs: warm equals cold, converges sooner"
         `Quick test_two_epoch_warm_start;
+      Alcotest.test_case "requeued epoch resumes from the queue snapshot"
+        `Quick test_requeued_epoch_resumes;
+      Alcotest.test_case "corrupt queue snapshot: fallback resumes warm"
+        `Quick test_corrupt_queue_resumes_requeued_epoch;
+      Alcotest.test_case "epoch after an empty one runs cold" `Quick
+        test_epoch_after_empty_runs_cold;
       Alcotest.test_case "missing spool file is insufficient, no retry loop"
         `Quick test_stream_missing_spool_is_insufficient;
       Alcotest.test_case "classic campaigns carry no stream fields" `Quick

@@ -187,7 +187,10 @@ let test_mrt_garbage_rejected () =
   | Ok _ -> Alcotest.fail "accepted garbage");
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "no/such.mrt" in
   match Mrt.read_file missing with
-  | Error _ -> ()
+  | Error e ->
+      (* The caller names the file; the reason must not name it again. *)
+      Alcotest.(check string) "I/O reason without the path"
+        "No such file or directory" e
   | Ok _ -> Alcotest.fail "missing file accepted"
 
 let suite =
