@@ -774,9 +774,8 @@ let ingest_line svc line =
             Printf.eprintf "serve: reject %s: %s\n%!" spec.Sspec.id
               (Service.reason_to_string reason))
 
-let ingest_file svc path =
-  In_channel.with_open_text path (fun ic ->
-      In_channel.input_lines ic |> List.iter (ingest_line svc))
+let read_lines path = In_channel.with_open_text path In_channel.input_lines
+let ingest_file svc path = List.iter (ingest_line svc) (read_lines path)
 
 (* Spool intake: every eligible *.campaign file under DIR is one or more
    spec lines; ingested files are renamed *.campaign.done so they are
@@ -785,23 +784,18 @@ let ingest_file svc path =
    write-then-rename into place: Spool.eligible ignores dotfiles, so a
    partial write staged as ".x.campaign" is invisible until renamed.
 
-   Reads race producers and NFS-style hiccups, so each file goes through
-   the unified retry policy: transient Sys_errors are retried briefly,
-   then the file is skipped (it stays eligible for the next poll). *)
-let spool_retry =
-  Because_resilience.Policy.make ~base_s:0.005 ~cap_s:0.05 ~max_attempts:3 ()
-
+   Reads race producers and NFS-style hiccups, so the read and the rename
+   each go through Io.retry; the lines are submitted once, between them,
+   so a failed rename never re-submits a spec.  A file whose read keeps
+   failing is skipped and stays eligible for the next poll. *)
 let scan_spool svc dir =
   List.iter
     (fun f ->
       let path = Filename.concat dir f in
       match
-        Because_resilience.Retry.run ~policy:spool_retry
-          ~retryable:(function Sys_error _ -> true | _ -> false)
-          ~label:("spool:" ^ f)
-          (fun () ->
-            ingest_file svc path;
-            Sys.rename path (path ^ ".done"))
+        let lines = Because_recover.Io.retry (fun () -> read_lines path) in
+        List.iter (ingest_line svc) lines;
+        Because_recover.Io.retry (fun () -> Sys.rename path (path ^ ".done"))
       with
       | () -> ()
       | exception Sys_error e ->
@@ -860,8 +854,8 @@ let serve_cmd =
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:
             "Runs per campaign before it is declared insufficient; \
-             retries restart from the last checkpoint with capped \
-             exponential backoff.")
+             retries restart from the last checkpoint after a sleep of \
+             10 ms, doubling per attempt, at most 1 s.")
   in
   let serve_resume_arg =
     Arg.(

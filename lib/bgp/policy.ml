@@ -44,12 +44,3 @@ let scope_is_damping = function
   | All_neighbors | Only_customers -> true
   | Only_neighbors set -> not (Asn.Set.is_empty set)
   | All_except _ -> true
-
-let pp_scope fmt = function
-  | No_rfd -> Format.pp_print_string fmt "no-rfd"
-  | All_neighbors -> Format.pp_print_string fmt "all-neighbors"
-  | Only_customers -> Format.pp_print_string fmt "only-customers"
-  | Only_neighbors set ->
-      Format.fprintf fmt "only[%d neighbors]" (Asn.Set.cardinal set)
-  | All_except set ->
-      Format.fprintf fmt "all-except[%d neighbors]" (Asn.Set.cardinal set)

@@ -38,5 +38,3 @@ val rfd_applies :
 
 val scope_is_damping : rfd_scope -> bool
 (** [true] iff the scope damps at least one potential session. *)
-
-val pp_scope : Format.formatter -> rfd_scope -> unit

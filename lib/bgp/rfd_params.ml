@@ -37,8 +37,6 @@ let rfc7454 =
     suppress_threshold = 6000.0;
   }
 
-let with_max_suppress t ~minutes:m = { t with max_suppress_time = minutes m }
-
 let with_max_suppress_scaled t ~minutes:m =
   { t with max_suppress_time = minutes m; half_life = minutes (m /. 4.0) }
 

@@ -37,13 +37,10 @@ val rfc7454 : t
 (** RIPE-580 / RFC 7454 recommended: suppress-threshold 6000 — only routes
     flapping every couple of minutes get damped. *)
 
-val with_max_suppress : t -> minutes:float -> t
-(** Override the max-suppress-time (the paper finds operators use 10, 30 and
-    60 minutes; Fig. 13's plateaus). *)
-
 val with_max_suppress_scaled : t -> minutes:float -> t
-(** Like {!with_max_suppress} but also scales the half-life to a quarter of
-    the max-suppress-time (the vendor-default 60 min / 15 min ratio).  IOS
+(** Override the max-suppress-time (the paper finds operators use 10, 30 and
+    60 minutes; Fig. 13's plateaus) and scale the half-life to a quarter of
+    it (the vendor-default 60 min / 15 min ratio).  IOS
     refuses configurations whose penalty ceiling falls below the suppress
     threshold, so operators shortening the max-suppress-time shorten the
     half-life with it; keeping the ratio keeps the ceiling at 16× the reuse

@@ -104,25 +104,3 @@ let flush_telemetry reg ~plan ~log =
       | Collector_restored _ -> true
       | _ -> false)
   end
-
-let pp_injected fmt = function
-  | Link_down { a; b } ->
-      Format.fprintf fmt "link down %a--%a" Asn.pp a Asn.pp b
-  | Link_up { a; b } -> Format.fprintf fmt "link up %a--%a" Asn.pp a Asn.pp b
-  | Session_reset { a; b } ->
-      Format.fprintf fmt "session reset %a--%a" Asn.pp a Asn.pp b
-  | Session_down { owner; peer; reason } ->
-      Format.fprintf fmt "session down %a->%a (%s)" Asn.pp owner Asn.pp peer
-        reason
-  | Session_up { owner; peer } ->
-      Format.fprintf fmt "session up %a->%a" Asn.pp owner Asn.pp peer
-  | Update_lost { from_asn; to_asn } ->
-      Format.fprintf fmt "update lost %a->%a" Asn.pp from_asn Asn.pp to_asn
-  | Update_duplicated { from_asn; to_asn } ->
-      Format.fprintf fmt "update duplicated %a->%a" Asn.pp from_asn Asn.pp
-        to_asn
-  | Site_down { site_id } -> Format.fprintf fmt "site %d down" site_id
-  | Site_restored { site_id } -> Format.fprintf fmt "site %d restored" site_id
-  | Collector_down { vp_id } -> Format.fprintf fmt "collector vp%d down" vp_id
-  | Collector_restored { vp_id } ->
-      Format.fprintf fmt "collector vp%d restored" vp_id

@@ -48,5 +48,3 @@ val flush_telemetry :
   unit
 (** Record [faults.planned.*] (per spec kind) and [faults.realized.*] (per
     realized event kind) counters.  A no-op on a disabled registry. *)
-
-val pp_injected : Format.formatter -> injected -> unit

@@ -102,8 +102,6 @@ let severity_of_string = function
             severe)"
            other)
 
-let severity_names = [ "none"; "mild"; "realistic"; "severe" ]
-
 let draw rng severity ~links ~site_ids ~vp_ids ~horizon =
   if horizon <= 0.0 then invalid_arg "Plan.draw: horizon must be positive";
   let when_ () = Rng.range_float rng 0.0 horizon in

@@ -63,7 +63,6 @@ val realistic : severity
 val severe : severity
 
 val severity_of_string : string -> (severity, string) result
-val severity_names : string list
 
 val draw :
   Because_stats.Rng.t ->

@@ -18,29 +18,3 @@ let has_loop path =
 let clean path =
   let cleaned = remove_prepending path in
   if has_loop cleaned then None else Some cleaned
-
-let compare_paths a b =
-  List.compare Asn.compare a b
-
-let observed_paths records =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Because_collector.Dump.record) ->
-      match Update.as_path r.update with
-      | Some path -> (
-          match clean path with
-          | Some cleaned ->
-              let count =
-                Option.value (Hashtbl.find_opt table cleaned) ~default:0
-              in
-              Hashtbl.replace table cleaned (count + 1)
-          | None -> ())
-      | None -> ())
-    records;
-  let all =
-    Hashtbl.fold (fun path count acc -> (path, count) :: acc) table []
-  in
-  List.sort
-    (fun (pa, a) (pb, b) ->
-      match Int.compare b a with 0 -> compare_paths pa pb | c -> c)
-    all

@@ -12,8 +12,3 @@ val has_loop : Asn.t list -> bool
 
 val clean : Asn.t list -> Asn.t list option
 (** [Some cleaned] path, or [None] when the path loops. *)
-
-val observed_paths : Because_collector.Dump.record list -> (Asn.t list * int) list
-(** Distinct cleaned loop-free AS paths among announcement records with
-    occurrence counts, most frequent first (ties broken by path for
-    determinism). *)

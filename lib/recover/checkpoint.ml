@@ -14,24 +14,17 @@
    the rename so even a post-rename corruption (bad disk) still leaves a
    recovery point. *)
 
-module Policy = Because_resilience.Policy
-module Breaker = Because_resilience.Breaker
-module Retry = Because_resilience.Retry
-
 let magic = "BCKP"
 let version = 1
 
 type t = {
   dir : string;
   fingerprint : string;
-  retry : Policy.t;
-  breaker : Breaker.t;
   mutex : Mutex.t;
   mutable warnings : string list; (* newest first *)
   mutable saves : int;
   mutable restores : int;
   mutable fallbacks : int;
-  mutable write_retries : int;
 }
 
 let warn t fmt =
@@ -46,7 +39,6 @@ let warnings t = List.rev t.warnings
 let saves t = t.saves
 let restores t = t.restores
 let fallbacks t = t.fallbacks
-let write_retries t = t.write_retries
 let dir t = t.dir
 let fingerprint t = t.fingerprint
 
@@ -112,18 +104,6 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* All durable writes go through the injectable shim (and the store's
-   retry policy, below): a transient disk fault is retried with backoff;
-   a torn write that "succeeds" lands a file the CRC check quarantines. *)
-let write_file_atomic = Io.write_file_atomic
-
-let sys_error_only = function Sys_error _ -> true | _ -> false
-
-let with_write_retry t ~label f =
-  Retry.run ~policy:t.retry ~breaker:t.breaker ~retryable:sys_error_only
-    ~on_retry:(fun ~attempt:_ _ -> t.write_retries <- t.write_retries + 1)
-    ~label f
-
 (* Quarantine a bad file under a unique name so it never gets retried but
    remains available for post-mortem. *)
 let quarantine _t file =
@@ -146,14 +126,12 @@ let list_snapshots dir =
          Filename.check_suffix f ".ck" || Filename.check_suffix f ".prev.ck")
 
 let write_manifest t =
-  with_write_retry t ~label:"checkpoint:manifest" (fun () ->
-      write_file_atomic ~dir:t.dir
+  Io.retry (fun () ->
+      Io.write_file_atomic ~dir:t.dir
         ~file:(Filename.concat t.dir "MANIFEST")
         (seal ~key:manifest_key t.fingerprint))
 
-let default_retry = Policy.make ~base_s:0.002 ~cap_s:0.05 ~max_attempts:3 ()
-
-let open_ ?(retry = default_retry) ~dir ~fingerprint () =
+let open_ ~dir ~fingerprint () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Checkpoint.open_: %s is not a directory" dir);
@@ -161,14 +139,11 @@ let open_ ?(retry = default_retry) ~dir ~fingerprint () =
     {
       dir;
       fingerprint;
-      retry;
-      breaker = Breaker.create ();
       mutex = Mutex.create ();
       warnings = [];
       saves = 0;
       restores = 0;
       fallbacks = 0;
-      write_retries = 0;
     }
   in
   let manifest = Filename.concat dir "MANIFEST" in
@@ -203,6 +178,9 @@ let open_ ?(retry = default_retry) ~dir ~fingerprint () =
 
 (* --- save / load --- *)
 
+(* Every write goes through the injectable shim under [Io.retry]: a
+   transient disk fault is retried after a short wait; a torn write that
+   "succeeds" lands a file the CRC check quarantines. *)
 let save t ~key payload =
   let blob = seal ~key payload in
   let current = path t key ".ck" in
@@ -211,61 +189,13 @@ let save t ~key payload =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      with_write_retry t ~label:("checkpoint:" ^ key) (fun () ->
+      Io.retry (fun () ->
           (* Rotation is idempotent across retries: once the current
              snapshot has moved aside, a re-run skips straight to the
              write. *)
           if Sys.file_exists current then Io.rename current prev;
-          write_file_atomic ~dir:t.dir ~file:current blob);
+          Io.write_file_atomic ~dir:t.dir ~file:current blob);
       t.saves <- t.saves + 1)
-
-let remove t ~key =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      List.iter
-        (fun suffix ->
-          let f = path t key suffix in
-          if Sys.file_exists f then
-            try Sys.remove f with Sys_error _ -> ())
-        [ ".ck"; ".prev.ck" ])
-
-(* Inverse of [encode_key]; %XX escapes decode back to the raw byte. *)
-let decode_key s =
-  let n = String.length s in
-  let b = Buffer.create n in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> -1
-  in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' && !i + 2 < n && hex s.[!i + 1] >= 0 && hex s.[!i + 2] >= 0
-     then begin
-       Buffer.add_char b
-         (Char.chr ((hex s.[!i + 1] * 16) + hex s.[!i + 2]));
-       i := !i + 2
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
-
-let keys t =
-  match Sys.readdir t.dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter_map (fun f ->
-             if
-               Filename.check_suffix f ".ck"
-               && not (Filename.check_suffix f ".prev.ck")
-             then Some (decode_key (Filename.chop_suffix f ".ck"))
-             else None)
-      |> List.sort compare
 
 (* Caller holds [t.mutex] (the OCaml runtime Mutex is not recursive), so
    counters and warnings are mutated directly here. *)

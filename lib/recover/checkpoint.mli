@@ -24,35 +24,18 @@
 
 type t
 
-val open_ :
-  ?retry:Because_resilience.Policy.t ->
-  dir:string ->
-  fingerprint:string ->
-  unit ->
-  t
+val open_ : dir:string -> fingerprint:string -> unit -> t
 (** [open_ ~dir ~fingerprint] opens (creating if needed) the store at
     [dir].  If the directory already holds snapshots for a different
     fingerprint, or a corrupt manifest, those snapshots are quarantined
     and a warning recorded.  Raises [Invalid_argument] if [dir] exists
-    but is not a directory.
-
-    [retry] is the write retry policy (default: 3 attempts, 2ms base
-    backoff).  Transient [Sys_error]s during a save are retried under
-    it, behind a per-store circuit breaker; a save that exhausts the
-    budget (or hits an open circuit) raises. *)
+    but is not a directory. *)
 
 val save : t -> key:string -> string -> unit
 (** [save t ~key payload] durably replaces the snapshot for [key]
     (atomic rename; previous snapshot kept as fallback).  All file
-    writes go through {!Io} and the store's retry policy. *)
-
-val remove : t -> key:string -> unit
-(** Delete the snapshot (and its fallback) for [key], if any.
-    Quarantined [*.corrupt-N] files are never touched. *)
-
-val keys : t -> string list
-(** Keys with a current snapshot file on disk, sorted.  Fallback-only
-    and quarantined files are excluded. *)
+    writes go through {!Io}; a transient [Sys_error] is retried by
+    {!Io.retry}, and a save whose third attempt fails raises. *)
 
 val load : t -> key:string -> string option
 (** [load t ~key] returns the newest valid snapshot payload for [key],
@@ -79,7 +62,3 @@ val restores : t -> int
 
 val fallbacks : t -> int
 (** Number of snapshot files that failed validation and were quarantined. *)
-
-val write_retries : t -> int
-(** Number of write attempts that failed transiently and were retried
-    under the store's policy. *)

@@ -43,19 +43,34 @@ let write_file_atomic ~dir ~file data =
     | _ -> data
   in
   let tmp = Filename.temp_file ~temp_dir:dir "ck" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc data;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  match fault with
-  | Some Rename_fail ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise (Sys_error (file ^ ": rename failed (injected)"))
-  | _ -> Sys.rename tmp file
+  try
+    let oc = open_out_bin tmp in
+    (try
+       output_string oc data;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    match fault with
+    | Some Rename_fail ->
+        raise (Sys_error (file ^ ": rename failed (injected)"))
+    | _ -> Sys.rename tmp file
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+(* Three attempts; only [Sys_error] (what the OS, and [inject], raise for a
+   disk fault) is worth waiting out. *)
+let retry f =
+  let rec go = function
+    | [] -> f ()
+    | delay_s :: rest -> (
+        try f ()
+        with Sys_error _ ->
+          Unix.sleepf delay_s;
+          go rest)
+  in
+  go [ 0.002; 0.004 ]
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

@@ -43,6 +43,13 @@ val write_file_atomic : dir:string -> file:string -> string -> unit
     A crash (or injected fault) mid-write never destroys an existing
     [file]; on error the temp file is removed.  Raises [Sys_error]. *)
 
+val retry : (unit -> 'a) -> 'a
+(** [retry f] runs [f] up to 3 times, waiting 2 ms and then 4 ms between
+    attempts.  Only [Sys_error] is retried; any other exception, or the
+    third [Sys_error], propagates.  Every durable write (checkpoints, the
+    queue snapshot, reports, status documents, spool intake) goes through
+    it. *)
+
 val rename : string -> string -> unit
 (** [rename src dst], subject to injected faults.  A faulted rename
     raises [Sys_error] and leaves [src] in place. *)

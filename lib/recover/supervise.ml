@@ -1,5 +1,5 @@
-(* Per-chain supervision: wall-clock deadlines, sweep budgets, retry
-   backoff, and the campaign-level health verdict.
+(* Per-chain supervision: wall-clock deadlines, sweep budgets, graceful
+   drain, and the campaign-level health verdict.
 
    Budgets are enforced *cooperatively*: the sampler calls [tick] once per
    completed sweep and we raise [Aborted] when a limit is crossed.  That

@@ -1,4 +1,4 @@
-(** Chain supervision: budgets, cooperative cancellation, retry backoff,
+(** Chain supervision: budgets, cooperative cancellation, graceful drain,
     and the campaign health verdict.
 
     A {!budget} caps a single chain by wall-clock and/or sweep count.  The

@@ -4,8 +4,6 @@ module Supervise = Because_recover.Supervise
 module Checkpoint = Because_recover.Checkpoint
 module Codec = Because_recover.Codec
 module Io = Because_recover.Io
-module Policy = Because_resilience.Policy
-module Retry = Because_resilience.Retry
 module Tel = Because_telemetry.Registry
 module Manifest = Because_telemetry.Manifest
 
@@ -15,7 +13,6 @@ type config = {
   jobs : int;
   campaign_jobs : int;
   max_attempts : int;
-  retry_backoff_s : float;
   every_sweeps : int option;
   chain_deadline_s : float option;
   sweep_budget : int option;
@@ -26,17 +23,9 @@ type config = {
 
 let default_config ~state_dir =
   { state_dir; limit = 16; jobs = 1; campaign_jobs = 1; max_attempts = 3;
-    retry_backoff_s = 0.01; every_sweeps = Some 25;
+    every_sweeps = Some 25;
     chain_deadline_s = None; sweep_budget = None; telemetry = Tel.disabled;
     kill_after_saves = None; chaos = None }
-
-(* The campaign attempt policy ([run_attempts]); durable writes retry
-   under their own policies ([write_retry] below, the checkpoint stores'
-   default).  The jitter seed is derived per label so concurrent campaigns
-   don't retry in lockstep, deterministically. *)
-let retry_policy cfg ~label =
-  Policy.make ~base_s:cfg.retry_backoff_s ~cap_s:1.0
-    ~max_attempts:cfg.max_attempts ~jitter:0.25 ~seed:(Hashtbl.hash label) ()
 
 type verdict = Completed | Drained | Killed
 
@@ -99,15 +88,10 @@ let status_path t = Filename.concat t.cfg.state_dir "status.json"
 let metrics_path t = Filename.concat t.cfg.state_dir "metrics.prom"
 
 (* Reports and status documents ride the same injectable I/O shim and
-   retry policy as checkpoints: a transient disk fault costs a backoff,
-   not a missing report. *)
-let write_retry = Policy.make ~base_s:0.002 ~cap_s:0.05 ~max_attempts:3 ()
-
+   retry as checkpoints: a transient disk fault costs a short wait, not a
+   missing report. *)
 let atomic_write path content =
-  Retry.run ~policy:write_retry
-    ~retryable:(function Sys_error _ -> true | _ -> false)
-    ~label:("service:" ^ Filename.basename path)
-    (fun () ->
+  Io.retry (fun () ->
       Io.write_file_atomic ~dir:(Filename.dirname path) ~file:path content)
 
 (* ------------------------------------------------------- queue snapshot *)
@@ -449,11 +433,10 @@ let interrupted t (entry : Store.entry) ~persist ~kill recovery =
    reports a failed attempt as [Error (e, recovery)]: the failure is noted
    (with the attempt's recovery warnings, if it had a store), and the entry
    gives up as [Insufficient] once the retry budget is spent, is
-   interrupted when the service is draining, or backs off and tries
-   again. *)
+   interrupted when the service is draining, or sleeps
+   min(1 s, 10 ms * 2^(n-1)) and tries again. *)
 let run_attempts t (entry : Store.entry) body =
   let id = entry.Store.spec.Spec.id in
-  let policy = retry_policy t.cfg ~label:id in
   let rec attempt n =
     Mutex.lock t.mutex;
     entry.Store.attempts <- n;
@@ -467,7 +450,7 @@ let run_attempts t (entry : Store.entry) body =
                   t.cfg.max_attempts msg);
         Option.iter (note_recovery t ~id) recovery;
         Mutex.unlock t.mutex;
-        if not (Policy.retries_left policy ~attempt:n) then
+        if n >= t.cfg.max_attempts then
           finish t entry
             ~status:
               (Supervise.Insufficient
@@ -480,7 +463,7 @@ let run_attempts t (entry : Store.entry) body =
         else begin
           if Tel.is_enabled t.cfg.telemetry then
             Tel.Counter.incr t.m.m_retries;
-          Policy.wait policy ~attempt:n;
+          Unix.sleepf (Float.min 1.0 (Float.ldexp 0.01 (n - 1)));
           attempt (n + 1)
         end
   in

@@ -9,8 +9,9 @@
     {- {!submit} specs — admitted into the bounded queue and persisted, or
        rejected with a typed {!reason};}
     {- {!start} spawns the worker domains; each claims the oldest queued
-       campaign and runs it under {!Because_recover.Supervise} budgets with
-       capped-backoff retries, isolated from its siblings: a campaign that
+       campaign and runs it under {!Because_recover.Supervise} budgets,
+       retrying failed attempts after a short sleep (10 ms, doubling, at
+       most 1 s), isolated from its siblings: a campaign that
        exhausts its retry budget finishes [Insufficient] while the rest of
        the service keeps running and accepting work;}
     {- {!drain} (SIGTERM path) checkpoints every in-flight chain at its
@@ -34,12 +35,11 @@ type config = {
       (** Inference pool size inside each campaign; outcomes are
           jobs-invariant, so 1 (run on the worker domain) is the safe
           default when [jobs > 1]. *)
-  max_attempts : int;  (** Runs per campaign before giving up. *)
-  retry_backoff_s : float;
-      (** Base of the {!Because_resilience.Policy} backoff (capped
-          exponential, deterministic seeded jitter) between a campaign's
-          attempts.  Durable writes — checkpoints, reports, status files —
-          retry under their own fixed policies. *)
+  max_attempts : int;
+      (** Runs per campaign before giving up; failed attempt [n] is
+          followed by a sleep of min(1 s, 10 ms * 2^(n-1)).  Durable
+          writes — checkpoints, reports, status files — retry under
+          {!Because_recover.Io.retry}. *)
   every_sweeps : int option;  (** Chain checkpoint cadence. *)
   chain_deadline_s : float option;  (** Per-chain wall-clock budget. *)
   sweep_budget : int option;        (** Per-chain sweep budget. *)
@@ -55,7 +55,7 @@ type config = {
 }
 
 val default_config : state_dir:string -> config
-(** limit 16, 1 worker, 1 campaign job, 3 attempts, 10 ms backoff base,
+(** limit 16, 1 worker, 1 campaign job, 3 attempts,
     checkpoint every 25 sweeps, no budgets, telemetry disabled, no chaos. *)
 
 type t

@@ -17,7 +17,7 @@ type t = {
   vantage_hosts : int;   (** ASs hosting collector sessions. *)
   interval_min : float;  (** Beacon update interval, minutes. *)
   cycles : int;          (** Burst–Break pairs. *)
-  faults : string;       (** ["none"] or a {!Because_faults.Plan.severity_names} entry. *)
+  faults : string;       (** ["none"], ["mild"], ["realistic"] or ["severe"]. *)
   chains : int;          (** Independent MCMC chains per sampler. *)
   samples : int;         (** Retained draws per chain. *)
   burn_in : int;         (** Discarded adaptation draws per chain. *)

@@ -110,9 +110,7 @@ let soak_specs =
     tiny_spec ~seed:3 "x3" ]
 
 let soak_cfg ~jobs ~dir =
-  { (Service.default_config ~state_dir:dir) with
-    Service.jobs;
-    retry_backoff_s = 0.0 }
+  { (Service.default_config ~state_dir:dir) with Service.jobs }
 
 let reports svc specs =
   List.map

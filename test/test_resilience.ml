@@ -1,15 +1,6 @@
-(* The unified resilience layer: retry policy arithmetic, circuit
-   breaker state machine, the Retry driver that combines them, the
-   injectable I/O fault shim, and the checkpoint store's use of all
-   four under injected disk faults.
+(* Durable writes under disk faults: the bounded [Io.retry], the
+   injectable I/O fault shim, and the checkpoint store's use of both. *)
 
-   The policy's jitter is deterministic (seeded splitmix), so every
-   delay assertion here is exact-replayable: no sleeps are measured,
-   only computed. *)
-
-module Policy = Because_resilience.Policy
-module Breaker = Because_resilience.Breaker
-module Retry = Because_resilience.Retry
 module Io = Because_recover.Io
 module Checkpoint = Because_recover.Checkpoint
 
@@ -19,161 +10,43 @@ let fresh_dir () =
   f
 
 (* ------------------------------------------------------------------ *)
-(* Policy                                                               *)
-
-let test_policy_delays () =
-  (* jitter 0: pure capped doubling. *)
-  let p = Policy.make ~base_s:0.01 ~cap_s:0.05 ~max_attempts:5 ~jitter:0.0 () in
-  Alcotest.(check (float 1e-12)) "attempt 1" 0.01 (Policy.delay_s p ~attempt:1);
-  Alcotest.(check (float 1e-12)) "attempt 2" 0.02 (Policy.delay_s p ~attempt:2);
-  Alcotest.(check (float 1e-12)) "attempt 3" 0.04 (Policy.delay_s p ~attempt:3);
-  Alcotest.(check (float 1e-12)) "attempt 4 capped" 0.05
-    (Policy.delay_s p ~attempt:4);
-  Alcotest.(check (float 1e-12)) "attempt 30 still capped" 0.05
-    (Policy.delay_s p ~attempt:30);
-  Alcotest.(check (float 1e-12)) "attempt 0 is free" 0.0
-    (Policy.delay_s p ~attempt:0);
-  (* Jittered: deterministic for a seed, only ever shrinks, never
-     breaches the cap. *)
-  let j = Policy.make ~base_s:0.01 ~cap_s:1.0 ~jitter:0.5 ~seed:42 () in
-  let j' = Policy.make ~base_s:0.01 ~cap_s:1.0 ~jitter:0.5 ~seed:42 () in
-  for a = 1 to 10 do
-    let d = Policy.delay_s j ~attempt:a in
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "deterministic attempt %d" a)
-      d
-      (Policy.delay_s j' ~attempt:a);
-    let raw = Float.min 1.0 (0.01 *. Float.of_int (1 lsl (a - 1))) in
-    Alcotest.(check bool)
-      (Printf.sprintf "attempt %d within jitter band" a)
-      true
-      (d <= raw && d >= raw *. 0.5)
-  done;
-  (* Different seeds decorrelate. *)
-  let k = Policy.make ~base_s:0.01 ~jitter:0.5 ~seed:43 () in
-  Alcotest.(check bool) "seeds decorrelate" true
-    (Policy.delay_s j ~attempt:1 <> Policy.delay_s k ~attempt:1);
-  (* Budget. *)
-  let p3 = Policy.make ~max_attempts:3 () in
-  Alcotest.(check bool) "retries left at 2" true
-    (Policy.retries_left p3 ~attempt:2);
-  Alcotest.(check bool) "no retries at 3" false
-    (Policy.retries_left p3 ~attempt:3)
-
-let test_policy_validation () =
-  let raises f =
-    match f () with
-    | _ -> Alcotest.fail "expected Invalid_argument"
-    | exception Invalid_argument _ -> ()
-  in
-  raises (fun () -> Policy.make ~base_s:(-0.1) ());
-  raises (fun () -> Policy.make ~cap_s:(-1.0) ());
-  raises (fun () -> Policy.make ~max_attempts:0 ());
-  raises (fun () -> Policy.make ~jitter:1.5 ());
-  raises (fun () -> Policy.make ~jitter:(-0.1) ())
-
-(* ------------------------------------------------------------------ *)
-(* Breaker                                                              *)
-
-let test_breaker_lifecycle () =
-  let b = Breaker.create ~threshold:3 ~cooldown_s:3600.0 () in
-  Alcotest.(check bool) "closed allows" true (Breaker.allow b);
-  Breaker.failure b;
-  Breaker.failure b;
-  Alcotest.(check bool) "below threshold still closed" true (Breaker.allow b);
-  Breaker.failure b;
-  Alcotest.(check bool) "tripped at threshold" false (Breaker.allow b);
-  Alcotest.(check int) "one trip" 1 (Breaker.trips b);
-  (* Success before the threshold resets the count. *)
-  let b2 = Breaker.create ~threshold:3 ~cooldown_s:3600.0 () in
-  Breaker.failure b2;
-  Breaker.failure b2;
-  Breaker.success b2;
-  Breaker.failure b2;
-  Breaker.failure b2;
-  Alcotest.(check bool) "success reset the failure count" true
-    (Breaker.allow b2);
-  Alcotest.(check int) "never tripped" 0 (Breaker.trips b2)
-
-let test_breaker_half_open () =
-  (* Zero cooldown: the next allow after a trip is the half-open probe. *)
-  let b = Breaker.create ~threshold:1 ~cooldown_s:0.0 () in
-  Breaker.failure b;
-  Alcotest.(check int) "tripped" 1 (Breaker.trips b);
-  Alcotest.(check bool) "probe admitted after cooldown" true (Breaker.allow b);
-  (* A failing probe re-trips immediately. *)
-  Breaker.failure b;
-  Alcotest.(check int) "probe failure re-trips" 2 (Breaker.trips b);
-  Alcotest.(check bool) "probe again" true (Breaker.allow b);
-  (* A succeeding probe closes the circuit for good. *)
-  Breaker.success b;
-  Alcotest.(check bool) "closed after good probe" true (Breaker.allow b);
-  Alcotest.(check int) "no further trips" 2 (Breaker.trips b)
-
-(* ------------------------------------------------------------------ *)
-(* Retry driver                                                         *)
+(* Retry                                                                *)
 
 let test_retry_budget () =
-  let policy = Policy.make ~base_s:0.0 ~max_attempts:3 () in
-  (* Transient failures inside the budget are absorbed. *)
-  let calls = ref 0 and retries = ref 0 in
+  (* Two transient disk errors are absorbed. *)
+  let calls = ref 0 in
   let v =
-    Retry.run ~policy ~label:"t"
-      ~on_retry:(fun ~attempt:_ _ -> incr retries)
-      (fun () ->
+    Io.retry (fun () ->
         incr calls;
-        if !calls < 3 then failwith "transient" else 42)
+        if !calls < 3 then raise (Sys_error "transient") else 42)
   in
   Alcotest.(check int) "eventually succeeds" 42 v;
   Alcotest.(check int) "three calls" 3 !calls;
-  Alcotest.(check int) "two retries observed" 2 !retries;
-  (* The budget is a hard stop: the last exception propagates. *)
+  (* The third Sys_error propagates. *)
   let calls = ref 0 in
   (match
-     Retry.run ~policy ~label:"t" (fun () ->
+     Io.retry (fun () ->
          incr calls;
-         failwith "always")
+         raise (Sys_error (Printf.sprintf "always %d" !calls)))
    with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure e -> Alcotest.(check string) "last error wins" "always" e);
+  | _ -> Alcotest.fail "expected Sys_error"
+  | exception Sys_error e ->
+      Alcotest.(check string) "last error wins" "always 3" e);
   Alcotest.(check int) "budget bounds attempts" 3 !calls;
-  (* Non-retryable exceptions escape on the first attempt. *)
-  let calls = ref 0 in
-  (match
-     Retry.run ~policy ~label:"t"
-       ~retryable:(function Sys_error _ -> true | _ -> false)
-       (fun () ->
-         incr calls;
-         raise Exit)
-   with
-  | _ -> Alcotest.fail "expected Exit"
-  | exception Exit -> ());
-  Alcotest.(check int) "non-retryable is immediate" 1 !calls
-
-let test_retry_breaker () =
-  let policy = Policy.make ~base_s:0.0 ~max_attempts:2 () in
-  let breaker = Breaker.create ~threshold:3 ~cooldown_s:3600.0 () in
-  (* Two runs of failures trip the shared breaker: the second run's
-     retry may already find the circuit open mid-loop. *)
-  for _ = 1 to 2 do
-    match
-      Retry.run ~policy ~breaker ~label:"db" (fun () -> failwith "down")
-    with
-    | _ -> Alcotest.fail "expected failure"
-    | exception (Failure _ | Retry.Open_circuit _) -> ()
-  done;
-  Alcotest.(check int) "breaker tripped by accumulated failures" 1
-    (Breaker.trips breaker);
-  (* ...after which callers fail fast without invoking the operation. *)
-  let calls = ref 0 in
-  (match
-     Retry.run ~policy ~breaker ~label:"db" (fun () ->
-         incr calls;
-         42)
-   with
-  | _ -> Alcotest.fail "expected Open_circuit"
-  | exception Retry.Open_circuit "db" -> ());
-  Alcotest.(check int) "open circuit short-circuits the call" 0 !calls
+  (* Anything but Sys_error escapes on the first attempt. *)
+  List.iter
+    (fun (name, exn) ->
+      let calls = ref 0 in
+      (match
+         Io.retry (fun () ->
+             incr calls;
+             raise exn)
+       with
+      | _ -> Alcotest.fail ("expected " ^ name)
+      | exception e when e == exn -> ());
+      Alcotest.(check int) (name ^ " is not retried") 1 !calls)
+    [ ("Failure", Failure "bug");
+      ("Drained", Because_recover.Supervise.Drained) ]
 
 (* ------------------------------------------------------------------ *)
 (* I/O fault shim                                                       *)
@@ -217,6 +90,18 @@ let test_io_faults () =
   Io.write_file_atomic ~dir ~file "after";
   Alcotest.(check string) "hook cleared" "after" (read_file file)
 
+(* A real (not injected) rename failure: the destination is a directory. *)
+let test_io_real_rename_failure () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let file = Filename.concat dir "taken" in
+  Unix.mkdir file 0o755;
+  (match Io.write_file_atomic ~dir ~file "data" with
+  | () -> Alcotest.fail "expected Sys_error"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "no temp file left" [ "taken" ]
+    (Sys.readdir dir |> Array.to_list)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store under disk faults                                   *)
 
@@ -226,8 +111,8 @@ let test_checkpoint_write_retry () =
   Checkpoint.save ck ~key:"k" "v1";
   Alcotest.(check (option string)) "baseline save" (Some "v1")
     (Checkpoint.load ck ~key:"k");
-  (* Two transient ENOSPCs on the snapshot file: absorbed by the store's
-     default 3-attempt policy, counted in write_retries. *)
+  (* Two transient ENOSPCs on the snapshot file: absorbed by the three
+     attempts of Io.retry. *)
   let remaining = ref 2 in
   Io.with_faults
     (fun op ->
@@ -240,7 +125,6 @@ let test_checkpoint_write_retry () =
   Alcotest.(check (option string)) "save survived transient faults"
     (Some "v2")
     (Checkpoint.load ck ~key:"k");
-  Alcotest.(check int) "retries counted" 2 (Checkpoint.write_retries ck);
   (* A persistent fault exhausts the budget and raises; the previous
      snapshot still loads (rotation moved it to .prev.ck). *)
   (match
@@ -273,48 +157,14 @@ let test_checkpoint_write_retry () =
   Alcotest.(check bool) "quarantine warning recorded" true
     (Checkpoint.warnings reopened <> [])
 
-let test_checkpoint_keys_remove () =
-  let dir = fresh_dir () in
-  let ck = Checkpoint.open_ ~dir ~fingerprint:"fp-keys" () in
-  Checkpoint.save ck ~key:"epoch-000001" "a";
-  Checkpoint.save ck ~key:"epoch-000002" "b";
-  Checkpoint.save ck ~key:"compacted" "c";
-  Alcotest.(check (list string)) "keys sorted"
-    [ "compacted"; "epoch-000001"; "epoch-000002" ]
-    (Checkpoint.keys ck);
-  Checkpoint.remove ck ~key:"epoch-000001";
-  Alcotest.(check (list string)) "removed"
-    [ "compacted"; "epoch-000002" ]
-    (Checkpoint.keys ck);
-  Alcotest.(check (option string)) "removed key gone" None
-    (Checkpoint.load ck ~key:"epoch-000001");
-  (* Removing a key with a rotated fallback removes both. *)
-  Checkpoint.save ck ~key:"epoch-000002" "b2";
-  Checkpoint.remove ck ~key:"epoch-000002";
-  Alcotest.(check (option string)) "fallback gone too" None
-    (Checkpoint.load ck ~key:"epoch-000002");
-  (* Keys survive a reopen (encoded names decode). *)
-  let again = Checkpoint.open_ ~dir ~fingerprint:"fp-keys" () in
-  Alcotest.(check (list string)) "keys after reopen" [ "compacted" ]
-    (Checkpoint.keys again)
-
 let suite =
   ( "resilience",
     [
-      Alcotest.test_case "policy capped backoff + seeded jitter" `Quick
-        test_policy_delays;
-      Alcotest.test_case "policy validation" `Quick test_policy_validation;
-      Alcotest.test_case "breaker trip threshold" `Quick
-        test_breaker_lifecycle;
-      Alcotest.test_case "breaker half-open probe" `Quick
-        test_breaker_half_open;
       Alcotest.test_case "retry budget + retryable filter" `Quick
         test_retry_budget;
-      Alcotest.test_case "retry fails fast on open circuit" `Quick
-        test_retry_breaker;
       Alcotest.test_case "io fault shim" `Quick test_io_faults;
+      Alcotest.test_case "io failed rename leaves no temp file" `Quick
+        test_io_real_rename_failure;
       Alcotest.test_case "checkpoint writes retried under faults" `Quick
         test_checkpoint_write_retry;
-      Alcotest.test_case "checkpoint keys + remove" `Quick
-        test_checkpoint_keys_remove;
     ] )

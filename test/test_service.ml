@@ -47,7 +47,6 @@ let cfg ?(limit = 16) ?(jobs = 1) ?(max_attempts = 3) ?kill ?chaos ~dir () =
     Service.limit;
     jobs;
     max_attempts;
-    retry_backoff_s = 0.0;
     kill_after_saves = kill;
     chaos }
 
