@@ -242,12 +242,14 @@ let fig9 () =
      mean: inconsistent damping; (d) prior recovered: no usable data";
   let outcome = Ctx.one_minute () in
   let archetypes = Sc.Report.archetypes (Lazy.force Ctx.world) outcome in
+  let pooled = Option.map Because.Infer.combined_chain outcome.Sc.Campaign.result in
   List.iter
     (fun (a : Sc.Report.archetype) ->
       let m = a.Sc.Report.marginal in
       let h =
         Histogram.of_array ~lo:0.0 ~hi:1.0 ~bins:25
-          m.Because.Posterior.samples
+          (Because_mcmc.Chain.marginal (Option.get pooled)
+             m.Because.Posterior.index)
       in
       Printf.printf "%s — %s\n" a.Sc.Report.label
         (Asn.to_string m.Because.Posterior.asn);

@@ -44,10 +44,14 @@ let insufficient result ~min_support =
       else None)
     (List.init (Tomography.n_nodes data) Fun.id)
 
-let assign ?(min_support = 1) result =
+let assign ?(min_support = 1) ?posterior result =
   let data = Infer.dataset result in
   let n = Tomography.n_nodes data in
-  let per_sampler = Posterior.per_sampler result in
+  let per_sampler =
+    match posterior with
+    | Some p -> p.Posterior.runs
+    | None -> Posterior.per_sampler result
+  in
   (* No surviving sampler run means no posterior at all: everything is
      uncertain, not "highly likely clean". *)
   let best = Array.make n (if per_sampler = [] then C3 else C1) in

@@ -34,8 +34,12 @@ val damping : t -> bool
 (** The paper accepts categories 4 and 5 as RFD-enabled. *)
 
 val assign :
-  ?min_support:int -> Infer.result -> (Because_bgp.Asn.t * t) list
-(** Per-AS category: highest flag across the MH and HMC marginals.
+  ?min_support:int ->
+  ?posterior:Posterior.t ->
+  Infer.result ->
+  (Because_bgp.Asn.t * t) list
+(** Per-AS category: highest flag across the MH and HMC marginals, read
+    from [posterior] (default: {!Posterior.summarize}[ result]).
 
     An AS crossed by fewer than [min_support] observations (default 1 — no
     demotion) is forced to C3: with its feeds truncated by faults there is

@@ -192,13 +192,8 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
    output *values* — are identical for every [jobs]. *)
 let run_tasks ~jobs tasks = Because_stats.Parallel.run_tasks ~jobs tasks
 
-(* Worst-coordinate R-hat per sampler, in first-run order: across-chain
-   R-hat when the sampler ran several chains, split-R-hat on its single
-   chain.  [view] picks the part of each chain that is diagnosed.  The
-   [_coord] diagnostics walk the chains' flat storage directly —
-   bit-identical to extracting each marginal, without the per-coordinate
-   array materialisation. *)
-let worst_r_hats view runs =
+(* Each sampler's chains, in first-run order. *)
+let sampler_groups runs =
   let names =
     List.fold_left
       (fun acc run -> if List.mem run.name acc then acc else run.name :: acc)
@@ -206,12 +201,21 @@ let worst_r_hats view runs =
   in
   List.rev_map
     (fun name ->
-      let chains =
+      ( name,
         Array.of_list
           (List.filter_map
-             (fun run -> if run.name = name then Some (view run.chain) else None)
-             runs)
-      in
+             (fun run -> if run.name = name then Some run.chain else None)
+             runs) ))
+    names
+
+(* Worst-coordinate R-hat per sampler: across-chain R-hat when the sampler
+   ran several chains, split-R-hat on its single chain.  The [_coord]
+   diagnostics walk the chains' flat storage directly — bit-identical to
+   extracting each marginal, without the per-coordinate array
+   materialisation. *)
+let r_hat result =
+  List.map
+    (fun (name, chains) ->
       let worst = ref neg_infinity in
       for i = 0 to Chain.dim chains.(0) - 1 do
         let v =
@@ -222,20 +226,20 @@ let worst_r_hats view runs =
         if v > !worst then worst := v
       done;
       (name, !worst))
-    names
-
-let r_hat result = worst_r_hats Fun.id result.runs
-
-(* Worst R-hat over every sampler group and coordinate when each chain is
-   truncated to its first [n] retained draws. *)
-let worst_r_hat_at runs n =
-  List.fold_left
-    (fun worst (_, v) -> if v > worst then v else worst)
-    neg_infinity
-    (worst_r_hats (fun c -> Chain.prefix c n) runs)
+    (sampler_groups result.runs)
 
 let gate_points = 16
 
+(* The gate asks, per prefix length n on the grid, whether the worst R-hat
+   over every sampler and coordinate is within [threshold]: [r_hat] over
+   each chain's first n draws.  Two things keep that cheap without
+   changing the answer:
+   - each (sampler, coordinate) pair copies its chains' first n values
+     into one column scratch per chain, which the diagnostics scan
+     contiguously in the order a prefix copy of the chain would be read;
+   - a length fails at the first pair over the threshold, trying first the
+     pair that failed the previous length.  (A NaN R-hat never fails, just
+     as it never raised the worst.) *)
 let gate_draws ?(threshold = 1.1) result =
   match result.runs with
   | [] -> None
@@ -254,7 +258,43 @@ let gate_draws ?(threshold = 1.1) result =
               max 8 (min_len * (k + 1) / gate_points))
           |> List.sort_uniq compare
         in
-        List.find_opt (fun n -> worst_r_hat_at runs n <= threshold) grid
+        let groups =
+          Array.of_list
+            (List.map
+               (fun (_, chains) ->
+                 (chains, Array.map (fun _ -> Array.make min_len 0.0) chains))
+               (sampler_groups runs))
+        in
+        let dim = Chain.dim (List.hd runs).chain in
+        let fails n (g, i) =
+          let chains, cols = groups.(g) in
+          Array.iteri
+            (fun c chain -> Chain.marginal_into chain i ~len:n cols.(c))
+            chains;
+          let v =
+            match cols with
+            | [| col |] -> Diagnostics.split_r_hat_prefix col n
+            | _ -> Diagnostics.r_hat_prefix cols n
+          in
+          v > threshold
+        in
+        let last_failure = ref (0, 0) in
+        let passes n =
+          (not (fails n !last_failure))
+          &&
+          try
+            for g = 0 to Array.length groups - 1 do
+              for i = 0 to dim - 1 do
+                if fails n (g, i) then begin
+                  last_failure := (g, i);
+                  raise_notrace Exit
+                end
+              done
+            done;
+            true
+          with Exit -> false
+        in
+        List.find_opt passes grid
       end
 
 (* Runs inside the worker domain, so the counters land in that domain's

@@ -3,8 +3,8 @@ module Target = Because_mcmc.Target
 
 type t = {
   data : Tomography.t;
-  priors : Prior.t array;  (* one per node index *)
-  epsilon : float;         (* false-negative rate of the labeling *)
+  priors : Prior.density array;  (* one per node index *)
+  epsilon : float;               (* false-negative rate of the labeling *)
 }
 
 let eps = 1e-9
@@ -18,11 +18,11 @@ let create ?(prior = Prior.default) ?(node_priors = [])
     ?(false_negative_rate = 0.0) data =
   if false_negative_rate < 0.0 || false_negative_rate >= 1.0 then
     invalid_arg "Model.create: false_negative_rate outside [0, 1)";
-  let priors = Array.make (Tomography.n_nodes data) prior in
+  let priors = Array.make (Tomography.n_nodes data) (Prior.density prior) in
   List.iter
     (fun (asn, node_prior) ->
       match Tomography.index_of data asn with
-      | Some i -> priors.(i) <- node_prior
+      | Some i -> priors.(i) <- Prior.density node_prior
       | None -> ())
     node_priors;
   { data; priors; epsilon = false_negative_rate }
@@ -99,7 +99,7 @@ let log_likelihood t p =
 let log_prior t p =
   let acc = { v = 0.0 } in
   for i = 0 to Array.length t.priors - 1 do
-    acc.v <- acc.v +. Prior.log_pdf t.priors.(i) (clamp p.(i))
+    acc.v <- acc.v +. Prior.log_density t.priors.(i) (clamp p.(i))
   done;
   acc.v
 
@@ -108,8 +108,12 @@ let log_posterior t p = log_likelihood t p +. log_prior t p
 let grad_log_posterior t p =
   let n = Tomography.n_nodes t.data in
   let g = Array.make n 0.0 in
-  for i = 0 to Array.length t.priors - 1 do
-    g.(i) <- Prior.grad_log_pdf t.priors.(i) (clamp p.(i))
+  (* qᵢ = 1 − clamp pᵢ once per node, for the scatter below. *)
+  let q = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let x = clamp (Array.get p i) in
+    Array.unsafe_set g i (Prior.grad_log_density t.priors.(i) x);
+    Array.unsafe_set q i (1.0 -. x)
   done;
   let lq = log_q t p in
   let off = Tomography.path_offsets t.data in
@@ -142,7 +146,8 @@ let grad_log_posterior t p =
     in
     for k = Array.unsafe_get off j to Array.unsafe_get off (j + 1) - 1 do
       let i = Array.unsafe_get nodes k in
-      g.(i) <- g.(i) +. (coef /. (1.0 -. clamp p.(i)))
+      Array.unsafe_set g i
+        (Array.unsafe_get g i +. (coef /. Array.unsafe_get q i))
     done
   done;
   g
@@ -163,6 +168,9 @@ let make_cache t p0 =
   let through = Tomography.through_paths t.data in
   let point = Array.map clamp p0 in
   let lq = Array.map (fun v -> Float.log1p (-.v)) point in
+  (* The prior's log density at the point, so a delta evaluates the prior
+     once (at the proposal) instead of twice. *)
+  let lp = Array.mapi (fun i v -> Prior.log_density t.priors.(i) v) point in
   let s =
     let acc = { v = 0.0 } in
     Array.init n_paths (fun j ->
@@ -173,10 +181,7 @@ let make_cache t p0 =
   let cached_delta i v =
     let v = clamp v in
     let dlq = Float.log1p (-.v) -. lq.(i) in
-    let acc =
-      { v = Prior.log_pdf t.priors.(i) v
-            -. Prior.log_pdf t.priors.(i) point.(i) }
-    in
+    let acc = { v = Prior.log_density t.priors.(i) v -. lp.(i) } in
     for k = through_off.(i) to through_off.(i + 1) - 1 do
       let j = Array.unsafe_get through k in
       acc.v <- acc.v +. path_term t j (s.(j) +. dlq) -. term.(j)
@@ -188,6 +193,7 @@ let make_cache t p0 =
     let dlq = Float.log1p (-.v) -. lq.(i) in
     point.(i) <- v;
     lq.(i) <- Float.log1p (-.v);
+    lp.(i) <- Prior.log_density t.priors.(i) v;
     for k = through_off.(i) to through_off.(i + 1) - 1 do
       let j = Array.unsafe_get through k in
       s.(j) <- s.(j) +. dlq;
@@ -196,8 +202,8 @@ let make_cache t p0 =
   in
   (* Checkpoint support.  [s] is accumulated incrementally, so a rebuild
      from the point alone lands an ulp off the live trajectory; the state
-     vector therefore carries point ++ s verbatim.  [lq] and [term] are
-     pure functions of point and s and are recomputed bit-identically. *)
+     vector therefore carries point ++ s verbatim.  [lq], [lp] and [term]
+     are pure functions of point and s and are recomputed bit-identically. *)
   let dim = Array.length point in
   let cached_state () = Array.append point s in
   let cached_restore saved =
@@ -206,7 +212,8 @@ let make_cache t p0 =
     Array.blit saved 0 point 0 dim;
     Array.blit saved dim s 0 n_paths;
     for i = 0 to dim - 1 do
-      lq.(i) <- Float.log1p (-.point.(i))
+      lq.(i) <- Float.log1p (-.point.(i));
+      lp.(i) <- Prior.log_density t.priors.(i) point.(i)
     done;
     for j = 0 to n_paths - 1 do
       term.(j) <- path_term t j s.(j)
@@ -217,7 +224,8 @@ let make_cache t p0 =
 let delta_log_posterior t p i v =
   let v = clamp v in
   let prior_delta =
-    Prior.log_pdf t.priors.(i) v -. Prior.log_pdf t.priors.(i) (clamp p.(i))
+    Prior.log_density t.priors.(i) v
+    -. Prior.log_density t.priors.(i) (clamp p.(i))
   in
   let acc = { v = prior_delta } in
   let off = Tomography.path_offsets t.data in

@@ -13,8 +13,10 @@ let default_min_support = 2
 
 let promotions_nonempty ~threshold ~min_support result ~categories =
   let data = Infer.dataset result in
-  let chain = Infer.combined_chain result in
-  let n_draws = Chain.length chain in
+  (* The pooled draws, read run by run in place: a win count does not
+     depend on the order the draws come in. *)
+  let chains = List.map (fun (r : Infer.sampler_run) -> r.Infer.chain) result.Infer.runs in
+  let n_draws = List.fold_left (fun n c -> n + Chain.length c) 0 chains in
   let category_of = Hashtbl.create 64 in
   List.iter
     (fun (asn, c) -> Hashtbl.replace category_of asn c)
@@ -39,16 +41,19 @@ let promotions_nonempty ~threshold ~min_support result ~categories =
            [Chain.value] reads the flat storage in place — no per-draw row
            copy in this O(draws × path length) loop. *)
         let wins = Array.make (Array.length nodes) 0 in
-        for k = 0 to n_draws - 1 do
-          let best = ref 0 in
-          for idx = 0 to Array.length nodes - 1 do
-            if
-              Chain.value chain k nodes.(idx)
-              > Chain.value chain k nodes.(!best)
-            then best := idx
-          done;
-          wins.(!best) <- wins.(!best) + 1
-        done;
+        List.iter
+          (fun chain ->
+            for k = 0 to Chain.length chain - 1 do
+              let best = ref 0 in
+              for idx = 0 to Array.length nodes - 1 do
+                if
+                  Chain.value chain k nodes.(idx)
+                  > Chain.value chain k nodes.(!best)
+                then best := idx
+              done;
+              wins.(!best) <- wins.(!best) + 1
+            done)
+          chains;
         Array.iteri
           (fun idx node ->
             let prob = float_of_int wins.(idx) /. float_of_int n_draws in
@@ -99,6 +104,7 @@ let apply categories promotions =
     categories
 
 type pipeline = {
+  posterior : Posterior.t;
   step1 : (Asn.t * Categorize.t) list;
   insufficient : Asn.t list;
   promotions : promotion list;
@@ -106,7 +112,10 @@ type pipeline = {
 }
 
 let pipeline ?threshold ?min_support ~min_path_support result =
-  let step1 = Categorize.assign ~min_support:min_path_support result in
+  let posterior = Posterior.summarize result in
+  let step1 =
+    Categorize.assign ~min_support:min_path_support ~posterior result
+  in
   let insufficient =
     Categorize.insufficient result ~min_support:min_path_support
   in
@@ -117,7 +126,8 @@ let pipeline ?threshold ?min_support ~min_path_support result =
       (fun p -> not (List.exists (Asn.equal p.asn) insufficient))
       (promotions ?threshold ?min_support result ~categories:step1)
   in
-  { step1; insufficient; promotions; categories = apply step1 promotions }
+  { posterior; step1; insufficient; promotions;
+    categories = apply step1 promotions }
 
 let assign_with_pinpointing ?threshold ?min_support result =
   (pipeline ?threshold ?min_support ~min_path_support:1 result).categories

@@ -48,6 +48,9 @@ val apply :
 (** Raise promoted ASs to at least Category 4. *)
 
 type pipeline = {
+  posterior : Posterior.t;
+      (** The result's one {!Posterior.summarize}: step 1 reads it, and so
+          can whatever reports the estimates. *)
   step1 : (Asn.t * Categorize.t) list;  (** {!Categorize.assign}'s flags. *)
   insufficient : Asn.t list;  (** {!Categorize.insufficient}. *)
   promotions : promotion list;

@@ -6,7 +6,7 @@
     session or don't, so mass concentrates near 0 and 1 — this is the prior
     shape recovered for data-starved ASs in Fig. 9(d).
 
-    [Point_mass_at_zero] is used for nodes known a priori not to show the
+    [Near_zero] is used for nodes known a priori not to show the
     property (the Beacon origin ASs, whose upstreams were verified not to
     damp): implemented as a very sharp Beta towards 0 rather than a true
     point mass so samplers stay ergodic. *)
@@ -21,5 +21,18 @@ val default : t
 
 val log_pdf : t -> float -> float
 val grad_log_pdf : t -> float -> float
+
+type density
+(** A prior with its Beta normaliser ln B(a, b) computed once.  The
+    samplers evaluate the prior of every node on every step; {!log_pdf}
+    would recompute the normaliser (three Lanczos log-gammas) each time. *)
+
+val density : t -> density
+
+val log_density : density -> float -> float
+(** [log_density (density t) p] is bit-equal to [log_pdf t p]. *)
+
+val grad_log_density : density -> float -> float
+(** [grad_log_density (density t) p] is bit-equal to [grad_log_pdf t p]. *)
 
 val pp : Format.formatter -> t -> unit

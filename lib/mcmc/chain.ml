@@ -64,6 +64,18 @@ let marginal t i =
          t.dim);
   Array.init t.len (fun k -> Array.unsafe_get t.data ((k * t.dim) + i))
 
+let marginal_into t i ~len dst =
+  if i < 0 || i >= t.dim || len < 0 || len > t.len || len > Array.length dst
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Chain.marginal_into: coordinate %d, %d draws into %d slots out of \
+          bounds (length %d, dim %d)"
+         i len (Array.length dst) t.len t.dim);
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst k (Array.unsafe_get t.data ((k * t.dim) + i))
+  done
+
 let map_draws t f = Array.init t.len (fun k -> f (get t k))
 
 let for_all_values f t =

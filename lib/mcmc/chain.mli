@@ -35,6 +35,13 @@ val marginal : t -> int -> float array
 (** [marginal t i] extracts the i-th coordinate across all draws — the
     marginal posterior sample for one AS. *)
 
+val marginal_into : t -> int -> len:int -> float array -> unit
+(** [marginal_into t i ~len dst] writes coordinate [i] of the first [len]
+    draws into [dst.(0 .. len-1)]: {!marginal} into a caller's reusable
+    buffer.
+    @raise Invalid_argument when [i] is out of bounds, or [len] exceeds
+    the chain or [dst]. *)
+
 val map_draws : t -> (float array -> 'a) -> 'a array
 (** Apply a function to every draw (each receives a fresh row copy); used
     e.g. to compute per-draw argmax for the pinpointing step. *)

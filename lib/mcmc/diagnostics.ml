@@ -68,28 +68,69 @@ let psr ~n means vars =
     Float.sqrt (var_plus /. w)
   end
 
+(* Mean and variance of [xs.(pos .. pos+len-1)], replicating
+   [Summary.mean] / [Summary.variance] (left-to-right sums, n-1 divisor)
+   so that every r-hat below is bit-identical to the one over copied
+   sub-arrays. *)
+type facc = { mutable acc : float }
+
+let slice_mean xs ~pos ~len =
+  let a = { acc = 0.0 } in
+  for k = pos to pos + len - 1 do
+    a.acc <- a.acc +. xs.(k)
+  done;
+  a.acc /. float_of_int len
+
+let slice_variance xs ~pos ~len =
+  if len < 2 then 0.0
+  else begin
+    let m = slice_mean xs ~pos ~len in
+    let a = { acc = 0.0 } in
+    for k = pos to pos + len - 1 do
+      let d = xs.(k) -. m in
+      a.acc <- a.acc +. (d *. d)
+    done;
+    a.acc /. float_of_int (len - 1)
+  end
+
+let r_hat_prefix chains n =
+  if Array.length chains < 2 then
+    invalid_arg "Diagnostics.r_hat_prefix: need at least two chains";
+  Array.iter
+    (fun c ->
+      if Array.length c < n then
+        invalid_arg "Diagnostics.r_hat_prefix: chain shorter than the prefix")
+    chains;
+  if n < 2 then 1.0
+  else
+    psr ~n
+      (Array.map (fun c -> slice_mean c ~pos:0 ~len:n) chains)
+      (Array.map (fun c -> slice_variance c ~pos:0 ~len:n) chains)
+
 let r_hat chains =
-  let m = Array.length chains in
-  if m < 2 then invalid_arg "Diagnostics.r_hat: need at least two chains";
+  if Array.length chains < 2 then
+    invalid_arg "Diagnostics.r_hat: need at least two chains";
   let n = Array.length chains.(0) in
   Array.iter
     (fun c ->
       if Array.length c <> n then
         invalid_arg "Diagnostics.r_hat: unequal chain lengths")
     chains;
-  if n < 2 then 1.0
-  else
-    psr ~n (Array.map Summary.mean chains) (Array.map Summary.variance chains)
+  r_hat_prefix chains n
 
-let split_r_hat xs =
-  let n = Array.length xs in
+let split_r_hat_prefix xs n =
+  if n > Array.length xs then
+    invalid_arg "Diagnostics.split_r_hat_prefix: prefix longer than the chain";
   if n < 4 then 1.0
   else begin
     let half = n / 2 in
-    let first = Array.sub xs 0 half in
-    let second = Array.sub xs (n - half) half in
-    r_hat [| first; second |]
+    psr ~n:half
+      [| slice_mean xs ~pos:0 ~len:half; slice_mean xs ~pos:(n - half) ~len:half |]
+      [| slice_variance xs ~pos:0 ~len:half;
+         slice_variance xs ~pos:(n - half) ~len:half |]
   end
+
+let split_r_hat xs = split_r_hat_prefix xs (Array.length xs)
 
 (* --- allocation-free variants over flat chain storage ---
 
@@ -98,8 +139,6 @@ let split_r_hat xs =
    so the flat-chain r-hats return bit-identical values to extracting the
    marginal and calling the array versions — without materialising a
    marginal array per coordinate per chain. *)
-
-type facc = { mutable acc : float }
 
 let window_mean chain i ~pos ~len =
   let a = { acc = 0.0 } in

@@ -16,6 +16,17 @@ val split_r_hat : float array -> float
 val r_hat : float array array -> float
 (** Classic multi-chain potential scale reduction factor. *)
 
+val split_r_hat_prefix : float array -> int -> float
+(** [split_r_hat_prefix xs n] equals [split_r_hat (Array.sub xs 0 n)]
+    bit-for-bit, without the copy.
+    @raise Invalid_argument when [n] exceeds the array. *)
+
+val r_hat_prefix : float array array -> int -> float
+(** [r_hat_prefix chains n] equals [r_hat] over each chain's first [n]
+    values, bit-for-bit, without the copies.
+    @raise Invalid_argument on fewer than two chains or a chain shorter
+    than [n]. *)
+
 val split_r_hat_coord : Chain.t -> int -> float
 (** [split_r_hat_coord chain i] equals [split_r_hat (Chain.marginal chain i)]
     bit-for-bit, computed directly over the chain's flat storage without

@@ -76,6 +76,7 @@ type outcome = {
   oscillating : Prefix.Set.t;
   anchors : Prefix.Set.t;
   result : Because.Infer.result option;
+  posterior : Because.Posterior.t option;
   categories_step1 : (Asn.t * Because.Categorize.t) list;
   categories : (Asn.t * Because.Categorize.t) list;
   promotions : Because.Pinpoint.promotion list;
@@ -364,9 +365,10 @@ let run_multi ?recovery world params ~intervals =
         else None
       in
       let status = status_of ~params ~interval ~observations result in
-      let categories_step1, categories, promotions, insufficient, warnings =
+      let ( posterior, categories_step1, categories, promotions, insufficient,
+            warnings ) =
         match result with
-        | None -> ([], [], [], [], [])
+        | None -> (None, [], [], [], [], [])
         | Some r ->
             Tel.Span.with_ params.telemetry ~name:"campaign.categorize"
               (fun () ->
@@ -374,7 +376,8 @@ let run_multi ?recovery world params ~intervals =
                   Because.Pinpoint.pipeline
                     ~min_path_support:params.min_path_support r
                 in
-                ( p.Because.Pinpoint.step1,
+                ( Some p.Because.Pinpoint.posterior,
+                  p.Because.Pinpoint.step1,
                   p.categories,
                   p.promotions,
                   p.insufficient,
@@ -396,6 +399,7 @@ let run_multi ?recovery world params ~intervals =
         oscillating;
         anchors;
         result;
+        posterior;
         categories_step1;
         categories;
         promotions;

@@ -74,6 +74,9 @@ type outcome = {
   oscillating : Prefix.Set.t;
   anchors : Prefix.Set.t;
   result : Because.Infer.result option;   (** [None] when inference was off or no paths labeled. *)
+  posterior : Because.Posterior.t option;
+      (** [result]'s marginal summaries, the ones the categories came
+          from; [None] with [result]. *)
   categories_step1 : (Asn.t * Because.Categorize.t) list;
       (** Before pinpointing (Fig. 12's "consistent" bars). *)
   categories : (Asn.t * Because.Categorize.t) list;

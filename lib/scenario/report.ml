@@ -155,10 +155,10 @@ type archetype = {
 }
 
 let archetypes world outcome =
-  match outcome.Campaign.result with
+  match outcome.Campaign.posterior with
   | None -> []
-  | Some result ->
-      let marginals = Because.Posterior.combined result in
+  | Some posterior ->
+      let marginals = posterior.Because.Posterior.pooled in
       let categories = outcome.Campaign.categories in
       let category_of asn =
         Option.value
@@ -218,10 +218,10 @@ type scatter_point = {
 }
 
 let scatter outcome =
-  match outcome.Campaign.result with
+  match outcome.Campaign.posterior with
   | None -> []
-  | Some result ->
-      let marginals = Because.Posterior.combined result in
+  | Some posterior ->
+      let marginals = posterior.Because.Posterior.pooled in
       let categories = outcome.Campaign.categories in
       Array.to_list
         (Array.map

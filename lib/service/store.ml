@@ -107,31 +107,33 @@ let rollup t =
   else if degraded <> [] then Supervise.Degraded degraded
   else Supervise.Healthy
 
-let estimates_of_result (result : Because.Infer.result) ~categories =
-  if result.Because.Infer.runs = [] then [||]
-  else
-    let marginals = Because.Posterior.combined result in
-    Array.map
-      (fun (m : Because.Posterior.marginal) ->
-        let cat =
-          match List.assoc_opt m.Because.Posterior.asn categories with
-          | Some c -> c
-          | None -> Because.Categorize.C3
-        in
-        { asn = m.Because.Posterior.asn;
-          mean = m.Because.Posterior.mean;
-          lo = m.Because.Posterior.hdpi.lo;
-          hi = m.Because.Posterior.hdpi.hi;
-          category = Because.Categorize.to_int cat;
-          damping = Because.Categorize.damping cat })
-      marginals
+let estimates (posterior : Because.Posterior.t) ~categories =
+  Array.map
+    (fun (m : Because.Posterior.marginal) ->
+      let cat =
+        match List.assoc_opt m.Because.Posterior.asn categories with
+        | Some c -> c
+        | None -> Because.Categorize.C3
+      in
+      { asn = m.Because.Posterior.asn;
+        mean = m.Because.Posterior.mean;
+        lo = m.Because.Posterior.hdpi.lo;
+        hi = m.Because.Posterior.hdpi.hi;
+        category = Because.Categorize.to_int cat;
+        damping = Because.Categorize.damping cat })
+    posterior.Because.Posterior.pooled
+
+let estimates_of_result ?posterior result ~categories =
+  estimates
+    (match posterior with
+    | Some p -> p
+    | None -> Because.Posterior.summarize result)
+    ~categories
 
 let estimates_of_outcome (outcome : Sc.Campaign.outcome) =
-  match outcome.Sc.Campaign.result with
+  match outcome.Sc.Campaign.posterior with
   | None -> [||]
-  | Some result ->
-      estimates_of_result result
-        ~categories:outcome.Sc.Campaign.categories
+  | Some p -> estimates p ~categories:outcome.Sc.Campaign.categories
 
 (* Reports must be bit-for-bit reproducible across drain/kill/resume, so
    every float is printed at full precision and nothing run-dependent

@@ -88,18 +88,20 @@ val rollup : t -> Because_recover.Supervise.status
     [Healthy]; reasons are prefixed with the campaign id. *)
 
 val estimates_of_result :
+  ?posterior:Because.Posterior.t ->
   Because.Infer.result ->
   categories:(Asn.t * Because.Categorize.t) list ->
   estimate array
-(** Per-AS marginals of a pooled posterior joined with final categories;
-    [\[||\]] when no sampler run survived.  Shared by the campaign path
-    ({!estimates_of_outcome}) and the streaming path. *)
+(** Per-AS pooled marginals of [posterior] (default:
+    {!Because.Posterior.summarize}[ result]) joined with final categories;
+    [\[||\]] when no sampler run survived.  The streaming path passes the
+    summary its categories came from. *)
 
 val estimates_of_outcome :
   Because_scenario.Campaign.outcome -> estimate array
-(** Per-AS marginals of the campaign's pooled posterior
-    ({!Because.Posterior.combined}) joined with the final categories;
-    [\[||\]] when inference produced nothing. *)
+(** Per-AS pooled marginals of the campaign's posterior
+    ([outcome.posterior]) joined with the final categories; [\[||\]] when
+    inference produced nothing. *)
 
 val report : entry -> string
 (** The campaign's durable report: spec line, status, and the sorted

@@ -127,12 +127,14 @@ let run ~spec ~epoch ~prior ~telemetry ~supervise ~jobs () =
             Tel.Span.with_ telemetry ~name:"stream.infer" (fun () ->
                 Because.Infer.run ~rng ~config data)
           in
-          let categories =
-            (Because.Pinpoint.pipeline
-               ~min_path_support:spec.Spec.min_path_support result)
-              .categories
+          let p =
+            Because.Pinpoint.pipeline
+              ~min_path_support:spec.Spec.min_path_support result
           in
-          let estimates = Store.estimates_of_result result ~categories in
+          let estimates =
+            Store.estimates_of_result ~posterior:p.posterior result
+              ~categories:p.categories
+          in
           let gate_sweeps =
             Option.map
               (fun draws -> burn_in + draws)

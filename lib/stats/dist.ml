@@ -59,12 +59,13 @@ let beta rng ~a ~b =
   let y = gamma rng ~shape:b ~scale:1.0 in
   x /. (x +. y)
 
-let beta_log_pdf ~a ~b x =
+let beta_log_pdf_normed ~a ~b ~log_norm x =
   if x <= 0.0 || x >= 1.0 then neg_infinity
   else
-    ((a -. 1.0) *. Float.log x)
-    +. ((b -. 1.0) *. Float.log1p (-.x))
-    -. Special.log_beta a b
+    ((a -. 1.0) *. Float.log x) +. ((b -. 1.0) *. Float.log1p (-.x)) -. log_norm
+
+let beta_log_pdf ~a ~b x =
+  beta_log_pdf_normed ~a ~b ~log_norm:(Special.log_beta a b) x
 
 let bernoulli rng ~p = Rng.float rng < p
 

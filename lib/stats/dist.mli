@@ -29,6 +29,12 @@ val beta : Rng.t -> a:float -> b:float -> float
 val beta_log_pdf : a:float -> b:float -> float -> float
 (** Log-density of Beta(a, b); [neg_infinity] outside (0, 1). *)
 
+val beta_log_pdf_normed :
+  a:float -> b:float -> log_norm:float -> float -> float
+(** [beta_log_pdf] with its normaliser [log_norm = Special.log_beta a b]
+    computed by the caller, once per (a, b) instead of once per call (three
+    Lanczos log-gammas).  Bit-equal to [beta_log_pdf ~a ~b]. *)
+
 val bernoulli : Rng.t -> p:float -> bool
 
 val binomial : Rng.t -> n:int -> p:float -> int

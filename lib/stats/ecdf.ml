@@ -2,9 +2,7 @@ type t = float array (* sorted *)
 
 let of_array xs =
   if Array.length xs = 0 then invalid_arg "Ecdf.of_array: empty array";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  sorted
+  Fsort.sorted_copy xs
 
 let size t = Array.length t
 

@@ -14,4 +14,9 @@ val compute : ?mass:float -> float array -> t
     sliding-window minimiser over sorted samples.  Raises [Invalid_argument]
     on an empty array or a mass outside (0, 1]. *)
 
+val of_sorted : ?mass:float -> float array -> t
+(** [compute] over samples already in ascending order, without copying or
+    sorting them: [of_sorted ~mass (sorted xs) = compute ~mass xs].
+    Raises [Invalid_argument] like [compute]. *)
+
 val contains : t -> float -> bool

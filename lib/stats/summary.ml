@@ -25,8 +25,7 @@ let quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Summary.quantile: empty array";
   if q < 0.0 || q > 1.0 then invalid_arg "Summary.quantile: q outside [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  let sorted = Fsort.sorted_copy xs in
   let h = q *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor h) in
   let hi = Stdlib.min (lo + 1) (n - 1) in
