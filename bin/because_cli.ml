@@ -627,8 +627,8 @@ let infer_cmd =
       List.iter
         (fun (name, r) -> Printf.printf "R-hat %s: %.3f\n" name r)
         (Because.Infer.r_hat result);
-    let marginals = Because.Posterior.combined result in
-    let categories = Because.Pinpoint.assign_with_pinpointing result in
+    let p = Because.Pinpoint.pipeline ~min_path_support:1 result in
+    let categories = p.Because.Pinpoint.categories in
     Printf.printf "%-10s %8s %8s %8s  %s\n" "AS" "mean" "hdpi-lo" "hdpi-hi"
       "category";
     Array.iter
@@ -644,7 +644,7 @@ let infer_cmd =
           m.Because.Posterior.hdpi.hi
           (Because.Categorize.to_int c)
           (if Because.Categorize.damping c then "  << RFD" else ""))
-      marginals
+      p.Because.Pinpoint.posterior.Because.Posterior.pooled
   in
   Cmd.v
     (Cmd.info "infer"
@@ -785,21 +785,35 @@ let ingest_file svc path = List.iter (ingest_line svc) (read_lines path)
    partial write staged as ".x.campaign" is invisible until renamed.
 
    Reads race producers and NFS-style hiccups, so the read and the rename
-   each go through Io.retry; the lines are submitted once, between them,
-   so a failed rename never re-submits a spec.  A file whose read keeps
-   failing is skipped and stays eligible for the next poll. *)
-let scan_spool svc dir =
+   each go through Io.retry; the lines are submitted once, between them.
+   A file whose read keeps failing is skipped and stays eligible for the
+   next poll.  A file whose rename keeps failing is remembered in
+   [submitted] (path → the inode that was read): later polls retry only
+   its rename, silently, so its specs are never submitted twice however
+   long the daemon runs.  A new file renamed into place under that name
+   has a new inode and is read as a new submission. *)
+let scan_spool submitted svc dir =
   List.iter
     (fun f ->
       let path = Filename.concat dir f in
+      let inode =
+        match Unix.stat path with
+        | st -> st.Unix.st_ino
+        | exception Unix.Unix_error _ -> -1
+      in
+      let rename_only = Hashtbl.find_opt submitted path = Some inode in
       match
-        let lines = Because_recover.Io.retry (fun () -> read_lines path) in
-        List.iter (ingest_line svc) lines;
+        if not rename_only then begin
+          let lines = Because_recover.Io.retry (fun () -> read_lines path) in
+          List.iter (ingest_line svc) lines;
+          Hashtbl.replace submitted path inode
+        end;
         Because_recover.Io.retry (fun () -> Sys.rename path (path ^ ".done"))
       with
-      | () -> ()
+      | () -> Hashtbl.remove submitted path
       | exception Sys_error e ->
-          Printf.eprintf "serve: spool: skipping %s: %s\n%!" f e)
+          if not rename_only then
+            Printf.eprintf "serve: spool: skipping %s: %s\n%!" f e)
     (Because_service.Spool.scan dir)
 
 let serve_cmd =
@@ -972,7 +986,8 @@ let serve_cmd =
         http_port
     in
     List.iter (ingest_file svc) spec_files;
-    Option.iter (scan_spool svc) spool;
+    let spool_submitted = Hashtbl.create 8 in
+    Option.iter (scan_spool spool_submitted svc) spool;
     let verdict =
       if oneshot then Service.run_until_idle svc
       else begin
@@ -980,7 +995,7 @@ let serve_cmd =
         let last_matrix = ref "" in
         while not (Service.draining svc || Service.killed svc) do
           Unix.sleepf poll_s;
-          Option.iter (scan_spool svc) spool;
+          Option.iter (scan_spool spool_submitted svc) spool;
           Service.write_status svc;
           let m = Because_service.Store.matrix (Service.store svc) in
           if m <> !last_matrix then begin
