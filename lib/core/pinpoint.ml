@@ -15,7 +15,9 @@ let promotions_nonempty ~threshold ~min_support result ~categories =
   let data = Infer.dataset result in
   (* The pooled draws, read run by run in place: a win count does not
      depend on the order the draws come in. *)
-  let chains = List.map (fun (r : Infer.sampler_run) -> r.Infer.chain) result.Infer.runs in
+  let chains =
+    List.map (fun (r : Infer.sampler_run) -> r.Infer.chain) result.Infer.runs
+  in
   let n_draws = List.fold_left (fun n c -> n + Chain.length c) 0 chains in
   let category_of = Hashtbl.create 64 in
   List.iter

@@ -33,7 +33,7 @@ let summarize ?(mass = 0.95) (result : Infer.result) =
   in
   let cols = Array.map (fun c -> Array.make (Chain.length c) 0.0) chains in
   let total = Array.fold_left (fun n col -> n + Array.length col) 0 cols in
-  let merged = Array.make total 0.0 in
+  let merged = Array.make (if Array.length cols > 1 then total else 0) 0.0 in
   let nodes = Tomography.n_nodes data in
   let unset =
     { asn = Asn.of_int 0; index = -1; mean = nan;

@@ -57,13 +57,6 @@ let value t k i =
          t.dim);
   Array.unsafe_get t.data ((k * t.dim) + i)
 
-let marginal t i =
-  if i < 0 || i >= t.dim then
-    invalid_arg
-      (Printf.sprintf "Chain.marginal: coordinate %d out of bounds (dim %d)" i
-         t.dim);
-  Array.init t.len (fun k -> Array.unsafe_get t.data ((k * t.dim) + i))
-
 let marginal_into t i ~len dst =
   if i < 0 || i >= t.dim || len < 0 || len > t.len || len > Array.length dst
   then
@@ -75,6 +68,15 @@ let marginal_into t i ~len dst =
   for k = 0 to len - 1 do
     Array.unsafe_set dst k (Array.unsafe_get t.data ((k * t.dim) + i))
   done
+
+let marginal t i =
+  if i < 0 || i >= t.dim then
+    invalid_arg
+      (Printf.sprintf "Chain.marginal: coordinate %d out of bounds (dim %d)" i
+         t.dim);
+  let column = Array.make t.len 0.0 in
+  marginal_into t i ~len:t.len column;
+  column
 
 let map_draws t f = Array.init t.len (fun k -> f (get t k))
 
