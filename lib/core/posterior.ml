@@ -29,7 +29,9 @@ let summarize ?(mass = 0.95) (result : Infer.result) =
   let data = Infer.dataset result in
   let chains =
     Array.of_list
-      (List.map (fun (r : Infer.sampler_run) -> r.Infer.chain) result.Infer.runs)
+      (List.map
+         (fun (r : Infer.sampler_run) -> r.Infer.chain)
+         result.Infer.runs)
   in
   let cols = Array.map (fun c -> Array.make (Chain.length c) 0.0) chains in
   let total = Array.fold_left (fun n col -> n + Array.length col) 0 cols in

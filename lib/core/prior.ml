@@ -22,7 +22,8 @@ let density = function
 let log_density d p =
   match d with
   | Flat -> if p < 0.0 || p > 1.0 then neg_infinity else 0.0
-  | Beta_density { a; b; log_norm } -> Dist.beta_log_pdf_normed ~a ~b ~log_norm p
+  | Beta_density { a; b; log_norm } ->
+      Dist.beta_log_pdf_normed ~a ~b ~log_norm p
 
 let grad_beta ~a ~b p =
   let p = Float.max 1e-12 (Float.min (1.0 -. 1e-12) p) in

@@ -125,7 +125,8 @@ let split_r_hat_prefix xs n =
   else begin
     let half = n / 2 in
     psr ~n:half
-      [| slice_mean xs ~pos:0 ~len:half; slice_mean xs ~pos:(n - half) ~len:half |]
+      [| slice_mean xs ~pos:0 ~len:half;
+         slice_mean xs ~pos:(n - half) ~len:half |]
       [| slice_variance xs ~pos:0 ~len:half;
          slice_variance xs ~pos:(n - half) ~len:half |]
   end

@@ -91,7 +91,8 @@ let qcheck_summary =
       let pooled = Infer.combined_chain result in
       List.for_all2
         (fun (r : Infer.sampler_run) (_, ms) ->
-          Array.for_all (fun i -> agrees ms.(i) (Chain.marginal r.Infer.chain i))
+          Array.for_all
+            (fun i -> agrees ms.(i) (Chain.marginal r.Infer.chain i))
             (Array.init dim Fun.id))
         result.Infer.runs s.Posterior.runs
       && Array.for_all
