@@ -181,7 +181,7 @@ let eps01 =
     gate = [ None; Some 300; Some 150 ] }
 
 let suite =
-  ( "golden-inference",
+  ( "golden-mcmc",
     [
       Alcotest.test_case "eps=0, one chain per sampler" `Quick
         (check ~epsilon:0.0 ~n_chains:1 eps0);
