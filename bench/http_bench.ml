@@ -173,27 +173,7 @@ let stream_gate_rows () =
       let warm = run ~epoch:2 ~prior:epoch1.Stream.estimates in
       (* A cold epoch 2: same observations and epoch-derived RNG, full
          burn-in, default chain initialisation. *)
-      let cold_gate =
-        let obs =
-          match Stream.parse_observations path with
-          | Ok o -> o
-          | Error e -> failwith e
-        in
-        let data = Because.Tomography.of_observations obs in
-        let config =
-          { Because.Infer.default_config with
-            Because.Infer.n_samples = spec.Sspec.samples;
-            burn_in = spec.Sspec.burn_in;
-            n_chains = spec.Sspec.chains }
-        in
-        let rng =
-          Because_stats.Rng.create ((spec.Sspec.seed * 1009) + 2)
-        in
-        let result = Because.Infer.run ~rng ~config data in
-        Option.map
-          (fun d -> spec.Sspec.burn_in + d)
-          (Because.Infer.gate_draws result)
-      in
+      let cold_gate = (run ~epoch:2 ~prior:[||]).Stream.gate_sweeps in
       match (warm.Stream.gate_sweeps, cold_gate) with
       | Some w, Some c ->
           let saving = (1.0 -. (float_of_int w /. float_of_int c)) *. 100.0 in

@@ -90,8 +90,11 @@ let child = function
       let graph = Sc.World.graph world in
       let n_ases = List.length (Because_topology.Graph.ases graph) in
       let n_links = List.length (Because_topology.Graph.links graph) in
-      let script, campaign_end =
-        Sim.build_script world child_params ~churn_prefixes:churn
+      let { Sc.Campaign.script; campaign_end; _ } =
+        Sc.Campaign.stimulus world
+          { child_params with Sc.Campaign.background_prefixes = churn }
+          ~intervals:[ child_params.Sc.Campaign.update_interval ]
+          ~churn_rng:(Sc.World.fresh_rng world ~salt:4242)
       in
       Printf.printf "child: %d ASs, %d links, %d prefixes, end %.0f s\n%!"
         n_ases n_links (Script.n_prefixes script) campaign_end;

@@ -16,74 +16,9 @@ open Because_bgp
 module Sc = Because_scenario
 module Ctx = Bench_context
 module Rng = Because_stats.Rng
-module Dist = Because_stats.Dist
 module Script = Because_sim.Script
 module Sharded = Because_sim.Sharded
-module Schedule = Because_beacon.Schedule
-module Site = Because_beacon.Site
 module Manifest = Because_telemetry.Manifest
-
-(* The same stimulus Campaign.run_multi records for a one-interval
-   fault-free campaign: Beacon sites plus exponential background churn. *)
-let build_script world (p : Sc.Campaign.params) ~churn_prefixes =
-  let schedule =
-    Schedule.of_durations ~lead_in:p.Sc.Campaign.lead_in
-      ~update_interval:p.Sc.Campaign.update_interval
-      ~burst_duration:p.Sc.Campaign.burst_duration
-      ~break_duration:p.Sc.Campaign.break_duration ~cycles:p.Sc.Campaign.cycles
-      ()
-  in
-  let campaign_end =
-    Schedule.end_time schedule +. p.Sc.Campaign.break_duration +. 600.0
-  in
-  let anchor_cycles =
-    1
-    + int_of_float
-        (Float.ceil (campaign_end /. (2.0 *. p.Sc.Campaign.anchor_period)))
-  in
-  let script = Script.create () in
-  List.iter
-    (fun (site_id, origin) ->
-      let site =
-        Site.make ~site_id ~origin ~anchor_period:p.Sc.Campaign.anchor_period
-          ~anchor_cycles ~oscillating:[ schedule ] ()
-      in
-      Site.install site script)
-    (Sc.World.site_origins world);
-  let rng = Sc.World.fresh_rng world ~salt:4242 in
-  let origins =
-    List.fold_left
-      (fun acc (_, o) -> Asn.Set.add o acc)
-      Asn.Set.empty
-      (Sc.World.site_origins world)
-  in
-  let candidates =
-    Array.of_list
-      (List.filter
-         (fun a -> not (Asn.Set.mem a origins))
-         (Because_topology.Graph.ases (Sc.World.graph world)))
-  in
-  let mean_gap = p.Sc.Campaign.background_mean_gap in
-  for k = 0 to churn_prefixes - 1 do
-    let origin = Rng.choice rng candidates in
-    let prefix =
-      (* Same formula as Campaign.schedule_background: /24s growing upward
-         from 172.16.0.0. *)
-      Prefix.make
-        (Int32.add 0xAC100000l (Int32.shift_left (Int32.of_int k) 8))
-        24
-    in
-    Script.announce script ~time:0.0 ~origin prefix;
-    let t = ref (Dist.exponential rng ~rate:(1.0 /. mean_gap)) in
-    let announced = ref true in
-    while !t < campaign_end do
-      if !announced then Script.withdraw script ~time:!t ~origin prefix
-      else Script.announce script ~time:!t ~origin prefix;
-      announced := not !announced;
-      t := !t +. Dist.exponential rng ~rate:(1.0 /. mean_gap)
-    done
-  done;
-  (script, campaign_end)
 
 (* Best-of-N replays per row.  A single 3-second replay on a shared runner
    has a ~±10% noise floor — more than the paired overhead rows are trying
@@ -203,7 +138,14 @@ let run () =
   let world = Lazy.force Ctx.world in
   let params = Ctx.campaign_params 1.0 in
   let churn_prefixes = if Ctx.quick then 48 else 192 in
-  let script, campaign_end = build_script world params ~churn_prefixes in
+  (* The stimulus of a one-interval fault-free campaign, with the churn
+     drawn from the bench's own stream (salt 4242). *)
+  let { Sc.Campaign.script; campaign_end; _ } =
+    Sc.Campaign.stimulus world
+      { params with Sc.Campaign.background_prefixes = churn_prefixes }
+      ~intervals:[ params.Sc.Campaign.update_interval ]
+      ~churn_rng:(Sc.World.fresh_rng world ~salt:4242)
+  in
   Printf.printf
     "script: %d prefixes, campaign end %.0f s, %d churn prefixes\n%!"
     (Script.n_prefixes script) campaign_end churn_prefixes;

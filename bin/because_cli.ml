@@ -233,19 +233,8 @@ let world_size_args =
         end)
     $ transit $ stub $ vantage $ scale)
 
-let world_of ~seed (transit, stub, vantage) =
-  Sc.World.build
-    {
-      Sc.World.default_params with
-      seed;
-      n_vantage_hosts = vantage;
-      topology =
-        {
-          Because_topology.Generate.default_params with
-          n_transit = transit;
-          n_stub = stub;
-        };
-    }
+let world_of ~seed (transit, stub, vantage_hosts) =
+  Sc.World.of_sizes ~seed ~transit ~stub ~vantage_hosts
 
 (* ------------------------------------------------------------------ *)
 (* topology                                                             *)
@@ -612,39 +601,33 @@ let infer_cmd =
           Printf.eprintf "because: %s: %s\n" file e;
           exit 1
     in
-    let data = Because.Tomography.of_observations observations in
+    let config =
+      { Because.Infer.default_config with
+        n_samples = samples; jobs; n_chains = chains }
+    in
+    let result, p =
+      Because.Pinpoint.localize ~rng:(Rng.create seed) ~config
+        ~min_path_support:1 observations
+    in
+    let data = Because.Infer.dataset result in
     Printf.printf "%d observations (%d RFD) on %d distinct paths over %d ASs\n"
       (Because.Tomography.n_observations data)
       (Because.Tomography.rfd_path_count data)
       (Because.Tomography.n_paths data)
       (Because.Tomography.n_nodes data);
-    let config =
-      { Because.Infer.default_config with
-        n_samples = samples; jobs; n_chains = chains }
-    in
-    let result = Because.Infer.run ~rng:(Rng.create seed) ~config data in
     if result.Because.Infer.runs <> [] then
       List.iter
         (fun (name, r) -> Printf.printf "R-hat %s: %.3f\n" name r)
         (Because.Infer.r_hat result);
-    let p = Because.Pinpoint.pipeline ~min_path_support:1 result in
-    let categories = p.Because.Pinpoint.categories in
     Printf.printf "%-10s %8s %8s %8s  %s\n" "AS" "mean" "hdpi-lo" "hdpi-hi"
       "category";
     Array.iter
-      (fun (m : Because.Posterior.marginal) ->
-        let c =
-          Option.value
-            (List.assoc_opt m.Because.Posterior.asn categories)
-            ~default:Because.Categorize.C3
-        in
+      (fun (e : Because_service.Store.estimate) ->
         Printf.printf "%-10s %8.3f %8.3f %8.3f  %d%s\n"
-          (Asn.to_string m.Because.Posterior.asn)
-          m.Because.Posterior.mean m.Because.Posterior.hdpi.lo
-          m.Because.Posterior.hdpi.hi
-          (Because.Categorize.to_int c)
-          (if Because.Categorize.damping c then "  << RFD" else ""))
-      p.Because.Pinpoint.posterior.Because.Posterior.pooled
+          (Asn.to_string e.asn) e.mean e.lo e.hi e.category
+          (if e.damping then "  << RFD" else ""))
+      (Because_service.Store.estimates_of_result ~posterior:p.posterior result
+         ~categories:p.categories)
   in
   Cmd.v
     (Cmd.info "infer"

@@ -131,5 +131,23 @@ let pipeline ?threshold ?min_support ~min_path_support result =
   { posterior; step1; insufficient; promotions;
     categories = apply step1 promotions }
 
+let localize ?infer_span ?categorize_span ?warm_start ~rng ~config
+    ~min_path_support observations =
+  let data = Tomography.of_observations observations in
+  let config =
+    match warm_start with
+    | None -> config
+    | Some init_of ->
+        { config with Infer.init = Some (init_of (Tomography.nodes data)) }
+  in
+  let span name f =
+    match name with
+    | None -> f ()
+    | Some name ->
+        Because_telemetry.Registry.Span.with_ config.Infer.telemetry ~name f
+  in
+  let result = span infer_span (fun () -> Infer.run ~rng ~config data) in
+  (result, span categorize_span (fun () -> pipeline ~min_path_support result))
+
 let assign_with_pinpointing ?threshold ?min_support result =
   (pipeline ?threshold ?min_support ~min_path_support:1 result).categories

@@ -68,8 +68,22 @@ val pipeline :
   pipeline
 (** The full two-step identification procedure: Table-1 flags with
     [min_path_support] as {!Categorize.assign}'s [min_support], then the
-    eq. 8 promotions ([threshold], [min_support] as in {!promotions}).
-    Campaigns and streaming epochs both categorize through it. *)
+    eq. 8 promotions ([threshold], [min_support] as in {!promotions}). *)
+
+val localize :
+  ?infer_span:string ->
+  ?categorize_span:string ->
+  ?warm_start:(Asn.t array -> float array) ->
+  rng:Because_stats.Rng.t ->
+  config:Infer.config ->
+  min_path_support:int ->
+  (Asn.t list * bool) list ->
+  Infer.result * pipeline
+(** The localization every campaign, streaming epoch and [because infer]
+    runs (§3.2, §5.1.2): {!Infer.run} on the {!Tomography} of the
+    (non-empty) [observations], then {!pipeline}.  The spans, when named,
+    wrap each step on [config.telemetry]; [warm_start] maps the node order
+    to the chains' start, replacing [config.init]. *)
 
 val assign_with_pinpointing :
   ?threshold:float -> ?min_support:int -> Infer.result -> (Asn.t * Categorize.t) list

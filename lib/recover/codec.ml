@@ -114,21 +114,27 @@ let read_string r =
 
 let read_option r f = if read_bool r then Some (f r) else None
 
-let read_count r what =
+(* Every element takes at least [width] bytes, so a count the remaining
+   input cannot hold is a lie: reject it before anything is allocated. *)
+let read_count r what ~width =
   let n = read_int r in
-  if n < 0 || n > 0x10000000 then malformed "implausible %s count %d" what n;
+  if n < 0 || n > (String.length r.src - r.pos) / width then
+    malformed "implausible %s count %d at byte %d" what n r.pos;
   n
 
 let read_list r f =
-  let n = read_count r "list" in
+  let n = read_count r "list" ~width:1 in
   List.init n (fun _ -> f r)
 
-let read_array r f =
-  let n = read_count r "array" in
-  Array.init n (fun _ -> f r)
+let read_words r read =
+  let n = read_count r "array" ~width:8 in
+  Array.init n (fun _ -> read r)
 
-let read_float_array r = read_array r read_float
-let read_int_array r = read_array r read_int
+let read_float_array r = read_words r read_float
+let read_int_array r = read_words r read_int
+
+let valid what f x =
+  try f x with Invalid_argument e -> malformed "invalid %s: %s" what e
 
 let at_end r = r.pos = String.length r.src
 

@@ -50,9 +50,14 @@ val read_bool : reader -> bool
 val read_string : reader -> string
 val read_option : reader -> (reader -> 'a) -> 'a option
 val read_list : reader -> (reader -> 'a) -> 'a list
-val read_array : reader -> (reader -> 'a) -> 'a array
 val read_float_array : reader -> float array
 val read_int_array : reader -> int array
+(** List and array readers reject a count the remaining input cannot hold
+    before they allocate. *)
+
+val valid : string -> ('a -> 'b) -> 'a -> 'b
+(** [valid what make x] is [make x], with the [Invalid_argument] of a
+    validating constructor such as [Asn.of_int] raised as {!Malformed}. *)
 
 val at_end : reader -> bool
 (** True when every byte has been consumed. *)

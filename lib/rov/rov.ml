@@ -38,11 +38,13 @@ type benchmark = {
   positive_share : float;
 }
 
-let benchmark ~rng ?config ~paths ~rov_ases () =
-  let observations = label_paths ~paths ~rov_ases in
-  let data = Because.Tomography.of_observations observations in
-  let result = Because.Infer.run ~rng ?config data in
-  let categories = Because.Pinpoint.assign_with_pinpointing result in
+let benchmark ~rng ?(config = Because.Infer.default_config) ~paths
+    ~rov_ases () =
+  let result, { Because.Pinpoint.categories; _ } =
+    Because.Pinpoint.localize ~rng ~config ~min_path_support:1
+      (label_paths ~paths ~rov_ases)
+  in
+  let data = Because.Infer.dataset result in
   let universe =
     Array.fold_left
       (fun acc asn -> Asn.Set.add asn acc)

@@ -66,6 +66,13 @@ let default_params ~update_interval =
     telemetry = Tel.disabled;
   }
 
+type stimulus = {
+  schedules : Schedule.t list;
+  sites : Site.t list;
+  campaign_end : float;
+  script : Script.t;
+}
+
 type outcome = {
   params : params;
   schedule : Schedule.t;
@@ -140,6 +147,41 @@ let schedule_background rng world script ~count ~mean_gap ~campaign_end =
     done
   end
 
+let schedule_of params interval =
+  Schedule.of_durations ~lead_in:params.lead_in ~update_interval:interval
+    ~burst_duration:params.burst_duration
+    ~break_duration:params.break_duration ~cycles:params.cycles ()
+
+let campaign_end params schedules =
+  List.fold_left (fun acc s -> Float.max acc (Schedule.end_time s)) 0.0 schedules
+  +. params.break_duration +. 600.0
+
+(* The whole stimulus — fault plan, Beacon schedules, background churn — is
+   recorded into a script in the historical scheduling order. *)
+let stimulus world params ~intervals ~churn_rng =
+  let schedules = List.map (schedule_of params) intervals in
+  let campaign_end = campaign_end params schedules in
+  let anchor_cycles =
+    1 + int_of_float (Float.ceil (campaign_end /. (2.0 *. params.anchor_period)))
+  in
+  let sites =
+    List.map
+      (fun (site_id, origin) ->
+        Site.make ~site_id ~origin ~anchor_period:params.anchor_period
+          ~anchor_cycles ~oscillating:schedules ())
+      (World.site_origins world)
+  in
+  let script = Script.create () in
+  if not (Plan.is_empty params.faults) then Injector.install params.faults script;
+  List.iter
+    (fun site ->
+      let outages = Plan.site_outages params.faults ~site_id:site.Site.site_id in
+      Site.install ~outages site script)
+    sites;
+  schedule_background churn_rng world script ~count:params.background_prefixes
+    ~mean_gap:params.background_mean_gap ~campaign_end;
+  { schedules; sites; campaign_end; script }
+
 (* Fingerprint of everything that determines the campaign's results: world
    parameters, the fully-recorded stimulus script, the interval set, every
    result-affecting campaign scalar, the noise and fault plans, and the
@@ -190,20 +232,17 @@ let fingerprint world params ~intervals ~script =
 (* Campaign health for one interval's outcome: inference that was asked for
    but starved of observations is [Insufficient]; budget-aborted or fully
    dead chains degrade to heuristics; everything else is healthy. *)
-let status_of ~params ~interval ~observations result =
-  if not params.run_inference then Supervise.Healthy
-  else
-    match result with
-    | None ->
-        if observations = [] then
-          Supervise.Insufficient
-            [
-              Printf.sprintf
-                "interval %gs: no labeled observations survived to localize"
-                interval;
-            ]
-        else Supervise.Healthy
-    | Some r -> Because.Infer.status r
+let status_of ~params ~interval result =
+  match result with
+  | Some r -> Because.Infer.status r
+  | None when params.run_inference ->
+      Supervise.Insufficient
+        [
+          Printf.sprintf
+            "interval %gs: no labeled observations survived to localize"
+            interval;
+        ]
+  | None -> Supervise.Healthy
 
 let run_multi ?recovery world params ~intervals =
   if intervals = [] then invalid_arg "Campaign.run_multi: no intervals";
@@ -217,57 +256,20 @@ let run_multi ?recovery world params ~intervals =
   in
   let noise_rng = World.fresh_rng world ~salt:(salt + 1) in
   let churn_rng = World.fresh_rng world ~salt:(salt + 2) in
-  let schedule_of interval =
-    Schedule.of_durations ~lead_in:params.lead_in ~update_interval:interval
-      ~burst_duration:params.burst_duration
-      ~break_duration:params.break_duration ~cycles:params.cycles ()
+  (* The stimulus is replayed over [sim_jobs] per-prefix shards.  At
+     [sim_jobs = 1] the replay reproduces the sequential event stream
+     bit-for-bit. *)
+  let { schedules; sites; campaign_end; script } =
+    Tel.Span.with_ params.telemetry ~name:"campaign.stimulus" (fun () ->
+        stimulus world params ~intervals ~churn_rng)
   in
-  let schedules = List.map schedule_of intervals in
-  let campaign_end =
-    List.fold_left
-      (fun acc s -> Float.max acc (Schedule.end_time s))
-      0.0 schedules
-    +. params.break_duration +. 600.0
-  in
-  let anchor_cycles =
-    1 + int_of_float (Float.ceil (campaign_end /. (2.0 *. params.anchor_period)))
-  in
-  let sites =
-    List.map
-      (fun (site_id, origin) ->
-        Site.make ~site_id ~origin ~anchor_period:params.anchor_period
-          ~anchor_cycles ~oscillating:schedules ())
-      (World.site_origins world)
-  in
-  (* The whole stimulus — fault plan, Beacon schedules, background churn —
-     is recorded into a script in the historical scheduling order, then
-     replayed over [sim_jobs] per-prefix shards.  At [sim_jobs = 1] the
-     replay reproduces the sequential event stream bit-for-bit. *)
-  let script = Script.create () in
   let gaps_of vp_id = Plan.collector_outages params.faults ~vp_id in
   (* A non-empty fault plan gets its own RNG stream (salt + 4); the empty
      plan touches nothing, keeping the event stream bit-for-bit the
      fault-free one. *)
   let fault_rng =
-    Tel.Span.with_ params.telemetry ~name:"campaign.stimulus" (fun () ->
-        let fault_rng =
-          if Plan.is_empty params.faults then None
-          else begin
-            Injector.install params.faults script;
-            Some (World.fresh_rng world ~salt:(salt + 4))
-          end
-        in
-        List.iter
-          (fun site ->
-            let outages =
-              Plan.site_outages params.faults ~site_id:site.Site.site_id
-            in
-            Site.install ~outages site script)
-          sites;
-        schedule_background churn_rng world script
-          ~count:params.background_prefixes
-          ~mean_gap:params.background_mean_gap ~campaign_end;
-        fault_rng)
+    if Plan.is_empty params.faults then None
+    else Some (World.fresh_rng world ~salt:(salt + 4))
   in
   (* The store opens only once the stimulus is complete: the fingerprint
      covers the recorded script, so a snapshot can never be replayed into a
@@ -340,9 +342,8 @@ let run_multi ?recovery world params ~intervals =
               ~windows_of ())
       in
       let observations = Label.observations labeled in
-      let result =
+      let localized =
         if params.run_inference && observations <> [] then begin
-          let data = Because.Tomography.of_observations observations in
           let checkpoint =
             match recovery with
             | Some r ->
@@ -359,29 +360,17 @@ let run_multi ?recovery world params ~intervals =
               telemetry = params.telemetry;
               checkpoint }
           in
-          Tel.Span.with_ params.telemetry ~name:"campaign.infer" (fun () ->
-              Some (Because.Infer.run ~rng:infer_rng ~config data))
+          Some
+            (Because.Pinpoint.localize ~infer_span:"campaign.infer"
+               ~categorize_span:"campaign.categorize" ~rng:infer_rng ~config
+               ~min_path_support:params.min_path_support observations)
         end
         else None
       in
-      let status = status_of ~params ~interval ~observations result in
-      let ( posterior, categories_step1, categories, promotions, insufficient,
-            warnings ) =
-        match result with
-        | None -> (None, [], [], [], [], [])
-        | Some r ->
-            Tel.Span.with_ params.telemetry ~name:"campaign.categorize"
-              (fun () ->
-                let p =
-                  Because.Pinpoint.pipeline
-                    ~min_path_support:params.min_path_support r
-                in
-                ( Some p.Because.Pinpoint.posterior,
-                  p.Because.Pinpoint.step1,
-                  p.categories,
-                  p.promotions,
-                  p.insufficient,
-                  r.Because.Infer.warnings ))
+      let result = Option.map fst localized in
+      let status = status_of ~params ~interval result in
+      let pipelined f =
+        Option.fold ~none:[] ~some:(fun (_, p) -> f p) localized
       in
       let heuristic_verdicts =
         if labeled = [] then []
@@ -399,18 +388,20 @@ let run_multi ?recovery world params ~intervals =
         oscillating;
         anchors;
         result;
-        posterior;
-        categories_step1;
-        categories;
-        promotions;
+        posterior =
+          Option.map (fun (_, p) -> p.Because.Pinpoint.posterior) localized;
+        categories_step1 = pipelined (fun p -> p.step1);
+        categories = pipelined (fun p -> p.categories);
+        promotions = pipelined (fun p -> p.promotions);
         heuristic_verdicts;
         deliveries;
         events = sim.Sharded.events;
         shard_events = sim.Sharded.shard_events;
         campaign_end;
         fault_log;
-        insufficient;
-        warnings;
+        insufficient = pipelined (fun p -> p.insufficient);
+        warnings =
+          Option.fold ~none:[] ~some:(fun r -> r.Because.Infer.warnings) result;
         telemetry = None;
         status;
       })
@@ -443,13 +434,7 @@ let with_jobs ?n_chains ?sim_jobs params jobs =
     sim_jobs = Option.value sim_jobs ~default:params.sim_jobs }
 
 let horizon params =
-  let s =
-    Schedule.of_durations ~lead_in:params.lead_in
-      ~update_interval:params.update_interval
-      ~burst_duration:params.burst_duration
-      ~break_duration:params.break_duration ~cycles:params.cycles ()
-  in
-  Schedule.end_time s +. params.break_duration +. 600.0
+  campaign_end params [ schedule_of params params.update_interval ]
 
 let draw_faults world params severity =
   let rng = World.fresh_rng world ~salt:5 in

@@ -64,6 +64,13 @@ val default_params : update_interval:float -> params
 (** 2-hour Bursts and Breaks, 4 cycles, realistic noise, inference on,
     no background churn, no faults. *)
 
+type stimulus = {
+  schedules : Because_beacon.Schedule.t list;  (** One per interval. *)
+  sites : Because_beacon.Site.t list;
+  campaign_end : float;
+  script : Because_sim.Script.t;
+}
+
 type outcome = {
   params : params;
   schedule : Because_beacon.Schedule.t;   (** The oscillating schedule. *)
@@ -111,6 +118,13 @@ type outcome = {
           otherwise.  Recovery/restore notes never appear here — a resumed
           campaign's outcome equals the uninterrupted one bit-for-bit. *)
 }
+
+val stimulus :
+  World.t -> params -> intervals:float list -> churn_rng:Because_stats.Rng.t ->
+  stimulus
+(** What {!run_multi} simulates, in scheduling order: [params.faults],
+    every Beacon site (one oscillating prefix per interval plus the anchor),
+    then the background churn drawn from [churn_rng]. *)
 
 val run : ?recovery:Recovery.t -> World.t -> params -> outcome
 (** [recovery] attaches a durable checkpoint store once the stimulus is

@@ -144,6 +144,12 @@ let build params =
     mrai_ases;
   }
 
+let of_sizes ~seed ~transit ~stub ~vantage_hosts =
+  let topology =
+    { default_params.topology with Generate.n_transit = transit; n_stub = stub }
+  in
+  build { default_params with seed; n_vantage_hosts = vantage_hosts; topology }
+
 let router_configs t =
   List.map
     (fun asn ->

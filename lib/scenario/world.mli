@@ -29,6 +29,11 @@ type t
 
 val build : params -> t
 
+val of_sizes : seed:int -> transit:int -> stub:int -> vantage_hosts:int -> t
+(** {!build} on {!default_params} with these transit, stub and
+    vantage-host counts: the world of a [because] command line or a
+    service spec. *)
+
 val params : t -> params
 val graph : t -> Because_topology.Graph.t
 val deployment : t -> Deployment.t

@@ -158,7 +158,7 @@ let decode_queue payload =
         let reasons = Codec.read_list r Codec.read_string in
         let estimates =
           Codec.read_list r (fun r ->
-              let asn = Asn.of_int (Codec.read_int r) in
+              let asn = Codec.valid "ASN" Asn.of_int (Codec.read_int r) in
               let mean = Codec.read_float r in
               let lo = Codec.read_float r in
               let hi = Codec.read_float r in
@@ -191,6 +191,9 @@ let decode_queue payload =
         | Error e -> raise (Codec.Malformed ("spec: " ^ e)))
   in
   Codec.expect_end r;
+  let ids = List.map (fun d -> d.d_spec.Spec.id) entries in
+  if List.length (List.sort_uniq String.compare ids) <> List.length ids then
+    raise (Codec.Malformed "duplicate campaign id");
   entries
 
 (* ----------------------------------------------------------- internals *)

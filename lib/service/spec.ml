@@ -135,18 +135,8 @@ let of_line line =
 let equal a b = a = b
 
 let world t =
-  Sc.World.build
-    {
-      Sc.World.default_params with
-      seed = t.seed;
-      n_vantage_hosts = t.vantage_hosts;
-      topology =
-        {
-          Because_topology.Generate.default_params with
-          n_transit = t.transit;
-          n_stub = t.stub;
-        };
-    }
+  Sc.World.of_sizes ~seed:t.seed ~transit:t.transit ~stub:t.stub
+    ~vantage_hosts:t.vantage_hosts
 
 let params t ~world ~jobs =
   let base =

@@ -107,7 +107,12 @@ let rollup t =
   else if degraded <> [] then Supervise.Degraded degraded
   else Supervise.Healthy
 
-let estimates (posterior : Because.Posterior.t) ~categories =
+let estimates_of_result ?posterior result ~categories =
+  let posterior =
+    match posterior with
+    | Some p -> p
+    | None -> Because.Posterior.summarize result
+  in
   Array.map
     (fun (m : Because.Posterior.marginal) ->
       let cat =
@@ -123,17 +128,12 @@ let estimates (posterior : Because.Posterior.t) ~categories =
         damping = Because.Categorize.damping cat })
     posterior.Because.Posterior.pooled
 
-let estimates_of_result ?posterior result ~categories =
-  estimates
-    (match posterior with
-    | Some p -> p
-    | None -> Because.Posterior.summarize result)
-    ~categories
-
 let estimates_of_outcome (outcome : Sc.Campaign.outcome) =
-  match outcome.Sc.Campaign.posterior with
+  match outcome.Sc.Campaign.result with
   | None -> [||]
-  | Some p -> estimates p ~categories:outcome.Sc.Campaign.categories
+  | Some result ->
+      estimates_of_result ?posterior:outcome.Sc.Campaign.posterior result
+        ~categories:outcome.Sc.Campaign.categories
 
 (* Reports must be bit-for-bit reproducible across drain/kill/resume, so
    every float is printed at full precision and nothing run-dependent

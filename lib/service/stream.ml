@@ -1,7 +1,6 @@
 open Because_bgp
 module Supervise = Because_recover.Supervise
 module Rng = Because_stats.Rng
-module Tel = Because_telemetry.Registry
 
 type outcome = {
   status : Supervise.status;
@@ -97,18 +96,12 @@ let run ~spec ~epoch ~prior ~telemetry ~supervise ~jobs () =
                   [ Printf.sprintf "observation spool %s is empty" path ];
               estimates = [||]; obs_count = 0; gate_sweeps = None }
       | Ok observations ->
-          let data = Because.Tomography.of_observations observations in
           let warm = Array.length prior > 0 in
           (* A warm epoch starts where the last posterior ended, so most of
              the burn-in budget is adaptation it no longer needs. *)
           let burn_in =
             if warm then max 1 (spec.Spec.burn_in / 4)
             else spec.Spec.burn_in
-          in
-          let init =
-            if warm then
-              Some (warm_init prior (Because.Tomography.nodes data))
-            else None
           in
           let config =
             { Because.Infer.default_config with
@@ -117,19 +110,16 @@ let run ~spec ~epoch ~prior ~telemetry ~supervise ~jobs () =
               n_chains = spec.Spec.chains;
               jobs;
               telemetry;
-              supervise;
-              init }
+              supervise }
           in
           (* The epoch feeds the RNG derivation so a cold rerun of epoch k
              is reproducible, while distinct epochs draw distinct streams. *)
           let rng = Rng.create ((spec.Spec.seed * 1009) + epoch) in
-          let result =
-            Tel.Span.with_ telemetry ~name:"stream.infer" (fun () ->
-                Because.Infer.run ~rng ~config data)
-          in
-          let p =
-            Because.Pinpoint.pipeline
-              ~min_path_support:spec.Spec.min_path_support result
+          let result, p =
+            Because.Pinpoint.localize ~infer_span:"stream.infer"
+              ?warm_start:(if warm then Some (warm_init prior) else None)
+              ~rng ~config ~min_path_support:spec.Spec.min_path_support
+              observations
           in
           let estimates =
             Store.estimates_of_result ~posterior:p.posterior result

@@ -25,7 +25,7 @@ module Codec = Because_recover.Codec
    durable forms of an update use this exact encoding instead. *)
 
 let w_asn w a = Codec.int w (Asn.to_int a)
-let r_asn r = Asn.of_int (Codec.read_int r)
+let r_asn r = Codec.valid "ASN" Asn.of_int (Codec.read_int r)
 
 let w_prefix w p =
   Codec.i64 w (Int64.of_int32 (Prefix.network p));
@@ -34,7 +34,7 @@ let w_prefix w p =
 let r_prefix r =
   let network = Int64.to_int32 (Codec.read_i64 r) in
   let length = Codec.read_int r in
-  Prefix.make network length
+  Codec.valid "prefix length" (Prefix.make network) length
 
 let w_aggregator w (a : Update.aggregator) =
   w_asn w a.Update.aggregator_asn;

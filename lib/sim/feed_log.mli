@@ -57,9 +57,5 @@ val entries : string -> (float * Update.t) list
 
 val w_asn : Because_recover.Codec.writer -> Asn.t -> unit
 val r_asn : Because_recover.Codec.reader -> Asn.t
-val w_prefix : Because_recover.Codec.writer -> Prefix.t -> unit
-val r_prefix : Because_recover.Codec.reader -> Prefix.t
-val w_aggregator : Because_recover.Codec.writer -> Update.aggregator -> unit
-val r_aggregator : Because_recover.Codec.reader -> Update.aggregator
 val w_update : Because_recover.Codec.writer -> Update.t -> unit
 val r_update : Because_recover.Codec.reader -> Update.t

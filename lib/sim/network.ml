@@ -81,7 +81,7 @@ type t = {
   feed_sinks : feed_sink option array;  (* by router id; Some iff monitored *)
   stats : stats;
   sessions : (Asn.t * Asn.t, link_session) Hashtbl.t;
-  mutable fault_rng : Rng.t option;
+  fault_rng : Rng.t option;
   mutable fault_log : (float * fault_event) list;  (* newest first *)
 }
 
@@ -132,8 +132,6 @@ let create ?fault_rng ?feed_spill ~configs ~delay ~monitored () =
     fault_rng;
     fault_log = [];
   }
-
-let set_fault_rng t rng = t.fault_rng <- Some rng
 
 let router t asn =
   match Itbl.find_opt t.ids asn with

@@ -83,8 +83,6 @@ val create :
     replays a spilled log bit-for-bit, so observers cannot tell the
     difference. *)
 
-val set_fault_rng : t -> Because_stats.Rng.t -> unit
-
 val schedule_announce : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
 val schedule_withdraw : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
 

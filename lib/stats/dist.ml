@@ -21,9 +21,6 @@ let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   -.Float.log (Float.max (Rng.float rng) 1e-300) /. rate
 
-let exponential_log_pdf ~rate x =
-  if x < 0.0 then neg_infinity else Float.log rate -. (rate *. x)
-
 let rec gamma rng ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then
     invalid_arg "Dist.gamma: shape and scale must be positive";

@@ -18,8 +18,6 @@ val normal_log_pdf : mu:float -> sigma:float -> float -> float
 val exponential : Rng.t -> rate:float -> float
 (** Exponential draw with rate λ (mean 1/λ). *)
 
-val exponential_log_pdf : rate:float -> float -> float
-
 val gamma : Rng.t -> shape:float -> scale:float -> float
 (** Gamma draw (Marsaglia–Tsang squeeze for shape ≥ 1, boosted for < 1). *)
 

@@ -61,12 +61,6 @@ let counter t name = List.assoc_opt name t.counters
 let gauge t name = List.assoc_opt name t.gauges
 let hist t name = List.assoc_opt name t.hists
 
-let span_total_ns t ~name =
-  List.fold_left
-    (fun acc (s : span) ->
-      if String.equal s.name name then Int64.add acc s.dur_ns else acc)
-    0L t.spans
-
 let seconds_of_ns ns = Int64.to_float ns /. 1e9
 
 (* Distinct span names with occurrence count and total duration, in order of

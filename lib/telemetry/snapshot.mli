@@ -46,9 +46,6 @@ val counter : t -> string -> int option
 val gauge : t -> string -> float option
 val hist : t -> string -> hist option
 
-val span_total_ns : t -> name:string -> int64
-(** Summed duration of every span with that exact name. *)
-
 val seconds_of_ns : int64 -> float
 
 val span_rollup : t -> (string * int * int64) list

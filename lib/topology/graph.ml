@@ -173,7 +173,3 @@ let customer_cone_size t asn =
   done;
   !count
 
-let pp_tier fmt = function
-  | Tier1 -> Format.pp_print_string fmt "tier1"
-  | Transit -> Format.pp_print_string fmt "transit"
-  | Stub -> Format.pp_print_string fmt "stub"

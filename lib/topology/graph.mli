@@ -44,4 +44,3 @@ val customer_cone_size : t -> Asn.t -> int
 
 val degree : t -> Asn.t -> int
 
-val pp_tier : Format.formatter -> tier -> unit

@@ -465,6 +465,176 @@ let test_v1_queue_snapshot_loads () =
       Alcotest.(check int) "0 observations" 0 e.Store.obs_count
 
 (* ------------------------------------------------------------------ *)
+(* Decoders of durable bytes under mutation                             *)
+
+module Asn = Because_bgp.Asn
+
+let shard_payload =
+  let asn = Asn.of_int in
+  let prefix = Because_bgp.Prefix.make 0x0A000100l 24 in
+  Because_scenario.Recovery.encode_shard_result
+    { Because_sim.Sharded.shard_feeds =
+        Because_sim.Sharded.Feeds_mem
+          [ ( asn 65001,
+              [ ( 1.5,
+                  Because_bgp.Update.Announce
+                    { prefix; as_path = [ asn 65002; asn 65003 ];
+                      aggregator =
+                        Some
+                          { Because_bgp.Update.aggregator_asn = asn 65003;
+                            sent_at = 1.0; valid = true } } );
+                (2.5, Because_bgp.Update.Withdraw { prefix }) ] ) ];
+      shard_stats =
+        { Because_sim.Network.deliveries = 9; announcements = 5;
+          withdrawals = 4; lost = 0; duplicated = 0; session_drops = 1;
+          session_recoveries = 1 };
+      shard_fault_log =
+        [ ( 3.0,
+            Because_sim.Network.Fault_session_down
+              { owner = asn 65001; peer = asn 65002; reason = "reset" } ) ];
+      shard_events_count = 42 }
+
+let chain_payloads =
+  let rng = Because_stats.Rng.(state (create 3)) in
+  List.map Because_recover.Chain_ckpt.encode_saved
+    [ { Because_recover.Chain_ckpt.state =
+          Because_recover.Sampler_state.Mh
+            { Because_mcmc.Metropolis.s_sweep = 4; s_rng = rng;
+              s_current = [| 0.2; 0.7 |]; s_steps = [| 0.1; 0.1 |];
+              s_log_post = -3.5; s_accept_window = [| 1; 2 |];
+              s_kept = [| 0.2; 0.6; 0.3; 0.7 |]; s_accepted_post = 3;
+              s_proposed_post = 4; s_cache = Some [| 1.0; 2.0 |] };
+        prior_warnings = [ "w" ] };
+      { state =
+          Because_recover.Sampler_state.Hmc
+            { Because_mcmc.Hmc.s_iter = 4; s_rng = rng;
+              s_position = [| -1.0; 0.5 |]; s_step = 0.05;
+              s_log_post = -2.0; s_accept_window = 3;
+              s_kept = [| 0.2; 0.6 |]; s_accepted_post = 2;
+              s_proposed_post = 2 };
+        prior_warnings = [] } ]
+
+(* A queue snapshot by hand, in either version: one finished campaign with
+   two estimates and one pending streaming epoch. *)
+let queue_payload ~version =
+  let w = Codec.writer () in
+  Codec.int w version;
+  Codec.list w
+    (fun w (spec, seq, tag, estimates) ->
+      Codec.string w (Sspec.to_line spec);
+      Codec.int w seq;
+      Codec.u8 w tag;
+      Codec.list w Codec.string [];
+      Codec.list w
+        (fun w (asn, mean) ->
+          Codec.int w asn;
+          List.iter (Codec.float w) [ mean; mean /. 2.0; mean *. 1.5 ];
+          Codec.int w (if mean > 0.5 then 4 else 1);
+          Codec.bool w (mean > 0.5))
+        estimates;
+      if version >= 2 then begin
+        Codec.int w 2;
+        Codec.bool w true;
+        Codec.option w Codec.int (Some 120);
+        Codec.int w 40
+      end)
+    [ (tiny_spec "done", 0, 1, [ (65001, 0.9); (65002, 0.1) ]);
+      ( { (tiny_spec "stream") with Sspec.obs = Some "/nonexistent.obs" },
+        1, 0, [] ) ];
+  Codec.contents w
+
+(* A mutation of [payload]: flip one bit, cut it short, or overwrite one
+   8-byte word (a count, a length or a tag, often) with a lie. *)
+let mutate payload (kind, pos, word) =
+  let n = String.length payload in
+  let b = Bytes.of_string payload in
+  match kind with
+  | 0 ->
+      let i = pos mod n in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (word land 7)));
+      Bytes.to_string b
+  | 1 -> String.sub payload 0 (pos mod n)
+  | _ ->
+      let lies = [| -1L; -5L; 33L; 4_000_000L; 0x10000000L; Int64.max_int |] in
+      Bytes.set_int64_le b (pos mod (n - 7))
+        lies.(word mod Array.length lies);
+      Bytes.to_string b
+
+let decodes_or_malformed decode payload =
+  match decode payload with
+  | _ -> true
+  | exception Codec.Malformed _ -> true
+
+let queue_v1 = queue_payload ~version:1
+let queue_v2 = queue_payload ~version:2
+
+let mutation_gen =
+  QCheck.(triple (int_bound 2) (int_bound 100_000) (int_bound 1000))
+
+let qcheck_decoders_only_malformed =
+  QCheck.Test.make ~name:"mutated snapshots raise only Malformed" ~count:300
+    mutation_gen (fun m ->
+      decodes_or_malformed Because_scenario.Recovery.decode_shard_result
+        (mutate shard_payload m)
+      && List.for_all
+           (fun p ->
+             decodes_or_malformed Because_recover.Chain_ckpt.decode_saved
+               (mutate p m))
+           chain_payloads)
+
+(* A count the remaining bytes cannot hold fails before the reader
+   allocates for it: 4,000,000 floats announced, one present. *)
+let test_count_lie_allocates_nothing () =
+  let w = Codec.writer () in
+  Codec.int w 4_000_000;
+  Codec.float w 1.0;
+  let payload = Codec.contents w in
+  let before = Gc.allocated_bytes () in
+  (match Codec.read_float_array (Codec.reader payload) with
+  | _ -> Alcotest.fail "lying count decoded"
+  | exception Codec.Malformed _ -> ());
+  Alcotest.(check bool) "under 64 kB allocated" true
+    (Gc.allocated_bytes () -. before < 65536.0)
+
+(* The same sealing, unmutated: both versions load every entry, so the
+   mutation properties start from snapshots the service accepts. *)
+let seal_queue ~dir payload =
+  let queue_dir = Filename.concat dir "queue.d" in
+  Because_recover.Io.mkdir_p queue_dir;
+  let ck =
+    Because_recover.Checkpoint.open_ ~dir:queue_dir
+      ~fingerprint:"because-service-queue/1" ()
+  in
+  Because_recover.Checkpoint.save ck ~key:"queue" payload
+
+let test_queue_snapshots_load () =
+  with_drain_reset @@ fun () ->
+  List.iter
+    (fun payload ->
+      let dir = fresh_dir () in
+      seal_queue ~dir payload;
+      let svc = Service.load (cfg ~dir ()) in
+      Alcotest.(check (list string)) "no warnings" [] (Service.warnings svc);
+      Alcotest.(check int) "both entries" 2
+        (List.length (Store.entries (Service.store svc))))
+    [ queue_v1; queue_v2 ]
+
+(* Sealed with a valid checksum, so only the decoder stands between the
+   mutated bytes and the service: a warm start must come up, never raise. *)
+let qcheck_service_load_survives_mutation =
+  QCheck.Test.make ~name:"Service.load survives mutated queue snapshots"
+    ~count:60 mutation_gen (fun m ->
+      with_drain_reset @@ fun () ->
+      List.for_all
+        (fun payload ->
+          let dir = fresh_dir () in
+          seal_queue ~dir (mutate payload m);
+          ignore (Service.load (cfg ~dir ()));
+          Because_recover.Io.rm_rf dir;
+          true)
+        [ queue_v1; queue_v2 ])
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   ( "service",
@@ -489,4 +659,10 @@ let suite =
         test_corrupt_queue_warm_start;
       Alcotest.test_case "v1 queue snapshot loads as a cold epoch 1" `Quick
         test_v1_queue_snapshot_loads;
+      Alcotest.test_case "hand-built queue snapshots decode" `Quick
+        test_queue_snapshots_load;
+      Alcotest.test_case "codec count lie fails before allocating" `Quick
+        test_count_lie_allocates_nothing;
+      QCheck_alcotest.to_alcotest qcheck_decoders_only_malformed;
+      QCheck_alcotest.to_alcotest qcheck_service_load_survives_mutation;
     ] )

@@ -592,6 +592,40 @@ let test_stream_missing_spool_is_insufficient () =
       | None -> Alcotest.fail (id ^ " missing"))
     inputs
 
+(* A traced epoch: the localization stage names its inference span
+   [stream.infer], and each sampler's chain span lies inside it. *)
+let test_traced_epoch_spans () =
+  let dir = fresh_dir () in
+  let obs = Filename.concat dir "paths.obs" in
+  write_lines obs obs_epoch1;
+  let spec = { (stream_spec ~obs "traced") with Sspec.chains = 1 } in
+  let reg = Because_telemetry.Registry.create () in
+  (match
+     Stream.run ~spec ~epoch:1 ~prior:[||] ~telemetry:reg
+       ~supervise:{ Supervise.deadline_s = None; max_sweeps = None }
+       ~jobs:1 ()
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let module Snapshot = Because_telemetry.Snapshot in
+  let spans = (Because_telemetry.Registry.snapshot reg).Snapshot.spans in
+  let named n =
+    List.filter (fun (sp : Snapshot.span) -> sp.Snapshot.name = n) spans
+  in
+  match named "stream.infer" with
+  | [ outer ] ->
+      let stop (sp : Snapshot.span) = Int64.add sp.start_ns sp.dur_ns in
+      List.iter
+        (fun n ->
+          match named n with
+          | [ inner ] ->
+              Alcotest.(check bool) (n ^ " inside stream.infer") true
+                (inner.start_ns >= outer.start_ns
+                && stop inner <= stop outer)
+          | l -> Alcotest.failf "%d %s spans" (List.length l) n)
+        [ "infer.MH.chain0"; "infer.HMC.chain0" ]
+  | l -> Alcotest.failf "%d stream.infer spans" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Classic campaigns stay byte-identical: no stream fields anywhere      *)
 
@@ -797,6 +831,8 @@ let suite =
         test_epoch_after_empty_runs_cold;
       Alcotest.test_case "missing spool file is insufficient, no retry loop"
         `Quick test_stream_missing_spool_is_insufficient;
+      Alcotest.test_case "traced epoch nests chain spans in stream.infer"
+        `Quick test_traced_epoch_spans;
       Alcotest.test_case "classic campaigns carry no stream fields" `Quick
         test_classic_output_unchanged;
       Alcotest.test_case "json validator sanity" `Quick

@@ -288,7 +288,7 @@ let test_campaign_snapshot_contents () =
         [ "campaign.stimulus"; "campaign.sim"; "sim.shard0.replay";
           "sim.shard1.replay"; "sim.merge"; "campaign.collect";
           "campaign.label"; "campaign.infer"; "infer.MH.chain0";
-          "infer.HMC.chain0" ];
+          "infer.HMC.chain0"; "campaign.categorize"; "campaign.heuristics" ];
       (* Shard gauges sum to the event total even though each was written
          from a different worker domain. *)
       let shard_sum =
