@@ -214,7 +214,7 @@ let golden_params =
 
 (* The campaign's own stimulus for one interval with no faults and no
    background churn: one Site per Beacon origin, installed in order. *)
-let golden_sim world (p : Sc.Campaign.params) =
+let golden_script world (p : Sc.Campaign.params) =
   let schedule =
     Schedule.of_durations ~lead_in:p.Sc.Campaign.lead_in
       ~update_interval:p.Sc.Campaign.update_interval
@@ -238,6 +238,10 @@ let golden_sim world (p : Sc.Campaign.params) =
            ~anchor_cycles ~oscillating:[ schedule ] ())
         script)
     (Sc.World.site_origins world);
+  (script, campaign_end)
+
+let golden_sim world p =
+  let script, campaign_end = golden_script world p in
   ( Sharded.run ~jobs:1 ~configs:(Sc.World.router_configs world)
       ~delay:(Sc.World.delay world) ~monitored:(Sc.World.monitored world)
       ~until:campaign_end script,
@@ -292,6 +296,29 @@ let test_golden_output () =
     "e363e4d5537f0cc15426a986a9ce4a97"
     (Digest.to_hex
        (Digest.bytes (Because_collector.Mrt.encode_records records)))
+
+(* The router state the golden replay leaves behind: the table sizes
+   behind the `sim.tables.*` gauges and the RFD transition tallies behind
+   the `sim.rfd_*` counters, from the same single network a one-shard
+   [Sharded.run] replays. *)
+let test_golden_tables () =
+  let world = golden_world () in
+  let script, campaign_end = golden_script world golden_params in
+  let net =
+    Network.create ~configs:(Sc.World.router_configs world)
+      ~delay:(Sc.World.delay world) ~monitored:(Sc.World.monitored world) ()
+  in
+  Script.install script net;
+  Network.run net ~until:campaign_end;
+  Alcotest.(check int) "sim.events" 617353 (Network.events_processed net);
+  let ts = Network.table_totals net in
+  Alcotest.(check (list int)) "Network.table_totals"
+    [ 3167; 328; 3306; 3306; 1559 ]
+    [ ts.Router.rib_in_entries; ts.Router.rfd_states;
+      ts.Router.adj_out_entries; ts.Router.mrai_states;
+      ts.Router.loc_rib_entries ];
+  Alcotest.(check (pair int int)) "Network.rfd_stats" (314, 94)
+    (Network.rfd_stats net)
 
 (* Gao–Rexford steady-state oracle.  With no RFD and no faults, a world
    that announces each Beacon prefix once converges to the unique stable
@@ -481,5 +508,6 @@ let suite =
         test_network_unmonitored_silent;
       Alcotest.test_case "MRAI batches updates" `Quick test_network_mrai_batches;
       Alcotest.test_case "golden verify-world output" `Quick test_golden_output;
+      Alcotest.test_case "golden verify-world tables" `Quick test_golden_tables;
       QCheck_alcotest.to_alcotest qcheck_gao_rexford_steady_state;
     ] )
