@@ -10,10 +10,19 @@ let of_list nodes =
   let hash, length = go 17 0 nodes in
   { nodes; length; hash }
 
+(* The same hash and length walk as [of_list], abandoned at the first
+   occurrence of [self]. *)
+let loop_free self nodes =
+  let rec go h n = function
+    | [] -> Some { nodes; length = n; hash = h land max_int }
+    | a :: rest ->
+        if Asn.equal a self then None
+        else go ((h * 31) + Asn.to_int a) (n + 1) rest
+  in
+  go 17 0 nodes
+
 let nodes t = t.nodes
 let length t = t.length
-let hash t = t.hash
-let is_empty t = t.length = 0
 
 let rec nodes_equal a b =
   match (a, b) with
@@ -26,10 +35,3 @@ let rec nodes_equal a b =
 let equal a b =
   a.hash = b.hash && a.length = b.length
   && (a.nodes == b.nodes || nodes_equal a.nodes b.nodes)
-
-let contains asn t = List.exists (Asn.equal asn) t.nodes
-
-let pp fmt t =
-  Format.pp_print_list
-    ~pp_sep:(fun f () -> Format.pp_print_string f " ")
-    Asn.pp fmt t.nodes

@@ -12,15 +12,15 @@ type t
 val empty : t
 val of_list : Asn.t list -> t
 
+val loop_free : Asn.t -> Asn.t list -> t option
+(** [loop_free self nodes] is [Some (of_list nodes)] unless [nodes] holds
+    [self] (an AS-path loop), in which case it is [None]: the receiver's
+    loop check and the interning in one walk. *)
+
 val nodes : t -> Asn.t list
 (** The original list, neighbor first; shared, not copied. *)
 
 val length : t -> int
-val hash : t -> int
-val is_empty : t -> bool
 
 val equal : t -> t -> bool
 (** Hash and length first, node walk only on a match. *)
-
-val contains : Asn.t -> t -> bool
-val pp : Format.formatter -> t -> unit

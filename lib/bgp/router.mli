@@ -1,7 +1,9 @@
 (** An AS-level BGP speaker.
 
     Each AS is modelled as one router holding an adj-RIB-in per neighbor
-    session, a loc-RIB, and an adj-RIB-out per neighbor, with:
+    session, a loc-RIB, and an adj-RIB-out per neighbor — stored as one row
+    per prefix, so that every entry point does a single prefix lookup —
+    with:
 
     - Gao–Rexford route selection (customer > peer > provider local-pref,
       then shortest AS path, then lowest neighbor ASN);
@@ -17,7 +19,7 @@
     {!action} list the caller (normally {!Because_sim.Network}) must
     perform — message deliveries, timer requests, and full-feed observations
     for an attached vantage point.  Only a router created as monitored
-    emits {!Feed} actions (and keeps the per-prefix last-observation table
+    emits {!Feed} actions (and records the per-prefix last observation
     that de-duplicates them). *)
 
 type neighbor = {
@@ -87,8 +89,9 @@ val stats : t -> stats
     run, or copy). *)
 
 val table_sizes : t -> table_sizes
-(** Current cache-table entry counts — the telemetry memory gauges.  Walks
-    the neighbor array; call at snapshot time, not per event. *)
+(** Current entry counts of the per-neighbor RIB, RFD and MRAI slots and of
+    the loc-RIB — the telemetry memory gauges.  Walks every prefix row; call
+    at snapshot time, not per event. *)
 
 val handle_update : t -> now:float -> from:Asn.t -> Update.t -> action list
 (** Process one update received from a configured neighbor.  Raises

@@ -26,10 +26,6 @@ let prepend asn = function
   | Announce a -> Announce { a with as_path = asn :: a.as_path }
   | Withdraw _ as w -> w
 
-let path_contains asn = function
-  | Announce { as_path; _ } -> List.exists (Asn.equal asn) as_path
-  | Withdraw _ -> false
-
 let aggregator_equal a b =
   match (a, b) with
   | None, None -> true

@@ -33,9 +33,6 @@ val prepend : Asn.t -> t -> t
 (** [prepend asn u] prefixes [asn] to the AS path of an announcement (the
     sending router's AS); withdrawals pass through unchanged. *)
 
-val path_contains : Asn.t -> t -> bool
-(** Loop check: does the announcement's path already contain [asn]? *)
-
 val aggregator_equal : aggregator option -> aggregator option -> bool
 
 (** [equal] is structural equality including the aggregator attribute — two

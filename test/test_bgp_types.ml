@@ -74,10 +74,30 @@ let test_update_prepend_withdraw () =
   let w = Update.Withdraw { prefix = Prefix.of_string "10.0.0.0/24" } in
   Alcotest.(check bool) "unchanged" true (Update.equal w (Update.prepend (asn 9) w))
 
-let test_path_contains () =
-  let u = announce "10.0.0.0/24" [ 2; 3; 5 ] in
-  Alcotest.(check bool) "member" true (Update.path_contains (asn 3) u);
-  Alcotest.(check bool) "non-member" false (Update.path_contains (asn 4) u)
+let test_path_loop_check () =
+  let own = asn 7 in
+  let path l = List.map asn l in
+  List.iter
+    (fun (name, l) ->
+      Alcotest.(check bool) name true (Apath.loop_free own (path l) = None))
+    [ ("own ASN at the head", [ 7; 2; 3 ]);
+      ("own ASN in the middle", [ 2; 7; 3 ]);
+      ("own ASN at the tail", [ 2; 3; 7 ]) ];
+  List.iter
+    (fun (name, l) ->
+      match Apath.loop_free own (path l) with
+      | None -> Alcotest.fail (name ^ ": rejected a loop-free path")
+      | Some p ->
+          let reference = Apath.of_list (path l) in
+          Alcotest.(check int) (name ^ " length") (List.length l)
+            (Apath.length p);
+          Alcotest.(check bool) (name ^ " equals of_list") true
+            (Apath.equal p reference);
+          Alcotest.(check (list int)) (name ^ " nodes") l
+            (List.map Asn.to_int (Apath.nodes p)))
+    [ ("ASN absent", [ 2; 3; 5 ]); ("empty path", []) ];
+  Alcotest.(check bool) "empty path equals Apath.empty" true
+    (Apath.equal Apath.empty (Option.get (Apath.loop_free own [])))
 
 let test_update_equal_aggregator () =
   let agg t = { Update.aggregator_asn = asn 9; sent_at = t; valid = true } in
@@ -109,7 +129,7 @@ let suite =
       Alcotest.test_case "beacon allocator" `Quick test_beacon_allocator;
       Alcotest.test_case "update prepend" `Quick test_update_prepend;
       Alcotest.test_case "prepend withdraw" `Quick test_update_prepend_withdraw;
-      Alcotest.test_case "path contains" `Quick test_path_contains;
+      Alcotest.test_case "path loop check" `Quick test_path_loop_check;
       Alcotest.test_case "update equality vs aggregator" `Quick
         test_update_equal_aggregator;
       QCheck_alcotest.to_alcotest qcheck_prefix_roundtrip;
