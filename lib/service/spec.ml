@@ -27,19 +27,23 @@ let obs_ok path =
   && String.length path <= 512
   && String.for_all (fun c -> Char.code c > 0x20 && Char.code c < 0x7f) path
 
+(* The id names the campaign's directory and report file, so it must start
+   with a letter or digit: "." and ".." would resolve to the state directory
+   itself or its parent, and a leading dot would hide the report. *)
 let id_ok id =
+  let alnum c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
   String.length id > 0
   && String.length id <= 64
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9') || c = '.' || c = '_' || c = '-')
-       id
+  && alnum id.[0]
+  && String.for_all (fun c -> alnum c || c = '.' || c = '_' || c = '-') id
 
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if not (id_ok t.id) then
-    err "id %S must be 1-64 chars of [A-Za-z0-9._-]" t.id
+    err "id %S must be 1-64 chars of [A-Za-z0-9._-] starting with [A-Za-z0-9]"
+      t.id
   else if t.transit < 1 || t.stub < 1 || t.vantage_hosts < 1 then
     err "topology sizes must be positive"
   else if not (t.interval_min > 0.0) then err "interval must be positive"

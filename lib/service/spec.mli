@@ -10,7 +10,8 @@
 type t = {
   id : string;
       (** Unique campaign name; doubles as the checkpoint sub-directory and
-          report file name, so it is restricted to [\[A-Za-z0-9._-\]]. *)
+          report file name, so it is restricted to [\[A-Za-z0-9._-\]] and
+          starts with a letter or digit. *)
   seed : int;            (** World seed — fixes topology, deployment, faults. *)
   transit : int;         (** Transit ASs in the generated topology. *)
   stub : int;            (** Stub ASs. *)

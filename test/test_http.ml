@@ -577,6 +577,67 @@ let test_query_submit_contract () =
   Alcotest.(check int) "reason map total" 400
     (Query.status_of_reason (Service.Invalid "r"))
 
+(* Every entry under [dir], relative, sorted. *)
+let rec tree dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then
+           f :: List.map (Filename.concat f) (tree path)
+         else [ f ])
+
+(* An id of dots would name the state directory itself (or its parent) as
+   the campaign directory, and a leading dot would hide its report: such
+   specs are refused with the spec error on both intake paths — a spool
+   file read through [Spool.scan] and [Spec.of_line], as the daemon does,
+   and POST /submit — and leave the state directory as it was. *)
+let test_dot_ids_rejected () =
+  let state_dir = fresh_dir () in
+  let svc = Service.create (Service.default_config ~state_dir) in
+  let rt = Query.router svc in
+  let before = tree state_dir in
+  let bad = [ ".."; "."; ".x" ] in
+  let spool = fresh_dir () in
+  Sys.mkdir spool 0o755;
+  Out_channel.with_open_text (Filename.concat spool "dots.campaign") (fun oc ->
+      List.iter (fun id -> Printf.fprintf oc "id=%s seed=3\n" id) bad);
+  let lines =
+    List.concat_map
+      (fun f ->
+        In_channel.with_open_text (Filename.concat spool f)
+          In_channel.input_lines)
+      (Because_service.Spool.scan spool)
+  in
+  Alcotest.(check int) "spool lines read" 3 (List.length lines);
+  List.iter
+    (fun line ->
+      match Sspec.of_line line with
+      | Ok _ -> Alcotest.failf "spool line %S accepted" line
+      | Error e ->
+          Alcotest.(check bool) (line ^ ": id error") true
+            (contains ~sub:"must be 1-64 chars" e))
+    lines;
+  List.iter
+    (fun id ->
+      (match Service.submit svc { (Sspec.default ~id) with Sspec.seed = 3 } with
+      | Error (Service.Invalid _) -> ()
+      | Ok _ -> Alcotest.failf "id %S admitted" id
+      | Error r -> Alcotest.failf "id %S: %s" id (Service.reason_to_string r));
+      let body = Printf.sprintf "id=%s seed=3" id in
+      let resp =
+        Router.dispatch rt
+          (req_of
+             (Printf.sprintf
+                "POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                (String.length body) body))
+      in
+      Alcotest.(check int) ("POST " ^ body) 400 resp.Resp.status;
+      Alcotest.(check bool) ("POST " ^ body ^ ": id error") true
+        (contains ~sub:"must be 1-64 chars" resp.Resp.body))
+    bad;
+  Alcotest.(check int) "nothing queued" 0 (Service.pending svc);
+  Alcotest.(check (list string)) "state dir unchanged" before (tree state_dir)
+
 let suite =
   ( "http",
     [
@@ -610,4 +671,6 @@ let suite =
         test_query_cache_coherence;
       Alcotest.test_case "query submit status mapping" `Quick
         test_query_submit_contract;
+      Alcotest.test_case "dot-only and hidden ids rejected" `Quick
+        test_dot_ids_rejected;
     ] )
