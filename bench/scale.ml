@@ -17,8 +17,8 @@
    Sizes: quick {100, 1000}; full {100, 1000, 5000, 10000}; override with
    BECAUSE_SCALE_ASES=100,1000,5000.  Rows are appended to BENCH_sim.json
    (kind "scale") so the sim and scale sections can both contribute to the
-   same artifact; CI's scale-smoke job guards the 1000-AS events/s against
-   bench/scale_baseline.json. *)
+   same artifact; CI's scale-smoke job guards the 1000-AS events/s and the
+   5000-AS peak RSS against bench/scale_baseline.json. *)
 
 module Sc = Because_scenario
 module Ctx = Bench_context
