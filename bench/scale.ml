@@ -10,9 +10,8 @@
 
    The child builds a world scaled towards the target AS count
    ([World.scale_params], Tier-1 clique fixed), records a short churn-heavy
-   campaign script, replays it through [Sharded.run] with collector feeds
-   spilling to disk ([--feed-spill-dir] semantics), and prints one RESULT
-   line the parent parses.
+   campaign script, replays it through [Sharded.run] with in-memory
+   collector feeds, and prints one RESULT line the parent parses.
 
    Sizes: quick {100, 1000}; full {100, 1000, 5000, 10000}; override with
    BECAUSE_SCALE_ASES=100,1000,5000.  Rows are appended to BENCH_sim.json
@@ -24,7 +23,6 @@ module Sc = Because_scenario
 module Ctx = Bench_context
 module Script = Because_sim.Script
 module Sharded = Because_sim.Sharded
-module Feed_log = Because_sim.Feed_log
 
 (* Base world: 8 Tier-1s + 80 transit + 360 stub (+7 Beacon origins).  The
    scale factor stretches the transit/stub/vantage axes towards the target
@@ -82,10 +80,8 @@ let hwm_kb () =
 (* Child: measure one size, print a RESULT line, exit.                  *)
 
 let child = function
-  | [ ases; churn; spill ] ->
-      let ases = int_of_string ases
-      and churn = int_of_string churn
-      and spill = spill = "1" in
+  | [ ases; churn ] ->
+      let ases = int_of_string ases and churn = int_of_string churn in
       let world = world_for ~ases in
       let graph = Sc.World.graph world in
       let n_ases = List.length (Because_topology.Graph.ases graph) in
@@ -98,44 +94,23 @@ let child = function
       in
       Printf.printf "child: %d ASs, %d links, %d prefixes, end %.0f s\n%!"
         n_ases n_links (Script.n_prefixes script) campaign_end;
-      let spill_dir =
-        if not spill then None
-        else begin
-          let dir = Filename.temp_file "because-scale-feeds" ".dir" in
-          Sys.remove dir;
-          Some dir
-        end
-      in
-      let feed_spill =
-        Option.map
-          (fun dir -> { Feed_log.dir; buffer = Feed_log.default_buffer })
-          spill_dir
-      in
       let t0 = Unix.gettimeofday () in
       let r =
-        Sharded.run ~jobs:1 ?feed_spill
+        Sharded.run ~jobs:1
           ~configs:(Sc.World.router_configs world)
           ~delay:(Sc.World.delay world)
           ~monitored:(Sc.World.monitored world)
           ~until:campaign_end script
       in
       let seconds = Unix.gettimeofday () -. t0 in
-      (* Force one spilled feed replay so the row's cost includes reading
-         the on-disk log back, the way collection does. *)
-      let replayed =
-        match Sc.World.monitored world |> Because_bgp.Asn.Set.min_elt_opt with
-        | None -> 0
-        | Some a -> List.length (Sharded.feed r a)
-      in
-      Option.iter Because_recover.Io.rm_rf spill_dir;
       Printf.printf
         "RESULT ases=%d links=%d prefixes=%d events=%d seconds=%.3f \
-         hwm_kb=%d replayed=%d\n%!"
+         hwm_kb=%d\n%!"
         n_ases n_links
         (Script.n_prefixes script)
-        r.Sharded.events seconds (hwm_kb ()) replayed
+        r.Sharded.events seconds (hwm_kb ())
   | _ ->
-      prerr_endline "usage: --scale-child ASES CHURN SPILL01";
+      prerr_endline "usage: --scale-child ASES CHURN";
       exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -151,12 +126,12 @@ type row = {
   peak_rss_kb : int;
 }
 
-let run_child ~ases ~churn ~spill =
+let run_child ~ases ~churn =
   let r, w = Unix.pipe () in
   let argv =
     [|
       Sys.executable_name; "--scale-child"; string_of_int ases;
-      string_of_int churn; (if spill then "1" else "0");
+      string_of_int churn;
     |]
   in
   let pid = Unix.create_process Sys.executable_name argv Unix.stdin w Unix.stderr in
@@ -178,8 +153,8 @@ let parse_result lines =
       match
         Scanf.sscanf line
           "RESULT ases=%d links=%d prefixes=%d events=%d seconds=%f \
-           hwm_kb=%d replayed=%d"
-          (fun ases links prefixes events seconds hwm_kb _replayed ->
+           hwm_kb=%d"
+          (fun ases links prefixes events seconds hwm_kb ->
             {
               ases;
               links;
@@ -257,9 +232,8 @@ let run () =
   let rows =
     List.filter_map
       (fun ases ->
-        Printf.printf "[%d ASs, %d churn prefixes, feeds spilled ...]\n%!"
-          ases churn;
-        match run_child ~ases ~churn ~spill:true with
+        Printf.printf "[%d ASs, %d churn prefixes ...]\n%!" ases churn;
+        match run_child ~ases ~churn with
         | Unix.WEXITED 0, lines -> (
             List.iter print_endline
               (List.filter (fun l -> not (String.length l > 6 && String.sub l 0 6 = "RESULT")) lines);

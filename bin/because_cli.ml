@@ -21,9 +21,20 @@ module Supervise = Because_recover.Supervise
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* Counts of workers, shards, chains, cycles and draws: a value below 1 is a
+   usage error (exit 124, naming the flag), caught before any work starts. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for the MCMC samplers.  Chains are seeded from \
@@ -32,7 +43,7 @@ let jobs_arg =
 
 let sim_jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "sim-jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the BGP simulation itself: prefixes are \
@@ -42,7 +53,7 @@ let sim_jobs_arg =
 
 let sim_shards_arg =
   Arg.(
-    value & opt (some int) None
+    value & opt (some positive_int) None
     & info [ "sim-shards" ] ~docv:"N"
         ~doc:
           "Simulation shard count, decoupled from --sim-jobs (default: one \
@@ -51,28 +62,9 @@ let sim_shards_arg =
            memory is bounded by the seat count while per-shard state \
            shrinks.  Fault-free outcomes are shard-invariant.")
 
-let feed_spill_dir_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "feed-spill-dir" ] ~docv:"DIR"
-        ~doc:
-          "Stream monitored vantage feeds through bounded buffers into \
-           per-vantage binary logs under DIR instead of holding them in \
-           memory — the memory knob for Internet-scale campaigns.  The \
-           outcome is bit-for-bit identical to in-memory feeds.")
-
-let feed_buffer_arg =
-  Arg.(
-    value
-    & opt int Because_sim.Feed_log.default_buffer
-    & info [ "feed-buffer" ] ~docv:"N"
-        ~doc:
-          "Updates buffered per vantage before a spill flush (with \
-           --feed-spill-dir).")
-
 let chains_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "chains" ] ~docv:"N"
         ~doc:
           "Independent chains per sampler; 2+ enables the cross-chain \
@@ -332,7 +324,8 @@ let interval_arg =
         ~doc:"Beacon update interval (minutes).")
 
 let cycles_arg =
-  Arg.(value & opt int 4 & info [ "cycles" ] ~doc:"Burst-Break pairs.")
+  Arg.(
+    value & opt positive_int 4 & info [ "cycles" ] ~doc:"Burst-Break pairs.")
 
 let faults_arg =
   Arg.(
@@ -422,8 +415,8 @@ let install_drain_handlers () =
 
 let campaign_cmd =
   let run seed sizes interval cycles severity jobs chains sim_jobs sim_shards
-      feed_spill_dir feed_buffer telemetry metrics_out trace_out checkpoint_dir
-      resume checkpoint_every chain_deadline sweep_budget =
+      telemetry metrics_out trace_out checkpoint_dir resume checkpoint_every
+      chain_deadline sweep_budget =
     if resume && checkpoint_dir = None then
       failwith "--resume requires --checkpoint-dir";
     install_drain_handlers ();
@@ -444,8 +437,6 @@ let campaign_cmd =
     let base =
       { base with
         Sc.Campaign.sim_shards;
-        feed_spill_dir;
-        feed_buffer;
         infer_config =
           { base.Sc.Campaign.infer_config with
             Because.Infer.supervise =
@@ -510,9 +501,6 @@ let campaign_cmd =
             match sim_shards with
             | None -> "auto"
             | Some n -> string_of_int n );
-          ( "feed_spill",
-            match feed_spill_dir with None -> "off" | Some dir -> dir );
-          ("feed_buffer", string_of_int feed_buffer);
           ( "faults",
             match severity with
             | None -> "none"
@@ -529,9 +517,9 @@ let campaign_cmd =
     Term.(
       const run $ seed_arg $ world_size_args $ interval_arg $ cycles_arg
       $ faults_arg $ jobs_arg $ chains_arg $ sim_jobs_arg $ sim_shards_arg
-      $ feed_spill_dir_arg $ feed_buffer_arg $ telemetry_arg
-      $ metrics_out_arg $ trace_out_arg $ checkpoint_dir_arg $ resume_arg
-      $ checkpoint_every_arg $ chain_deadline_arg $ sweep_budget_arg)
+      $ telemetry_arg $ metrics_out_arg $ trace_out_arg $ checkpoint_dir_arg
+      $ resume_arg $ checkpoint_every_arg $ chain_deadline_arg
+      $ sweep_budget_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                                *)
@@ -587,7 +575,7 @@ let infer_cmd =
   in
   let samples_arg =
     Arg.(
-      value & opt int 1000
+      value & opt positive_int 1000
       & info [ "samples" ] ~doc:"Posterior draws per sampler.")
   in
   let run seed file samples jobs chains =
@@ -833,13 +821,13 @@ let serve_cmd =
   in
   let service_jobs_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:"Worker domains — campaigns run concurrently, isolated.")
   in
   let campaign_jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "campaign-jobs" ] ~docv:"N"
           ~doc:
             "Inference pool size inside each campaign (outcomes are \

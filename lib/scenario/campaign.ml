@@ -32,8 +32,6 @@ type params = {
   min_path_support : int;
   sim_jobs : int;
   sim_shards : int option;
-  feed_spill_dir : string option;
-  feed_buffer : int;
   telemetry : Tel.t;
 }
 
@@ -61,8 +59,6 @@ let default_params ~update_interval =
     min_path_support = 1;
     sim_jobs = 1;
     sim_shards = None;
-    feed_spill_dir = None;
-    feed_buffer = Because_sim.Feed_log.default_buffer;
     telemetry = Tel.disabled;
   }
 
@@ -185,12 +181,11 @@ let stimulus world params ~intervals ~churn_rng =
 (* Fingerprint of everything that determines the campaign's results: world
    parameters, the fully-recorded stimulus script, the interval set, every
    result-affecting campaign scalar, the noise and fault plans, and the
-   inference settings.  Parallelism and memory knobs ([sim_jobs],
-   [sim_shards], [feed_spill_dir], [feed_buffer], [infer_config.jobs]), the
-   supervision budget and wall-clock-only backoff are deliberately excluded:
-   outcomes are jobs-invariant and spill-invariant, and resuming with more
-   workers, a larger budget, or feeds on disk is exactly the operational
-   move the checkpoint store exists to allow. *)
+   inference settings.  Parallelism knobs ([sim_jobs], [sim_shards],
+   [infer_config.jobs]), the supervision budget and wall-clock-only backoff
+   are deliberately excluded: outcomes are jobs-invariant, and resuming
+   with more workers or a larger budget is exactly the operational move
+   the checkpoint store exists to allow. *)
 let fingerprint world params ~intervals ~script =
   let ic = params.infer_config in
   let infer_scalars =
@@ -284,11 +279,6 @@ let run_multi ?recovery world params ~intervals =
         Sharded.run ?fault_rng ~telemetry:params.telemetry
           ?checkpoint:(Option.map Recovery.sim_hooks recovery)
           ?shards:params.sim_shards
-          ?feed_spill:
-            (Option.map
-               (fun dir ->
-                 { Because_sim.Feed_log.dir; buffer = params.feed_buffer })
-               params.feed_spill_dir)
           ~jobs:params.sim_jobs
           ~configs:(World.router_configs world)
           ~delay:(World.delay world)

@@ -40,17 +40,8 @@ type params = {
           default — means one shard per job, the historical behaviour).
           More shards than jobs queue on the domain pool, bounding peak
           live router state by the seat count while shrinking per-shard
-          state — the spill mode for Internet-scale prefix sets.  Fault-free
-          outcomes are shard-invariant (property-tested). *)
-  feed_spill_dir : string option;
-      (** When set, monitored vantage feeds stream through bounded buffers
-          into per-vantage binary logs under this directory
-          ({!Because_sim.Feed_log}) instead of accumulating in memory, and
-          are replayed lazily by collection — outcome bit-for-bit identical
-          (property-tested).  Default [None] (in-memory feeds). *)
-  feed_buffer : int;
-      (** Updates buffered per vantage before a spill flush (default
-          4096).  Only meaningful with [feed_spill_dir]. *)
+          state.  Fault-free outcomes are shard-invariant
+          (property-tested). *)
   telemetry : Because_telemetry.Registry.t;
       (** Observability sink threaded through every phase: campaign phase
           spans, simulator traffic/RFD counters and table gauges, fault

@@ -11,6 +11,9 @@ module Checkpoint = Because_recover.Checkpoint
 module Chain_ckpt = Because_recover.Chain_ckpt
 module Sharded = Because_sim.Sharded
 module Network = Because_sim.Network
+module Asn = Because_bgp.Asn
+module Prefix = Because_bgp.Prefix
+module Update = Because_bgp.Update
 
 exception Killed
 (* Test hook: simulates a hard kill at the moment a configured save would
@@ -96,17 +99,51 @@ let load_decoded t ~key decode =
 
    The RFC 4271 wire codec is deliberately lossy (whole-second timestamps,
    collapsed invalid aggregators) and therefore unusable here: resume must
-   reproduce feeds bit-for-bit, floats and all.  The asn/prefix/update
-   codecs are shared with the streaming feed-log layer
-   ({!Because_sim.Feed_log}) so an update has exactly one durable
-   encoding. *)
+   reproduce feeds bit-for-bit, floats and all. *)
 
-module Feed_log = Because_sim.Feed_log
+let w_asn w a = Codec.int w (Asn.to_int a)
+let r_asn r = Codec.valid "ASN" Asn.of_int (Codec.read_int r)
 
-let w_asn = Feed_log.w_asn
-let r_asn = Feed_log.r_asn
-let w_update = Feed_log.w_update
-let r_update = Feed_log.r_update
+let w_prefix w p =
+  Codec.i64 w (Int64.of_int32 (Prefix.network p));
+  Codec.int w (Prefix.length p)
+
+let r_prefix r =
+  let network = Int64.to_int32 (Codec.read_i64 r) in
+  let length = Codec.read_int r in
+  Codec.valid "prefix length" (Prefix.make network) length
+
+let w_aggregator w (a : Update.aggregator) =
+  w_asn w a.Update.aggregator_asn;
+  Codec.float w a.Update.sent_at;
+  Codec.bool w a.Update.valid
+
+let r_aggregator r : Update.aggregator =
+  let aggregator_asn = r_asn r in
+  let sent_at = Codec.read_float r in
+  let valid = Codec.read_bool r in
+  { Update.aggregator_asn; sent_at; valid }
+
+let w_update w = function
+  | Update.Announce { prefix; as_path; aggregator } ->
+      Codec.u8 w 0;
+      w_prefix w prefix;
+      Codec.list w w_asn as_path;
+      Codec.option w w_aggregator aggregator
+  | Update.Withdraw { prefix } ->
+      Codec.u8 w 1;
+      w_prefix w prefix
+
+let r_update r =
+  match Codec.read_u8 r with
+  | 0 ->
+      let prefix = r_prefix r in
+      let as_path = Codec.read_list r r_asn in
+      let aggregator = Codec.read_option r r_aggregator in
+      Update.Announce { prefix; as_path; aggregator }
+  | 1 -> Update.Withdraw { prefix = r_prefix r }
+  | tag ->
+      raise (Codec.Malformed (Printf.sprintf "unknown update tag %d" tag))
 
 let w_fault_event w = function
   | Network.Fault_link_down { a; b } ->
@@ -209,17 +246,13 @@ let r_stats r : Network.stats =
     session_recoveries;
   }
 
-(* Feeds are persisted materialized whatever their in-memory form: a spilled
-   store's log files live under a transient spill directory, while a
-   checkpoint must survive on its own — so the envelope byte layout is
-   unchanged from the pre-spill format and older checkpoints still decode. *)
 let encode_shard_result (sr : Sharded.shard_result) =
   let w = Codec.writer () in
   Codec.list w
     (fun w (asn, feed) ->
       w_asn w asn;
       Codec.list w (w_timed w_update) feed)
-    (Sharded.store_entries sr.Sharded.shard_feeds);
+    sr.Sharded.shard_feeds;
   w_stats w sr.Sharded.shard_stats;
   Codec.list w (w_timed w_fault_event) sr.Sharded.shard_fault_log;
   Codec.int w sr.Sharded.shard_events_count;
@@ -238,7 +271,7 @@ let decode_shard_result payload =
   let shard_events_count = Codec.read_int r in
   Codec.expect_end r;
   {
-    Sharded.shard_feeds = Sharded.Feeds_mem shard_feeds;
+    Sharded.shard_feeds;
     shard_stats;
     shard_fault_log;
     shard_events_count;

@@ -66,11 +66,9 @@ module Itbl = Hashtbl.Make (struct
   let hash a = Asn.to_int a * 0x9E3779B1 land max_int
 end)
 
-(* Where a monitored vantage's observations go: an in-memory log (the
-   default) or a bounded buffer spilling to a binary on-disk log. *)
-type feed_sink =
-  | Feed_mem of (float * Update.t) list ref  (* newest first *)
-  | Feed_disk of Feed_log.writer
+(* A monitored vantage's observations, newest first.  The entries share
+   their [Update.t] values with the routers' tables. *)
+type feed_sink = (float * Update.t) list ref
 
 type t = {
   engine : event Engine.t;
@@ -85,7 +83,7 @@ type t = {
   mutable fault_log : (float * fault_event) list;  (* newest first *)
 }
 
-let create ?fault_rng ?feed_spill ~configs ~delay ~monitored () =
+let create ?fault_rng ~configs ~delay ~monitored () =
   let n = List.length configs in
   let ids = Itbl.create (2 * max 1 n) in
   let routers =
@@ -102,13 +100,8 @@ let create ?fault_rng ?feed_spill ~configs ~delay ~monitored () =
   let feed_sinks =
     Array.map
       (fun r ->
-        let asn = (Router.config r).Router.asn in
-        if Asn.Set.mem asn monitored then
-          Some
-            (match feed_spill with
-            | None -> Feed_mem (ref [])
-            | Some { Feed_log.dir; buffer } ->
-                Feed_disk (Feed_log.writer ~dir ~asn ~buffer))
+        if Asn.Set.mem (Router.config r).Router.asn monitored then
+          Some (ref [])
         else None)
       routers
   in
@@ -144,8 +137,7 @@ let record_feed t ~now asn update =
   | Some id -> (
       match Array.unsafe_get t.feed_sinks id with
       | None -> ()
-      | Some (Feed_mem log) -> log := (now, update) :: !log
-      | Some (Feed_disk w) -> Feed_log.append w ~time:now update)
+      | Some log -> log := (now, update) :: !log)
 
 let log_fault t ~now ev = t.fault_log <- (now, ev) :: t.fault_log
 
@@ -524,20 +516,10 @@ let table_totals t =
 
 let fault_log t = List.rev t.fault_log
 
-let sink_of t asn =
-  match Itbl.find_opt t.ids asn with
-  | None -> None
-  | Some id -> t.feed_sinks.(id)
-
 let feed t asn =
-  match sink_of t asn with
+  match Itbl.find_opt t.ids asn with
   | None -> []
-  | Some (Feed_mem l) -> List.rev !l
-  | Some (Feed_disk w) -> Feed_log.entries (Feed_log.flush w)
-
-let feed_spilled t asn =
-  match sink_of t asn with
-  | Some (Feed_disk w) -> Some (Feed_log.flush w)
-  | Some (Feed_mem _) | None -> None
+  | Some id -> (
+      match t.feed_sinks.(id) with None -> [] | Some log -> List.rev !log)
 
 let monitored t = t.monitored_set

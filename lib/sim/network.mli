@@ -68,7 +68,6 @@ type t
 
 val create :
   ?fault_rng:Because_stats.Rng.t ->
-  ?feed_spill:Feed_log.spill ->
   configs:Router.config list ->
   delay:(from_asn:Asn.t -> to_asn:Asn.t -> float) ->
   monitored:Asn.Set.t ->
@@ -77,11 +76,7 @@ val create :
 (** [delay] gives the one-way propagation delay of each directed session;
     [monitored] lists the ASs hosting a full-feed vantage-point session.
     [fault_rng] drives loss/duplication impairments (required before
-    {!set_link_impairment} installs a non-zero rate).  [feed_spill] streams
-    monitored feeds through a bounded buffer to per-vantage on-disk logs
-    (see {!Feed_log}) instead of accumulating them in memory; {!feed}
-    replays a spilled log bit-for-bit, so observers cannot tell the
-    difference. *)
+    {!set_link_impairment} installs a non-zero rate). *)
 
 val schedule_announce : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
 val schedule_withdraw : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
@@ -133,13 +128,6 @@ val fault_log : t -> (float * fault_event) list
 
 val feed : t -> Asn.t -> (float * Update.t) list
 (** Chronological full-feed observations of a monitored AS ([\[\]] when the
-    AS is not monitored or saw nothing).  With [feed_spill], flushes and
-    replays the on-disk log — identical to the in-memory result. *)
-
-val feed_spilled : t -> Asn.t -> string option
-(** With [feed_spill]: flush the AS's buffered observations and return the
-    path of its on-disk log (so callers can hand the log around without
-    materializing it).  [None] when the AS is unmonitored or feeds are
-    in-memory. *)
+    AS is not monitored or saw nothing). *)
 
 val monitored : t -> Asn.Set.t

@@ -3,26 +3,11 @@ module Rng = Because_stats.Rng
 module Parallel = Because_stats.Parallel
 module Tel = Because_telemetry.Registry
 
-(* A shard's collected vantage feeds: materialized, or left on disk as the
-   per-vantage spill logs the network wrote (paths only — replayed lazily by
-   {!feed}, so a campaign never holds every observation at once). *)
-type feed_store =
-  | Feeds_mem of (Asn.t * (float * Update.t) list) list
-  | Feeds_spilled of (Asn.t * string) list
-
-let store_entries = function
-  | Feeds_mem l -> l
-  | Feeds_spilled l ->
-      List.map (fun (asn, path) -> (asn, Feed_log.entries path)) l
+(* A shard's collected vantage feeds, ascending ASN. *)
+type feed_store = (Asn.t * (float * Update.t) list) list
 
 let store_feed store asn =
-  match store with
-  | Feeds_mem l -> (
-      match List.assoc_opt asn l with Some e -> e | None -> [])
-  | Feeds_spilled l -> (
-      match List.assoc_opt asn l with
-      | Some path -> Feed_log.entries path
-      | None -> [])
+  match List.assoc_opt asn store with Some e -> e | None -> []
 
 type result = {
   stats : Network.stats;
@@ -81,22 +66,9 @@ let feeds result =
     result.monitored []
   |> List.rev
 
-let collect ~spilled net monitored =
-  if spilled then
-    Feeds_spilled
-      (Asn.Set.fold
-         (fun asn acc ->
-           match Network.feed_spilled net asn with
-           | Some path -> (asn, path) :: acc
-           | None -> acc)
-         monitored []
-      |> List.rev)
-  else
-    Feeds_mem
-      (Asn.Set.fold
-         (fun asn acc -> (asn, Network.feed net asn) :: acc)
-         monitored []
-      |> List.rev)
+let collect net monitored =
+  Asn.Set.fold (fun asn acc -> (asn, Network.feed net asn) :: acc) monitored []
+  |> List.rev
 
 let is_origin_fault = function
   | Network.Fault_update_lost _ | Network.Fault_update_duplicated _ -> true
@@ -182,7 +154,7 @@ let count_restored telemetry =
    network construction and replay entirely; its pre-split fault stream is
    simply never drawn from (streams are split before any task runs, so
    skipping one shard cannot perturb another's randomness). *)
-let run_shard ?rng ~checkpoint ~telemetry ~spill ~configs ~delay ~monitored
+let run_shard ?rng ~checkpoint ~telemetry ~configs ~delay ~monitored
     ~until ~script ~keep ~shard ~shards () =
   let restored =
     match checkpoint with
@@ -194,10 +166,7 @@ let run_shard ?rng ~checkpoint ~telemetry ~spill ~configs ~delay ~monitored
       count_restored telemetry;
       sr
   | None ->
-      let net =
-        Network.create ?fault_rng:rng ?feed_spill:spill ~configs ~delay
-          ~monitored ()
-      in
+      let net = Network.create ?fault_rng:rng ~configs ~delay ~monitored () in
       Script.install ?keep script net;
       Tel.Span.with_ telemetry
         ~name:(Printf.sprintf "sim.shard%d.replay" shard) (fun () ->
@@ -205,7 +174,7 @@ let run_shard ?rng ~checkpoint ~telemetry ~spill ~configs ~delay ~monitored
       flush_shard_telemetry telemetry ~shard net;
       let sr =
         {
-          shard_feeds = collect ~spilled:(spill <> None) net monitored;
+          shard_feeds = collect net monitored;
           shard_stats = Network.stats net;
           shard_fault_log = Network.fault_log net;
           shard_events_count = Network.events_processed net;
@@ -216,8 +185,8 @@ let run_shard ?rng ~checkpoint ~telemetry ~spill ~configs ~delay ~monitored
       | None -> ());
       sr
 
-let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ?feed_spill
-    ~jobs ~configs ~delay ~monitored ~until script =
+let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ~jobs
+    ~configs ~delay ~monitored ~until script =
   if jobs < 1 then invalid_arg "Sharded.run: jobs must be positive";
   (match shards with
   | Some s when s < 1 -> invalid_arg "Sharded.run: shards must be positive"
@@ -230,17 +199,6 @@ let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ?feed_spill
   let shards =
     max 1 (min (Option.value shards ~default:jobs) n_prefixes)
   in
-  (* Each shard spills under its own subdirectory: shards replaying
-     different prefix subsets must not append to the same vantage log. *)
-  let spill_for shard =
-    Option.map
-      (fun (s : Feed_log.spill) ->
-        { s with
-          Feed_log.dir =
-            Filename.concat s.Feed_log.dir
-              (Printf.sprintf "shard%dof%d" shard shards) })
-      feed_spill
-  in
   let rank_of prefix =
     match Script.rank script prefix with Some r -> r | None -> max_int
   in
@@ -248,9 +206,8 @@ let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ?feed_spill
     (* Single-shard path: one network, full script in recording order — the
        event stream is bit-for-bit the historical sequential one. *)
     let sr =
-      run_shard ?rng:fault_rng ~checkpoint ~telemetry ~spill:(spill_for 0)
-        ~configs ~delay ~monitored ~until ~script ~keep:None ~shard:0
-        ~shards:1 ()
+      run_shard ?rng:fault_rng ~checkpoint ~telemetry ~configs ~delay
+        ~monitored ~until ~script ~keep:None ~shard:0 ~shards:1 ()
     in
     {
       stats = sr.shard_stats;
@@ -277,9 +234,8 @@ let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ?feed_spill
     let tasks =
       Array.init shards (fun shard ->
           fun () ->
-            run_shard ?rng:rngs.(shard) ~checkpoint ~telemetry
-              ~spill:(spill_for shard) ~configs ~delay ~monitored ~until
-              ~script
+            run_shard ?rng:rngs.(shard) ~checkpoint ~telemetry ~configs
+              ~delay ~monitored ~until ~script
               ~keep:(Some (fun p -> shard_of p = shard))
               ~shard ~shards ())
     in

@@ -13,7 +13,7 @@
     Shards may outnumber pool seats: the work-stealing pool runs at most
     [jobs] shard networks at a time and queues the rest, so peak live router
     state is bounded by the seat count while per-shard state shrinks with
-    the shard count — the spill mode for Internet-scale prefix sets.
+    the shard count.
 
     With no faults and no impairments the merged result is bit-for-bit
     identical to the sequential run for any [jobs] and any [shards]
@@ -23,15 +23,8 @@
 
 open Because_bgp
 
-(** One shard's collected vantage feeds: materialized in memory, or left as
-    the per-vantage on-disk spill logs the network wrote (paths only). *)
-type feed_store =
-  | Feeds_mem of (Asn.t * (float * Update.t) list) list
-  | Feeds_spilled of (Asn.t * string) list
-
-val store_entries : feed_store -> (Asn.t * (float * Update.t) list) list
-(** Materialize a store (reads spilled logs).  Used by the checkpoint layer,
-    which always persists feeds in materialized form. *)
+(** One shard's collected vantage feeds, ascending ASN. *)
+type feed_store = (Asn.t * (float * Update.t) list) list
 
 type result = {
   stats : Network.stats;
@@ -56,13 +49,10 @@ type result = {
 val feed : result -> Asn.t -> (float * Update.t) list
 (** Chronological observations of one vantage, merged across shards on
     demand (stable sort on time, cross-prefix ties by first-touch rank) —
-    identical to the sequential network's feed.  Spilled stores are replayed
-    from disk here, one vantage at a time, so the whole update volume is
-    never resident at once. *)
+    identical to the sequential network's feed. *)
 
 val feeds : result -> (Asn.t * (float * Update.t) list) list
-(** Every monitored vantage's merged feed, ascending ASN.  Materializes
-    everything — prefer {!feed} one vantage at a time at scale. *)
+(** Every monitored vantage's merged feed, ascending ASN. *)
 
 type shard_result = {
   shard_feeds : feed_store;
@@ -88,7 +78,6 @@ val run :
   ?telemetry:Because_telemetry.Registry.t ->
   ?checkpoint:checkpoint_hooks ->
   ?shards:int ->
-  ?feed_spill:Feed_log.spill ->
   jobs:int ->
   configs:Router.config list ->
   delay:(from_asn:Asn.t -> to_asn:Asn.t -> float) ->
@@ -105,11 +94,6 @@ val run :
     independent stream per shard (so with faults the outcome is a function
     of the shard count, as it previously was of [jobs]).  Raises
     [Invalid_argument] if [jobs < 1] or [shards < 1].
-
-    [feed_spill] routes every shard's monitored feeds through bounded
-    buffers into per-vantage binary logs under
-    [dir/shard<i>of<n>/feed-<asn>.log]; {!feed} replays them bit-for-bit
-    identical to the in-memory mode (property-tested).
 
     [checkpoint] short-circuits finished shards: a shard whose saved result
     loads is returned without building a network or replaying anything (its

@@ -646,7 +646,6 @@ let test_shard_result_codec_roundtrip () =
   let sr =
     {
       Because_sim.Sharded.shard_feeds =
-        Because_sim.Sharded.Feeds_mem
         [
           ( Because_bgp.Asn.of_int 65001,
             [
@@ -669,6 +668,38 @@ let test_shard_result_codec_roundtrip () =
               ( 99.75,
                 Because_bgp.Update.Withdraw
                   { prefix = Because_bgp.Prefix.make 0x0A000000l 24 } );
+            ] );
+          (* Fractional times that no short decimal spells exactly, an
+             announcement without an aggregator, and an invalid
+             aggregator: the codec must keep every bit of each. *)
+          ( Because_bgp.Asn.of_int 65003,
+            [
+              ( 0.1 +. 0.2,
+                Because_bgp.Update.Announce
+                  {
+                    prefix = Because_bgp.Prefix.make 0xC0000200l 23;
+                    as_path = [ Because_bgp.Asn.of_int 65003 ];
+                    aggregator = None;
+                  } );
+              ( 1.0 /. 3.0,
+                Because_bgp.Update.Announce
+                  {
+                    prefix = Because_bgp.Prefix.make 0xC0000200l 23;
+                    as_path =
+                      [ Because_bgp.Asn.of_int 65003;
+                        Because_bgp.Asn.of_int 65001 ];
+                    aggregator =
+                      Some
+                        {
+                          Because_bgp.Update.aggregator_asn =
+                            Because_bgp.Asn.of_int 65001;
+                          sent_at = Float.pred 7200.0;
+                          valid = false;
+                        };
+                  } );
+              ( Float.succ 86400.0,
+                Because_bgp.Update.Withdraw
+                  { prefix = Because_bgp.Prefix.make 0xC0000200l 23 } );
             ] );
         ];
       shard_stats =

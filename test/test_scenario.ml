@@ -393,9 +393,9 @@ let test_background_prefix_space () =
        false
      with Invalid_argument _ -> true)
 
-(* Spilled feeds must leave a campaign's outcome untouched: same records,
-   same labels, same delivery count — only where the feeds lived differs. *)
-let test_campaign_feed_spill_invariant () =
+(* More shards than simulation jobs must leave a campaign's outcome
+   untouched: same records, same labels, same delivery count. *)
+let test_campaign_shard_invariant () =
   let w = Lazy.force world in
   let p = Sc.Campaign.default_params ~update_interval:60.0 in
   let p =
@@ -419,19 +419,12 @@ let test_campaign_feed_spill_invariant () =
         o.Sc.Campaign.labeled,
       o.Sc.Campaign.deliveries )
   in
-  let mem = fingerprint p in
-  let dir = Filename.temp_file "because-test-campaign-spill" ".dir" in
-  Sys.remove dir;
-  let spilled =
-    fingerprint
-      { p with
-        Sc.Campaign.feed_spill_dir = Some dir;
-        feed_buffer = 7;
-        sim_shards = Some 4;
-        sim_jobs = 2 }
+  let sequential = fingerprint p in
+  let sharded =
+    fingerprint { p with Sc.Campaign.sim_shards = Some 4; sim_jobs = 2 }
   in
-  Alcotest.(check bool) "spilled campaign outcome identical" true
-    (mem = spilled)
+  Alcotest.(check bool) "sharded campaign outcome identical" true
+    (sequential = sharded)
 
 let test_site_of_prefix () =
   let o = Lazy.force fast_campaign in
@@ -468,7 +461,7 @@ let suite =
       Alcotest.test_case "sim_jobs equivalence" `Slow test_sim_jobs_equivalence;
       Alcotest.test_case "background prefix space" `Quick
         test_background_prefix_space;
-      Alcotest.test_case "feed spill invariant" `Slow
-        test_campaign_feed_spill_invariant;
+      Alcotest.test_case "shard invariance" `Slow
+        test_campaign_shard_invariant;
       Alcotest.test_case "site of prefix" `Slow test_site_of_prefix;
     ] )

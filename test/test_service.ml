@@ -474,16 +474,15 @@ let shard_payload =
   let prefix = Because_bgp.Prefix.make 0x0A000100l 24 in
   Because_scenario.Recovery.encode_shard_result
     { Because_sim.Sharded.shard_feeds =
-        Because_sim.Sharded.Feeds_mem
-          [ ( asn 65001,
-              [ ( 1.5,
-                  Because_bgp.Update.Announce
-                    { prefix; as_path = [ asn 65002; asn 65003 ];
-                      aggregator =
-                        Some
-                          { Because_bgp.Update.aggregator_asn = asn 65003;
-                            sent_at = 1.0; valid = true } } );
-                (2.5, Because_bgp.Update.Withdraw { prefix }) ] ) ];
+        [ ( asn 65001,
+            [ ( 1.5,
+                Because_bgp.Update.Announce
+                  { prefix; as_path = [ asn 65002; asn 65003 ];
+                    aggregator =
+                      Some
+                        { Because_bgp.Update.aggregator_asn = asn 65003;
+                          sent_at = 1.0; valid = true } } );
+              (2.5, Because_bgp.Update.Withdraw { prefix }) ] ) ];
       shard_stats =
         { Because_sim.Network.deliveries = 9; announcements = 5;
           withdrawals = 4; lost = 0; duplicated = 0; session_drops = 1;

@@ -79,14 +79,7 @@ let make_script rng ~origin =
   done;
   script
 
-let fresh_spill_dir () =
-  let dir = Filename.temp_file "because-test-spill" ".dir" in
-  Sys.remove dir;
-  { Because_sim.Feed_log.dir; buffer = 3 }
-(* A tiny buffer (3) forces many flush blocks per feed, exercising the
-   multi-block replay path, not just the final flush. *)
-
-let run ?fault_rng_seed ?shards ?feed_spill ~jobs ~with_flap
+let run ?fault_rng_seed ?shards ~jobs ~with_flap
     (configs, delay, origin, n_transit, monitored) script =
   let script =
     if not with_flap then script
@@ -110,7 +103,7 @@ let run ?fault_rng_seed ?shards ?feed_spill ~jobs ~with_flap
     end
   in
   let fault_rng = Option.map Rng.create fault_rng_seed in
-  Sharded.run ?fault_rng ?shards ?feed_spill ~jobs ~configs ~delay ~monitored
+  Sharded.run ?fault_rng ?shards ~jobs ~configs ~delay ~monitored
     ~until:2000.0 script
 
 let check_feeds_equal what a b =
@@ -207,39 +200,6 @@ let qcheck_link_fault_timeline =
         [ 2; 4 ];
       true)
 
-(* S3: streamed (spilled) collector feeds must be bit-for-bit identical to
-   in-memory feeds — same times, same updates, same order — across job
-   counts and under fault plans.  Spilling happens strictly after the
-   simulation's RNG draws, so it cannot perturb impairment outcomes at the
-   same shard count; the comparison is spill-vs-memory at identical
-   jobs/shards. *)
-let qcheck_spill_equivalence =
-  QCheck.Test.make ~name:"spilled feeds == in-memory feeds (incl. faults)"
-    ~count:20 QCheck.small_int (fun seed ->
-      let rng = Rng.create (seed + 211) in
-      let world = make_world rng in
-      let _, _, origin, _, _ = world in
-      let script = make_script rng ~origin in
-      List.iter
-        (fun (jobs, with_flap, fault_rng_seed) ->
-          let mem = run ?fault_rng_seed ~jobs ~with_flap world script in
-          let spill = fresh_spill_dir () in
-          let disk =
-            run ?fault_rng_seed ~feed_spill:spill ~jobs ~with_flap world
-              script
-          in
-          let what =
-            Printf.sprintf "seed %d jobs %d flap %b" seed jobs with_flap
-          in
-          check_feeds_equal what mem disk;
-          check_stats_equal what mem.Sharded.stats disk.Sharded.stats;
-          Alcotest.(check int)
-            (what ^ ": events") mem.Sharded.events disk.Sharded.events;
-          Because_recover.Io.rm_rf spill.Because_sim.Feed_log.dir)
-        [ (1, false, None); (4, false, None);
-          (1, true, Some (seed + 77)); (4, true, Some (seed + 77)) ];
-      true)
-
 (* Shards beyond the pool's seats queue and run as domains free up; the
    fault-free outcome must not care. *)
 let test_shards_exceed_jobs () =
@@ -248,66 +208,18 @@ let test_shards_exceed_jobs () =
   let _, _, origin, _, _ = world in
   let script = make_script rng ~origin in
   let sequential = run ~jobs:1 ~with_flap:false world script in
-  let spill = fresh_spill_dir () in
-  let queued =
-    run ~jobs:2 ~shards:8 ~feed_spill:spill ~with_flap:false world script
-  in
+  let queued = run ~jobs:2 ~shards:8 ~with_flap:false world script in
   Alcotest.(check int) "shards clamped to prefixes"
     (min 8 (Script.n_prefixes script))
     queued.Sharded.shards;
-  check_feeds_equal "jobs=2 shards=8 spilled" sequential queued;
-  check_stats_equal "jobs=2 shards=8 spilled" sequential.Sharded.stats
+  check_feeds_equal "jobs=2 shards=8" sequential queued;
+  check_stats_equal "jobs=2 shards=8" sequential.Sharded.stats
     queued.Sharded.stats;
   Alcotest.(check int) "events conserved" sequential.Sharded.events
     queued.Sharded.events;
-  Because_recover.Io.rm_rf spill.Because_sim.Feed_log.dir;
   Alcotest.check_raises "shards = 0 rejected"
     (Invalid_argument "Sharded.run: shards must be positive") (fun () ->
       ignore (run ~jobs:2 ~shards:0 ~with_flap:false world script))
-
-(* Feed_log wire format: multi-block append/flush round-trips exactly;
-   a missing file reads as the empty feed. *)
-let test_feed_log_roundtrip () =
-  let module Feed_log = Because_sim.Feed_log in
-  let spill = fresh_spill_dir () in
-  let dir = spill.Feed_log.dir in
-  Because_recover.Io.mkdir_p dir;
-  let w = Feed_log.writer ~dir ~asn:(asn 64512) ~buffer:3 in
-  let entries =
-    List.init 10 (fun i ->
-        let p = Prefix.beacon ~site:(i mod 3) ~slot:0 in
-        let u =
-          if i mod 4 = 3 then Update.Withdraw { prefix = p }
-          else
-            Update.Announce
-              {
-                prefix = p;
-                as_path = [ asn (100 + i); asn 65001 ];
-                aggregator =
-                  (if i mod 2 = 0 then
-                     Some
-                       {
-                         Update.aggregator_asn = asn 65001;
-                         sent_at = 0.125 +. float_of_int i;
-                         valid = i mod 4 = 0;
-                       }
-                   else None);
-              }
-        in
-        (float_of_int i *. 1.5, u))
-  in
-  List.iter (fun (time, u) -> Feed_log.append w ~time u) entries;
-  let path = Feed_log.flush w in
-  let back = Feed_log.entries path in
-  Alcotest.(check int) "entry count" (List.length entries) (List.length back);
-  List.iter2
-    (fun (ta, ua) (tb, ub) ->
-      Alcotest.(check bool) "time exact" true (Float.equal ta tb);
-      Alcotest.(check bool) "update equal" true (Update.equal ua ub))
-    entries back;
-  Alcotest.(check int) "missing file is empty feed" 0
-    (List.length (Feed_log.entries (Filename.concat dir "feed-9999.log")));
-  Because_recover.Io.rm_rf dir
 
 let test_shards_clamped () =
   let rng = Rng.create 7 in
@@ -361,9 +273,7 @@ let suite =
     [
       QCheck_alcotest.to_alcotest qcheck_fault_free_equivalence;
       QCheck_alcotest.to_alcotest qcheck_link_fault_timeline;
-      QCheck_alcotest.to_alcotest qcheck_spill_equivalence;
       Alcotest.test_case "shards exceed jobs" `Quick test_shards_exceed_jobs;
-      Alcotest.test_case "feed log roundtrip" `Quick test_feed_log_roundtrip;
       Alcotest.test_case "shards clamped" `Quick test_shards_clamped;
       Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
       Alcotest.test_case "empty script" `Quick test_empty_script;
