@@ -158,7 +158,7 @@ let decode_as_path r ~until =
       if k = 0 then Ok (List.rev acc)
       else
         let* v = read_u32 r "AS_PATH member" in
-        collect (k - 1) (Asn.of_int (Int32.to_int (Int32.logand v 0xFFFFFFFFl)) :: acc)
+        collect (k - 1) (Asn.of_int (Int32.to_int v land 0xFFFFFFFF) :: acc)
     in
     let* path = collect count [] in
     if r.pos <> until then Error (Bad_attribute "AS_PATH length mismatch")
@@ -171,7 +171,7 @@ let decode_aggregator r =
   let valid = stamp <> 0l in
   Ok
     {
-      Update.aggregator_asn = Asn.of_int (Int32.to_int (Int32.logand asn 0xFFFFFFFFl));
+      Update.aggregator_asn = Asn.of_int (Int32.to_int asn land 0xFFFFFFFF);
       sent_at = Int32.to_float (Int32.logand stamp 0x7FFFFFFFl);
       valid;
     }

@@ -1,85 +1,72 @@
-(* Durable on-disk checkpoint store.
+(* Durable on-disk checkpoint store (see checkpoint.mli for the protocol).
 
    Layout of a store directory:
 
-     MANIFEST            envelope, payload = fingerprint string
-     <key>.ck            current snapshot for [key]
-     <key>.prev.ck       previous snapshot (fallback if .ck is corrupt)
-     <key>.ck.corrupt-*  quarantined files that failed CRC/version checks
+     MANIFEST             version-1 envelope, payload = fingerprint string
+     <key>.ck             one slot for [key]
+     <key>.prev.ck        the other slot
+     <slot>.corrupt-N     quarantined slots that failed validation
 
-   Every file is a self-checking envelope: magic + format version + key +
-   payload, followed by the CRC-32 of everything before it.  Writes go
-   through a temp file and rename so a crash mid-write can never destroy
-   the last good snapshot; the previous snapshot is rotated aside before
-   the rename so even a post-rename corruption (bad disk) still leaves a
-   recovery point. *)
+   A slot is rewritten in place, never truncated or renamed over: either
+   frees disk blocks, and that can wait on the device.  So the envelope
+   (magic | version | key | sequence | payload | CRC-32) is self-delimiting,
+   and stale bytes past its parsed end are ignored.  Version 1 has no
+   sequence field and reads as sequence 0. *)
 
 let magic = "BCKP"
-let version = 1
 
 type t = {
   dir : string;
   fingerprint : string;
   mutex : Mutex.t;
+  newest : (string, int * string) Hashtbl.t;
+      (* key -> sequence and slot suffix of its newest valid snapshot *)
   mutable warnings : string list; (* newest first *)
   mutable saves : int;
   mutable restores : int;
   mutable fallbacks : int;
 }
 
-let warn t fmt =
-  Printf.ksprintf
-    (fun s ->
-      Mutex.lock t.mutex;
-      t.warnings <- s :: t.warnings;
-      Mutex.unlock t.mutex)
-    fmt
+(* Slot suffixes; a sequence tie goes to the first. *)
+let slots = [ ".ck"; ".prev.ck" ]
 
 let warnings t = List.rev t.warnings
 let saves t = t.saves
 let restores t = t.restores
 let fallbacks t = t.fallbacks
-let dir t = t.dir
-let fingerprint t = t.fingerprint
 
 (* --- envelope --- *)
 
-let seal ~key payload =
+(* Version 2 with a sequence number, version 1 without. *)
+let seal ~key ?seq payload =
   let w = Codec.writer () in
   Codec.string w magic;
-  Codec.int w version;
+  Codec.int w (if seq = None then 1 else 2);
   Codec.string w key;
+  Option.iter (Codec.int w) seq;
   Codec.string w payload;
   let body = Codec.contents w in
-  let crc = Codec.crc32_string body in
   let w2 = Codec.writer () in
-  Codec.i64 w2 (Int64.of_int32 crc);
+  Codec.i64 w2 (Int64.of_int32 (Codec.crc32_string body));
   body ^ Codec.contents w2
 
+(* [(sequence, payload)]; the reader bounds-checks every length before the
+   CRC is known, and nothing parsed is trusted until it passes. *)
 let unseal ~key blob =
-  let n = String.length blob in
-  if n < 8 then raise (Codec.Malformed "envelope shorter than its checksum");
-  let body = String.sub blob 0 (n - 8) in
-  let stored_crc = Int64.to_int32 (String.get_int64_le blob (n - 8)) in
-  let actual_crc = Codec.crc32_string body in
-  if stored_crc <> actual_crc then
-    raise
-      (Codec.Malformed
-         (Printf.sprintf "checksum mismatch: stored %08lx, computed %08lx"
-            stored_crc actual_crc));
-  let r = Codec.reader body in
-  let m = Codec.read_string r in
-  if m <> magic then raise (Codec.Malformed "bad magic");
+  let bad fmt = Printf.ksprintf (fun s -> raise (Codec.Malformed s)) fmt in
+  let r = Codec.reader blob in
+  if Codec.read_string r <> magic then bad "bad magic";
   let v = Codec.read_int r in
-  if v <> version then
-    raise (Codec.Malformed (Printf.sprintf "unsupported format version %d" v));
+  if v <> 1 && v <> 2 then bad "unsupported format version %d" v;
   let k = Codec.read_string r in
-  if k <> key then
-    raise
-      (Codec.Malformed (Printf.sprintf "key mismatch: file is for %S" k));
+  let seq = if v = 2 then Codec.read_int r else 0 in
   let payload = Codec.read_string r in
-  Codec.expect_end r;
-  payload
+  let actual_crc = Codec.crc32 blob ~pos:0 ~len:(Codec.pos r) in
+  let stored_crc = Int64.to_int32 (Codec.read_i64 r) in
+  if stored_crc <> actual_crc then
+    bad "checksum mismatch: stored %08lx, computed %08lx" stored_crc actual_crc;
+  if k <> key then bad "key mismatch: file is for %S" k;
+  (seq, payload)
 
 (* --- filesystem helpers (Sys/Stdlib only; no Unix dependency) --- *)
 
@@ -98,15 +85,11 @@ let encode_key key =
 
 let path t key suffix = Filename.concat t.dir (encode_key key ^ suffix)
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file file = In_channel.with_open_bin file In_channel.input_all
 
 (* Quarantine a bad file under a unique name so it never gets retried but
    remains available for post-mortem. *)
-let quarantine _t file =
+let quarantine file =
   let rec pick n =
     let candidate = Printf.sprintf "%s.corrupt-%d" file n in
     if Sys.file_exists candidate then pick (n + 1) else candidate
@@ -120,122 +103,126 @@ let quarantine _t file =
 
 let manifest_key = "__manifest__"
 
-let list_snapshots dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f ->
-         Filename.check_suffix f ".ck" || Filename.check_suffix f ".prev.ck")
-
-let write_manifest t =
-  Io.retry (fun () ->
-      Io.write_file_atomic ~dir:t.dir
-        ~file:(Filename.concat t.dir "MANIFEST")
-        (seal ~key:manifest_key t.fingerprint))
-
 let open_ ~dir ~fingerprint () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Checkpoint.open_: %s is not a directory" dir);
   let t =
-    {
-      dir;
-      fingerprint;
-      mutex = Mutex.create ();
-      warnings = [];
-      saves = 0;
-      restores = 0;
-      fallbacks = 0;
-    }
+    { dir; fingerprint; mutex = Mutex.create (); newest = Hashtbl.create 16;
+      warnings = []; saves = 0; restores = 0; fallbacks = 0 }
   in
   let manifest = Filename.concat dir "MANIFEST" in
-  (if Sys.file_exists manifest then
-     match unseal ~key:manifest_key (read_file manifest) with
-     | stored when stored = fingerprint -> ()
-     | stored ->
-         (* A different campaign's snapshots: quarantine everything rather
-            than resume from state that silently mismatches the request. *)
-         List.iter
-           (fun f -> ignore (quarantine t (Filename.concat dir f)))
-           (list_snapshots dir);
-         ignore (quarantine t manifest);
-         warn t
-           "checkpoint dir %s was written by a different campaign \
-            (fingerprint %s, expected %s); quarantined its snapshots and \
-            starting fresh"
-           dir
-           (String.sub stored 0 (min 12 (String.length stored)))
-           (String.sub fingerprint 0 (min 12 (String.length fingerprint)))
-     | exception Codec.Malformed reason ->
-         List.iter
-           (fun f -> ignore (quarantine t (Filename.concat dir f)))
-           (list_snapshots dir);
-         ignore (quarantine t manifest);
-         warn t
-           "checkpoint manifest in %s is corrupt (%s); quarantined the \
-            directory's snapshots and starting fresh"
-           dir reason);
-  write_manifest t;
+  let short s = String.sub s 0 (min 12 (String.length s)) in
+  let stale =
+    if not (Sys.file_exists manifest) then None
+    else
+      match snd (unseal ~key:manifest_key (read_file manifest)) with
+      | stored when stored = fingerprint -> None
+      | stored ->
+          Some
+            (Printf.sprintf
+               "was written by a different campaign (fingerprint %s, \
+                expected %s)"
+               (short stored) (short fingerprint))
+      | exception Codec.Malformed reason ->
+          Some (Printf.sprintf "has a corrupt manifest (%s)" reason)
+  in
+  (* Another campaign's snapshots, or unknown ones: quarantine everything
+     rather than resume from state that silently mismatches the request. *)
+  Option.iter
+    (fun why ->
+      Array.iter
+        (fun f ->
+          if Filename.check_suffix f ".ck" then
+            ignore (quarantine (Filename.concat dir f)))
+        (Sys.readdir dir);
+      ignore (quarantine manifest);
+      t.warnings <-
+        [ Printf.sprintf
+            "checkpoint dir %s %s; quarantined its snapshots and starting \
+             fresh"
+            dir why ])
+    stale;
+  if not (Sys.file_exists manifest) then
+    Io.retry (fun () ->
+        Io.write_file_atomic ~dir ~file:manifest
+          (seal ~key:manifest_key fingerprint));
   t
 
 (* --- save / load --- *)
 
-(* Every write goes through the injectable shim under [Io.retry]: a
-   transient disk fault is retried after a short wait; a torn write that
-   "succeeds" lands a file the CRC check quarantines. *)
-let save t ~key payload =
-  let blob = seal ~key payload in
-  let current = path t key ".ck" in
-  let prev = path t key ".prev.ck" in
+let locked t f =
   Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      Io.retry (fun () ->
-          (* Rotation is idempotent across retries: once the current
-             snapshot has moved aside, a re-run skips straight to the
-             write. *)
-          if Sys.file_exists current then Io.rename current prev;
-          Io.write_file_atomic ~dir:t.dir ~file:current blob);
-      t.saves <- t.saves + 1)
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Caller holds [t.mutex] (the OCaml runtime Mutex is not recursive), so
-   counters and warnings are mutated directly here. *)
-let load_file_unlocked t ~key ~decode file =
+(* [None] for a missing slot file, else the slot's validated envelope. *)
+let read_slot t ~key suffix =
+  let file = path t key suffix in
   if not (Sys.file_exists file) then None
   else
-    match decode (unseal ~key (read_file file)) with
-    | value -> Some value
-    | exception Codec.Malformed reason ->
-        let where = quarantine t file in
-        t.fallbacks <- t.fallbacks + 1;
-        t.warnings <-
-          Printf.sprintf
-            "checkpoint %s for %S failed validation (%s); quarantined as %s"
-            (Filename.basename file) key reason where
-          :: t.warnings;
-        None
+    match unseal ~key (read_file file) with
+    | v -> Some (suffix, Ok v)
+    | exception Codec.Malformed reason -> Some (suffix, Error reason)
 
+(* Every write goes through the injectable shim under [Io.retry]: a
+   transient disk fault is retried after a short wait; a torn write that
+   "succeeds" lands a slot the CRC check quarantines.  The slot is chosen
+   once, so a retry rewrites the same slot. *)
+let save t ~key payload =
+  locked t @@ fun () ->
+  let seq, newest =
+    match Hashtbl.find_opt t.newest key with
+    | Some s -> s
+    | None ->
+        List.fold_left
+          (fun ((best, _) as acc) suffix ->
+            match read_slot t ~key suffix with
+            | Some (_, Ok (seq, _)) when seq > best -> (seq, suffix)
+            | _ -> acc)
+          (-1, ".prev.ck") slots
+  in
+  let seq = seq + 1 and slot = if newest = ".ck" then ".prev.ck" else ".ck" in
+  Io.retry (fun () -> Io.overwrite (path t key slot) (seal ~key ~seq payload));
+  Hashtbl.replace t.newest key (seq, slot);
+  t.saves <- t.saves + 1
+
+(* Slots newest first.  One that fails its CRC has no trustworthy
+   sequence number and ranks first: a torn write is always the newest.
+   Each slot that fails its CRC or [decode] is quarantined, counted and
+   warned about once; the next slot serves the load. *)
 let load_decoded t ~key decode =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      let result =
-        match load_file_unlocked t ~key ~decode (path t key ".ck") with
-        | Some value -> Some value
-        | None -> (
-            match
-              load_file_unlocked t ~key ~decode (path t key ".prev.ck")
-            with
-            | Some value ->
-                t.warnings <-
-                  Printf.sprintf "recovered %S from the previous snapshot" key
-                  :: t.warnings;
-                Some value
-            | None -> None)
-      in
-      (match result with
-      | Some _ -> t.restores <- t.restores + 1
-      | None -> ());
-      result)
+  locked t @@ fun () ->
+  let rank = function _, Ok (seq, _) -> seq | _, Error _ -> max_int in
+  let candidates =
+    List.filter_map (read_slot t ~key) slots
+    |> List.stable_sort (fun a b -> compare (rank b) (rank a))
+  in
+  let rec first rejected = function
+    | [] -> (rejected, None)
+    | (suffix, Error reason) :: rest -> first ((suffix, reason) :: rejected) rest
+    | (suffix, Ok (seq, payload)) :: rest -> (
+        match decode payload with
+        | value ->
+            Hashtbl.replace t.newest key (seq, suffix);
+            (rejected, Some value)
+        | exception Codec.Malformed reason ->
+            first ((suffix, reason) :: rejected) rest)
+  in
+  let rejected, result = first [] candidates in
+  if result = None then Hashtbl.remove t.newest key
+  else t.restores <- t.restores + 1;
+  List.iter
+    (fun (suffix, reason) ->
+      let file = path t key suffix in
+      t.fallbacks <- t.fallbacks + 1;
+      t.warnings <-
+        Printf.sprintf
+          "checkpoint %s for %S failed validation (%s); quarantined as %s%s"
+          (Filename.basename file) key reason (quarantine file)
+          (if result = None then ""
+           else Printf.sprintf "; recovered %S from the previous snapshot" key)
+        :: t.warnings)
+    (List.rev rejected);
+  result
 
 let load t ~key = load_decoded t ~key Fun.id

@@ -1,23 +1,31 @@
 (** Durable, self-checking checkpoint store.
 
     A store is a directory of independent snapshots, one per [key]
-    (a sim shard, an MCMC chain, the campaign summary).  Each file is a
-    versioned envelope — magic, format version, key, payload — closed by a
-    CRC-32 of everything before it, so corruption of any kind (torn write,
-    bit flip, truncation, wrong file) is detected before a single payload
-    byte is trusted.
+    (a sim shard, an MCMC chain, the campaign summary).  Each key has two
+    fixed slot files, [<key>.ck] and [<key>.prev.ck].  {!save} overwrites,
+    in place, the slot that does not hold the newest snapshot, under a
+    sequence number one past the newest: no temp file, no rename, no
+    truncation.  The other slot keeps the previous snapshot.
 
-    Durability protocol per {!save}: write to a temp file, rotate the
-    current snapshot to [<key>.prev.ck], then atomically rename the temp
-    file to [<key>.ck].  {!load} tries [<key>.ck] first; a file that fails
-    validation is renamed to a unique [*.corrupt-N] quarantine name (kept
-    for post-mortem, never retried) and the previous snapshot is used
-    instead, with a recorded warning — never a crash, never a silent wrong
-    answer.
+    Each slot holds a self-delimiting envelope — magic, format version,
+    key, sequence number, payload — closed by a CRC-32 of everything before
+    it, read at the parsed end.  Stale bytes past a shorter snapshot are
+    ignored, and corruption of any kind (torn write, bit flip, truncation,
+    wrong file) is detected before a single payload byte is trusted.  A
+    version-1 envelope (no sequence number, as stores written before slots
+    hold in both files) reads as sequence 0, a tie going to [<key>.ck].
 
-    The directory's [MANIFEST] pins the campaign fingerprint; opening a
-    store whose manifest names a different fingerprint quarantines the
-    stale snapshots rather than resuming from a mismatched run.
+    {!load} reads both slots and takes the highest-sequence one that
+    validates.  A slot that fails is renamed to a unique [*.corrupt-N]
+    quarantine name (kept for post-mortem, never retried), counted and
+    warned about once, and the other slot is used instead — never a crash,
+    never a silent wrong answer.  Snapshots survive process death; nothing
+    here calls [fsync].
+
+    The directory's [MANIFEST] pins the campaign fingerprint; it is written
+    only when missing.  Opening a store whose manifest names a different
+    fingerprint quarantines the stale snapshots rather than resuming from a
+    mismatched run.
 
     All operations are mutex-guarded and safe to call from multiple
     domains (the work-stealing pool checkpoints chains concurrently). *)
@@ -32,24 +40,20 @@ val open_ : dir:string -> fingerprint:string -> unit -> t
     but is not a directory. *)
 
 val save : t -> key:string -> string -> unit
-(** [save t ~key payload] durably replaces the snapshot for [key]
-    (atomic rename; previous snapshot kept as fallback).  All file
-    writes go through {!Io}; a transient [Sys_error] is retried by
-    {!Io.retry}, and a save whose third attempt fails raises. *)
+(** [save t ~key payload] writes the newest snapshot for [key] over its
+    older slot, in place; the previous snapshot stays in the other slot.
+    The write goes through {!Io.overwrite}; a transient [Sys_error] is
+    retried by {!Io.retry}, and a save whose third attempt fails raises. *)
 
 val load : t -> key:string -> string option
-(** [load t ~key] returns the newest valid snapshot payload for [key],
-    falling back to the previous snapshot (with a warning) when the
-    current one fails its checksum, and [None] when no valid snapshot
-    exists. *)
+(** [load t ~key] returns the payload of [key]'s highest-sequence slot
+    that passes its checksum, falling back to the other slot (with one
+    warning per failed slot), and [None] when no valid snapshot exists. *)
 
 val load_decoded : t -> key:string -> (string -> 'a) -> 'a option
 (** {!load} through a payload decoder.  A payload that passes the checksum
     but that [decode] rejects with {!Codec.Malformed} is quarantined and
     falls back exactly like a checksum failure. *)
-
-val dir : t -> string
-val fingerprint : t -> string
 
 val warnings : t -> string list
 (** Recovery warnings recorded so far, oldest first (corruption,
@@ -61,4 +65,4 @@ val saves : t -> int
 val restores : t -> int
 
 val fallbacks : t -> int
-(** Number of snapshot files that failed validation and were quarantined. *)
+(** Number of slot files that failed validation and were quarantined. *)

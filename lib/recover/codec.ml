@@ -80,7 +80,7 @@ type reader = { src : string; mutable pos : int }
 let reader src = { src; pos = 0 }
 
 let need r n what =
-  if r.pos + n > String.length r.src then
+  if n > String.length r.src - r.pos then
     malformed "truncated input reading %s at byte %d" what r.pos
 
 let read_u8 r =
@@ -136,8 +136,8 @@ let read_int_array r = read_words r read_int
 let valid what f x =
   try f x with Invalid_argument e -> malformed "invalid %s: %s" what e
 
-let at_end r = r.pos = String.length r.src
+let pos r = r.pos
 
 let expect_end r =
-  if not (at_end r) then
+  if r.pos <> String.length r.src then
     malformed "%d trailing bytes" (String.length r.src - r.pos)

@@ -59,8 +59,8 @@ val valid : string -> ('a -> 'b) -> 'a -> 'b
 (** [valid what make x] is [make x], with the [Invalid_argument] of a
     validating constructor such as [Asn.of_int] raised as {!Malformed}. *)
 
-val at_end : reader -> bool
-(** True when every byte has been consumed. *)
+val pos : reader -> int
+(** Bytes consumed so far. *)
 
 val expect_end : reader -> unit
 (** Raises {!Malformed} unless the reader consumed the whole input. *)

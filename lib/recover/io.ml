@@ -22,42 +22,41 @@ let consult op =
       if r <> None then Atomic.incr injected;
       r
 
-let rename src dst =
-  match consult (Rename (src, dst)) with
-  | Some Rename_fail ->
-      raise (Sys_error (dst ^ ": rename failed (injected)"))
-  | Some (Short_write _) | Some Enospc | None -> Sys.rename src dst
+(* The bytes a write of [data] to [file] lands, after any injected fault:
+   [Enospc] and [Rename_fail] raise before anything is written. *)
+let faulted file data =
+  match consult (Write file) with
+  | Some Enospc -> raise (Sys_error (file ^ ": No space left on device"))
+  | Some Rename_fail -> raise (Sys_error (file ^ ": rename failed (injected)"))
+  | Some (Short_write frac) ->
+      let n = String.length data in
+      String.sub data 0 (max 0 (min n (int_of_float (frac *. float n))))
+  | None -> data
+
+let output_all oc data =
+  try
+    output_string oc data;
+    close_out oc
+  with e ->
+    close_out_noerr oc;
+    raise e
 
 let write_file_atomic ~dir ~file data =
-  let fault = consult (Write file) in
-  (match fault with
-  | Some Enospc -> raise (Sys_error (file ^ ": No space left on device"))
-  | _ -> ());
-  let data =
-    match fault with
-    | Some (Short_write frac) ->
-        let keep =
-          int_of_float (frac *. float_of_int (String.length data))
-        in
-        String.sub data 0 (max 0 (min keep (String.length data)))
-    | _ -> data
-  in
+  let data = faulted file data in
   let tmp = Filename.temp_file ~temp_dir:dir "ck" ".tmp" in
   try
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc data;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    match fault with
-    | Some Rename_fail ->
-        raise (Sys_error (file ^ ": rename failed (injected)"))
-    | _ -> Sys.rename tmp file
+    output_all (open_out_bin tmp) data;
+    Sys.rename tmp file
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+(* No [Open_trunc]: bytes past the end of [data] keep their old value. *)
+let overwrite file data =
+  let data = faulted file data in
+  output_all
+    (open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 file)
+    data
 
 (* Three attempts; only [Sys_error] (what the OS, and [inject], raise for a
    disk fault) is worth waiting out. *)

@@ -1,6 +1,6 @@
 (** Injectable I/O layer for durable writes.
 
-    Every atomic file write in the recovery path (checkpoint snapshots,
+    Every durable file write in the recovery path (checkpoint slots,
     reports, status documents) goes through this module, so the chaos
     harness can inject the disk's real failure modes — short writes,
     [ENOSPC], rename failure — at the exact boundary where they happen
@@ -16,15 +16,19 @@
     write. *)
 
 type op =
-  | Write of string  (** Destination path of an atomic write. *)
-  | Rename of string * string  (** [Rename (src, dst)]. *)
+  | Write of string  (** Destination path of a write. *)
+  | Rename of string * string
+      (** [Rename (src, dst)].  No operation here reports it any more;
+          hooks may still match it. *)
 
 type fault =
   | Short_write of float
-      (** Keep this fraction of the payload, then "succeed": the rename
-          lands a torn file for the checksum layer to quarantine. *)
+      (** Keep this fraction of the payload, then "succeed": the file
+          lands torn for the checksum layer to quarantine. *)
   | Enospc  (** Fail before writing, as a full disk would. *)
-  | Rename_fail  (** Write the temp file, then fail the rename. *)
+  | Rename_fail
+      (** Fail before writing, as a failed rename would: the destination
+          is untouched. *)
 
 val inject : (op -> fault option) -> unit
 (** Install the process-wide fault hook ([None] = let the op through). *)
@@ -43,16 +47,19 @@ val write_file_atomic : dir:string -> file:string -> string -> unit
     A crash (or injected fault) mid-write never destroys an existing
     [file]; on error the temp file is removed.  Raises [Sys_error]. *)
 
+val overwrite : string -> string -> unit
+(** [overwrite file data] writes [data] over [file] from offset 0, in
+    place: no temp file, no truncation, no rename; [file] is created if
+    missing.  Bytes past the end of [data] keep their old value, so the
+    reader must know where its data ends.  A short write lands a torn
+    prefix over the old bytes.  Raises [Sys_error]. *)
+
 val retry : (unit -> 'a) -> 'a
 (** [retry f] runs [f] up to 3 times, waiting 2 ms and then 4 ms between
     attempts.  Only [Sys_error] is retried; any other exception, or the
     third [Sys_error], propagates.  Every durable write (checkpoints, the
     queue snapshot, reports, status documents, spool intake) goes through
     it. *)
-
-val rename : string -> string -> unit
-(** [rename src dst], subject to injected faults.  A faulted rename
-    raises [Sys_error] and leaves [src] in place. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and any missing parents; an existing directory is

@@ -24,23 +24,18 @@ type t = {
   resume : bool;
   every_sweeps : int option;
   every_seconds : float option;
-  kill_after_saves : int option;
   kill_switch : (unit -> bool) option;
-  save_count : int Atomic.t;
   mutable store : Checkpoint.t option;
 }
 
 let create ~dir ?(resume = false) ?every_sweeps
-    ?(every_seconds = Chain_ckpt.default_every_seconds) ?kill_after_saves
-    ?kill_switch () =
+    ?(every_seconds = Chain_ckpt.default_every_seconds) ?kill_switch () =
   {
     dir;
     resume;
     every_sweeps;
     every_seconds = Some every_seconds;
-    kill_after_saves;
     kill_switch;
-    save_count = Atomic.make 0;
     store = None;
   }
 
@@ -72,20 +67,13 @@ let attach t ~fingerprint =
   if not t.resume then wipe_snapshots t.dir;
   t.store <- Some (Checkpoint.open_ ~dir:t.dir ~fingerprint ())
 
-let maybe_kill t =
-  (match t.kill_after_saves with
-  | None -> ()
-  | Some limit ->
-      if Atomic.fetch_and_add t.save_count 1 >= limit then raise Killed);
-  match t.kill_switch with
-  | Some tripped when tripped () -> raise Killed
-  | _ -> ()
-
 let save_payload t ~key payload =
   match t.store with
   | None -> ()
   | Some store ->
-      maybe_kill t;
+      (match t.kill_switch with
+      | Some tripped when tripped () -> raise Killed
+      | _ -> ());
       Checkpoint.save store ~key payload
 
 (* A payload that passes its CRC but fails [decode] is quarantined by the

@@ -12,9 +12,9 @@
     built and fingerprinted). *)
 
 exception Killed
-(** Raised by a configured [kill_after_saves] test hook {e before} the
-    write that would have exceeded the budget — simulating a hard crash at
-    an arbitrary checkpoint boundary.  Never raised in production use. *)
+(** Raised when the [kill_switch] test hook trips, {e before} the write it
+    was consulted for — simulating a hard crash at an arbitrary checkpoint
+    boundary.  Never raised in production use. *)
 
 type t
 
@@ -23,7 +23,6 @@ val create :
   ?resume:bool ->
   ?every_sweeps:int ->
   ?every_seconds:float ->
-  ?kill_after_saves:int ->
   ?kill_switch:(unit -> bool) ->
   unit ->
   t
@@ -32,11 +31,10 @@ val create :
     reads them.  [every_sweeps] / [every_seconds] set the chain snapshot
     cadence ([every_seconds] defaults to
     {!Because_recover.Chain_ckpt.default_every_seconds}).
-    [kill_after_saves] arms the {!Killed} test hook on this store's own
-    save counter; [kill_switch] is its service-wide sibling — consulted
-    before every save, it lets one shared counter kill every campaign of a
-    multi-campaign service at an arbitrary point (the whole-service crash
-    harness). *)
+    [kill_switch] is the {!Killed} test hook, consulted before every save:
+    a closure counting its calls kills the run after that many saves, and
+    one shared closure kills every campaign of a multi-campaign service
+    (the whole-service crash harness). *)
 
 val attach : t -> fingerprint:string -> unit
 (** Open (creating if needed) the store under [dir], pinned to

@@ -511,16 +511,24 @@ let stream_attempt t (entry : Store.entry) _n =
 
 let campaign_attempt t (entry : Store.entry) n =
   let id = entry.Store.spec.Spec.id in
-  let kill_after_saves =
-    match t.cfg.chaos with Some f -> f ~id ~attempt:n | None -> None
+  (* This attempt's chaos budget, or-ed with the service-wide switch. *)
+  let kill_switch =
+    let service = Atomic.get t.kill_switch in
+    match Option.bind t.cfg.chaos (fun f -> f ~id ~attempt:n) with
+    | None -> service
+    | Some limit ->
+        let saves = Atomic.make 0 in
+        Some
+          (fun () ->
+            Atomic.fetch_and_add saves 1 >= limit
+            || Option.fold ~none:false ~some:(fun s -> s ()) service)
   in
   (* resume:true always: a fresh campaign has no snapshots to read, and
      everything else (prior generation, prior attempt, drained run) must
      continue rather than start over. *)
   let recovery =
     Sc.Recovery.create ~dir:(campaign_dir t.cfg ~id) ~resume:true
-      ?every_sweeps:t.cfg.every_sweeps ?kill_after_saves
-      ?kill_switch:(Atomic.get t.kill_switch) ()
+      ?every_sweeps:t.cfg.every_sweeps ?kill_switch ()
   in
   let world = Spec.world entry.Store.spec in
   let params =

@@ -201,7 +201,7 @@ let test_store_corruption_falls_back () =
   (* Corrupt the latest snapshot on disk; load must detect it via CRC,
      quarantine it and fall back to the previous one — with a warning,
      never a crash or a silent wrong answer. *)
-  corrupt_file (Filename.concat dir "k.ck");
+  corrupt_file (Filename.concat dir "k.prev.ck");
   let store2 = Checkpoint.open_ ~dir ~fingerprint:"fp-c" () in
   Alcotest.(check (option string)) "previous snapshot recovered" (Some "old")
     (Checkpoint.load store2 ~key:"k");
@@ -237,6 +237,79 @@ let test_store_wrong_key_rejected () =
       Out_channel.output_string oc body);
   Alcotest.(check (option string)) "transplanted snapshot rejected" None
     (Checkpoint.load store ~key:"b")
+
+(* Each key has two slot files, rewritten in place: the same inodes, no
+   temp file, and no truncation — a shorter payload leaves the slot as
+   long as before, its stale tail ignored on load. *)
+let test_store_slots_rewritten_in_place () =
+  let dir = fresh_dir () in
+  let store = Checkpoint.open_ ~dir ~fingerprint:"fp-slots" () in
+  let stat f = Unix.stat (Filename.concat dir f) in
+  Checkpoint.save store ~key:"k" (String.make 300 'a');
+  Checkpoint.save store ~key:"k" (String.make 300 'b');
+  let before = List.map stat [ "k.ck"; "k.prev.ck" ] in
+  Checkpoint.save store ~key:"k" "c";
+  Checkpoint.save store ~key:"k" "dd";
+  Checkpoint.save store ~key:"k" "e";
+  List.iter2
+    (fun f (st : Unix.stats) ->
+      Alcotest.(check int) (f ^ " keeps its inode") st.st_ino (stat f).st_ino;
+      Alcotest.(check int) (f ^ " not truncated") st.st_size (stat f).st_size)
+    [ "k.ck"; "k.prev.ck" ] before;
+  Alcotest.(check (list string)) "no temp file" [ "MANIFEST"; "k.ck"; "k.prev.ck" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  Alcotest.(check (option string)) "last payload" (Some "e")
+    (Checkpoint.load store ~key:"k");
+  Alcotest.(check (option string)) "last payload after reopen" (Some "e")
+    (Checkpoint.load (Checkpoint.open_ ~dir ~fingerprint:"fp-slots" ()) ~key:"k")
+
+(* A version-1 envelope, as stores written before slots hold: no
+   sequence number, so both slots tie and k.ck wins. *)
+let seal_v1 ~key payload =
+  let w = Codec.writer () in
+  Codec.string w "BCKP";
+  Codec.int w 1;
+  Codec.string w key;
+  Codec.string w payload;
+  let body = Codec.contents w in
+  let crc = Codec.writer () in
+  Codec.i64 crc (Int64.of_int32 (Codec.crc32_string body));
+  body ^ Codec.contents crc
+
+let test_store_reads_v1_slots () =
+  let dir = fresh_dir () in
+  ignore (Checkpoint.open_ ~dir ~fingerprint:"fp-v1" ());
+  List.iter
+    (fun (f, payload) ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          Out_channel.output_string oc (seal_v1 ~key:"k" payload)))
+    [ ("k.ck", "newer"); ("k.prev.ck", "older") ];
+  let store = Checkpoint.open_ ~dir ~fingerprint:"fp-v1" () in
+  Alcotest.(check (option string)) "k.ck wins the tie" (Some "newer")
+    (Checkpoint.load store ~key:"k");
+  Checkpoint.save store ~key:"k" "next";
+  Alcotest.(check (option string)) "save after a v1 load" (Some "next")
+    (Checkpoint.load store ~key:"k");
+  (* A torn write lands over the other slot; the load falls back. *)
+  Because_recover.Io.with_faults
+    (fun _ -> Some (Because_recover.Io.Short_write 0.5))
+    (fun () -> Checkpoint.save store ~key:"k" "torn");
+  let reopened = Checkpoint.open_ ~dir ~fingerprint:"fp-v1" () in
+  Alcotest.(check (option string)) "torn slot falls back" (Some "next")
+    (Checkpoint.load reopened ~key:"k");
+  Alcotest.(check int) "one fallback" 1 (Checkpoint.fallbacks reopened);
+  Alcotest.(check int) "one warning" 1
+    (List.length (Checkpoint.warnings reopened))
+
+(* A length field that overflows the bounds arithmetic is a malformed
+   input, not an [Invalid_argument] from [String.sub]. *)
+let test_codec_overflowing_length () =
+  let w = Codec.writer () in
+  Codec.int w max_int;
+  Codec.string w "tail";
+  match Codec.read_string (Codec.reader (Codec.contents w)) with
+  | _ -> Alcotest.fail "overflowing length accepted"
+  | exception Codec.Malformed _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Supervision                                                          *)
@@ -448,9 +521,15 @@ let check_outcomes_equal ~what a b =
 (* Run the campaign with a kill armed after [kill_after] saves; a [None]
    budget completes cleanly.  Returns the outcome when the run survived. *)
 let run_checkpointed ?kill_after ~resume ~dir ~jobs ~sim_jobs () =
+  let kill_switch =
+    Option.map
+      (fun limit ->
+        let saves = Atomic.make 0 in
+        fun () -> Atomic.fetch_and_add saves 1 >= limit)
+      kill_after
+  in
   let recovery =
-    Sc.Recovery.create ~dir ~resume ~every_sweeps:25 ?kill_after_saves:kill_after
-      ()
+    Sc.Recovery.create ~dir ~resume ~every_sweeps:25 ?kill_switch ()
   in
   let world = Lazy.force mini_world in
   match Sc.Campaign.run ~recovery world (mini_params ~jobs ~sim_jobs) with
@@ -595,7 +674,7 @@ let test_undecodable_shard_snapshot_recovers () =
       Alcotest.(check int) "one fallback" 1 (Sc.Recovery.fallbacks recovery);
       Alcotest.(check bool) "shard snapshot quarantined" true
         (Array.exists
-           (fun f -> contains ~sub:"sim.shard0of1.ck.corrupt-" f)
+           (fun f -> contains ~sub:"sim.shard0of1.prev.ck.corrupt-" f)
            (Sys.readdir dir));
       Alcotest.(check bool) "previous snapshot used" true
         (List.exists
@@ -754,6 +833,12 @@ let suite =
         test_store_fingerprint_mismatch;
       Alcotest.test_case "store rejects transplanted key" `Quick
         test_store_wrong_key_rejected;
+      Alcotest.test_case "store slots rewritten in place" `Quick
+        test_store_slots_rewritten_in_place;
+      Alcotest.test_case "store reads version-1 slots" `Quick
+        test_store_reads_v1_slots;
+      Alcotest.test_case "codec rejects an overflowing length" `Quick
+        test_codec_overflowing_length;
       Alcotest.test_case "retired snapshot tag quarantined" `Quick
         test_retired_snapshot_tag_quarantined;
       Alcotest.test_case "sweep budget exact" `Quick

@@ -105,6 +105,10 @@ let test_io_real_rename_failure () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store under disk faults                                   *)
 
+(* Either of key k's two slot files. *)
+let is_slot f =
+  Filename.check_suffix f "k.ck" || Filename.check_suffix f "k.prev.ck"
+
 let test_checkpoint_write_retry () =
   let dir = fresh_dir () in
   let ck = Checkpoint.open_ ~dir ~fingerprint:"fp-resil" () in
@@ -117,7 +121,7 @@ let test_checkpoint_write_retry () =
   Io.with_faults
     (fun op ->
       match op with
-      | Io.Write f when Filename.check_suffix f "k.ck" && !remaining > 0 ->
+      | Io.Write f when is_slot f && !remaining > 0 ->
           decr remaining;
           Some Io.Enospc
       | _ -> None)
@@ -126,12 +130,12 @@ let test_checkpoint_write_retry () =
     (Some "v2")
     (Checkpoint.load ck ~key:"k");
   (* A persistent fault exhausts the budget and raises; the previous
-     snapshot still loads (rotation moved it to .prev.ck). *)
+     snapshot still loads from the other slot. *)
   (match
      Io.with_faults
        (fun op ->
          match op with
-         | Io.Write f when Filename.check_suffix f "k.ck" -> Some Io.Enospc
+         | Io.Write f when is_slot f -> Some Io.Enospc
          | _ -> None)
        (fun () -> Checkpoint.save ck ~key:"k" "v3")
    with
@@ -146,8 +150,7 @@ let test_checkpoint_write_retry () =
   Io.with_faults
     (fun op ->
       match op with
-      | Io.Write f when Filename.check_suffix f "k.ck" ->
-          Some (Io.Short_write 0.5)
+      | Io.Write f when is_slot f -> Some (Io.Short_write 0.5)
       | _ -> None)
     (fun () -> Checkpoint.save ck ~key:"k" "v5-torn");
   let reopened = Checkpoint.open_ ~dir ~fingerprint:"fp-resil" () in

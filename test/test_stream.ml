@@ -465,7 +465,7 @@ let test_requeued_epoch_resumes () =
   (* The epoch's three durable writes, then the status file of the
      service's join. *)
   Alcotest.(check (list string)) "durable writes"
-    [ "queue.ck"; "stream1.report"; "queue.ck"; "status.json" ]
+    [ "queue.ck"; "stream1.report"; "queue.prev.ck"; "status.json" ]
     (List.rev !writes);
   Alcotest.(check bool) "no per-campaign state directory" false
     (Sys.file_exists
@@ -514,7 +514,7 @@ let test_corrupt_queue_resumes_requeued_epoch () =
   run_completed svc "epoch 2";
   let uninterrupted = epoch_result svc "stream1" in
   restore_dir ~saved queue;
-  corrupt_file (Filename.concat queue "queue.ck");
+  corrupt_file (Filename.concat queue "queue.prev.ck");
   let resumed = Service.load (Service.default_config ~state_dir:dir) in
   Alcotest.(check bool) "quarantine warned" true
     (Service.warnings resumed <> []);

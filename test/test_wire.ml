@@ -193,6 +193,61 @@ let test_mrt_garbage_rejected () =
         "No such file or directory" e
   | Ok _ -> Alcotest.fail "missing file accepted"
 
+(* 4-byte ASNs at and above 2^31: the RFC 6996 private range and the
+   reserved 4294967295. *)
+let high_asn_update =
+  Update.Announce
+    { prefix;
+      as_path = [ asn 4200000000; asn 4294967295 ];
+      aggregator = Some { (agg 60.0) with Update.aggregator_asn = asn 4294967295 } }
+
+let test_high_asns_roundtrip () =
+  Alcotest.(check bool) "wire" true
+    (Update.equal high_asn_update (roundtrip high_asn_update));
+  let vp = Vantage.make ~vp_id:7 ~host_asn:(asn 4200000001) ~project:Because_collector.Project.Ris in
+  let r = { Dump.received_at = 60.0; export_at = 60.0; vp; update = high_asn_update } in
+  match Mrt.decode_records (Mrt.encode_records [ r ]) with
+  | Ok [ d ] ->
+      Alcotest.(check bool) "MRT update" true (Update.equal high_asn_update d.Dump.update);
+      Alcotest.(check int) "MRT peer AS" 4200000001 (Asn.to_int d.Dump.vp.Vantage.host_asn)
+  | Ok l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
+  | Error e -> Alcotest.fail e
+
+(* Bit flips, truncation and length-field lies, as in the snapshot
+   mutation tests of the service suite; the lies are 16-bit, the width of
+   the BGP length fields, written anywhere. *)
+let mutate data (kind, pos, word) =
+  let n = Bytes.length data in
+  let b = Bytes.copy data in
+  match kind with
+  | 0 ->
+      let i = pos mod n in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (word land 7)));
+      b
+  | 1 -> Bytes.sub data 0 (pos mod n)
+  | _ ->
+      let lies = [| 0; 1; 3; 19; 0xFF; 0x7FFF; 0xFFFF |] in
+      Bytes.set_uint16_be b (pos mod (n - 1)) lies.(word mod Array.length lies);
+      b
+
+let fuzz_updates =
+  [ high_asn_update; Update.Withdraw { prefix }; announce [ 9; 8; 7; 65003 ] ]
+
+let qcheck_decoders_never_raise =
+  let single = Wire.encode high_asn_update in
+  let many = Wire.encode_many fuzz_updates in
+  let mrt = Mrt.encode_records (List.map (record 100.25) fuzz_updates) in
+  let ok_or_error decode data =
+    match decode data with Ok _ | Error _ -> true
+  in
+  QCheck.Test.make ~name:"mutated wire and MRT input: Ok or Error, never raise"
+    ~count:500
+    QCheck.(triple (int_bound 2) (int_bound 100_000) (int_bound 1000))
+    (fun m ->
+      ok_or_error Wire.decode (mutate single m)
+      && ok_or_error Wire.decode_many (mutate many m)
+      && ok_or_error Mrt.decode_records (mutate mrt m))
+
 let suite =
   ( "wire",
     [
@@ -211,4 +266,7 @@ let suite =
       Alcotest.test_case "MRT roundtrip" `Quick test_mrt_roundtrip;
       Alcotest.test_case "MRT file IO" `Quick test_mrt_file_io;
       Alcotest.test_case "MRT garbage rejected" `Quick test_mrt_garbage_rejected;
+      Alcotest.test_case "4-byte ASNs from 2^31 up roundtrip" `Quick
+        test_high_asns_roundtrip;
+      QCheck_alcotest.to_alcotest qcheck_decoders_never_raise;
     ] )
