@@ -47,9 +47,8 @@ let sim_jobs_arg =
     & info [ "sim-jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the BGP simulation itself: prefixes are \
-           partitioned into N shards simulated in parallel.  1 (the \
-           default) preserves the sequential event stream bit-for-bit; on \
-           a fault-free campaign every value yields the identical outcome.")
+           partitioned into N shards simulated in parallel.  Every value \
+           yields the identical outcome, faulted campaigns included.")
 
 let sim_shards_arg =
   Arg.(
@@ -60,7 +59,7 @@ let sim_shards_arg =
            shard per job).  More shards than jobs queue on the domain pool \
            — at most --sim-jobs shard networks are live at once, so peak \
            memory is bounded by the seat count while per-shard state \
-           shrinks.  Fault-free outcomes are shard-invariant.")
+           shrinks.  Outcomes are shard-invariant.")
 
 let chains_arg =
   Arg.(

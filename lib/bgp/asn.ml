@@ -7,7 +7,6 @@ let of_int n =
 let to_int t = t
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
 let pp fmt t = Format.fprintf fmt "AS%d" t
 let to_string t = "AS" ^ string_of_int t
 

@@ -39,9 +39,9 @@ let of_network_event : Network.fault_event -> injected = function
   | Network.Fault_session_down { owner; peer; reason } ->
       Session_down { owner; peer; reason }
   | Network.Fault_session_up { owner; peer } -> Session_up { owner; peer }
-  | Network.Fault_update_lost { from_asn; to_asn } ->
+  | Network.Fault_update_lost { from_asn; to_asn; _ } ->
       Update_lost { from_asn; to_asn }
-  | Network.Fault_update_duplicated { from_asn; to_asn } ->
+  | Network.Fault_update_duplicated { from_asn; to_asn; _ } ->
       Update_duplicated { from_asn; to_asn }
 
 (* Collection-layer fault events the network cannot see. *)

@@ -10,9 +10,7 @@ open Because_bgp
 
 val install : Plan.t -> Because_sim.Script.t -> unit
 (** Record every network-level spec of the plan into the simulation script.
-    Call once, before the script is replayed.  Replaying a plan with a
-    positive loss/duplication rate requires the target network to carry a
-    fault rng. *)
+    Call once, before the script is replayed. *)
 
 (** One realized fault event, merging the network's {!type:Because_sim.Network.fault_event}
     log with the collection-layer windows of the plan. *)

@@ -197,9 +197,6 @@ let parse ?(limits = default_limits) buf ~pos =
 let remaining_s t =
   Option.map (fun d -> d -. Unix.gettimeofday ()) t.deadline
 
-let expired t =
-  match remaining_s t with Some r -> r <= 0.0 | None -> false
-
 let keep_alive t =
   let conn =
     Option.map String.lowercase_ascii (header t "connection")

@@ -70,9 +70,6 @@ val remaining_s : t -> float option
 (** Seconds left until the request's deadline ([None] when unstamped);
     negative once the deadline has passed. *)
 
-val expired : t -> bool
-(** Whether a stamped deadline has passed.  [false] when unstamped. *)
-
 val percent_decode : string -> string
 (** Decode [%XX] escapes and [+]-as-space; invalid escapes pass through
     literally rather than failing. *)

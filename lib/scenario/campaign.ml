@@ -181,46 +181,39 @@ let stimulus world params ~intervals ~churn_rng =
 (* Fingerprint of everything that determines the campaign's results: world
    parameters, the fully-recorded stimulus script, the interval set, every
    result-affecting campaign scalar, the noise and fault plans, and the
-   inference settings.  Parallelism knobs ([sim_jobs], [sim_shards],
-   [infer_config.jobs]), the supervision budget and wall-clock-only backoff
-   are deliberately excluded: outcomes are jobs-invariant, and resuming
-   with more workers or a larger budget is exactly the operational move
-   the checkpoint store exists to allow. *)
-let fingerprint world params ~intervals ~script =
-  let ic = params.infer_config in
-  let infer_scalars =
-    ( ic.Because.Infer.n_samples,
-      ic.Because.Infer.burn_in,
-      ic.Because.Infer.thin,
-      ic.Because.Infer.prior,
-      ic.Because.Infer.false_negative_rate,
-      ic.Because.Infer.leapfrog_steps,
-      ic.Because.Infer.run_mh,
-      ic.Because.Infer.run_hmc,
-      ic.Because.Infer.max_restarts,
-      ic.Because.Infer.n_chains )
+   inference settings.  Both records are destructured field by field under
+   warning 9, so a new field does not compile until it is listed here as
+   fingerprinted or excluded.  Excluded are the parallelism knobs
+   ([sim_jobs], [sim_shards], infer [jobs]): outcomes are invariant in them,
+   faulted campaigns included.  So is the supervision budget; resuming with
+   more workers or a larger budget is exactly the operational move the
+   checkpoint store exists to allow.  The rest of the excluded fields are
+   replaced before use: [update_interval] by [intervals], [node_priors] by
+   the world's, [telemetry] and [checkpoint] by the campaign's own. *)
+let[@warning "@9"] fingerprint world params ~intervals ~script =
+  let { update_interval = _; burst_duration; break_duration; cycles; lead_in;
+        anchor_period; noise; min_r_delta; match_threshold; infer_config;
+        run_inference; background_prefixes; background_mean_gap; faults;
+        min_path_support; sim_jobs = _; sim_shards = _; telemetry = _ } =
+    params
   in
-  let campaign_scalars =
-    ( params.burst_duration,
-      params.break_duration,
-      params.cycles,
-      params.lead_in,
-      params.anchor_period,
-      params.min_r_delta,
-      params.match_threshold,
-      params.run_inference,
-      params.background_prefixes,
-      params.background_mean_gap,
-      params.min_path_support )
+  let { Because.Infer.n_samples; burn_in; thin; prior; node_priors = _;
+        false_negative_rate; leapfrog_steps; run_mh; run_hmc; max_restarts;
+        n_chains; jobs = _; telemetry = _; supervise = _; checkpoint = _;
+        init } =
+    infer_config
   in
   Marshal.to_string
     ( World.params world,
       Script.ops script,
       intervals,
-      campaign_scalars,
-      params.noise,
-      params.faults,
-      infer_scalars )
+      ( burst_duration, break_duration, cycles, lead_in, anchor_period,
+        min_r_delta, match_threshold, run_inference, background_prefixes,
+        background_mean_gap, min_path_support ),
+      noise,
+      faults,
+      ( n_samples, burn_in, thin, prior, false_negative_rate, leapfrog_steps,
+        run_mh, run_hmc, max_restarts, n_chains, init ) )
     [ Marshal.No_sharing ]
   |> Digest.string |> Digest.to_hex
 
@@ -251,20 +244,17 @@ let run_multi ?recovery world params ~intervals =
   in
   let noise_rng = World.fresh_rng world ~salt:(salt + 1) in
   let churn_rng = World.fresh_rng world ~salt:(salt + 2) in
-  (* The stimulus is replayed over [sim_jobs] per-prefix shards.  At
-     [sim_jobs = 1] the replay reproduces the sequential event stream
-     bit-for-bit. *)
+  (* The stimulus is replayed over per-prefix shards; the outcome does not
+     depend on how many. *)
   let { schedules; sites; campaign_end; script } =
     Tel.Span.with_ params.telemetry ~name:"campaign.stimulus" (fun () ->
         stimulus world params ~intervals ~churn_rng)
   in
   let gaps_of vp_id = Plan.collector_outages params.faults ~vp_id in
-  (* A non-empty fault plan gets its own RNG stream (salt + 4); the empty
-     plan touches nothing, keeping the event stream bit-for-bit the
-     fault-free one. *)
-  let fault_rng =
-    if Plan.is_empty params.faults then None
-    else Some (World.fresh_rng world ~salt:(salt + 4))
+  (* Impairment draws are keyed by a seed from their own stream (salt + 4);
+     a fault-free campaign takes no draw. *)
+  let fault_seed =
+    Int64.to_int (Rng.int64 (World.fresh_rng world ~salt:(salt + 4)))
   in
   (* The store opens only once the stimulus is complete: the fingerprint
      covers the recorded script, so a snapshot can never be replayed into a
@@ -276,7 +266,7 @@ let run_multi ?recovery world params ~intervals =
     recovery;
   let sim =
     Tel.Span.with_ params.telemetry ~name:"campaign.sim" (fun () ->
-        Sharded.run ?fault_rng ~telemetry:params.telemetry
+        Sharded.run ~fault_seed ~telemetry:params.telemetry
           ?checkpoint:(Option.map Recovery.sim_hooks recovery)
           ?shards:params.sim_shards
           ~jobs:params.sim_jobs

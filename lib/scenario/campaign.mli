@@ -32,16 +32,14 @@ type params = {
   sim_jobs : int;
       (** Worker domains for the BGP simulation itself: the campaign's
           prefixes are partitioned into shards run in parallel
-          ({!Because_sim.Sharded}).  At 1 — the default — the historical
-          sequential event stream is preserved bit-for-bit; on a fault-free
-          campaign every value of [sim_jobs] yields the identical outcome. *)
+          ({!Because_sim.Sharded}).  Outcomes are shard-invariant: every
+          value yields the identical outcome, faults included. *)
   sim_shards : int option;
       (** Simulation shard count, decoupled from [sim_jobs] ([None] — the
           default — means one shard per job, the historical behaviour).
           More shards than jobs queue on the domain pool, bounding peak
           live router state by the seat count while shrinking per-shard
-          state.  Fault-free outcomes are shard-invariant
-          (property-tested). *)
+          state.  Outcomes are shard-invariant (property-tested). *)
   telemetry : Because_telemetry.Registry.t;
       (** Observability sink threaded through every phase: campaign phase
           spans, simulator traffic/RFD counters and table gauges, fault

@@ -155,14 +155,16 @@ let w_fault_event w = function
       Codec.u8 w 4;
       w_asn w owner;
       w_asn w peer
-  | Network.Fault_update_lost { from_asn; to_asn } ->
+  | Network.Fault_update_lost { from_asn; to_asn; prefix } ->
       Codec.u8 w 5;
       w_asn w from_asn;
-      w_asn w to_asn
-  | Network.Fault_update_duplicated { from_asn; to_asn } ->
+      w_asn w to_asn;
+      w_prefix w prefix
+  | Network.Fault_update_duplicated { from_asn; to_asn; prefix } ->
       Codec.u8 w 6;
       w_asn w from_asn;
-      w_asn w to_asn
+      w_asn w to_asn;
+      w_prefix w prefix
 
 let r_fault_event r =
   match Codec.read_u8 r with
@@ -190,11 +192,13 @@ let r_fault_event r =
   | 5 ->
       let from_asn = r_asn r in
       let to_asn = r_asn r in
-      Network.Fault_update_lost { from_asn; to_asn }
+      let prefix = r_prefix r in
+      Network.Fault_update_lost { from_asn; to_asn; prefix }
   | 6 ->
       let from_asn = r_asn r in
       let to_asn = r_asn r in
-      Network.Fault_update_duplicated { from_asn; to_asn }
+      let prefix = r_prefix r in
+      Network.Fault_update_duplicated { from_asn; to_asn; prefix }
   | tag ->
       raise (Codec.Malformed (Printf.sprintf "unknown fault tag %d" tag))
 

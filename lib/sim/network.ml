@@ -20,8 +20,10 @@ type fault_event =
   | Fault_session_reset of { a : Asn.t; b : Asn.t }
   | Fault_session_down of { owner : Asn.t; peer : Asn.t; reason : string }
   | Fault_session_up of { owner : Asn.t; peer : Asn.t }
-  | Fault_update_lost of { from_asn : Asn.t; to_asn : Asn.t }
-  | Fault_update_duplicated of { from_asn : Asn.t; to_asn : Asn.t }
+  | Fault_update_lost of
+      { from_asn : Asn.t; to_asn : Asn.t; prefix : Prefix.t }
+  | Fault_update_duplicated of
+      { from_asn : Asn.t; to_asn : Asn.t; prefix : Prefix.t }
 
 type stats = {
   mutable deliveries : int;
@@ -79,11 +81,13 @@ type t = {
   feed_sinks : feed_sink option array;  (* by router id; Some iff monitored *)
   stats : stats;
   sessions : (Asn.t * Asn.t, link_session) Hashtbl.t;
-  fault_rng : Rng.t option;
+  fault_seed : int;
+  (* (from, to, prefix) -> impaired deliveries so far: the draw counter. *)
+  delivery_index : (Asn.t * Asn.t * Prefix.t, int) Hashtbl.t;
   mutable fault_log : (float * fault_event) list;  (* newest first *)
 }
 
-let create ?fault_rng ~configs ~delay ~monitored () =
+let create ?(fault_seed = 0) ~configs ~delay ~monitored () =
   let n = List.length configs in
   let ids = Itbl.create (2 * max 1 n) in
   let routers =
@@ -122,7 +126,8 @@ let create ?fault_rng ~configs ~delay ~monitored () =
       { deliveries = 0; announcements = 0; withdrawals = 0; lost = 0;
         duplicated = 0; session_drops = 0; session_recoveries = 0 };
     sessions = Hashtbl.create (max 16 n_links);
-    fault_rng;
+    fault_seed;
+    delivery_index = Hashtbl.create 16;
     fault_log = [];
   }
 
@@ -211,11 +216,20 @@ let session_passing ls =
 (* ------------------------------------------------------------------ *)
 (* Event handling                                                       *)
 
-(* An update loss or duplication draw on an impaired session. *)
-let fault_draw t p =
-  match t.fault_rng with
-  | Some rng when p > 0.0 -> Rng.float rng < p
-  | Some _ | None -> false
+(* Loss (kind 0) and duplication (kind 1) draws for the next impaired
+   delivery of [prefix] over [from_asn -> to_asn].  Each is a hash of the
+   fault seed, the link, the prefix and that prefix's delivery index on the
+   link, so it cannot depend on which other prefixes share this network. *)
+let fault_draws t ~from_asn ~to_asn prefix =
+  let key = (from_asn, to_asn, prefix) in
+  let n = Option.value (Hashtbl.find_opt t.delivery_index key) ~default:0 in
+  Hashtbl.replace t.delivery_index key (n + 1);
+  fun ~kind p ->
+    p > 0.0
+    && Rng.keyed_float t.fault_seed
+         [ Asn.to_int from_asn; Asn.to_int to_asn;
+           Int32.to_int (Prefix.network prefix); Prefix.length prefix; n; kind ]
+       < p
 
 let rec perform t ~now owner actions =
   match actions with
@@ -330,15 +344,18 @@ and handle t ~now event =
           (* In transit while the session died: lost with the transport. *)
           t.stats.lost <- t.stats.lost + 1
       | Some ls when ls.loss > 0.0 || ls.dup > 0.0 ->
-          if fault_draw t ls.loss then begin
+          let prefix = Update.prefix update in
+          let draw = fault_draws t ~from_asn ~to_asn prefix in
+          if draw ~kind:0 ls.loss then begin
             t.stats.lost <- t.stats.lost + 1;
-            log_fault t ~now (Fault_update_lost { from_asn; to_asn })
+            log_fault t ~now (Fault_update_lost { from_asn; to_asn; prefix })
           end
           else begin
             deliver t ~now ~from_asn ~to_asn update;
-            if fault_draw t ls.dup then begin
+            if draw ~kind:1 ls.dup then begin
               t.stats.duplicated <- t.stats.duplicated + 1;
-              log_fault t ~now (Fault_update_duplicated { from_asn; to_asn });
+              log_fault t ~now
+                (Fault_update_duplicated { from_asn; to_asn; prefix });
               deliver t ~now ~from_asn ~to_asn update
             end
           end
@@ -467,8 +484,6 @@ let set_link_impairment t ~a ~b ~loss ~duplication =
     invalid_arg "Network.set_link_impairment: loss outside [0, 1]";
   if duplication < 0.0 || duplication > 1.0 then
     invalid_arg "Network.set_link_impairment: duplication outside [0, 1]";
-  if (loss > 0.0 || duplication > 0.0) && t.fault_rng = None then
-    invalid_arg "Network.set_link_impairment: no fault rng installed";
   let ls = ensure_session t a b in
   ls.loss <- loss;
   ls.dup <- duplication

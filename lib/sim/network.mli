@@ -51,8 +51,10 @@ type fault_event =
   | Fault_session_reset of { a : Asn.t; b : Asn.t }
   | Fault_session_down of { owner : Asn.t; peer : Asn.t; reason : string }
   | Fault_session_up of { owner : Asn.t; peer : Asn.t }
-  | Fault_update_lost of { from_asn : Asn.t; to_asn : Asn.t }
-  | Fault_update_duplicated of { from_asn : Asn.t; to_asn : Asn.t }
+  | Fault_update_lost of
+      { from_asn : Asn.t; to_asn : Asn.t; prefix : Prefix.t }
+  | Fault_update_duplicated of
+      { from_asn : Asn.t; to_asn : Asn.t; prefix : Prefix.t }
 
 type stats = {
   mutable deliveries : int;      (** Updates delivered over sessions. *)
@@ -67,7 +69,7 @@ type stats = {
 type t
 
 val create :
-  ?fault_rng:Because_stats.Rng.t ->
+  ?fault_seed:int ->
   configs:Router.config list ->
   delay:(from_asn:Asn.t -> to_asn:Asn.t -> float) ->
   monitored:Asn.Set.t ->
@@ -75,8 +77,9 @@ val create :
   t
 (** [delay] gives the one-way propagation delay of each directed session;
     [monitored] lists the ASs hosting a full-feed vantage-point session.
-    [fault_rng] drives loss/duplication impairments (required before
-    {!set_link_impairment} installs a non-zero rate). *)
+    [fault_seed] (default 0) keys the loss/duplication draws on impaired
+    sessions: each is a pure function of the seed, the directed link, the
+    prefix, its delivery index on the link and the draw kind. *)
 
 val schedule_announce : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
 val schedule_withdraw : t -> time:float -> origin:Asn.t -> Prefix.t -> unit
@@ -95,7 +98,7 @@ val schedule_link_up : t -> time:float -> a:Asn.t -> b:Asn.t -> unit
 val set_link_impairment :
   t -> a:Asn.t -> b:Asn.t -> loss:float -> duplication:float -> unit
 (** Install per-update loss/duplication probabilities on the session between
-    [a] and [b].  Requires a fault rng when either rate is positive. *)
+    [a] and [b]. *)
 
 val session_established : t -> a:Asn.t -> b:Asn.t -> bool
 (** False while the session is torn down or re-handshaking.  Links never

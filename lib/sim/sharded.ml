@@ -1,5 +1,4 @@
 open Because_bgp
-module Rng = Because_stats.Rng
 module Parallel = Because_stats.Parallel
 module Tel = Because_telemetry.Registry
 
@@ -70,25 +69,35 @@ let collect net monitored =
   Asn.Set.fold (fun asn acc -> (asn, Network.feed net asn) :: acc) monitored []
   |> List.rev
 
-let is_origin_fault = function
-  | Network.Fault_update_lost _ | Network.Fault_update_duplicated _ -> true
+(* The prefix of an update loss/duplication entry; [None] for link and
+   session transitions. *)
+let fault_prefix = function
+  | Network.Fault_update_lost { prefix; _ }
+  | Network.Fault_update_duplicated { prefix; _ } -> Some prefix
   | Network.Fault_link_down _ | Network.Fault_link_up _
   | Network.Fault_session_reset _ | Network.Fault_session_down _
-  | Network.Fault_session_up _ -> false
+  | Network.Fault_session_up _ -> None
 
 (* Merge per-shard fault logs.  Link/session transitions replay identically
    in every shard (the session layer is prefix-agnostic), so shard 0 speaks
    for all of them; update loss/duplication is per-shard traffic and is kept
-   from every shard.  A stable sort on time then interleaves them
-   chronologically with shard order breaking ties. *)
-let merge_fault_logs logs =
+   from every shard.  A stable sort then orders them by time, equal times
+   by prefix rank with link/session transitions first, so the merged log
+   is the same for every partition (including a single shard). *)
+let merge_fault_logs rank_of logs =
+  let rank (_, ev) = Option.fold ~none:(-1) ~some:rank_of (fault_prefix ev) in
   let per_shard =
     List.mapi
-      (fun i log -> if i = 0 then log else List.filter (fun (_, ev) -> is_origin_fault ev) log)
+      (fun i log ->
+        if i = 0 then log
+        else List.filter (fun (_, ev) -> fault_prefix ev <> None) log)
       logs
   in
   List.stable_sort
-    (fun (ta, _) (tb, _) -> Float.compare ta tb)
+    (fun ((ta, _) as a) ((tb, _) as b) ->
+      match Float.compare ta tb with
+      | 0 -> Int.compare (rank a) (rank b)
+      | c -> c)
     (List.concat per_shard)
 
 let merge_stats (per_shard : Network.stats list) : Network.stats =
@@ -151,10 +160,8 @@ let count_restored telemetry =
     Tel.Counter.add (Tel.Counter.v telemetry "sim.shards_restored") 1
 
 (* Run one shard, preferring its saved result.  A restored shard skips
-   network construction and replay entirely; its pre-split fault stream is
-   simply never drawn from (streams are split before any task runs, so
-   skipping one shard cannot perturb another's randomness). *)
-let run_shard ?rng ~checkpoint ~telemetry ~configs ~delay ~monitored
+   network construction and replay entirely. *)
+let run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay ~monitored
     ~until ~script ~keep ~shard ~shards () =
   let restored =
     match checkpoint with
@@ -166,7 +173,7 @@ let run_shard ?rng ~checkpoint ~telemetry ~configs ~delay ~monitored
       count_restored telemetry;
       sr
   | None ->
-      let net = Network.create ?fault_rng:rng ~configs ~delay ~monitored () in
+      let net = Network.create ~fault_seed ~configs ~delay ~monitored () in
       Script.install ?keep script net;
       Tel.Span.with_ telemetry
         ~name:(Printf.sprintf "sim.shard%d.replay" shard) (fun () ->
@@ -185,8 +192,8 @@ let run_shard ?rng ~checkpoint ~telemetry ~configs ~delay ~monitored
       | None -> ());
       sr
 
-let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ~jobs
-    ~configs ~delay ~monitored ~until script =
+let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ?shards
+    ~jobs ~configs ~delay ~monitored ~until script =
   if jobs < 1 then invalid_arg "Sharded.run: jobs must be positive";
   (match shards with
   | Some s when s < 1 -> invalid_arg "Sharded.run: shards must be positive"
@@ -202,61 +209,32 @@ let run ?fault_rng ?(telemetry = Tel.disabled) ?checkpoint ?shards ~jobs
   let rank_of prefix =
     match Script.rank script prefix with Some r -> r | None -> max_int
   in
-  if shards = 1 then begin
-    (* Single-shard path: one network, full script in recording order — the
-       event stream is bit-for-bit the historical sequential one. *)
-    let sr =
-      run_shard ?rng:fault_rng ~checkpoint ~telemetry ~configs ~delay
-        ~monitored ~until ~script ~keep:None ~shard:0 ~shards:1 ()
-    in
-    {
-      stats = sr.shard_stats;
-      fault_log = sr.shard_fault_log;
-      events = sr.shard_events_count;
-      shards = 1;
-      shard_events = [| sr.shard_events_count |];
-      monitored;
-      rank_of;
-      stores = [| sr.shard_feeds |];
-    }
-  end
-  else begin
-    let rngs =
-      match fault_rng with
-      | Some rng -> Array.map Option.some (Rng.split_n rng shards)
-      | None -> Array.make shards None
-    in
-    let shard_of prefix =
-      match Script.rank script prefix with
-      | Some r -> r mod shards
-      | None -> 0
-    in
-    let tasks =
-      Array.init shards (fun shard ->
-          fun () ->
-            run_shard ?rng:rngs.(shard) ~checkpoint ~telemetry ~configs
-              ~delay ~monitored ~until ~script
-              ~keep:(Some (fun p -> shard_of p = shard))
-              ~shard ~shards ())
-    in
-    let results = Parallel.run_tasks ~jobs tasks in
-    Tel.Span.with_ telemetry ~name:"sim.merge" (fun () ->
-        {
-          stats =
-            merge_stats
-              (Array.to_list (Array.map (fun sr -> sr.shard_stats) results));
-          fault_log =
-            merge_fault_logs
-              (Array.to_list
-                 (Array.map (fun sr -> sr.shard_fault_log) results));
-          events =
-            Array.fold_left
-              (fun acc sr -> acc + sr.shard_events_count)
-              0 results;
-          shards;
-          shard_events = Array.map (fun sr -> sr.shard_events_count) results;
-          monitored;
-          rank_of;
-          stores = Array.map (fun sr -> sr.shard_feeds) results;
-        })
-  end
+  let shard_of prefix =
+    match Script.rank script prefix with Some r -> r mod shards | None -> 0
+  in
+  (* A lone shard replays the full script unfiltered, in recording order. *)
+  let keep shard =
+    if shards > 1 then Some (fun p -> shard_of p = shard) else None
+  in
+  let tasks =
+    Array.init shards (fun shard () ->
+        run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay
+          ~monitored ~until ~script ~keep:(keep shard) ~shard ~shards ())
+  in
+  let results = Parallel.run_tasks ~jobs tasks in
+  Tel.Span.with_ telemetry ~name:"sim.merge" (fun () ->
+      {
+        stats =
+          merge_stats
+            (Array.to_list (Array.map (fun sr -> sr.shard_stats) results));
+        fault_log =
+          merge_fault_logs rank_of
+            (Array.to_list (Array.map (fun sr -> sr.shard_fault_log) results));
+        events =
+          Array.fold_left (fun acc sr -> acc + sr.shard_events_count) 0 results;
+        shards;
+        shard_events = Array.map (fun sr -> sr.shard_events_count) results;
+        monitored;
+        rank_of;
+        stores = Array.map (fun sr -> sr.shard_feeds) results;
+      })

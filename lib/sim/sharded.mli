@@ -15,11 +15,10 @@
     state is bounded by the seat count while per-shard state shrinks with
     the shard count.
 
-    With no faults and no impairments the merged result is bit-for-bit
-    identical to the sequential run for any [jobs] and any [shards]
-    (property-tested); with faults, per-shard loss/duplication draws come
-    from pre-split RNG streams so the outcome is deterministic for a given
-    shard count. *)
+    Outcomes are shard-invariant: the merged result is the same for any
+    [jobs] and any [shards] (property-tested), faults and impairments
+    included, because every loss/duplication draw is keyed by its link,
+    prefix and delivery index rather than taken from a shared stream. *)
 
 open Because_bgp
 
@@ -32,7 +31,8 @@ type result = {
           counted once (identical in every shard). *)
   fault_log : (float * Network.fault_event) list;
       (** Chronological; link/session transitions de-duplicated across
-          shards, update loss/duplication kept per shard. *)
+          shards, update loss/duplication kept per shard, equal times
+          ordered by prefix rank after the link/session transitions. *)
   events : int;  (** Total simulator events processed, summed over shards. *)
   shards : int;  (** Number of shards actually run. *)
   shard_events : int array;
@@ -74,7 +74,7 @@ type checkpoint_hooks = {
     be thread-safe. *)
 
 val run :
-  ?fault_rng:Because_stats.Rng.t ->
+  ?fault_seed:int ->
   ?telemetry:Because_telemetry.Registry.t ->
   ?checkpoint:checkpoint_hooks ->
   ?shards:int ->
@@ -87,18 +87,15 @@ val run :
   result
 (** Replay [script] and run to [until] over
     [min (max 1 shards) n_prefixes] shards, where [shards] defaults to
-    [jobs].  [jobs = 1] with default sharding replays into a single network
-    in recording order, preserving the historical sequential event stream
-    exactly.  [shards > jobs] queues the excess on the pool — at most [jobs]
-    shard networks are live at once.  [fault_rng] is split into one
-    independent stream per shard (so with faults the outcome is a function
-    of the shard count, as it previously was of [jobs]).  Raises
+    [jobs].  One shard replays into a single network in recording order,
+    on the calling domain.  [shards > jobs] queues the excess on the pool —
+    at most [jobs] shard networks are live at once.  [fault_seed] (default
+    0) keys every shard's impairment draws ({!Network.create}).  Raises
     [Invalid_argument] if [jobs < 1] or [shards < 1].
 
     [checkpoint] short-circuits finished shards: a shard whose saved result
-    loads is returned without building a network or replaying anything (its
-    pre-split fault stream is simply never drawn — skipping cannot perturb
-    other shards), and each freshly simulated shard is saved on completion.
+    loads is returned without building a network or replaying anything,
+    and each freshly simulated shard is saved on completion.
     Restored shards count into the [sim.shards_restored] telemetry counter
     and skip their replay span.
 
@@ -106,5 +103,5 @@ val run :
     per shard and from inside the worker domain that ran it: a
     [sim.shard<i>.replay] span, the [sim.*] traffic/RFD counters, table-size
     gauges and the per-shard event gauge; the cross-shard merge runs under a
-    [sim.merge] span.  Telemetry never touches the RNG streams or event
+    [sim.merge] span.  Telemetry never touches the fault draws or event
     order, so a disabled registry is bit-for-bit free (property-tested). *)

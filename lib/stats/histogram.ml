@@ -40,8 +40,6 @@ let mode_bin t =
   Array.iteri (fun i c -> if c > t.counts.(!best) then best := i) t.counts;
   !best
 
-let heights t = Array.map float_of_int t.counts
-
 let sparkline t =
   let ramp = [| " "; "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                 "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";

@@ -29,9 +29,6 @@ val densities : t -> float array
 val mode_bin : t -> int
 (** Index of the fullest bin (ties break low). *)
 
-val heights : t -> float array
-(** Raw counts as floats; convenient for regression over bin heights. *)
-
 val sparkline : t -> string
 (** Compact unicode bar rendering for terminal output. *)
 

@@ -38,10 +38,20 @@ let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: n must be non-negative";
   Array.init n (fun _ -> split t)
 
-let float t =
-  (* 53 high bits scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* 53 high bits scaled to [0,1). *)
+let unit_float bits =
+  Int64.to_float (Int64.shift_right_logical bits 11)
+  *. (1.0 /. 9007199254740992.0)
+
+let float t = unit_float (int64 t)
+
+(* Each key word goes through one SplitMix64 step: xor it in, add the
+   golden gamma, mix. *)
+let keyed_float seed key =
+  let step h k =
+    mix (Int64.add (Int64.logxor h (Int64.of_int k)) golden_gamma)
+  in
+  unit_float (List.fold_left step (mix (Int64.of_int seed)) key)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -45,6 +45,12 @@ val int64 : t -> int64
 val float : t -> float
 (** [float t] is uniform on [\[0, 1)] with 53-bit resolution. *)
 
+val keyed_float : int -> int list -> float
+(** [keyed_float seed key] is uniform on [\[0, 1)] and a pure function of
+    [seed] and [key]: no generator state is read or advanced.  A draw keyed
+    by what it is about, not by how many draws came before it, cannot
+    depend on the order or the company it is taken in. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)].  [bound] must be positive. *)
 

@@ -25,8 +25,8 @@ let two_node_config =
       rfd_scope = Policy.No_rfd; rfd_params = Rfd_params.cisco };
   ]
 
-let two_node_net ?fault_rng () =
-  Network.create ?fault_rng ~configs:two_node_config
+let two_node_net ?fault_seed () =
+  Network.create ?fault_seed ~configs:two_node_config
     ~delay:(fun ~from_asn:_ ~to_asn:_ -> 1.0)
     ~monitored:(Asn.Set.singleton (asn 2))
     ()
@@ -87,7 +87,7 @@ let test_link_flap_down_window () =
 
 let test_update_loss_impairment () =
   (* With 100% loss nothing survives the impaired session. *)
-  let net = two_node_net ~fault_rng:(Rng.create 42) () in
+  let net = two_node_net ~fault_seed:42 () in
   Network.set_link_impairment net ~a:(asn 65001) ~b:(asn 2) ~loss:1.0
     ~duplication:0.0;
   Network.schedule_announce net ~time:0.0 ~origin:(asn 65001) prefix;
@@ -102,9 +102,9 @@ let test_update_loss_impairment () =
          match e with Network.Fault_update_lost _ -> true | _ -> false)
        (Network.fault_log net))
 
-let run_feed ~with_fault_rng =
+let run_feed ~with_fault_seed =
   let net =
-    if with_fault_rng then two_node_net ~fault_rng:(Rng.create 7) ()
+    if with_fault_seed then two_node_net ~fault_seed:7 ()
     else two_node_net ()
   in
   Network.schedule_announce net ~time:0.0 ~origin:(asn 65001) prefix;
@@ -114,9 +114,9 @@ let run_feed ~with_fault_rng =
   (Network.feed net (asn 2), Network.fault_log net)
 
 let test_no_faults_bit_for_bit () =
-  (* Carrying a fault rng but injecting nothing must not disturb the run. *)
-  let feed_plain, log_plain = run_feed ~with_fault_rng:false in
-  let feed_armed, log_armed = run_feed ~with_fault_rng:true in
+  (* Carrying a fault seed but injecting nothing must not disturb the run. *)
+  let feed_plain, log_plain = run_feed ~with_fault_seed:false in
+  let feed_armed, log_armed = run_feed ~with_fault_seed:true in
   Alcotest.(check int) "same feed length" (List.length feed_plain)
     (List.length feed_armed);
   List.iter2

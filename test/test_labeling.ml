@@ -246,6 +246,23 @@ let test_windows_sidecar () =
         "No such file or directory" e
   | Ok _ -> Alcotest.fail "missing sidecar accepted"
 
+(* Mutated sidecars (bit flips, truncation, overwritten words, as in the
+   service snapshot tests): a typed result, never an exception.  Each case
+   writes and parses a file, so tier-1 runs 50; QCHECK_LONG=1 runs 20
+   times as many. *)
+let qcheck_windows_mutants =
+  let path = Filename.temp_file "because" ".windows" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  Label.write_windows path
+    [ (prefix, [ (0.0, 600.0, 7800.0); (9000.0, 9600.0, 16800.0) ]);
+      (Prefix.of_string "10.0.2.0/24", [ (1.5, 2.5, 3.5) ]) ];
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  QCheck.Test.make ~name:"mutated windows sidecars: Ok or Error, never raise"
+    ~count:50 ~long_factor:20 Test_service.mutation_gen (fun m ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Test_service.mutate good m));
+      match Label.read_windows path with Ok _ | Error _ -> true)
+
 let suite =
   ( "labeling",
     [
@@ -266,4 +283,5 @@ let suite =
       Alcotest.test_case "label_all grouping" `Quick test_label_all_groups;
       Alcotest.test_case "windows sidecar errors are typed" `Quick
         test_windows_sidecar;
+      QCheck_alcotest.to_alcotest qcheck_windows_mutants;
     ] )

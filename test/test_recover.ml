@@ -16,6 +16,7 @@ module Target = Because_mcmc.Target
 module Metropolis = Because_mcmc.Metropolis
 module Hmc = Because_mcmc.Hmc
 module Sc = Because_scenario
+module Plan = Because_faults.Plan
 module Rng = Because_stats.Rng
 module Dist = Because_stats.Dist
 
@@ -520,7 +521,8 @@ let check_outcomes_equal ~what a b =
 
 (* Run the campaign with a kill armed after [kill_after] saves; a [None]
    budget completes cleanly.  Returns the outcome when the run survived. *)
-let run_checkpointed ?kill_after ~resume ~dir ~jobs ~sim_jobs () =
+let run_checkpointed ?kill_after ?(faults = Plan.empty) ~resume ~dir ~jobs
+    ~sim_jobs () =
   let kill_switch =
     Option.map
       (fun limit ->
@@ -532,7 +534,8 @@ let run_checkpointed ?kill_after ~resume ~dir ~jobs ~sim_jobs () =
     Sc.Recovery.create ~dir ~resume ~every_sweeps:25 ?kill_switch ()
   in
   let world = Lazy.force mini_world in
-  match Sc.Campaign.run ~recovery world (mini_params ~jobs ~sim_jobs) with
+  let params = { (mini_params ~jobs ~sim_jobs) with Sc.Campaign.faults } in
+  match Sc.Campaign.run ~recovery world params with
   | outcome -> Some (outcome, recovery)
   | exception Sc.Recovery.Killed -> None
 
@@ -721,6 +724,90 @@ let test_resume_with_different_jobs () =
       check_outcomes_equal ~what:"resume under different parallelism" clean
         resumed
 
+(* ------------------------------------------------------------------ *)
+(* Faulted campaigns are invariant in the unfingerprinted fields        *)
+
+(* A severe fault plan for the mini world: resets, flaps, outages and
+   lossy, duplicating sessions. *)
+let severe_plan seed =
+  let w = Lazy.force mini_world in
+  Plan.draw (Rng.create seed) Plan.severe
+    ~links:(Because_topology.Graph.links (Sc.World.graph w))
+    ~site_ids:(List.map fst (Sc.World.site_origins w))
+    ~vp_ids:
+      (List.map
+         (fun (v : Because_collector.Vantage.t) ->
+           v.Because_collector.Vantage.vp_id)
+         (Sc.World.vantages w))
+    ~horizon:(Sc.Campaign.horizon (mini_params ~jobs:1 ~sim_jobs:1))
+
+(* [outcome_digest] less [events], the replay work summed over shards:
+   link and session events are replayed once per shard. *)
+let shard_free_digest (o : Sc.Campaign.outcome) =
+  outcome_digest { o with Sc.Campaign.events = 0 }
+
+let faulted_run ~sim_jobs ~sim_shards ~jobs faults =
+  let p = mini_params ~jobs ~sim_jobs in
+  Sc.Campaign.run (Lazy.force mini_world)
+    { p with Sc.Campaign.faults; sim_shards }
+
+(* Every field [Campaign.fingerprint] leaves out, varied away from the
+   sequential setting on a severe plan: the outcome (labels, categories,
+   fault log, deliveries and the rest of the digest) must not move, or a
+   resume under other settings would mix two datasets. *)
+let qcheck_faulted_outcome_ignores_excluded_fields =
+  let settings =
+    List.filter
+      (fun s -> s <> (1, None, 1))
+      (List.concat_map
+         (fun sim_jobs ->
+           List.concat_map
+             (fun sim_shards ->
+               List.map (fun jobs -> (sim_jobs, sim_shards, jobs)) [ 1; 2 ])
+             [ None; Some 4 ])
+         [ 1; 2 ])
+  in
+  QCheck.Test.make
+    ~name:"faulted outcome ignores sim_jobs, sim_shards and infer jobs"
+    ~count:3
+    QCheck.(pair (int_bound 1000) (make Gen.(oneofl settings)))
+    (fun (seed, (sim_jobs, sim_shards, jobs)) ->
+      let faults = severe_plan seed in
+      let base = faulted_run ~sim_jobs:1 ~sim_shards:None ~jobs:1 faults in
+      let varied = faulted_run ~sim_jobs ~sim_shards ~jobs faults in
+      shard_free_digest base = shard_free_digest varied)
+
+(* Kill a faulted checkpointed run under [sim_jobs = 1], resume it under
+   [sim_jobs = 2]: the resumed shards are re-simulated under the other
+   partition while the chains continue from their snapshots, and the two
+   must still agree with the uninterrupted run. *)
+let test_faulted_resume_across_sim_jobs () =
+  let faults = severe_plan 1 in
+  let clean = faulted_run ~sim_jobs:1 ~sim_shards:None ~jobs:1 faults in
+  Alcotest.(check bool) "the plan loses or duplicates updates" true
+    (List.exists
+       (fun (_, ev) ->
+         match ev with
+         | Because_faults.Injector.Update_lost _
+         | Because_faults.Injector.Update_duplicated _ -> true
+         | _ -> false)
+       clean.Sc.Campaign.fault_log);
+  let dir = fresh_dir () in
+  (match
+     run_checkpointed ~kill_after:3 ~faults ~resume:false ~dir ~jobs:1
+       ~sim_jobs:1 ()
+   with
+  | None -> ()
+  | Some _ -> Alcotest.fail "kill never fired");
+  match run_checkpointed ~faults ~resume:true ~dir ~jobs:1 ~sim_jobs:2 () with
+  | None -> Alcotest.fail "resume was killed"
+  | Some (resumed, recovery) ->
+      Alcotest.(check bool) "a chain snapshot was restored" true
+        (Sc.Recovery.restores recovery > 0);
+      check_outcomes_equal ~what:"faulted resume under sim_jobs 2"
+        { clean with Sc.Campaign.events = 0 }
+        { resumed with Sc.Campaign.events = 0 }
+
 let test_shard_result_codec_roundtrip () =
   let sr =
     {
@@ -805,6 +892,7 @@ let test_shard_result_codec_roundtrip () =
               {
                 from_asn = Because_bgp.Asn.of_int 65002;
                 to_asn = Because_bgp.Asn.of_int 65003;
+                prefix = Because_bgp.Prefix.make 0xC0000200l 23;
               } );
         ];
       shard_events_count = 42;
@@ -859,4 +947,8 @@ let suite =
         test_budget_degrades_campaign;
       Alcotest.test_case "resume under different parallelism" `Slow
         test_resume_with_different_jobs;
+      QCheck_alcotest.to_alcotest
+        qcheck_faulted_outcome_ignores_excluded_fields;
+      Alcotest.test_case "faulted resume across sim_jobs" `Quick
+        test_faulted_resume_across_sim_jobs;
     ] )

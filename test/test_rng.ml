@@ -53,6 +53,26 @@ let test_split_n () =
   | _ -> Alcotest.fail "negative n accepted"
   | exception Invalid_argument _ -> ()
 
+(* Keyed draws: a pure function of seed and key, uniform over a counter
+   (the way the simulator keys fault draws by delivery index), and moved
+   by every key word. *)
+let test_keyed_float () =
+  let draw n = Rng.keyed_float 42 [ 65001; 2; n; 0 ] in
+  Alcotest.(check (float 0.0)) "pure" (draw 5) (draw 5);
+  let xs = List.init 10_000 draw in
+  Alcotest.(check bool) "in [0,1)" true
+    (List.for_all (fun x -> x >= 0.0 && x < 1.0) xs);
+  let mean = List.fold_left ( +. ) 0.0 xs /. 10_000.0 in
+  Alcotest.(check bool) (Printf.sprintf "mean %.4f near 1/2" mean) true
+    (Float.abs (mean -. 0.5) < 0.01);
+  List.iter
+    (fun (what, x) ->
+      Alcotest.(check bool) what true (x <> draw 5))
+    [ ("seed", Rng.keyed_float 43 [ 65001; 2; 5; 0 ]);
+      ("first word", Rng.keyed_float 42 [ 65002; 2; 5; 0 ]);
+      ("last word", Rng.keyed_float 42 [ 65001; 2; 5; 1 ]);
+      ("key length", Rng.keyed_float 42 [ 65001; 2; 5 ]) ]
+
 let test_float_range () =
   let rng = Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -178,6 +198,7 @@ let suite =
       Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "split independence" `Quick test_split_independent;
       Alcotest.test_case "split_n = successive splits" `Quick test_split_n;
+      Alcotest.test_case "keyed float" `Quick test_keyed_float;
       Alcotest.test_case "float range" `Quick test_float_range;
       Alcotest.test_case "float mean" `Quick test_float_mean;
       Alcotest.test_case "int bounds" `Quick test_int_bounds;

@@ -581,6 +581,14 @@ let qcheck_decoders_only_malformed =
                (mutate p m))
            chain_payloads)
 
+(* The spec-line parser under the same mutations: a typed result, never
+   an exception. *)
+let qcheck_spec_line_mutants =
+  let line = Sspec.to_line (tiny_spec ~seed:9 ~faults:"severe" "mutant_1.a") in
+  QCheck.Test.make ~name:"mutated spec lines: Ok or Error, never raise"
+    ~count:1000 mutation_gen (fun m ->
+      match Sspec.of_line (mutate line m) with Ok _ | Error _ -> true)
+
 (* A count the remaining bytes cannot hold fails before the reader
    allocates for it: 4,000,000 floats announced, one present. *)
 let test_count_lie_allocates_nothing () =
@@ -663,5 +671,6 @@ let suite =
       Alcotest.test_case "codec count lie fails before allocating" `Quick
         test_count_lie_allocates_nothing;
       QCheck_alcotest.to_alcotest qcheck_decoders_only_malformed;
+      QCheck_alcotest.to_alcotest qcheck_spec_line_mutants;
       QCheck_alcotest.to_alcotest qcheck_service_load_survives_mutation;
     ] )

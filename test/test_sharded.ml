@@ -3,7 +3,8 @@
    The bit-for-bit guarantee under test: with an empty fault plan and no
    impairments, [Sharded.run ~jobs] must reproduce the sequential run's
    feeds, stats, and (empty) fault log exactly, for any [jobs].  With link
-   faults, the link/session timeline must be independent of [jobs]. *)
+   faults, the link/session timeline must be independent of [jobs]; with
+   lossy, duplicating sessions, so must everything else. *)
 
 open Because_bgp
 module Network = Because_sim.Network
@@ -79,7 +80,7 @@ let make_script rng ~origin =
   done;
   script
 
-let run ?fault_rng_seed ?shards ~jobs ~with_flap
+let run ?fault_seed ?shards ~jobs ~with_flap
     (configs, delay, origin, n_transit, monitored) script =
   let script =
     if not with_flap then script
@@ -93,6 +94,8 @@ let run ?fault_rng_seed ?shards ~jobs ~with_flap
               Script.announce s ~time ~origin prefix
           | Script.Withdraw { time; origin; prefix } ->
               Script.withdraw s ~time ~origin prefix
+          | Script.Impair { a; b; loss; duplication } ->
+              Script.impair s ~a ~b ~loss ~duplication
           | _ -> ())
         (Script.ops script);
       let mid = max 1 (n_transit / 2) in
@@ -102,8 +105,7 @@ let run ?fault_rng_seed ?shards ~jobs ~with_flap
       s
     end
   in
-  let fault_rng = Option.map Rng.create fault_rng_seed in
-  Sharded.run ?fault_rng ?shards ~jobs ~configs ~delay ~monitored
+  Sharded.run ?fault_seed ?shards ~jobs ~configs ~delay ~monitored
     ~until:2000.0 script
 
 let check_feeds_equal what a b =
@@ -200,6 +202,33 @@ let qcheck_link_fault_timeline =
         [ 2; 4 ];
       true)
 
+(* Impairment draws are keyed by link, prefix and delivery index, so a
+   lossy, duplicating session gives every partition the same run: feeds,
+   stats and the whole fault log, equal-time entries included, with link
+   flaps and a session reset re-advertising every prefix at once. *)
+let qcheck_impaired_equivalence =
+  QCheck.Test.make ~name:"sharded == sequential (impaired, any jobs)"
+    ~count:20 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 201) in
+      let world = make_world rng in
+      let _, _, origin, _, _ = world in
+      let script = make_script rng ~origin in
+      Script.impair script ~a:(asn origin) ~b:(asn 1) ~loss:0.3
+        ~duplication:0.3;
+      let run jobs = run ~fault_seed:seed ~jobs ~with_flap:true world script in
+      let sequential = run 1 in
+      List.iter
+        (fun jobs ->
+          let sharded = run jobs in
+          let what = Printf.sprintf "seed %d jobs %d" seed jobs in
+          check_feeds_equal what sequential sharded;
+          check_stats_equal what sequential.Sharded.stats
+            sharded.Sharded.stats;
+          Alcotest.(check bool) (what ^ ": fault log") true
+            (sequential.Sharded.fault_log = sharded.Sharded.fault_log))
+        [ 2; 4; 32 ];
+      sequential.Sharded.stats.Network.lost > 0)
+
 (* Shards beyond the pool's seats queue and run as domains free up; the
    fault-free outcome must not care. *)
 let test_shards_exceed_jobs () =
@@ -273,6 +302,7 @@ let suite =
     [
       QCheck_alcotest.to_alcotest qcheck_fault_free_equivalence;
       QCheck_alcotest.to_alcotest qcheck_link_fault_timeline;
+      QCheck_alcotest.to_alcotest qcheck_impaired_equivalence;
       Alcotest.test_case "shards exceed jobs" `Quick test_shards_exceed_jobs;
       Alcotest.test_case "shards clamped" `Quick test_shards_clamped;
       Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;

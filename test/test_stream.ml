@@ -51,6 +51,23 @@ let write_lines path lines =
   Out_channel.with_open_bin path (fun oc ->
       List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines)
 
+(* Mutated spools (bit flips, truncation, overwritten words, as in the
+   service snapshot tests): a typed result, never an exception.  Each case
+   writes and parses a file, so tier-1 runs 50; QCHECK_LONG=1 runs 20
+   times as many. *)
+let qcheck_observation_mutants =
+  let path = Filename.temp_file "because" ".obs" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  write_lines path
+    [ "# comment"; "rfd 64512 901 4294967295"; "  clean  64512   64513  ";
+      "clean 64513\r" ];
+  let good = read_file path in
+  QCheck.Test.make ~name:"mutated observation spools: Ok or Error, never raise"
+    ~count:50 ~long_factor:20 Test_service.mutation_gen (fun m ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Test_service.mutate good m));
+      match Stream.parse_observations path with Ok _ | Error _ -> true)
+
 let test_parse_observations () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "obs" in
@@ -813,6 +830,7 @@ let suite =
     [
       Alcotest.test_case "observation spool parsing" `Quick
         test_parse_observations;
+      QCheck_alcotest.to_alcotest qcheck_observation_mutants;
       Alcotest.test_case "spool rename-into-place convention" `Quick
         test_spool_rename_into_place;
       Alcotest.test_case "spool filters zero-byte files and symlinks" `Quick
