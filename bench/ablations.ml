@@ -4,6 +4,7 @@ open Because_bgp
 module Sc = Because_scenario
 module Ctx = Bench_context
 module Diagnostics = Because_mcmc.Diagnostics
+open Because_baselines
 
 let samplers () =
   Ctx.section "Ablation — MH vs HMC";
@@ -93,8 +94,8 @@ let samplers () =
              ~leapfrog_steps:12 target)
             .Because_mcmc.Hmc.chain);
       time_run "Gibbs" (fun rng ->
-          (Because_mcmc.Gibbs.run ~rng ~n_samples:draws ~burn_in:burn target)
-            .Because_mcmc.Gibbs.chain)
+          (Gibbs.run ~rng ~n_samples:draws ~burn_in:burn target)
+            .Gibbs.chain)
 
 let priors () =
   Ctx.section "Ablation — prior choice";
@@ -226,11 +227,11 @@ let link_granularity () =
   let as_obs = Sc.Campaign.observations outcome in
   if as_obs = [] then print_endline "no observations"
   else begin
-    let link_obs = Sc.Link_tomography.observations as_obs in
+    let link_obs = Link_tomography.observations as_obs in
     Printf.printf "median paths per AS node:   %.0f\n"
-      (Sc.Link_tomography.median_incidence as_obs);
+      (Link_tomography.median_incidence as_obs);
     Printf.printf "median paths per link node: %.0f\n"
-      (Sc.Link_tomography.median_incidence link_obs);
+      (Link_tomography.median_incidence link_obs);
     let infer obs =
       let data = Because.Tomography.of_observations obs in
       let config =
@@ -257,7 +258,7 @@ let link_granularity () =
       List.fold_left
         (fun acc (link_node, category) ->
           if Because.Categorize.damping category then begin
-            let a, b = Sc.Link_tomography.decode link_node in
+            let a, b = Link_tomography.decode link_node in
             Asn.Set.add a (Asn.Set.add b acc)
           end
           else acc)
@@ -329,14 +330,14 @@ let sat_baseline () =
   if observations = [] then print_endline "no observations"
   else begin
     let data = Because.Tomography.of_observations observations in
-    let verdict = Because_sat.Binary_tomography.solve ~solution_limit:4 data in
+    let verdict = Binary_tomography.solve ~solution_limit:4 data in
     Format.printf
       "full 1-minute campaign dataset (%d observations on %d distinct paths, \
        %d ASs): %a@."
       (Because.Tomography.n_observations data)
       (Because.Tomography.n_paths data)
       (Because.Tomography.n_nodes data)
-      Because_sat.Binary_tomography.pp_verdict verdict;
+      Binary_tomography.pp_verdict verdict;
     (* A sparse slice of the same data: positive paths only. *)
     let sparse =
       match List.filter snd observations with
@@ -347,8 +348,8 @@ let sat_baseline () =
     | [ _ ] ->
         let d = Because.Tomography.of_observations sparse in
         Format.printf "a single positive path from the same data: %a@."
-          Because_sat.Binary_tomography.pp_verdict
-          (Because_sat.Binary_tomography.solve ~solution_limit:8 d)
+          Binary_tomography.pp_verdict
+          (Binary_tomography.solve ~solution_limit:8 d)
     | _ -> ());
     print_endline
       "(BeCAUSe's probabilistic model absorbs the same contradictions and \
@@ -364,8 +365,8 @@ let model_criticism () =
   match outcome.Sc.Campaign.result with
   | None -> print_endline "no inference result"
   | Some result ->
-      let p = Because.Predictive.evaluate result in
-      Format.printf "%a" Because.Predictive.pp_summary p
+      let p = Predictive.evaluate result in
+      Format.printf "%a" Predictive.pp_summary p
 
 let all () =
   samplers ();

@@ -32,8 +32,6 @@ let ripe_style ?(start = 0.0) ~period ~cycles () =
     break_duration = 0.0; cycles; ripe = true }
 
 let update_interval t = t.update_interval
-let flaps_per_burst t = t.flaps
-
 let burst_duration t =
   (* W at 0, A at i, W at 2i, ..., A at (2·flaps − 1)·i. *)
   float_of_int ((2 * t.flaps) - 1) *. t.update_interval

@@ -59,5 +59,3 @@ val windows : t -> (float * float * float) list
 
 val end_time : t -> float
 (** Time of the last scheduled event. *)
-
-val flaps_per_burst : t -> int

@@ -22,10 +22,6 @@ let aggregator = function
   | Announce { aggregator; _ } -> aggregator
   | Withdraw _ -> None
 
-let prepend asn = function
-  | Announce a -> Announce { a with as_path = asn :: a.as_path }
-  | Withdraw _ as w -> w
-
 let aggregator_equal a b =
   match (a, b) with
   | None, None -> true

@@ -29,10 +29,6 @@ val as_path : t -> Asn.t list option
 
 val aggregator : t -> aggregator option
 
-val prepend : Asn.t -> t -> t
-(** [prepend asn u] prefixes [asn] to the AS path of an announcement (the
-    sending router's AS); withdrawals pass through unchanged. *)
-
 val aggregator_equal : aggregator option -> aggregator option -> bool
 
 (** [equal] is structural equality including the aggregator attribute — two

@@ -45,18 +45,6 @@ let of_feeds ?(gaps_of = fun _ -> []) rng ~feed_of ~vantages ~noise
   in
   List.sort (fun a b -> Float.compare a.export_at b.export_at) records
 
-let of_network ?gaps_of rng net ~vantages ~noise ~campaign_end =
-  of_feeds ?gaps_of rng
-    ~feed_of:(Because_sim.Network.feed net)
-    ~vantages ~noise ~campaign_end ()
-
-let for_prefix_vp records prefix vp_id =
-  List.filter
-    (fun r ->
-      r.vp.Vantage.vp_id = vp_id
-      && Prefix.equal (Update.prefix r.update) prefix)
-    records
-
 let prefixes records =
   List.fold_left
     (fun acc r -> Prefix.Set.add (Update.prefix r.update) acc)

@@ -1,6 +1,6 @@
 (** Update dumps: the MRT-like records the analysis pipeline consumes.
 
-    {!of_network} turns the monitored full feeds of a finished simulation
+    {!of_feeds} turns the monitored full feeds of a finished simulation
     into per-vantage-point dump records, adding project-specific export
     latency and applying {!Noise}. *)
 
@@ -33,19 +33,6 @@ val of_feeds :
 
     Noise draws are made per vantage in list order, then per feed record —
     identical feeds therefore yield identical dumps for a given [rng]. *)
-
-val of_network :
-  ?gaps_of:(int -> (float * float) list) ->
-  Because_stats.Rng.t ->
-  Because_sim.Network.t ->
-  vantages:Vantage.t list ->
-  noise:Noise.params ->
-  campaign_end:float ->
-  record list
-(** [of_feeds] over a finished simulation's monitored feeds. *)
-
-val for_prefix_vp : record list -> Prefix.t -> int -> record list
-(** Records of one (prefix, vantage point) pair, chronological. *)
 
 val prefixes : record list -> Prefix.Set.t
 val vp_ids : record list -> int list

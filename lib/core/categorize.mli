@@ -27,9 +27,6 @@ val of_mean : float -> t
 
 val of_hdpi : Because_stats.Hdpi.t -> t
 
-val of_marginal : Posterior.marginal -> t
-(** Highest of the mean flag and the HDPI flag. *)
-
 val damping : t -> bool
 (** The paper accepts categories 4 and 5 as RFD-enabled. *)
 

@@ -192,7 +192,8 @@ let run_with_restarts ~config ~rng ~name ~chain_index sample =
    output *values* — are identical for every [jobs]. *)
 let run_tasks ~jobs tasks = Because_stats.Parallel.run_tasks ~jobs tasks
 
-(* Each sampler's chains, in first-run order. *)
+(* Each sampler's chains, in first-run order, with one column scratch per
+   chain. *)
 let sampler_groups runs =
   let names =
     List.fold_left
@@ -201,28 +202,36 @@ let sampler_groups runs =
   in
   List.rev_map
     (fun name ->
-      ( name,
+      let chains =
         Array.of_list
           (List.filter_map
              (fun run -> if run.name = name then Some run.chain else None)
-             runs) ))
+             runs)
+      in
+      let cols = Array.map (fun c -> Array.make (Chain.length c) 0.0) chains in
+      (name, (chains, cols)))
     names
 
-(* Worst-coordinate R-hat per sampler: across-chain R-hat when the sampler
-   ran several chains, split-R-hat on its single chain.  The [_coord]
-   diagnostics walk the chains' flat storage directly — bit-identical to
-   extracting each marginal, without the per-coordinate array
-   materialisation. *)
+(* R-hat of coordinate [i] over the first [n] draws of one sampler's chains:
+   across-chain R-hat when it ran several, split-R-hat on its single chain.
+   Each chain's first n values are copied into its column scratch, so the
+   value equals [Diagnostics.r_hat] / [split_r_hat] over the marginals cut
+   to n draws, bit for bit. *)
+let prefix_r_hat (chains, cols) i n =
+  Array.iteri
+    (fun c chain -> Chain.marginal_into chain i ~len:n cols.(c))
+    chains;
+  match cols with
+  | [| col |] -> Diagnostics.split_r_hat_prefix col n
+  | _ -> Diagnostics.r_hat_prefix cols n
+
 let r_hat result =
   List.map
-    (fun (name, chains) ->
+    (fun (name, ((chains, _) as group)) ->
+      let n = Chain.length chains.(0) in
       let worst = ref neg_infinity in
       for i = 0 to Chain.dim chains.(0) - 1 do
-        let v =
-          match chains with
-          | [| only |] -> Diagnostics.split_r_hat_coord only i
-          | _ -> Diagnostics.r_hat_coord chains i
-        in
+        let v = prefix_r_hat group i n in
         if v > !worst then worst := v
       done;
       (name, !worst))
@@ -230,16 +239,11 @@ let r_hat result =
 
 let gate_points = 16
 
-(* The gate asks, per prefix length n on the grid, whether the worst R-hat
-   over every sampler and coordinate is within [threshold]: [r_hat] over
-   each chain's first n draws.  Two things keep that cheap without
-   changing the answer:
-   - each (sampler, coordinate) pair copies its chains' first n values
-     into one column scratch per chain, which the diagnostics scan
-     contiguously in the order a prefix copy of the chain would be read;
-   - a length fails at the first pair over the threshold, trying first the
-     pair that failed the previous length.  (A NaN R-hat never fails, just
-     as it never raised the worst.) *)
+(* The gate asks, per prefix length n on the grid, whether the worst
+   [prefix_r_hat] over every sampler and coordinate is within [threshold].
+   A length fails at the first pair over the threshold, trying first the
+   pair that failed the previous length.  (A NaN R-hat never fails, just as
+   it never raised the worst.) *)
 let gate_draws ?(threshold = 1.1) result =
   match result.runs with
   | [] -> None
@@ -258,26 +262,9 @@ let gate_draws ?(threshold = 1.1) result =
               max 8 (min_len * (k + 1) / gate_points))
           |> List.sort_uniq compare
         in
-        let groups =
-          Array.of_list
-            (List.map
-               (fun (_, chains) ->
-                 (chains, Array.map (fun _ -> Array.make min_len 0.0) chains))
-               (sampler_groups runs))
-        in
+        let groups = Array.of_list (List.map snd (sampler_groups runs)) in
         let dim = Chain.dim (List.hd runs).chain in
-        let fails n (g, i) =
-          let chains, cols = groups.(g) in
-          Array.iteri
-            (fun c chain -> Chain.marginal_into chain i ~len:n cols.(c))
-            chains;
-          let v =
-            match cols with
-            | [| col |] -> Diagnostics.split_r_hat_prefix col n
-            | _ -> Diagnostics.r_hat_prefix cols n
-          in
-          v > threshold
-        in
+        let fails n (g, i) = prefix_r_hat groups.(g) i n > threshold in
         let last_failure = ref (0, 0) in
         let passes n =
           (not (fails n !last_failure))

@@ -87,5 +87,4 @@ val count :
   t ->
   int
 
-val pp_spec : Format.formatter -> spec -> unit
 val pp : Format.formatter -> t -> unit

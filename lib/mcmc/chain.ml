@@ -78,8 +78,6 @@ let marginal t i =
   marginal_into t i ~len:t.len column;
   column
 
-let map_draws t f = Array.init t.len (fun k -> f (get t k))
-
 let for_all_values f t =
   let ok = ref true in
   let n = Array.length t.data in

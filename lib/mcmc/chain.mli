@@ -42,10 +42,6 @@ val marginal_into : t -> int -> len:int -> float array -> unit
     @raise Invalid_argument when [i] is out of bounds, or [len] exceeds
     the chain or [dst]. *)
 
-val map_draws : t -> (float array -> 'a) -> 'a array
-(** Apply a function to every draw (each receives a fresh row copy); used
-    e.g. to compute per-draw argmax for the pinpointing step. *)
-
 val for_all_values : (float -> bool) -> t -> bool
 (** [for_all_values f t] is [true] when [f] holds for every stored value;
     allocation-free (used by the chain health check). *)
@@ -59,8 +55,8 @@ val thin : t -> int -> t
 
 val prefix : t -> int -> t
 (** [prefix t n] is the first [n] draws.  Shares nothing with [t] unless
-    [n = length t] (then it is [t] itself) — used by the convergence-gate
-    scan over retained-draw prefixes.
+    [n = length t] (then it is [t] itself) — the prefix copy that the
+    convergence gate's copy-free scan is checked against.
     @raise Invalid_argument when [n <= 0] or [n > length t]. *)
 
 val equal : t -> t -> bool

@@ -44,8 +44,7 @@ let effective_sample_size xs =
   end
 
 (* Potential scale reduction from per-chain means and variances over [n]
-   draws each — the shared tail of every r-hat variant below, so the array
-   and flat-chain paths are numerically identical by construction. *)
+   draws each — the shared tail of every r-hat variant below. *)
 let psr ~n means vars =
   let m = Array.length means in
   let w = Summary.mean vars in
@@ -70,7 +69,7 @@ let psr ~n means vars =
 
 (* Mean and variance of [xs.(pos .. pos+len-1)], replicating
    [Summary.mean] / [Summary.variance] (left-to-right sums, n-1 divisor)
-   so that every r-hat below is bit-identical to the one over copied
+   so that the [_prefix] r-hats are bit-identical to the ones over copied
    sub-arrays. *)
 type facc = { mutable acc : float }
 
@@ -132,58 +131,3 @@ let split_r_hat_prefix xs n =
   end
 
 let split_r_hat xs = split_r_hat_prefix xs (Array.length xs)
-
-(* --- allocation-free variants over flat chain storage ---
-
-   Mean and variance replicate [Summary.mean] / [Summary.variance]
-   (left-to-right sums, n-1 divisor) over a draw window of one coordinate,
-   so the flat-chain r-hats return bit-identical values to extracting the
-   marginal and calling the array versions — without materialising a
-   marginal array per coordinate per chain. *)
-
-let window_mean chain i ~pos ~len =
-  let a = { acc = 0.0 } in
-  for k = pos to pos + len - 1 do
-    a.acc <- a.acc +. Chain.value chain k i
-  done;
-  a.acc /. float_of_int len
-
-let window_variance chain i ~pos ~len =
-  if len < 2 then 0.0
-  else begin
-    let m = window_mean chain i ~pos ~len in
-    let a = { acc = 0.0 } in
-    for k = pos to pos + len - 1 do
-      let d = Chain.value chain k i -. m in
-      a.acc <- a.acc +. (d *. d)
-    done;
-    a.acc /. float_of_int (len - 1)
-  end
-
-let r_hat_coord chains i =
-  let m = Array.length chains in
-  if m < 2 then
-    invalid_arg "Diagnostics.r_hat_coord: need at least two chains";
-  let n = Chain.length chains.(0) in
-  Array.iter
-    (fun c ->
-      if Chain.length c <> n then
-        invalid_arg "Diagnostics.r_hat_coord: unequal chain lengths")
-    chains;
-  if n < 2 then 1.0
-  else
-    psr ~n
-      (Array.map (fun c -> window_mean c i ~pos:0 ~len:n) chains)
-      (Array.map (fun c -> window_variance c i ~pos:0 ~len:n) chains)
-
-let split_r_hat_coord chain i =
-  let n = Chain.length chain in
-  if n < 4 then 1.0
-  else begin
-    let half = n / 2 in
-    psr ~n:half
-      [| window_mean chain i ~pos:0 ~len:half;
-         window_mean chain i ~pos:(n - half) ~len:half |]
-      [| window_variance chain i ~pos:0 ~len:half;
-         window_variance chain i ~pos:(n - half) ~len:half |]
-  end

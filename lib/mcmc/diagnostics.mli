@@ -26,14 +26,3 @@ val r_hat_prefix : float array array -> int -> float
     values, bit-for-bit, without the copies.
     @raise Invalid_argument on fewer than two chains or a chain shorter
     than [n]. *)
-
-val split_r_hat_coord : Chain.t -> int -> float
-(** [split_r_hat_coord chain i] equals [split_r_hat (Chain.marginal chain i)]
-    bit-for-bit, computed directly over the chain's flat storage without
-    materialising the marginal. *)
-
-val r_hat_coord : Chain.t array -> int -> float
-(** [r_hat_coord chains i] equals
-    [r_hat (Array.map (fun c -> Chain.marginal c i) chains)] bit-for-bit,
-    without materialising the marginals.  Raises [Invalid_argument] on
-    fewer than two chains or unequal lengths. *)

@@ -1,8 +1,8 @@
 (** The retained-draw loop every sampler shares.
 
-    A sampler ({!Metropolis}, {!Hmc}, {!Gibbs}) supplies only its
-    per-sweep {!step}: how to advance the point by one sweep, what to
-    store as a draw, and how to package its own between-sweeps state.
+    A sampler ({!Metropolis}, {!Hmc}, the bench's Gibbs baseline) supplies
+    only its per-sweep {!step}: how to advance the point by one sweep, what
+    to store as a draw, and how to package its own between-sweeps state.
     {!run} owns everything else, once for all three:
 
     - the non-finite-start check;

@@ -53,7 +53,7 @@ type t = {
           so the cached fast path can always be cross-checked. *)
   make_cache : (float array -> cache) option;
       (** [make_cache p0] builds a stateful evaluator positioned at [p0].
-          {!Metropolis.run_single_site} and {!Gibbs.run} evaluate only
+          {!Metropolis.run_single_site} and the Gibbs baseline evaluate only
           through {!cache_at}, which prefers it over the generic cache. *)
 }
 

@@ -32,8 +32,6 @@ let start ~label budget =
 let elapsed_s token =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) token.start_ns) *. 1e-9
 
-let sweeps token = token.sweeps
-
 let abort token fmt =
   Printf.ksprintf (fun s -> raise (Aborted (token.label ^ ": " ^ s))) fmt
 
@@ -46,7 +44,7 @@ let check token =
   | Some limit when token.sweeps mod deadline_stride = 0 ->
       let t = elapsed_s token in
       if t > limit then
-        abort token "deadline exceeded (%.1fs elapsed, budget %.1fs)" limit t
+        abort token "deadline exceeded (%.1fs elapsed, budget %.1fs)" t limit
   | _ -> ()
 
 let tick token =

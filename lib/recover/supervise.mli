@@ -33,12 +33,6 @@ val tick : token -> unit
     checked every call; the wall-clock deadline every 32 sweeps (it is
     inherently timing-dependent, so precision buys nothing). *)
 
-val check : token -> unit
-(** Enforce the budget without counting a sweep. *)
-
-val sweeps : token -> int
-val elapsed_s : token -> float
-
 (** {1 Cooperative drain}
 
     A graceful shutdown (SIGTERM/SIGINT, service drain) is requested by

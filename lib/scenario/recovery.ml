@@ -23,21 +23,12 @@ type t = {
   dir : string;
   resume : bool;
   every_sweeps : int option;
-  every_seconds : float option;
   kill_switch : (unit -> bool) option;
   mutable store : Checkpoint.t option;
 }
 
-let create ~dir ?(resume = false) ?every_sweeps
-    ?(every_seconds = Chain_ckpt.default_every_seconds) ?kill_switch () =
-  {
-    dir;
-    resume;
-    every_sweeps;
-    every_seconds = Some every_seconds;
-    kill_switch;
-    store = None;
-  }
+let create ~dir ?(resume = false) ?every_sweeps ?kill_switch () =
+  { dir; resume; every_sweeps; kill_switch; store = None }
 
 let dir t = t.dir
 
@@ -294,7 +285,7 @@ let chain_hooks t ~namespace =
       (fun ~key ~sweep:_ sv ->
         save_payload t ~key:(namespace ^ key) (Chain_ckpt.encode_saved sv));
     every_sweeps = t.every_sweeps;
-    every_seconds = t.every_seconds;
+    every_seconds = Some Chain_ckpt.default_every_seconds;
   }
 
 (* The final telemetry view: replace-on-write, never read on resume. *)

@@ -22,15 +22,14 @@ val create :
   dir:string ->
   ?resume:bool ->
   ?every_sweeps:int ->
-  ?every_seconds:float ->
   ?kill_switch:(unit -> bool) ->
   unit ->
   t
 (** [resume] (default [false]): a fresh run clears previous snapshots on
     {!attach} (quarantined [*.corrupt-N] files are kept); a resuming run
-    reads them.  [every_sweeps] / [every_seconds] set the chain snapshot
-    cadence ([every_seconds] defaults to
-    {!Because_recover.Chain_ckpt.default_every_seconds}).
+    reads them.  A chain snapshot is written every [every_sweeps] sweeps
+    or every {!Because_recover.Chain_ckpt.default_every_seconds} of wall
+    time, whichever comes first.
     [kill_switch] is the {!Killed} test hook, consulted before every save:
     a closure counting its calls kills the run after that many saves, and
     one shared closure kills every campaign of a multi-campaign service

@@ -48,14 +48,6 @@ let prefixes t =
   |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
   |> List.map fst
 
-let has_faults t =
-  List.exists
-    (function
-      | Session_reset _ | Link_down _ | Link_up _ -> true
-      | Impair { loss; duplication; _ } -> loss > 0.0 || duplication > 0.0
-      | Announce _ | Withdraw _ -> false)
-    t.ops
-
 let install ?keep t net =
   let keep = match keep with Some f -> f | None -> fun _ -> true in
   List.iter

@@ -44,9 +44,6 @@ val rank : t -> Prefix.t -> int option
 (** First-touch position of a prefix — the shard partitioning key and the
     cross-shard merge tiebreak. *)
 
-val has_faults : t -> bool
-(** True when any link/session event or non-zero impairment is recorded. *)
-
 val install : ?keep:(Prefix.t -> bool) -> t -> Network.t -> unit
 (** Replay the script into a network in recording order.  [keep] filters
     origin (announce/withdraw) events by prefix; link/session/impairment

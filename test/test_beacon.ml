@@ -52,7 +52,11 @@ let test_of_durations_flaps () =
     Schedule.of_durations ~update_interval:60.0 ~burst_duration:7200.0
       ~break_duration:7200.0 ~cycles:1 ()
   in
-  Alcotest.(check int) "2h / (2·1min)" 60 (Schedule.flaps_per_burst s)
+  (* 2h / (2·1min) = 60 flaps: a burst of (2·60−1)·60 s. *)
+  match Schedule.windows s with
+  | [ (bs, be, _) ] ->
+      Alcotest.(check (float 0.0)) "2h / (2·1min)" 7140.0 (be -. bs)
+  | _ -> Alcotest.fail "expected one window"
 
 let test_ripe_style () =
   let s = Schedule.ripe_style ~period:7200.0 ~cycles:3 () in

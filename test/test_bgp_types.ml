@@ -62,18 +62,6 @@ let announce ?agg prefix path =
     { prefix = Prefix.of_string prefix; as_path = List.map asn path;
       aggregator = agg }
 
-let test_update_prepend () =
-  let u = announce "10.0.0.0/24" [ 2; 3 ] in
-  match Update.prepend (asn 1) u with
-  | Update.Announce { as_path; _ } ->
-      Alcotest.(check (list int)) "prepended" [ 1; 2; 3 ]
-        (List.map Asn.to_int as_path)
-  | Update.Withdraw _ -> Alcotest.fail "became a withdrawal"
-
-let test_update_prepend_withdraw () =
-  let w = Update.Withdraw { prefix = Prefix.of_string "10.0.0.0/24" } in
-  Alcotest.(check bool) "unchanged" true (Update.equal w (Update.prepend (asn 9) w))
-
 let test_path_loop_check () =
   let own = asn 7 in
   let path l = List.map asn l in
@@ -127,8 +115,6 @@ let suite =
       Alcotest.test_case "prefix unsigned compare" `Quick
         test_prefix_compare_unsigned;
       Alcotest.test_case "beacon allocator" `Quick test_beacon_allocator;
-      Alcotest.test_case "update prepend" `Quick test_update_prepend;
-      Alcotest.test_case "prepend withdraw" `Quick test_update_prepend_withdraw;
       Alcotest.test_case "path loop check" `Quick test_path_loop_check;
       Alcotest.test_case "update equality vs aggregator" `Quick
         test_update_equal_aggregator;

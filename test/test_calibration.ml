@@ -8,7 +8,7 @@
    carry both labels, and a likelihood that counts each distinct path once
    fails it; the §7.2 false-negative rate runs at 0 and 0.1.  At this size
    it does not detect a dropped HMC logit Jacobian (checked by mutation);
-   that is left to a fuller calibration tier.  HMC draws are
+   the prior-only moment test below does.  HMC draws are
    thinned harder than MH draws because they are more autocorrelated here:
    at thin 3 their ranks come out U-shaped. *)
 
@@ -103,6 +103,48 @@ let test_sbc ~sampler ~name ~epsilon ~seed () =
     (Printf.sprintf "%s eps=%.1f" name epsilon)
     (ranks ~sample:sampler ~epsilon seed)
 
+(* HMC on a prior-only product of Beta(a, b) coordinates must reproduce
+   their exact means and variances.  The sampler moves in logit space, so
+   this pins the change-of-variables Jacobian: without it the chain
+   targets Beta(a−1, b−1) — uniform instead of Beta(2, 2) (variance 1/12
+   instead of 1/20), and an improper density that drifts to 0 instead of
+   Beta(1, 5). *)
+let test_hmc_prior_moments () =
+  let betas = [| (2.0, 2.0); (1.0, 5.0) |] in
+  let log_density p =
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i (a, b) ->
+        acc := !acc +. Dist.beta_log_pdf ~a ~b p.(i))
+      betas;
+    !acc
+  in
+  let grad p =
+    Array.mapi
+      (fun i (a, b) -> ((a -. 1.0) /. p.(i)) -. ((b -. 1.0) /. (1.0 -. p.(i))))
+      betas
+  in
+  let target =
+    Because_mcmc.Target.create ~grad ~dim:2
+      ~support:Because_mcmc.Target.Unit_interval log_density
+  in
+  let chain =
+    (Because_mcmc.Hmc.run ~rng:(Rng.create 5) ~leapfrog_steps:8 ~n_samples:4000
+       ~burn_in:200 target)
+      .Because_mcmc.Hmc.chain
+  in
+  Array.iteri
+    (fun i (a, b) ->
+      let xs = Chain.marginal chain i in
+      let mean = a /. (a +. b) in
+      let var = a *. b /. ((a +. b) *. (a +. b) *. (a +. b +. 1.0)) in
+      let name = Printf.sprintf "Beta(%g,%g)" a b in
+      Alcotest.(check (float 0.03)) (name ^ " mean") mean
+        (Because_stats.Summary.mean xs);
+      Alcotest.(check (float (0.2 *. var))) (name ^ " variance") var
+        (Because_stats.Summary.variance xs))
+    betas
+
 let suite =
   ( "calibration",
     [
@@ -114,4 +156,6 @@ let suite =
         (test_sbc ~sampler:hmc ~name:"HMC" ~epsilon:0.0 ~seed:13);
       Alcotest.test_case "SBC HMC eps=0.1" `Quick
         (test_sbc ~sampler:hmc ~name:"HMC" ~epsilon:0.1 ~seed:14);
+      Alcotest.test_case "HMC prior-only Beta moments" `Quick
+        test_hmc_prior_moments;
     ] )

@@ -14,7 +14,7 @@ module Query = Because_service.Query
 module Io = Because_recover.Io
 module Supervise = Because_recover.Supervise
 module Server = Because_http.Server
-module Proxy = Because_http.Fault_proxy
+module Proxy = Fault_proxy
 
 let fresh_dir () =
   let f = Filename.temp_file "because-chaos" ".dir" in

@@ -143,12 +143,11 @@ let build_dump () =
   Because_sim.Network.schedule_announce net ~time:200.0 ~origin:(asn 65001) p;
   Because_sim.Network.run net ~until:1000.0;
   let vp = Vantage.make ~vp_id:0 ~host_asn:(asn 2) ~project:Project.Isolario in
-  ( Dump.of_network (Rng.create 8) net ~vantages:[ vp ] ~noise:Noise.none
-      ~campaign_end:1000.0,
-    p )
+  Dump.of_feeds (Rng.create 8) ~feed_of:(Because_sim.Network.feed net)
+    ~vantages:[ vp ] ~noise:Noise.none ~campaign_end:1000.0 ()
 
 let test_dump_records () =
-  let records, p = build_dump () in
+  let records = build_dump () in
   Alcotest.(check int) "three updates" 3 (List.length records);
   List.iter
     (fun (r : Dump.record) ->
@@ -162,13 +161,11 @@ let test_dump_records () =
       (List.tl records)
   in
   Alcotest.(check bool) "sorted by export" true sorted;
-  Alcotest.(check int) "for_prefix_vp" 3
-    (List.length (Dump.for_prefix_vp records p 0));
   Alcotest.(check int) "prefix set" 1 (Prefix.Set.cardinal (Dump.prefixes records));
   Alcotest.(check (list int)) "vp ids" [ 0 ] (Dump.vp_ids records)
 
 let test_valid_aggregator_filter () =
-  let records, _ = build_dump () in
+  let records = build_dump () in
   let kept = Dump.announcements_with_valid_aggregator records in
   (* all clean here: 2 announcements + 1 withdrawal *)
   Alcotest.(check int) "all kept" 3 (List.length kept);

@@ -135,8 +135,10 @@ let reference_gate ~threshold (result : Infer.result) =
           for i = 0 to Chain.dim chains.(0) - 1 do
             let v =
               match chains with
-              | [| only |] -> Diagnostics.split_r_hat_coord only i
-              | _ -> Diagnostics.r_hat_coord chains i
+              | [| only |] -> Diagnostics.split_r_hat (Chain.marginal only i)
+              | _ ->
+                  Diagnostics.r_hat
+                    (Array.map (fun c -> Chain.marginal c i) chains)
             in
             if v > !w then w := v
           done;

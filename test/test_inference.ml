@@ -304,45 +304,45 @@ let test_pinpoint_skips_explained_paths () =
 (* Posterior predictive checks. *)
 let test_predictive_scores () =
   let result = run_identifiable () in
-  let p = Because.Predictive.evaluate result in
+  let p = Because_baselines.Predictive.evaluate result in
   (* The identifiable dataset is almost deterministic: predictions should be
      sharp and well calibrated. *)
   Alcotest.(check bool)
-    (Printf.sprintf "low Brier (%.3f)" p.Because.Predictive.brier)
+    (Printf.sprintf "low Brier (%.3f)" p.Because_baselines.Predictive.brier)
     true
-    (p.Because.Predictive.brier < 0.1);
+    (p.Because_baselines.Predictive.brier < 0.1);
   Alcotest.(check bool)
-    (Printf.sprintf "log score sane (%.3f)" p.Because.Predictive.log_score)
+    (Printf.sprintf "log score sane (%.3f)" p.Because_baselines.Predictive.log_score)
     true
-    (p.Because.Predictive.log_score > -0.5);
+    (p.Because_baselines.Predictive.log_score > -0.5);
   Alcotest.(check int) "one prediction per distinct path" 10
-    (List.length p.Because.Predictive.predictions);
+    (List.length p.Because_baselines.Predictive.predictions);
   Alcotest.(check int) "counts cover every observation" 20
     (List.fold_left
-       (fun acc (pr : Because.Predictive.path_prediction) ->
-         acc + pr.Because.Predictive.n_rfd + pr.Because.Predictive.n_clean)
-       0 p.Because.Predictive.predictions);
+       (fun acc (pr : Because_baselines.Predictive.path_prediction) ->
+         acc + pr.Because_baselines.Predictive.n_rfd + pr.Because_baselines.Predictive.n_clean)
+       0 p.Because_baselines.Predictive.predictions);
   List.iter
-    (fun (pr : Because.Predictive.path_prediction) ->
+    (fun (pr : Because_baselines.Predictive.path_prediction) ->
       Alcotest.(check bool) "probability in [0,1]" true
-        (pr.Because.Predictive.probability >= 0.0
-        && pr.Because.Predictive.probability <= 1.0);
+        (pr.Because_baselines.Predictive.probability >= 0.0
+        && pr.Because_baselines.Predictive.probability <= 1.0);
       (* positive paths predicted above negative ones *)
-      if pr.Because.Predictive.n_rfd > 0 then
+      if pr.Because_baselines.Predictive.n_rfd > 0 then
         Alcotest.(check bool) "positives scored high" true
-          (pr.Because.Predictive.probability > 0.5))
-    p.Because.Predictive.predictions
+          (pr.Because_baselines.Predictive.probability > 0.5))
+    p.Because_baselines.Predictive.predictions
 
 let test_predictive_calibration_bins () =
   let result = run_identifiable () in
-  let p = Because.Predictive.evaluate ~bins:5 result in
+  let p = Because_baselines.Predictive.evaluate ~bins:5 result in
   Alcotest.(check int) "bin count" 5
-    (List.length p.Because.Predictive.calibration);
+    (List.length p.Because_baselines.Predictive.calibration);
   let total =
     List.fold_left
-      (fun acc (b : Because.Predictive.calibration_bin) ->
-        acc + b.Because.Predictive.count)
-      0 p.Because.Predictive.calibration
+      (fun acc (b : Because_baselines.Predictive.calibration_bin) ->
+        acc + b.Because_baselines.Predictive.count)
+      0 p.Because_baselines.Predictive.calibration
   in
   Alcotest.(check int) "bins partition the paths" 20 total
 
@@ -353,7 +353,7 @@ let test_path_probability_bounds () =
   in
   (* draw 1: 1 − 0.25 = 0.75; draw 2: 1 − 0 = 1.0 → mean 0.875 *)
   Alcotest.(check (float 1e-9)) "hand computed" 0.875
-    (Because.Predictive.path_probability data chain 0)
+    (Because_baselines.Predictive.path_probability data chain 0)
 
 (* Collapsing duplicate observations keeps pinpointing and predictive
    scoring per observation.  Both build the result by hand so the chain —
@@ -427,15 +427,15 @@ let test_predictive_per_observation () =
     mean (fun ((_, y) as o) ->
         Float.log (Float.max 1e-9 (if y then prob o else 1.0 -. prob o)))
   in
-  let p = Because.Predictive.evaluate result in
-  Alcotest.(check (float 1e-12)) "Brier" brier p.Because.Predictive.brier;
+  let p = Because_baselines.Predictive.evaluate result in
+  Alcotest.(check (float 1e-12)) "Brier" brier p.Because_baselines.Predictive.brier;
   Alcotest.(check (float 1e-12)) "log score" log_score
-    p.Because.Predictive.log_score;
+    p.Because_baselines.Predictive.log_score;
   Alcotest.(check int) "bins hold every observation" 60
     (List.fold_left
-       (fun acc (b : Because.Predictive.calibration_bin) ->
-         acc + b.Because.Predictive.count)
-       0 p.Because.Predictive.calibration)
+       (fun acc (b : Because_baselines.Predictive.calibration_bin) ->
+         acc + b.Because_baselines.Predictive.count)
+       0 p.Because_baselines.Predictive.calibration)
 
 (* Evaluate. *)
 let test_evaluate_counts () =

@@ -57,8 +57,8 @@ let run_micro_world ~damper_scope =
   Network.run net ~until:campaign_end;
   let vp = Vantage.make ~vp_id:0 ~host_asn:(asn 4) ~project:Because_collector.Project.Isolario in
   let records =
-    Dump.of_network (Rng.create 1) net ~vantages:[ vp ] ~noise:Noise.none
-      ~campaign_end
+    Dump.of_feeds (Rng.create 1) ~feed_of:(Network.feed net)
+      ~vantages:[ vp ] ~noise:Noise.none ~campaign_end ()
   in
   let osc = Option.get (Site.oscillating_prefix site ~interval:60.0) in
   let windows_of p =

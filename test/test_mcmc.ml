@@ -5,7 +5,7 @@ module Target = Because_mcmc.Target
 module Chain = Because_mcmc.Chain
 module Metropolis = Because_mcmc.Metropolis
 module Hmc = Because_mcmc.Hmc
-module Gibbs = Because_mcmc.Gibbs
+module Gibbs = Because_baselines.Gibbs
 module Diagnostics = Because_mcmc.Diagnostics
 
 let close msg expected actual tol =
@@ -180,9 +180,7 @@ let test_chain_ops () =
   let thinned = Chain.thin chain 2 in
   Alcotest.(check int) "thinned" 2 (Chain.length thinned);
   let doubled = Chain.append chain chain in
-  Alcotest.(check int) "appended" 6 (Chain.length doubled);
-  let sums = Chain.map_draws chain (fun d -> d.(0) +. d.(1)) in
-  Alcotest.(check (array (float 0.0))) "map_draws" [| 3.0; 7.0; 11.0 |] sums
+  Alcotest.(check int) "appended" 6 (Chain.length doubled)
 
 let test_chain_concat () =
   let a = Chain.of_samples [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
@@ -353,29 +351,6 @@ let test_chain_builder () =
   | (_ : Chain.Builder.t) -> Alcotest.fail "dim=0 accepted"
   | exception Invalid_argument _ -> ()
 
-(* The coordinate-wise diagnostics over flat chains must agree exactly with
-   the historical array-marginal path — Infer's convergence verdicts may
-   not shift with the storage change. *)
-let test_rhat_coord_matches_arrays () =
-  let rng = Rng.create 811 in
-  let sample_matrix () =
-    Array.init 200 (fun _ ->
-        Array.init 3 (fun _ -> Dist.normal rng ~mu:0.5 ~sigma:0.2))
-  in
-  let m1 = sample_matrix () and m2 = sample_matrix () in
-  let c1 = Chain.of_samples m1 and c2 = Chain.of_samples m2 in
-  for i = 0 to 2 do
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "r_hat coord %d" i)
-      (Diagnostics.r_hat
-         [| Chain.marginal c1 i; Chain.marginal c2 i |])
-      (Diagnostics.r_hat_coord [| c1; c2 |] i);
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "split r_hat coord %d" i)
-      (Diagnostics.split_r_hat (Chain.marginal c1 i))
-      (Diagnostics.split_r_hat_coord c1 i)
-  done
-
 (* The stateful cache protocol: a generic cache built by [Target.cache_at]
    must drive the single-site sampler to the exact same chain as the
    stateless path — the protocol changes bookkeeping, not arithmetic. *)
@@ -530,8 +505,6 @@ let suite =
         test_chain_storage_isolation;
       Alcotest.test_case "chain of_flat" `Quick test_chain_of_flat;
       Alcotest.test_case "chain builder" `Quick test_chain_builder;
-      Alcotest.test_case "coordinate r-hat matches arrays" `Quick
-        test_rhat_coord_matches_arrays;
       Alcotest.test_case "cache protocol preserves the sampler" `Quick
         test_cache_protocol_preserves_sampler;
       Alcotest.test_case "cache_at tracks commits" `Quick

@@ -26,26 +26,26 @@ let test_plateau_mass () =
 
 let test_link_encode_decode () =
   let link = (asn 1021, asn 300) in
-  let node = Sc.Link_tomography.encode link in
+  let node = Because_baselines.Link_tomography.encode link in
   Alcotest.(check bool) "marked as link node" true
-    (Sc.Link_tomography.is_link_node node);
-  let a, b = Sc.Link_tomography.decode node in
+    (Because_baselines.Link_tomography.is_link_node node);
+  let a, b = Because_baselines.Link_tomography.decode node in
   Alcotest.(check (pair int int)) "roundtrip (ordered)" (300, 1021)
     (Asn.to_int a, Asn.to_int b);
   Alcotest.(check bool) "plain ASN is not a link node" false
-    (Sc.Link_tomography.is_link_node (asn 64000));
+    (Because_baselines.Link_tomography.is_link_node (asn 64000));
   Alcotest.(check bool) "oversized endpoint rejected" true
-    (try ignore (Sc.Link_tomography.encode (asn 70000, asn 1)); false
+    (try ignore (Because_baselines.Link_tomography.encode (asn 70000, asn 1)); false
      with Invalid_argument _ -> true)
 
 let test_link_observations () =
   let obs = [ (path [ 1; 2; 3 ], true); (path [ 9 ], false) ] in
-  match Sc.Link_tomography.observations obs with
+  match Because_baselines.Link_tomography.observations obs with
   | [ (links, label) ] ->
       Alcotest.(check bool) "label preserved" true label;
       Alcotest.(check int) "two links" 2 (List.length links);
       Alcotest.(check bool) "all link nodes" true
-        (List.for_all Sc.Link_tomography.is_link_node links)
+        (List.for_all Because_baselines.Link_tomography.is_link_node links)
   | l -> Alcotest.failf "expected one link path, got %d" (List.length l)
 
 let test_median_incidence () =
@@ -54,7 +54,7 @@ let test_median_incidence () =
   in
   (* AS1 on 3 paths, AS2/3/4 on 1 each: median 1. *)
   Alcotest.(check (float 1e-9)) "median" 1.0
-    (Sc.Link_tomography.median_incidence obs)
+    (Because_baselines.Link_tomography.median_incidence obs)
 
 let suite =
   ( "report",

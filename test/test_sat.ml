@@ -1,6 +1,6 @@
 open Because_bgp
-module Solver = Because_sat.Solver
-module Bt = Because_sat.Binary_tomography
+module Solver = Because_baselines.Solver
+module Bt = Because_baselines.Binary_tomography
 
 let asn = Asn.of_int
 let path ints = List.map asn ints
