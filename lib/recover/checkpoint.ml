@@ -7,11 +7,12 @@
      <key>.prev.ck        the other slot
      <slot>.corrupt-N     quarantined slots that failed validation
 
-   A slot is rewritten in place, never truncated or renamed over: either
-   frees disk blocks, and that can wait on the device.  So the envelope
-   (magic | version | key | sequence | payload | CRC-32) is self-delimiting,
-   and stale bytes past its parsed end are ignored.  Version 1 has no
-   sequence field and reads as sequence 0. *)
+   A slot is rewritten in place ({!Io.overwrite}), never opened truncating
+   or renamed over: either frees all its disk blocks, and that can wait on
+   the device.  The envelope (magic | version | key | sequence | payload |
+   CRC-32) is self-delimiting, so a torn slot is detected, and stale bytes
+   past its parsed end (left by writers that did not set the length) are
+   ignored.  Version 1 has no sequence field and reads as sequence 0. *)
 
 let magic = "BCKP"
 

@@ -5,7 +5,8 @@
     fixed slot files, [<key>.ck] and [<key>.prev.ck].  {!save} overwrites,
     in place, the slot that does not hold the newest snapshot, under a
     sequence number one past the newest: no temp file, no rename, no
-    truncation.  The other slot keeps the previous snapshot.
+    truncating open ({!Io.overwrite}).  The other slot keeps the previous
+    snapshot.
 
     Each slot holds a self-delimiting envelope — magic, format version,
     key, sequence number, payload — closed by a CRC-32 of everything before

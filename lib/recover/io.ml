@@ -33,9 +33,10 @@ let faulted file data =
       String.sub data 0 (max 0 (min n (int_of_float (frac *. float n))))
   | None -> data
 
-let output_all oc data =
+let output_all ?(before_close = ignore) oc data =
   try
     output_string oc data;
+    before_close ();
     close_out oc
   with e ->
     close_out_noerr oc;
@@ -51,12 +52,17 @@ let write_file_atomic ~dir ~file data =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
-(* No [Open_trunc]: bytes past the end of [data] keep their old value. *)
+(* No [Open_trunc]: a truncating open waits at close for the old blocks to
+   be freed.  The length is set after the write instead, which frees
+   nothing while the size stays within the file's last block. *)
 let overwrite file data =
   let data = faulted file data in
-  output_all
-    (open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 file)
-    data
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 file in
+  output_all oc data ~before_close:(fun () ->
+      flush oc;
+      try Unix.ftruncate (Unix.descr_of_out_channel oc) (String.length data)
+      with Unix.Unix_error (e, _, _) ->
+        raise (Sys_error (file ^ ": " ^ Unix.error_message e)))
 
 (* Three attempts; only [Sys_error] (what the OS, and [inject], raise for a
    disk fault) is worth waiting out. *)

@@ -45,14 +45,25 @@ val faults_injected : unit -> int
 val write_file_atomic : dir:string -> file:string -> string -> unit
 (** Write [data] to a temp file in [dir] and rename it to [file].
     A crash (or injected fault) mid-write never destroys an existing
-    [file]; on error the temp file is removed.  Raises [Sys_error]. *)
+    [file]; on error the temp file is removed.  Raises [Sys_error].
+
+    The rename over an existing file waits for the old file's blocks to
+    be freed, tens of milliseconds on a journalling filesystem, so only
+    files that outside tools read live use it: the service's
+    [status.json] and [metrics.prom] and the checkpoint [MANIFEST].
+    Reports and checkpoint slots use {!overwrite}. *)
 
 val overwrite : string -> string -> unit
 (** [overwrite file data] writes [data] over [file] from offset 0, in
-    place: no temp file, no truncation, no rename; [file] is created if
-    missing.  Bytes past the end of [data] keep their old value, so the
-    reader must know where its data ends.  A short write lands a torn
-    prefix over the old bytes.  Raises [Sys_error]. *)
+    place: no temp file, no rename, no truncating open; [file] is created
+    if missing.  The length is then set to that of [data] ([ftruncate]),
+    so [file] holds exactly [data]; this frees no disk blocks while the
+    size stays within the file's last block.  A crash mid-write leaves
+    old and new bytes mixed, so the reader must validate what it reads
+    (checkpoint envelopes carry a CRC; reports are rebuilt at load).
+    {!Enospc} and {!Rename_fail} raise before anything is written; a
+    {!Short_write} leaves [file] holding exactly the torn prefix.  Raises
+    [Sys_error], a failing [ftruncate] included. *)
 
 val retry : (unit -> 'a) -> 'a
 (** [retry f] runs [f] up to 3 times, waiting 2 ms and then 4 ms between

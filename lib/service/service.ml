@@ -72,6 +72,11 @@ type t = {
       (* Bumped on every observable store/queue mutation; the HTTP query
          plane renders each document at most once per generation and
          serves the cached bytes lock-free in between. *)
+  mutable last_status : string option;
+  mutable last_metrics : string option;
+      (* The bytes [write_status] last wrote to each status file, so an
+         unchanged document is not rewritten.  Touched only by the one
+         thread that writes status files (the serve loop, then [join]). *)
 }
 
 (* ---------------------------------------------------------------- paths *)
@@ -86,13 +91,6 @@ let report_path t ~id =
 
 let status_path t = Filename.concat t.cfg.state_dir "status.json"
 let metrics_path t = Filename.concat t.cfg.state_dir "metrics.prom"
-
-(* Reports and status documents ride the same injectable I/O shim and
-   retry as checkpoints: a transient disk fault costs a short wait, not a
-   missing report. *)
-let atomic_write path content =
-  Io.retry (fun () ->
-      Io.write_file_atomic ~dir:(Filename.dirname path) ~file:path content)
 
 (* ------------------------------------------------------- queue snapshot *)
 
@@ -202,9 +200,13 @@ let decode_queue payload =
 
 let persist_queue t = Checkpoint.save t.qstore ~key:queue_key (encode_queue t)
 
+(* Reports are rewritten in place: no reader watches the file (the HTTP
+   route renders from memory), and the queue snapshot, written after it,
+   is the durable record a torn report is rebuilt from at load. *)
 let write_report t (entry : Store.entry) =
-  atomic_write (report_path t ~id:entry.Store.spec.Spec.id)
-    (Store.report entry)
+  let path = report_path t ~id:entry.Store.spec.Spec.id in
+  let report = Store.report entry in
+  Io.retry (fun () -> Io.overwrite path report)
 
 let note t msg = t.notes <- msg :: t.notes
 
@@ -248,7 +250,7 @@ let make cfg =
       stop_idle = false; drain_requested = false; killed = false;
       kill_count = Atomic.make 0; kill_tripped = Atomic.make false;
       kill_switch = Atomic.make None; notes = []; m;
-      generation = Atomic.make 0 }
+      generation = Atomic.make 0; last_status = None; last_metrics = None }
   in
   (match cfg.kill_after_saves with
   | None -> ()
@@ -273,6 +275,20 @@ let create cfg =
   (try Sys.remove (status_path t) with Sys_error _ -> ());
   (try Sys.remove (metrics_path t) with Sys_error _ -> ());
   t
+
+let read_file path =
+  try Some (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error _ -> None
+
+(* Reports are pure functions of the stored result, so one that is
+   missing, unreadable, torn by a crash mid-write or stale is rebuilt
+   rather than mourned.  A rebuild that still fails is a warning: the
+   HTTP route serves the report from memory either way. *)
+let repair_report t (entry : Store.entry) =
+  let id = entry.Store.spec.Spec.id in
+  if read_file (report_path t ~id) <> Some (Store.report entry) then
+    try write_report t entry
+    with Sys_error e -> note t (id ^ ": report not rebuilt: " ^ e)
 
 let load cfg =
   let t = make cfg in
@@ -299,10 +315,7 @@ let load cfg =
               match d.d_done with
               | Some status ->
                   entry.Store.health <- Store.Done status;
-                  (* Reports are pure functions of the stored result, so a
-                     missing one is re-materialized rather than mourned. *)
-                  if not (Sys.file_exists (report_path t ~id:d.d_spec.Spec.id))
-                  then write_report t entry
+                  repair_report t entry
               | None -> entry.Store.health <- Store.Interrupted)
             decoded));
   t
@@ -608,7 +621,17 @@ let rollup t =
   Mutex.unlock t.mutex;
   r
 
-let write_status t =
+(* Write the status document [data] to [path] unless [last], what the
+   last write left there, equals it and not [force]; returns what the file
+   now holds.  Outside tools read status documents live, so they are
+   replaced by rename, under the same retry as every durable write. *)
+let write_changed ~force last path data =
+  if force || last <> Some data then
+    Io.retry (fun () ->
+        Io.write_file_atomic ~dir:(Filename.dirname path) ~file:path data);
+  Some data
+
+let write_status_files t ~force =
   Mutex.lock t.mutex;
   let json =
     Store.to_json t.store ~draining:t.drain_requested ~limit:t.cfg.limit
@@ -622,8 +645,14 @@ let write_status t =
     else None
   in
   Mutex.unlock t.mutex;
-  atomic_write (status_path t) json;
-  Option.iter (atomic_write (metrics_path t)) prom
+  t.last_status <- write_changed ~force t.last_status (status_path t) json;
+  Option.iter
+    (fun prom ->
+      t.last_metrics <-
+        write_changed ~force t.last_metrics (metrics_path t) prom)
+    prom
+
+let write_status t = write_status_files t ~force:false
 
 (* ------------------------------------------------- query-plane snapshots *)
 
@@ -699,7 +728,7 @@ let join t =
     else if draining t then Drained
     else Completed
   in
-  write_status t;
+  write_status_files t ~force:true;
   verdict
 
 let run_until_idle t =

@@ -24,7 +24,9 @@
     the same state directory resumes every interrupted campaign and
     completes it bit-for-bit identical to an uninterrupted run, reports
     included.  Completed campaigns are never re-run: their results ride in
-    the durable queue snapshot and their reports stay on disk. *)
+    the durable queue snapshot.  Reports are rewritten in place, not
+    replaced by rename, so a crash can tear one; {!load} rebuilds it from
+    the snapshot. *)
 
 type config = {
   state_dir : string;  (** Root of all durable state. *)
@@ -72,7 +74,9 @@ val create : config -> t
 
 val load : config -> t
 (** Warm start: restore the durable queue — completed campaigns keep
-    their results (reports re-materialized if missing), pending and
+    their results (a report that is missing, unreadable or differs from
+    {!Store.report} of its entry is rewritten; one that cannot be is a
+    warning), pending and
     interrupted ones are requeued for (resumed) execution; a requeued
     streaming epoch keeps the previous epoch's estimates to warm-start
     from.  A corrupt or
@@ -184,7 +188,9 @@ val warnings : t -> string list
 
 val write_status : t -> unit
 (** Atomically (re)write [status.json] (see {!Store.to_json}) and — when
-    telemetry is enabled — [metrics.prom] under [state_dir]. *)
+    telemetry is enabled — [metrics.prom] under [state_dir], each only if
+    its bytes differ from what this service last wrote there ({!join}
+    always writes both). *)
 
 val report_path : t -> id:string -> string
 val status_path : t -> string

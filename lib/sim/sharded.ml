@@ -39,24 +39,28 @@ type checkpoint_hooks = {
 (* Merge one vantage's per-shard entries.  Entries of a given prefix all
    live in one shard, in their sequential relative order; the cross-prefix
    interleave is reconstructed by time with the prefix's first-touch rank
-   breaking ties — exactly the sequential heap's FIFO order for the
-   lineage-aligned cascades that produce cross-prefix time ties. *)
-let merge_entries rank_of entries =
-  List.stable_sort
-    (fun (ta, ua) (tb, ub) ->
-      match Float.compare ta tb with
-      | 0 ->
-          Int.compare (rank_of (Update.prefix ua)) (rank_of (Update.prefix ub))
-      | c -> c)
-    entries
+   breaking ties.  A stable sort on that key keeps each prefix's own order,
+   so every shard count, one included, gives the same feed. *)
+let entry_order rank_of (ta, ua) (tb, ub) =
+  match Float.compare ta tb with
+  | 0 -> Int.compare (rank_of (Update.prefix ua)) (rank_of (Update.prefix ub))
+  | c -> c
+
+let rec ordered cmp = function
+  | a :: (b :: _ as rest) -> cmp a b <= 0 && ordered cmp rest
+  | [] | [ _ ] -> true
 
 let feed result asn =
+  let order = entry_order result.rank_of in
   match result.stores with
-  | [| store |] -> store_feed store asn  (* already sequential order *)
+  | [| store |] ->
+      (* One shard: recording order, which a fault can leave with two
+         prefixes out of rank order at one instant.  Sort only then. *)
+      let entries = store_feed store asn in
+      if ordered order entries then entries else List.stable_sort order entries
   | stores ->
-      merge_entries result.rank_of
-        (List.concat_map
-           (fun store -> store_feed store asn)
+      List.stable_sort order
+        (List.concat_map (fun store -> store_feed store asn)
            (Array.to_list stores))
 
 let feeds result =

@@ -48,8 +48,10 @@ type result = {
 
 val feed : result -> Asn.t -> (float * Update.t) list
 (** Chronological observations of one vantage, merged across shards on
-    demand (stable sort on time, cross-prefix ties by first-touch rank) —
-    identical to the sequential network's feed. *)
+    demand: a stable sort on time, cross-prefix ties by first-touch rank,
+    each prefix's own entries in their recorded order.  The same for every
+    shard count; a single shard's recorded feed is returned as is when it
+    is already in that order (a linear check), and sorted otherwise. *)
 
 val feeds : result -> (Asn.t * (float * Update.t) list) list
 (** Every monitored vantage's merged feed, ascending ASN. *)

@@ -102,6 +102,59 @@ let test_io_real_rename_failure () =
   Alcotest.(check (list string)) "no temp file left" [ "taken" ]
     (Sys.readdir dir |> Array.to_list)
 
+(* In place, the file ends where the payload does: a shorter payload over
+   a longer file leaves no stale tail, a short write leaves exactly the
+   torn prefix, and the faults that fail before writing leave the file
+   alone. *)
+let test_io_overwrite_exact_length () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let file = Filename.concat dir "slot" in
+  Io.overwrite file "0123456789";
+  Alcotest.(check string) "fresh file" "0123456789" (read_file file);
+  Io.overwrite file "abc";
+  Alcotest.(check string) "shorter payload, no stale tail" "abc"
+    (read_file file);
+  Io.overwrite file "ABCDEFGHIJKLMNOP";
+  Alcotest.(check string) "longer payload" "ABCDEFGHIJKLMNOP"
+    (read_file file);
+  Io.with_faults (fun _ -> Some (Io.Short_write 0.5)) (fun () ->
+      Io.overwrite file "0123456789");
+  Alcotest.(check string) "short write leaves the torn prefix" "01234"
+    (read_file file);
+  List.iter
+    (fun fault ->
+      match
+        Io.with_faults (fun _ -> Some fault) (fun () ->
+            Io.overwrite file "replacement")
+      with
+      | () -> Alcotest.fail "expected Sys_error"
+      | exception Sys_error _ -> ())
+    [ Io.Enospc; Io.Rename_fail ];
+  Alcotest.(check string) "failed writes leave the file alone" "01234"
+    (read_file file)
+
+(* Every failure of an in-place write is a [Sys_error], so [Io.retry]
+   covers it: a directory in the way (the open fails) and a device that
+   cannot be truncated (the length cannot be set). *)
+let test_io_overwrite_errors_are_sys_errors () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let taken = Filename.concat dir "taken" in
+  Unix.mkdir taken 0o755;
+  List.iter
+    (fun path ->
+      let calls = ref 0 in
+      (match
+         Io.retry (fun () ->
+             incr calls;
+             Io.overwrite path "data")
+       with
+      | () -> Alcotest.failf "%s: expected Sys_error" path
+      | exception Sys_error _ -> ());
+      Alcotest.(check int) (path ^ ": retried") 3 !calls)
+    [ taken; "/dev/null" ]
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store under disk faults                                   *)
 
@@ -166,6 +219,10 @@ let suite =
       Alcotest.test_case "retry budget + retryable filter" `Quick
         test_retry_budget;
       Alcotest.test_case "io fault shim" `Quick test_io_faults;
+      Alcotest.test_case "io overwrite leaves exactly the payload" `Quick
+        test_io_overwrite_exact_length;
+      Alcotest.test_case "io overwrite errors are Sys_error" `Quick
+        test_io_overwrite_errors_are_sys_errors;
       Alcotest.test_case "io failed rename leaves no temp file" `Quick
         test_io_real_rename_failure;
       Alcotest.test_case "checkpoint writes retried under faults" `Quick

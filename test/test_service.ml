@@ -642,6 +642,83 @@ let qcheck_service_load_survives_mutation =
         [ queue_v1; queue_v2 ])
 
 (* ------------------------------------------------------------------ *)
+(* Reports are rewritten in place and rebuilt at load                   *)
+
+(* What a crash in mid-write, or a stray writer, can leave of a report:
+   cut short, junk appended, one byte changed, or no file at all. *)
+let report_damages =
+  let write path data =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc data)
+  in
+  [ ("truncated", fun path ->
+        let r = read_file path in
+        write path (String.sub r 0 (String.length r / 2)));
+    ("junk appended", fun path ->
+        Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+          (fun oc -> Out_channel.output_string oc "\x00junk\n"));
+    ("one byte changed", fun path ->
+        let r = Bytes.of_string (read_file path) in
+        Bytes.set r 0 (if Bytes.get r 0 = 'x' then 'y' else 'x');
+        write path (Bytes.to_string r));
+    ("missing", Sys.remove) ]
+
+(* Damage the report of [id] each way in turn; every [load] must rebuild
+   it byte for byte as [reference]. *)
+let check_load_repairs ~load ~report_path reference =
+  List.iter
+    (fun (what, damage) ->
+      damage report_path;
+      ignore (load ());
+      Alcotest.(check string) (what ^ ": report rebuilt") reference
+        (read_file report_path))
+    report_damages
+
+let test_load_repairs_campaign_report () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let svc = Service.create (cfg ~dir ()) in
+  submit_ok svc (tiny_spec "solo");
+  (match Service.run_until_idle svc with
+  | Service.Completed -> ()
+  | _ -> Alcotest.fail "did not complete");
+  let report_path = Service.report_path svc ~id:"solo" in
+  check_load_repairs
+    ~load:(fun () -> Service.load (cfg ~dir ()))
+    ~report_path (read_file report_path)
+
+(* The serve loop writes the status files every poll: an unchanged
+   document is not rewritten, but [join] always writes. *)
+let test_write_status_skips_unchanged () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let svc =
+    Service.create
+      { (cfg ~dir ()) with
+        Service.telemetry = Because_telemetry.Registry.create () }
+  in
+  submit_ok svc (tiny_spec "solo");
+  let writes = ref [] in
+  let count f =
+    Because_recover.Io.with_faults
+      (fun op ->
+        (match op with
+        | Because_recover.Io.Write p -> writes := Filename.basename p :: !writes
+        | Because_recover.Io.Rename _ -> ());
+        None)
+      f;
+    let w = List.sort compare !writes in
+    writes := [];
+    w
+  in
+  Alcotest.(check (list string)) "two calls, one write per file"
+    [ "metrics.prom"; "status.json" ]
+    (count (fun () ->
+         Service.write_status svc;
+         Service.write_status svc));
+  Alcotest.(check (list string)) "join writes even unchanged files"
+    [ "metrics.prom"; "status.json" ]
+    (count (fun () -> ignore (Service.join svc)))
 
 let suite =
   ( "service",
@@ -673,4 +750,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_decoders_only_malformed;
       QCheck_alcotest.to_alcotest qcheck_spec_line_mutants;
       QCheck_alcotest.to_alcotest qcheck_service_load_survives_mutation;
+      Alcotest.test_case "load rebuilds a damaged campaign report" `Quick
+        test_load_repairs_campaign_report;
+      Alcotest.test_case "unchanged status files are not rewritten" `Quick
+        test_write_status_skips_unchanged;
     ] )

@@ -546,6 +546,20 @@ let test_corrupt_queue_resumes_requeued_epoch () =
   check_epoch_result "from the fallback" uninterrupted
     (epoch_result resumed "stream1")
 
+(* A streaming epoch's report is rewritten in place: a warm start
+   rebuilds a damaged one byte for byte from the queue snapshot. *)
+let test_load_repairs_stream_report () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let spec = stream_spec ~obs:(Filename.concat dir "paths.obs") "stream1" in
+  let svc = after_epoch1 ~dir spec in
+  ignore (submit_ok svc spec);
+  run_completed svc "epoch 2";
+  let report_path = Service.report_path svc ~id:"stream1" in
+  Test_service.check_load_repairs
+    ~load:(fun () -> Service.load (Service.default_config ~state_dir:dir))
+    ~report_path (read_file report_path)
+
 (* An epoch whose predecessor left no estimates (here: the spool did not
    exist yet) runs cold, under its own epoch number. *)
 let test_epoch_after_empty_runs_cold () =
@@ -857,4 +871,6 @@ let suite =
         test_json_validator_sanity;
       QCheck_alcotest.to_alcotest qcheck_to_json_valid;
       QCheck_alcotest.to_alcotest qcheck_json_escape_roundtrip;
+      Alcotest.test_case "load rebuilds a damaged epoch report" `Quick
+        test_load_repairs_stream_report;
     ] )
