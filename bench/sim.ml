@@ -65,7 +65,8 @@ let hot_steps () =
     Array.init 64 (fun k -> Prefix.beacon ~site:(k / 4) ~slot:(k mod 4))
   in
   List.init n_hot_updates (fun i ->
-      let from = neighbors.(Rng.int rng (Array.length neighbors)) in
+      let slot = Rng.int rng (Array.length neighbors) in
+      let from = neighbors.(slot) in
       let prefix = prefixes.(Rng.int rng (Array.length prefixes)) in
       let now = float_of_int i *. 0.5 in
       let update =
@@ -81,7 +82,7 @@ let hot_steps () =
             }
         else Update.Withdraw { prefix }
       in
-      (now, from, update))
+      (now, slot, update))
 
 let hot_relationship i =
   (* A mix of customers, peers and providers so export policy is exercised. *)
@@ -109,7 +110,7 @@ let router_test ~name =
     (Bechamel.Staged.stage (fun () ->
          let r = Router.create router_config in
          List.iter
-           (fun (now, from, u) -> ignore (Router.handle_update r ~now ~from u))
+           (fun (now, slot, u) -> ignore (Router.handle_update r ~now ~slot u))
            steps))
 
 type row =

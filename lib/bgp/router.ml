@@ -21,9 +21,9 @@ type best =
     }
 
 type action =
-  | Send of { to_asn : Asn.t; update : Update.t }
-  | Set_reuse_timer of { neighbor : Asn.t; prefix : Prefix.t; at : float }
-  | Set_mrai_timer of { neighbor : Asn.t; prefix : Prefix.t; at : float }
+  | Send of { slot : int; update : Update.t }
+  | Set_reuse_timer of { slot : int; prefix : Prefix.t; at : float }
+  | Set_mrai_timer of { slot : int; prefix : Prefix.t; at : float }
   | Feed of Update.t
 
 type rib_in_entry = {
@@ -198,7 +198,7 @@ let table_sizes t =
     loc_rib_entries = sum (fun row -> if row.best == no_route then 0 else 1);
   }
 
-let index_exn t asn_ =
+let slot t asn_ =
   match Atbl.find t.index_of asn_ with
   | i -> i
   | exception Not_found ->
@@ -206,15 +206,14 @@ let index_exn t asn_ =
         (Printf.sprintf "Router %s: %s is not a neighbor"
            (Asn.to_string t.cfg.asn) (Asn.to_string asn_))
 
-let find_rfd t ~neighbor ~prefix =
-  match (Atbl.find t.index_of neighbor, Ptbl.find t.rows prefix) with
+let find_rfd t ~slot ~prefix =
+  match Ptbl.find t.rows prefix with
   | exception Not_found -> None
-  | i, row ->
-      if (not t.damping) || row.rfd.(i) == no_rfd then None
-      else Some (row, row.rfd.(i))
+  | row ->
+      if (not t.damping) || row.rfd.(slot) == no_rfd then None
+      else Some (row, row.rfd.(slot))
 
-let rfd_state t ~neighbor ~prefix =
-  Option.map snd (find_rfd t ~neighbor ~prefix)
+let rfd_state t ~slot ~prefix = Option.map snd (find_rfd t ~slot ~prefix)
 
 let rfd_state_ensure t row i =
   let s = row.rfd.(i) in
@@ -358,7 +357,7 @@ let sync_neighbor t ~now row i ~export ~withdraw acc =
     else begin
       (* Withdrawals bypass MRAI (RFC 4271 §9.2.1.1). *)
       row.adj_out.(i) <- withdraw;
-      Send { to_asn = ns.nb.neighbor_asn; update = withdraw } :: acc
+      Send { slot = i; update = withdraw } :: acc
     end
   end
   else if Update.equal previously export then acc
@@ -367,13 +366,12 @@ let sync_neighbor t ~now row i ~export ~withdraw acc =
     if ns.nb.mrai <= 0.0 || now >= ms.gate_until then begin
       ms.gate_until <- now +. ns.nb.mrai;
       row.adj_out.(i) <- export;
-      Send { to_asn = ns.nb.neighbor_asn; update = export } :: acc
+      Send { slot = i; update = export } :: acc
     end
     else if ms.pending then acc
     else begin
       ms.pending <- true;
-      let neighbor = ns.nb.neighbor_asn in
-      Set_mrai_timer { neighbor; prefix = row.prefix; at = ms.gate_until }
+      Set_mrai_timer { slot = i; prefix = row.prefix; at = ms.gate_until }
       :: acc
     end
   end
@@ -434,8 +432,7 @@ let classify_rfd_event existing path aggregator =
       then None (* exact duplicate *)
       else Some Rfd.Attribute_change
 
-let handle_update t ~now ~from update =
-  let i = index_exn t from in
+let handle_update t ~now ~slot:i update =
   (* Loop prevention: an announcement containing our own ASN is rejected,
      which for RIB purposes equals a withdrawal of that session's route.
      The same walk interns the path, pre-computing the length and hash
@@ -461,7 +458,7 @@ let handle_update t ~now ~from update =
             t.stats.rfd_suppressions <- t.stats.rfd_suppressions + 1;
             match Rfd.reuse_eta state ~now with
             | Some at ->
-                [ Set_reuse_timer { neighbor = from; prefix = row.prefix; at } ]
+                [ Set_reuse_timer { slot = i; prefix = row.prefix; at } ]
             | None -> []
           end
   in
@@ -481,14 +478,14 @@ let withdraw_origin t ~now prefix =
   row.origin <- no_route;
   reconsider t ~now row
 
-let handle_reuse_check t ~now ~neighbor ~prefix =
-  match find_rfd t ~neighbor ~prefix with
+let handle_reuse_check t ~now ~slot ~prefix =
+  match find_rfd t ~slot ~prefix with
   | None -> []
   | Some (row, state) ->
       if Rfd.suppressed state ~now then begin
         (* Penalty grew since the timer was set: re-arm. *)
         match Rfd.reuse_eta state ~now with
-        | Some at when at > now -> [ Set_reuse_timer { neighbor; prefix; at } ]
+        | Some at when at > now -> [ Set_reuse_timer { slot; prefix; at } ]
         | Some _ | None -> []
       end
       else begin
@@ -498,8 +495,7 @@ let handle_reuse_check t ~now ~neighbor ~prefix =
 
 let by_prefix a b = Prefix.compare a.prefix b.prefix
 
-let handle_session_down t ~now ~neighbor =
-  let i = index_exn t neighbor in
+let handle_session_down t ~now ~slot:i =
   (* Routes learned on the session are gone: clear its adj-RIB-in slot,
      and forget what we advertised over it together with its MRAI state —
      a re-established session starts from an empty adj-RIB-out. *)
@@ -519,8 +515,7 @@ let handle_session_down t ~now ~neighbor =
      downstream. *)
   List.concat_map (reconsider t ~now) affected
 
-let handle_session_up t ~now ~neighbor =
-  let i = index_exn t neighbor in
+let handle_session_up t ~now ~slot:i =
   (* The peer's RIB is empty after the reset: re-advertise the current
      loc-RIB from scratch, subject to the usual export policy. *)
   let routed =
@@ -536,8 +531,7 @@ let handle_session_up t ~now ~neighbor =
       sync_one t ~now row i)
     routed
 
-let handle_mrai_expiry t ~now ~neighbor ~prefix =
-  let i = index_exn t neighbor in
+let handle_mrai_expiry t ~now ~slot:i ~prefix =
   let row = row_of t prefix in
   let ms = mrai_state_of row i in
   ms.pending <- false;

@@ -20,7 +20,17 @@
     perform — message deliveries, timer requests, and full-feed observations
     for an attached vantage point.  Only a router created as monitored
     emits {!Feed} actions (and records the per-prefix last observation
-    that de-duplicates them). *)
+    that de-duplicates them).
+
+    {2 Slot addressing}
+
+    A neighbor session is named by its {e slot}: its index in
+    [config.neighbors], from [0].  Entry points take the slot of the
+    session an event concerns and actions name the slot they are for, so
+    the event path never looks a neighbor up by ASN.  {!slot} is the one
+    ASN-to-slot lookup, for callers that start from an ASN (tests, the
+    session layer); {!Because_sim.Network} resolves every slot once, when
+    it wires the routers together. *)
 
 type neighbor = {
   neighbor_asn : Asn.t;
@@ -47,11 +57,11 @@ type best =
     }
 
 type action =
-  | Send of { to_asn : Asn.t; update : Update.t }
-      (** Deliver [update] over the session to [to_asn]. *)
-  | Set_reuse_timer of { neighbor : Asn.t; prefix : Prefix.t; at : float }
+  | Send of { slot : int; update : Update.t }
+      (** Deliver [update] over the session in [slot]. *)
+  | Set_reuse_timer of { slot : int; prefix : Prefix.t; at : float }
       (** Ask to be called back via {!handle_reuse_check} at time [at]. *)
-  | Set_mrai_timer of { neighbor : Asn.t; prefix : Prefix.t; at : float }
+  | Set_mrai_timer of { slot : int; prefix : Prefix.t; at : float }
       (** Ask to be called back via {!handle_mrai_expiry} at time [at]. *)
   | Feed of Update.t
       (** What a full-feed customer session (a route-collector vantage point)
@@ -84,6 +94,10 @@ val create : ?monitored:bool -> config -> t
 val asn : t -> Asn.t
 val config : t -> config
 
+val slot : t -> Asn.t -> int
+(** The slot of the session to a neighbor.  Raises [Invalid_argument] if
+    the AS is not a configured neighbor. *)
+
 val stats : t -> stats
 (** Always-on RFD transition tallies (shared mutable record; read after the
     run, or copy). *)
@@ -93,9 +107,8 @@ val table_sizes : t -> table_sizes
     the loc-RIB — the telemetry memory gauges.  Walks every prefix row; call
     at snapshot time, not per event. *)
 
-val handle_update : t -> now:float -> from:Asn.t -> Update.t -> action list
-(** Process one update received from a configured neighbor.  Raises
-    [Invalid_argument] if [from] is not a neighbor. *)
+val handle_update : t -> now:float -> slot:int -> Update.t -> action list
+(** Process one update received over the session in [slot]. *)
 
 val originate :
   t -> now:float -> ?aggregator:Update.aggregator -> Prefix.t -> action list
@@ -105,34 +118,32 @@ val originate :
 val withdraw_origin : t -> now:float -> Prefix.t -> action list
 
 val handle_reuse_check :
-  t -> now:float -> neighbor:Asn.t -> prefix:Prefix.t -> action list
+  t -> now:float -> slot:int -> prefix:Prefix.t -> action list
 (** Fired by a [Set_reuse_timer] request: releases the session's route if the
     penalty has decayed below the reuse threshold (re-advertising downstream),
     otherwise re-arms the timer. *)
 
 val handle_mrai_expiry :
-  t -> now:float -> neighbor:Asn.t -> prefix:Prefix.t -> action list
+  t -> now:float -> slot:int -> prefix:Prefix.t -> action list
 (** Fired by a [Set_mrai_timer] request: flushes a pending announcement. *)
 
-val handle_session_down : t -> now:float -> neighbor:Asn.t -> action list
-(** The BGP session to [neighbor] dropped ({!Because_bgp.Session}'s
+val handle_session_down : t -> now:float -> slot:int -> action list
+(** The BGP session in [slot] dropped ({!Because_bgp.Session}'s
     [Session_down]): every route learned on it is removed from the
     adj-RIB-in, the adj-RIB-out and MRAI state towards the neighbor are
     cleared, and each affected prefix is re-decided — producing the
     downstream withdrawals and failover announcements of path
-    re-exploration.  Raises [Invalid_argument] if [neighbor] is not
-    configured. *)
+    re-exploration. *)
 
-val handle_session_up : t -> now:float -> neighbor:Asn.t -> action list
-(** The session to [neighbor] (re-)established ([Session_up]): the current
+val handle_session_up : t -> now:float -> slot:int -> action list
+(** The session in [slot] (re-)established ([Session_up]): the current
     loc-RIB is re-advertised from an empty adj-RIB-out, subject to the usual
-    export policy.  Raises [Invalid_argument] if [neighbor] is not
-    configured. *)
+    export policy. *)
 
 val best_route : t -> Prefix.t -> best option
 (** Current loc-RIB entry. *)
 
-val rfd_state : t -> neighbor:Asn.t -> prefix:Prefix.t -> Rfd.t option
+val rfd_state : t -> slot:int -> prefix:Prefix.t -> Rfd.t option
 (** The damping state of a session, if RFD applies and the session has seen
     updates.  Exposed for tests and the Fig. 2 reproduction. *)
 

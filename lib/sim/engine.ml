@@ -6,23 +6,19 @@ type 'a t = {
   heap : 'a Heap.t;
   clock : clock;
   mutable processed : int;
-  mutable max_pending : int;
 }
 
 let create () =
-  { heap = Heap.create (); clock = { time = 0.0 }; processed = 0;
-    max_pending = 0 }
+  { heap = Heap.create (); clock = { time = 0.0 }; processed = 0 }
 
 let now t = t.clock.time
 
 let schedule t ~time payload =
-  Heap.push t.heap ~time:(Float.max time t.clock.time) payload;
-  let depth = Heap.size t.heap in
-  if depth > t.max_pending then t.max_pending <- depth
+  Heap.push t.heap ~time:(Float.max time t.clock.time) payload
 
 let pending t = Heap.size t.heap
 let processed t = t.processed
-let max_pending t = t.max_pending
+let max_pending t = Heap.capacity t.heap
 
 (* The caller has checked the queue is non-empty. *)
 let dispatch t ~handler =

@@ -22,28 +22,6 @@
 
 open Because_bgp
 
-type timer_kind = Hold | Keepalive | Connect_retry
-
-type event =
-  | Deliver of { from_asn : Asn.t; to_asn : Asn.t; update : Update.t }
-  | Reuse_check of { owner : Asn.t; neighbor : Asn.t; prefix : Prefix.t }
-  | Mrai_expiry of { owner : Asn.t; neighbor : Asn.t; prefix : Prefix.t }
-  | Announce_origin of { origin : Asn.t; prefix : Prefix.t }
-      (** Beacon announcement: stamped with an aggregator carrying the send
-          time. *)
-  | Withdraw_origin of { origin : Asn.t; prefix : Prefix.t }
-  | Link_fault of { a : Asn.t; b : Asn.t; up : bool }
-      (** Fault start/stop: the physical link between [a] and [b] goes down
-          ([up = false]) or comes back ([up = true]). *)
-  | Session_reset of { a : Asn.t; b : Asn.t }
-      (** Transport reset with the link staying up: both endpoints tear down
-          and immediately re-establish. *)
-  | Fsm_deliver of { owner : Asn.t; peer : Asn.t; fsm_event : Session.event }
-      (** Session-layer message/transport event for [owner]'s FSM. *)
-  | Fsm_timer of { owner : Asn.t; peer : Asn.t; kind : timer_kind; gen : int }
-      (** Session timer expiry; stale unless [gen] matches the side's
-          current generation. *)
-
 (** What the fault layer did, for the campaign's outcome record. *)
 type fault_event =
   | Fault_link_down of { a : Asn.t; b : Asn.t }
@@ -75,7 +53,10 @@ val create :
   monitored:Asn.Set.t ->
   unit ->
   t
-(** [delay] gives the one-way propagation delay of each directed session;
+(** [delay] gives the one-way propagation delay of each directed session.
+    It is read once per directed link, here, into the per-router slot
+    tables the event loop reads (each neighbor's router id, our slot at
+    that neighbor, the delay), so it must be a pure function of the link.
     [monitored] lists the ASs hosting a full-feed vantage-point session.
     [fault_seed] (default 0) keys the loss/duplication draws on impaired
     sessions: each is a pure function of the seed, the directed link, the

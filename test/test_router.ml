@@ -16,10 +16,17 @@ let announce ?(path = [ 1 ]) ?agg () =
 
 let withdraw = Update.Withdraw { prefix }
 
-let sends actions =
+(* The slot of [r]'s session to AS [n]. *)
+let from r n = Router.slot r (asn n)
+
+(* Sends as (receiving ASN, update): slot [i] is the [i]-th configured
+   neighbor. *)
+let sends r actions =
+  let nbs = Array.of_list (Router.config r).Router.neighbors in
   List.filter_map
     (function
-      | Router.Send { to_asn; update } -> Some (Asn.to_int to_asn, update)
+      | Router.Send { slot; update } ->
+          Some (Asn.to_int nbs.(slot).Router.neighbor_asn, update)
       | Router.Set_reuse_timer _ | Router.Set_mrai_timer _ | Router.Feed _ ->
           None)
     actions
@@ -29,11 +36,11 @@ let feeds actions =
     (function Router.Feed u -> Some u | _ -> None)
     actions
 
-let send_paths actions =
+let send_paths r actions =
   List.map
     (fun (to_, u) ->
       (to_, Option.map (List.map Asn.to_int) (Update.as_path u)))
-    (sends actions)
+    (sends r actions)
 
 let test_propagation () =
   (* Router 2 with customer 1 (origin side) and provider 3. *)
@@ -41,11 +48,11 @@ let test_propagation () =
     Router.create
       (config 2 [ neighbor 1 Policy.Customer; neighbor 3 Policy.Provider ])
   in
-  let actions = Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ()) in
+  let actions = Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ()) in
   Alcotest.(check (list (pair int (option (list int)))))
     "customer route exported to provider with self prepended"
     [ (3, Some [ 2; 1 ]) ]
-    (send_paths actions);
+    (send_paths r actions);
   Alcotest.(check int) "feed emitted" 1 (List.length (feeds actions));
   match Router.best_route r prefix with
   | Some (Router.Via v) ->
@@ -57,9 +64,9 @@ let test_withdrawal_propagates () =
     Router.create
       (config 2 [ neighbor 1 Policy.Customer; neighbor 3 Policy.Provider ])
   in
-  ignore (Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ()));
-  let actions = Router.handle_update r ~now:1.0 ~from:(asn 1) withdraw in
-  (match sends actions with
+  ignore (Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ()));
+  let actions = Router.handle_update r ~now:1.0 ~slot:(from r 1) withdraw in
+  (match sends r actions with
   | [ (3, Update.Withdraw _) ] -> ()
   | _ -> Alcotest.fail "expected withdrawal to 3");
   Alcotest.(check (option reject)) "loc-rib empty"
@@ -68,8 +75,8 @@ let test_withdrawal_propagates () =
 
 let test_spurious_withdrawal_silent () =
   let r = Router.create (config 2 [ neighbor 1 Policy.Customer ]) in
-  let actions = Router.handle_update r ~now:0.0 ~from:(asn 1) withdraw in
-  Alcotest.(check int) "nothing sent" 0 (List.length (sends actions))
+  let actions = Router.handle_update r ~now:0.0 ~slot:(from r 1) withdraw in
+  Alcotest.(check int) "nothing sent" 0 (List.length (sends r actions))
 
 let test_decision_prefers_customer () =
   let r =
@@ -79,9 +86,9 @@ let test_decision_prefers_customer () =
            neighbor 6 Policy.Customer ])
   in
   ignore
-    (Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ~path:[ 1; 9 ] ()));
+    (Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ~path:[ 1; 9 ] ()));
   ignore
-    (Router.handle_update r ~now:1.0 ~from:(asn 2)
+    (Router.handle_update r ~now:1.0 ~slot:(from r 2)
        (announce ~path:[ 2; 8; 9 ] ()));
   (* Customer route wins despite being longer. *)
   match Router.best_route r prefix with
@@ -97,16 +104,16 @@ let test_decision_prefers_shorter_then_lower_asn () =
            neighbor 4 Policy.Customer ])
   in
   ignore
-    (Router.handle_update r ~now:0.0 ~from:(asn 4)
+    (Router.handle_update r ~now:0.0 ~slot:(from r 4)
        (announce ~path:[ 4; 8; 9 ] ()));
   ignore
-    (Router.handle_update r ~now:1.0 ~from:(asn 3) (announce ~path:[ 3; 9 ] ()));
+    (Router.handle_update r ~now:1.0 ~slot:(from r 3) (announce ~path:[ 3; 9 ] ()));
   (match Router.best_route r prefix with
   | Some (Router.Via v) ->
       Alcotest.(check int) "shorter wins" 3 (Asn.to_int v.from_asn)
   | _ -> Alcotest.fail "no best");
   ignore
-    (Router.handle_update r ~now:2.0 ~from:(asn 2) (announce ~path:[ 2; 9 ] ()));
+    (Router.handle_update r ~now:2.0 ~slot:(from r 2) (announce ~path:[ 2; 9 ] ()));
   match Router.best_route r prefix with
   | Some (Router.Via v) ->
       Alcotest.(check int) "lower asn tiebreak" 2 (Asn.to_int v.from_asn)
@@ -117,9 +124,9 @@ let test_split_horizon () =
     Router.create
       (config 2 [ neighbor 1 Policy.Customer; neighbor 3 Policy.Customer ])
   in
-  let actions = Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ()) in
+  let actions = Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ()) in
   Alcotest.(check bool) "never re-advertised to source" true
-    (List.for_all (fun (to_, _) -> to_ <> 1) (sends actions))
+    (List.for_all (fun (to_, _) -> to_ <> 1) (sends r actions))
 
 let test_valley_free_not_exported () =
   (* Peer-learned route must not go to the provider or another peer. *)
@@ -129,18 +136,18 @@ let test_valley_free_not_exported () =
          [ neighbor 1 Policy.Peer; neighbor 3 Policy.Provider;
            neighbor 4 Policy.Peer; neighbor 5 Policy.Customer ])
   in
-  let actions = Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ()) in
+  let actions = Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ()) in
   Alcotest.(check (list (pair int (option (list int)))))
     "only the customer hears a peer route"
     [ (5, Some [ 2; 1 ]) ]
-    (send_paths actions)
+    (send_paths r actions)
 
 let test_loop_rejected () =
   let r = Router.create (config 2 [ neighbor 1 Policy.Customer ]) in
   let actions =
-    Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ~path:[ 1; 2; 9 ] ())
+    Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ~path:[ 1; 2; 9 ] ())
   in
-  Alcotest.(check int) "nothing sent" 0 (List.length (sends actions));
+  Alcotest.(check int) "nothing sent" 0 (List.length (sends r actions));
   Alcotest.(check bool) "not installed" true
     (Router.best_route r prefix = None)
 
@@ -149,9 +156,9 @@ let test_duplicate_not_resent () =
     Router.create
       (config 2 [ neighbor 1 Policy.Customer; neighbor 3 Policy.Provider ])
   in
-  ignore (Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ()));
-  let again = Router.handle_update r ~now:1.0 ~from:(asn 1) (announce ()) in
-  Alcotest.(check int) "duplicate suppressed" 0 (List.length (sends again))
+  ignore (Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ()));
+  let again = Router.handle_update r ~now:1.0 ~slot:(from r 1) (announce ()) in
+  Alcotest.(check int) "duplicate suppressed" 0 (List.length (sends r again))
 
 let test_fresh_aggregator_resent () =
   let agg t = { Update.aggregator_asn = asn 1; sent_at = t; valid = true } in
@@ -160,12 +167,12 @@ let test_fresh_aggregator_resent () =
       (config 2 [ neighbor 1 Policy.Customer; neighbor 3 Policy.Provider ])
   in
   ignore
-    (Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ~agg:(agg 0.0) ()));
+    (Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ~agg:(agg 0.0) ()));
   let again =
-    Router.handle_update r ~now:5.0 ~from:(asn 1) (announce ~agg:(agg 5.0) ())
+    Router.handle_update r ~now:5.0 ~slot:(from r 1) (announce ~agg:(agg 5.0) ())
   in
   Alcotest.(check int) "fresh beacon timestamp propagates" 1
-    (List.length (sends again))
+    (List.length (sends r again))
 
 let test_originate_and_withdraw () =
   let r =
@@ -176,9 +183,9 @@ let test_originate_and_withdraw () =
   Alcotest.(check (list (pair int (option (list int)))))
     "originated everywhere"
     [ (1, Some [ 2 ]); (3, Some [ 2 ]) ]
-    (send_paths actions);
+    (send_paths r actions);
   let actions = Router.withdraw_origin r ~now:1.0 prefix in
-  Alcotest.(check int) "withdrawn everywhere" 2 (List.length (sends actions))
+  Alcotest.(check int) "withdrawn everywhere" 2 (List.length (sends r actions))
 
 let test_mrai_gates_announcements () =
   let r =
@@ -188,14 +195,14 @@ let test_mrai_gates_announcements () =
   in
   let agg t = { Update.aggregator_asn = asn 1; sent_at = t; valid = true } in
   let first =
-    Router.handle_update r ~now:0.0 ~from:(asn 1) (announce ~agg:(agg 0.0) ())
+    Router.handle_update r ~now:0.0 ~slot:(from r 1) (announce ~agg:(agg 0.0) ())
   in
-  Alcotest.(check int) "first goes out" 1 (List.length (sends first));
+  Alcotest.(check int) "first goes out" 1 (List.length (sends r first));
   (* A new announcement 5 s later is gated: timer, no send. *)
   let second =
-    Router.handle_update r ~now:5.0 ~from:(asn 1) (announce ~agg:(agg 5.0) ())
+    Router.handle_update r ~now:5.0 ~slot:(from r 1) (announce ~agg:(agg 5.0) ())
   in
-  Alcotest.(check int) "gated" 0 (List.length (sends second));
+  Alcotest.(check int) "gated" 0 (List.length (sends r second));
   let timers =
     List.filter_map
       (function
@@ -205,23 +212,23 @@ let test_mrai_gates_announcements () =
   in
   Alcotest.(check (list (float 0.0))) "timer at gate end" [ 30.0 ] timers;
   (* Withdrawals bypass MRAI. *)
-  let w = Router.handle_update r ~now:6.0 ~from:(asn 1) withdraw in
-  (match sends w with
+  let w = Router.handle_update r ~now:6.0 ~slot:(from r 1) withdraw in
+  (match sends r w with
   | [ (3, Update.Withdraw _) ] -> ()
   | _ -> Alcotest.fail "withdrawal should bypass MRAI");
   (* Re-announce, then flush at timer expiry. *)
-  ignore (Router.handle_update r ~now:7.0 ~from:(asn 1) (announce ~agg:(agg 7.0) ()));
-  let flushed = Router.handle_mrai_expiry r ~now:30.0 ~neighbor:(asn 3) ~prefix in
-  Alcotest.(check int) "flushed" 1 (List.length (sends flushed))
+  ignore (Router.handle_update r ~now:7.0 ~slot:(from r 1) (announce ~agg:(agg 7.0) ()));
+  let flushed = Router.handle_mrai_expiry r ~now:30.0 ~slot:(from r 3) ~prefix in
+  Alcotest.(check int) "flushed" 1 (List.length (sends r flushed))
 
-let flap r ~from k =
+let flap r ~slot k =
   (* k rounds of withdraw+announce one minute apart, returning all actions. *)
   let actions = ref [] in
   for i = 0 to k - 1 do
     let t = float_of_int i *. 120.0 in
-    actions := Router.handle_update r ~now:t ~from withdraw :: !actions;
+    actions := Router.handle_update r ~now:t ~slot withdraw :: !actions;
     actions :=
-      Router.handle_update r ~now:(t +. 60.0) ~from (announce ()) :: !actions
+      Router.handle_update r ~now:(t +. 60.0) ~slot (announce ()) :: !actions
   done;
   List.concat (List.rev !actions)
 
@@ -231,8 +238,8 @@ let test_rfd_suppression_and_release () =
       (config ~rfd_scope:Policy.All_neighbors 2
          [ neighbor 1 Policy.Customer; neighbor 3 Policy.Provider ])
   in
-  ignore (Router.handle_update r ~now:(-600.0) ~from:(asn 1) (announce ()));
-  let actions = flap r ~from:(asn 1) 4 in
+  ignore (Router.handle_update r ~now:(-600.0) ~slot:(from r 1) (announce ()));
+  let actions = flap r ~slot:(from r 1) 4 in
   (* Suppression must have kicked in. *)
   Alcotest.(check bool) "suppressing" true (Router.is_suppressing r ~now:500.0);
   let reuse_timers =
@@ -246,10 +253,10 @@ let test_rfd_suppression_and_release () =
   Alcotest.(check bool) "best gone while suppressed" true
     (Router.best_route r prefix = None);
   (* Fire the reuse check once the penalty has decayed. *)
-  let state = Option.get (Router.rfd_state r ~neighbor:(asn 1) ~prefix) in
+  let state = Option.get (Router.rfd_state r ~slot:(from r 1) ~prefix) in
   let eta = Option.get (Rfd.reuse_eta state ~now:500.0) in
-  let released = Router.handle_reuse_check r ~now:(eta +. 1.0) ~neighbor:(asn 1) ~prefix in
-  (match send_paths released with
+  let released = Router.handle_reuse_check r ~now:(eta +. 1.0) ~slot:(from r 1) ~prefix in
+  (match send_paths r released with
   | [ (3, Some [ 2; 1 ]) ] -> ()
   | other ->
       Alcotest.failf "expected delayed re-advertisement, got %d sends"
@@ -264,7 +271,7 @@ let test_rfd_scope_respected () =
       (config ~rfd_scope:Policy.Only_customers 2
          [ neighbor 1 Policy.Peer; neighbor 3 Policy.Customer ])
   in
-  ignore (flap r ~from:(asn 1) 6);
+  ignore (flap r ~slot:(from r 1) 6);
   Alcotest.(check bool) "peer session not damped" false
     (Router.is_suppressing r ~now:2000.0)
 
@@ -272,7 +279,7 @@ let test_unknown_neighbor_rejected () =
   let r = Router.create (config 2 [ neighbor 1 Policy.Customer ]) in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Router.handle_update r ~now:0.0 ~from:(asn 9) (announce ()));
+       ignore (Router.handle_update r ~now:0.0 ~slot:(from r 9) (announce ()));
        false
      with Invalid_argument _ -> true)
 
@@ -333,7 +340,7 @@ let qcheck_decide_matches_reference =
             Update.Announce { prefix; as_path = path; aggregator = None }
           end
         in
-        let actions = Router.handle_update r ~now ~from update in
+        let actions = Router.handle_update r ~now ~slot:(Router.slot r from) update in
         (rib :=
            match update with
            | Update.Withdraw _ -> List.remove_assoc from !rib
@@ -378,7 +385,7 @@ let qcheck_decide_matches_reference =
                   Alcotest.failf "seed %d step %d: valley-free violated" seed
                     step
             | _ -> ())
-          (sends actions)
+          (sends r actions)
       done;
       true)
 
@@ -418,16 +425,20 @@ let qcheck_session_down_equals_withdrawals =
       let r_wdr = Router.create (config 2 neighbors) in
       List.iter
         (fun (from, u) ->
-          ignore (Router.handle_update r_down ~now:1.0 ~from u);
-          ignore (Router.handle_update r_wdr ~now:1.0 ~from u))
+          ignore
+            (Router.handle_update r_down ~now:1.0
+               ~slot:(Router.slot r_down from) u);
+          ignore
+            (Router.handle_update r_wdr ~now:1.0
+               ~slot:(Router.slot r_wdr from) u))
         updates;
       (* Tear down AS10's session on one router and explicitly withdraw its
          routes on the other: loc-RIBs must agree on every prefix. *)
-      ignore (Router.handle_session_down r_down ~now:2.0 ~neighbor:(asn 10));
+      ignore (Router.handle_session_down r_down ~now:2.0 ~slot:(from r_down 10));
       List.iter
         (fun p ->
           ignore
-            (Router.handle_update r_wdr ~now:2.0 ~from:(asn 10)
+            (Router.handle_update r_wdr ~now:2.0 ~slot:(from r_wdr 10)
                (Update.Withdraw { prefix = p })))
         prefixes;
       List.for_all
