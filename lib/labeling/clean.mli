@@ -11,4 +11,9 @@ val has_loop : Asn.t list -> bool
     removal). *)
 
 val clean : Asn.t list -> Asn.t list option
-(** [Some cleaned] path, or [None] when the path loops. *)
+(** [Some cleaned] path, or [None] when the path loops.  A path in which
+    no ASN repeats is returned as it is, found so without allocating. *)
+
+module Path_table : Hashtbl.S with type key = Asn.t list
+(** Hash tables keyed by AS paths, hashed and compared without the
+    polymorphic primitives. *)

@@ -24,130 +24,166 @@ type evidence = {
 let torn gaps (burst_start, _burst_end, break_end) =
   List.exists (fun (lo, hi) -> lo <= break_end && hi >= burst_start) gaps
 
+(* Label the chronological [(time, update)] stream of one (vp, prefix),
+   usable records only. *)
+let label_times ?min_r_delta ?margin ~match_threshold ~gaps ~vp ~prefix
+    ~times ~windows () =
+  let windows = List.filter (fun w -> not (torn gaps w)) windows in
+  let pairs =
+    List.map
+      (fun window ->
+        Signature.analyse_pair ?min_r_delta ?margin ~times ~window ())
+      windows
+  in
+  let table = Hashtbl.create 4 in
+  let evidence_for path =
+    match Hashtbl.find_opt table path with
+    | Some e -> e
+    | None ->
+        let e = { damped = 0; clean = 0; r_deltas = [] } in
+        Hashtbl.replace table path e;
+        e
+  in
+  List.iter
+    (fun (p : Signature.pair) ->
+      if p.Signature.damped then begin
+        (match p.Signature.readvertisement_path with
+        | Some path ->
+            let e = evidence_for path in
+            e.damped <- e.damped + 1;
+            (match p.Signature.r_delta with
+            | Some d -> e.r_deltas <- d :: e.r_deltas
+            | None -> ())
+        | None -> ());
+        (* The failover path that carried the Burst's updates while the
+           primary was suppressed demonstrably did not damp. *)
+        match (p.Signature.burst_dominant_path,
+               p.Signature.readvertisement_path)
+        with
+        | Some dominant, Some readv
+          when List.compare Asn.compare dominant readv <> 0 ->
+            let e = evidence_for dominant in
+            e.clean <- e.clean + 1
+        | _ -> ()
+      end
+      else begin
+        match p.Signature.burst_dominant_path with
+        | Some path ->
+            let e = evidence_for path in
+            e.clean <- e.clean + 1
+        | None -> ()
+      end)
+    pairs;
+  let all_paths =
+    Hashtbl.fold (fun path _ acc -> path :: acc) table []
+    |> List.sort (List.compare Asn.compare)
+  in
+  List.map
+    (fun path ->
+      let e = Hashtbl.find table path in
+      let total = e.damped + e.clean in
+      let rfd =
+        total > 0
+        && float_of_int e.damped /. float_of_int total >= match_threshold
+      in
+      let mean_r_delta =
+        match e.r_deltas with
+        | [] -> None
+        | ds -> Some (Because_stats.Summary.mean (Array.of_list ds))
+      in
+      {
+        prefix;
+        vp;
+        path;
+        rfd;
+        matched_pairs = e.damped;
+        total_pairs = total;
+        pairs;
+        mean_r_delta;
+        alternatives =
+          List.filter
+            (fun other -> List.compare Asn.compare other path <> 0)
+            all_paths;
+      })
+    all_paths
+
 let label_vp_prefix ?min_r_delta ?margin ?(match_threshold = 0.9)
     ?(gaps = []) ~records ~windows () =
-  let windows = List.filter (fun w -> not (torn gaps w)) windows in
   match records with
   | [] -> []
-  | first :: _ ->
-      let usable = Dump.announcements_with_valid_aggregator records in
+  | (first : Dump.record) :: _ ->
       let times =
-        List.map (fun (r : Dump.record) -> (r.export_at, r.update)) usable
+        List.filter_map
+          (fun (r : Dump.record) ->
+            if Dump.usable r then Some (r.export_at, r.update) else None)
+          records
       in
-      let pairs =
-        List.map
-          (fun window ->
-            Signature.analyse_pair ?min_r_delta ?margin ~times ~window ())
-          windows
-      in
-      let table = Hashtbl.create 4 in
-      let evidence_for path =
-        match Hashtbl.find_opt table path with
-        | Some e -> e
-        | None ->
-            let e = { damped = 0; clean = 0; r_deltas = [] } in
-            Hashtbl.replace table path e;
-            e
-      in
-      List.iter
-        (fun (p : Signature.pair) ->
-          if p.Signature.damped then begin
-            (match p.Signature.readvertisement_path with
-            | Some path ->
-                let e = evidence_for path in
-                e.damped <- e.damped + 1;
-                (match p.Signature.r_delta with
-                | Some d -> e.r_deltas <- d :: e.r_deltas
-                | None -> ())
-            | None -> ());
-            (* The failover path that carried the Burst's updates while the
-               primary was suppressed demonstrably did not damp. *)
-            match (p.Signature.burst_dominant_path,
-                   p.Signature.readvertisement_path)
-            with
-            | Some dominant, Some readv
-              when List.compare Asn.compare dominant readv <> 0 ->
-                let e = evidence_for dominant in
-                e.clean <- e.clean + 1
-            | _ -> ()
-          end
-          else begin
-            match p.Signature.burst_dominant_path with
-            | Some path ->
-                let e = evidence_for path in
-                e.clean <- e.clean + 1
-            | None -> ()
-          end)
-        pairs;
-      let vp = first.Dump.vp in
-      let prefix = Update.prefix first.Dump.update in
-      let all_paths =
-        Hashtbl.fold (fun path _ acc -> path :: acc) table []
-        |> List.sort (List.compare Asn.compare)
-      in
-      List.map
-        (fun path ->
-          let e = Hashtbl.find table path in
-          let total = e.damped + e.clean in
-          let rfd =
-            total > 0
-            && float_of_int e.damped /. float_of_int total >= match_threshold
-          in
-          let mean_r_delta =
-            match e.r_deltas with
-            | [] -> None
-            | ds -> Some (Because_stats.Summary.mean (Array.of_list ds))
-          in
-          {
-            prefix;
-            vp;
-            path;
-            rfd;
-            matched_pairs = e.damped;
-            total_pairs = total;
-            pairs;
-            mean_r_delta;
-            alternatives =
-              List.filter
-                (fun other -> List.compare Asn.compare other path <> 0)
-                all_paths;
-          })
-        all_paths
+      label_times ?min_r_delta ?margin ~match_threshold ~gaps ~vp:first.vp
+        ~prefix:(Update.prefix first.update) ~times ~windows ()
 
-let label_all ?min_r_delta ?margin ?match_threshold ?(gaps_of = fun _ -> [])
-    ~records ~windows_of () =
-  (* Group records per (vp, prefix), preserving chronology. *)
-  let groups = Hashtbl.create 64 in
+(* One (vantage point, prefix) stream: the vantage point and prefix of its
+   first record, the prefix's windows, and its usable records, newest
+   first. *)
+type stream = {
+  vp : Because_collector.Vantage.t;
+  prefix : Prefix.t;
+  windows : (float * float * float) list;
+  mutable rev_records : Dump.record list;
+}
+
+module Key = Hashtbl.Make (struct
+  type t = int * Prefix.t
+
+  let equal (va, pa) (vb, pb) = Int.equal va vb && Prefix.equal pa pb
+  let hash (vp, p) = (Prefix.hash p + (vp * 0x9E3779B1)) land max_int
+end)
+
+let label_all ?min_r_delta ?margin ?(match_threshold = 0.9)
+    ?(gaps_of = fun _ -> []) ~records ~windows_of () =
+  (* Group records per (vp, prefix), preserving chronology.  A stream's
+     windows are looked up when it is first seen; the records of a prefix
+     without windows (an anchor) are dropped right there. *)
+  let streams = Key.create 64 in
   List.iter
     (fun (r : Dump.record) ->
-      let key =
-        (r.vp.Because_collector.Vantage.vp_id, Update.prefix r.update)
+      let prefix = Update.prefix r.update in
+      let key = (r.vp.Because_collector.Vantage.vp_id, prefix) in
+      let st =
+        match Key.find streams key with
+        | st -> st
+        | exception Not_found ->
+            let st =
+              { vp = r.vp; prefix; windows = windows_of prefix;
+                rev_records = [] }
+            in
+            Key.add streams key st;
+            st
       in
-      let cell =
-        match Hashtbl.find_opt groups key with
-        | Some c -> c
-        | None ->
-            let c = ref [] in
-            Hashtbl.replace groups key c;
-            c
-      in
-      cell := r :: !cell)
+      match st.windows with
+      | _ :: _ when Dump.usable r -> st.rev_records <- r :: st.rev_records
+      | _ -> ())
     records;
   let keys =
-    Hashtbl.fold (fun key _ acc -> key :: acc) groups []
+    Key.fold
+      (fun key st acc ->
+        match st.windows with [] -> acc | _ :: _ -> key :: acc)
+      streams []
     |> List.sort (fun (ia, pa) (ib, pb) ->
            match Int.compare ia ib with
            | 0 -> Prefix.compare pa pb
            | c -> c)
   in
   List.concat_map
-    (fun ((vp_id, prefix) as key) ->
-      match windows_of prefix with
-      | [] -> []
-      | windows ->
-          let records = List.rev !(Hashtbl.find groups key) in
-          label_vp_prefix ?min_r_delta ?margin ?match_threshold
-            ~gaps:(gaps_of vp_id) ~records ~windows ())
+    (fun ((vp_id, _) as key) ->
+      let st = Key.find streams key in
+      (* Reversing the newest-first records gives chronological times. *)
+      let times =
+        List.fold_left
+          (fun acc (r : Dump.record) -> (r.export_at, r.update) :: acc)
+          [] st.rev_records
+      in
+      label_times ?min_r_delta ?margin ~match_threshold ~gaps:(gaps_of vp_id)
+        ~vp:st.vp ~prefix:st.prefix ~times ~windows:st.windows ())
     keys
 
 let observations labeled =

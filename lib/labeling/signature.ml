@@ -16,24 +16,12 @@ type pair = {
 let default_min_r_delta = 300.0
 let default_margin = 90.0
 
-let dominant_path announcements =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun u ->
-      match Update.as_path u with
-      | Some path -> (
-          match Clean.clean path with
-          | Some cleaned ->
-              let count =
-                Option.value (Hashtbl.find_opt table cleaned) ~default:0
-              in
-              Hashtbl.replace table cleaned (count + 1)
-          | None -> ())
-      | None -> ())
-    announcements;
+(* Most frequent path in [counts]; ties go to the smallest path. *)
+let dominant_path counts =
   let best =
-    Hashtbl.fold
+    Clean.Path_table.fold
       (fun path count acc ->
+        let count = !count in
         match acc with
         | Some (_, best_count) when best_count > count -> acc
         | Some (best_path, best_count)
@@ -41,30 +29,44 @@ let dominant_path announcements =
           ->
             acc
         | _ -> Some (path, count))
-      table None
+      counts None
   in
   Option.map fst best
+
+(* The all-float accumulator is stored flat, so raising the maximum
+   allocates nothing. *)
+type last = { mutable last : float }
 
 let analyse_pair ?(min_r_delta = default_min_r_delta)
     ?(margin = default_margin) ~times ~window () =
   let burst_start, burst_end, break_end = window in
   let burst_hi = burst_end +. margin in
-  let in_burst t = t >= burst_start && t <= burst_hi in
   let in_break t = t > burst_hi && t <= break_end in
-  let burst_events = List.filter (fun (t, _) -> in_burst t) times in
-  let burst_updates = List.length burst_events in
+  (* One walk over the Burst: its update count, its last arrival and the
+     cleaned-path counts of its announcements. *)
+  let burst_updates = ref 0 and last = { last = neg_infinity } in
+  let counts = Clean.Path_table.create 8 in
+  List.iter
+    (fun (t, u) ->
+      if t >= burst_start && t <= burst_hi then begin
+        incr burst_updates;
+        last.last <- Float.max last.last t;
+        match u with
+        | Update.Withdraw _ -> ()
+        | Update.Announce { as_path; _ } -> (
+            match Clean.clean as_path with
+            | None -> ()
+            | Some cleaned -> (
+                match Clean.Path_table.find counts cleaned with
+                | count -> incr count
+                | exception Not_found -> Clean.Path_table.add counts cleaned (ref 1)))
+      end)
+    times;
+  let burst_updates = !burst_updates in
   let last_burst_update =
-    List.fold_left
-      (fun acc (t, _) ->
-        match acc with Some m -> Some (Float.max m t) | None -> Some t)
-      None burst_events
+    if burst_updates = 0 then None else Some last.last
   in
-  let burst_dominant_path =
-    dominant_path
-      (List.filter_map
-         (fun (_, u) -> if Update.is_announce u then Some u else None)
-         burst_events)
-  in
+  let burst_dominant_path = dominant_path counts in
   (* The re-advertisement: a Break announcement whose aggregator-encoded
      send time lies far in the past — it was held back by damping. *)
   let qualifying (t, u) =
