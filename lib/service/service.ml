@@ -198,17 +198,24 @@ let decode_queue payload =
 
 (* All the helpers below assume t.mutex is held by the caller. *)
 
-let persist_queue t = Checkpoint.save t.qstore ~key:queue_key (encode_queue t)
+let note t msg = t.notes <- msg :: t.notes
+
+(* A durable write that still fails after [Io.retry]'s tries is a note:
+   raised, it would kill the worker domain or the submitting caller with
+   the mutex held.  The state stays in memory either way, and the next
+   queue write carries the whole queue again. *)
+let persist_queue t =
+  try Checkpoint.save t.qstore ~key:queue_key (encode_queue t)
+  with Sys_error e -> note t ("queue: snapshot not written: " ^ e)
 
 (* Reports are rewritten in place: no reader watches the file (the HTTP
    route renders from memory), and the queue snapshot, written after it,
-   is the durable record a torn report is rebuilt from at load. *)
+   is the durable record a torn or missing report is rebuilt from at
+   load.  [Sys_error] when the write still fails after [Io.retry]. *)
 let write_report t (entry : Store.entry) =
   let path = report_path t ~id:entry.Store.spec.Spec.id in
   let report = Store.report entry in
   Io.retry (fun () -> Io.overwrite path report)
-
-let note t msg = t.notes <- msg :: t.notes
 
 let note_recovery t ~id recovery =
   List.iter
@@ -418,17 +425,18 @@ let claim t =
   r
 
 let finish t (entry : Store.entry) ~status ~estimates recovery =
-  Mutex.lock t.mutex;
+  Mutex.protect t.mutex @@ fun () ->
+  let id = entry.Store.spec.Spec.id in
   entry.Store.estimates <- estimates;
   entry.Store.health <- Store.Done status;
-  Option.iter (note_recovery t ~id:entry.Store.spec.Spec.id) recovery;
-  write_report t entry;
+  Option.iter (note_recovery t ~id) recovery;
+  (try write_report t entry
+   with Sys_error e -> note t (id ^ ": report not written: " ^ e));
   persist_queue t;
   bump t;
   if Tel.is_enabled t.cfg.telemetry then Tel.Counter.incr t.m.m_completed;
   set_gauges t;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex
+  Condition.broadcast t.cond
 
 let interrupted t (entry : Store.entry) ~persist ~kill recovery =
   Mutex.lock t.mutex;

@@ -687,6 +687,37 @@ let test_load_repairs_campaign_report () =
     ~load:(fun () -> Service.load (cfg ~dir ()))
     ~report_path (read_file report_path)
 
+(* A report that cannot be written is a note, not a dead worker.  A
+   directory stands at the report's path (unlike a read-only chmod, this
+   stops root too): the campaign still finishes Done, [pending] returns,
+   a warning names the report, and once the directory is gone [load]
+   rebuilds the report byte for byte from the queue snapshot. *)
+let test_unwritable_report_is_a_note () =
+  with_drain_reset @@ fun () ->
+  let dir = fresh_dir () in
+  let svc = Service.create (cfg ~dir ()) in
+  let report_path = Service.report_path svc ~id:"solo" in
+  Sys.mkdir report_path 0o755;
+  submit_ok svc (tiny_spec "solo");
+  (match Service.run_until_idle svc with
+  | Service.Completed -> ()
+  | _ -> Alcotest.fail "did not complete");
+  (match Store.find (Service.store svc) ~id:"solo" with
+  | Some { Store.health = Store.Done _; _ } -> ()
+  | _ -> Alcotest.fail "solo not done");
+  Alcotest.(check int) "pending returns" 0 (Service.pending svc);
+  Alcotest.(check bool) "a note names the report" true
+    (List.exists (contains ~sub:report_path) (Service.warnings svc));
+  let reference =
+    match Service.report_for svc ~id:"solo" with
+    | `Done report -> report
+    | `Unknown | `Pending -> Alcotest.fail "no report in memory"
+  in
+  Sys.rmdir report_path;
+  ignore (Service.load (cfg ~dir ()));
+  Alcotest.(check string) "report rebuilt at load" reference
+    (read_file report_path)
+
 (* The serve loop writes the status files every poll: an unchanged
    document is not rewritten, but [join] always writes. *)
 let test_write_status_skips_unchanged () =
@@ -752,6 +783,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_service_load_survives_mutation;
       Alcotest.test_case "load rebuilds a damaged campaign report" `Quick
         test_load_repairs_campaign_report;
+      Alcotest.test_case "unwritable report is a note" `Quick
+        test_unwritable_report_is_a_note;
       Alcotest.test_case "unchanged status files are not rewritten" `Quick
         test_write_status_skips_unchanged;
     ] )
