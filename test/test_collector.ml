@@ -166,7 +166,7 @@ let test_dump_records () =
 
 let test_valid_aggregator_filter () =
   let records = build_dump () in
-  let kept = Dump.announcements_with_valid_aggregator records in
+  let kept = List.filter Dump.usable records in
   (* all clean here: 2 announcements + 1 withdrawal *)
   Alcotest.(check int) "all kept" 3 (List.length kept);
   (* corrupt one announcement by hand *)
@@ -187,7 +187,7 @@ let test_valid_aggregator_filter () =
       records
   in
   Alcotest.(check int) "invalid announcements dropped, withdrawal kept" 1
-    (List.length (Dump.announcements_with_valid_aggregator corrupt))
+    (List.length (List.filter Dump.usable corrupt))
 
 let suite =
   ( "collector",
