@@ -602,6 +602,11 @@ let infer_cmd =
       (Because.Tomography.rfd_path_count data)
       (Because.Tomography.n_paths data)
       (Because.Tomography.n_nodes data);
+    let split = Because.Infer.split config data in
+    Printf.printf "%d of %d ASs sampled, %d exact\n"
+      (Array.length split.Because.Infer.coupled)
+      (Because.Tomography.n_nodes data)
+      (Array.length split.Because.Infer.exact);
     if result.Because.Infer.runs <> [] then
       List.iter
         (fun (name, r) -> Printf.printf "R-hat %s: %.3f\n" name r)

@@ -8,6 +8,17 @@ let default = Beta { a = 0.5; b = 0.5 }
 let near_zero_a = 1.0
 let near_zero_b = 20.0
 
+let beta_params = function
+  | Uniform -> (1.0, 1.0)
+  | Beta { a; b } -> (a, b)
+  | Near_zero -> (near_zero_a, near_zero_b)
+
+let observe_clean t c =
+  if c = 0 then t
+  else
+    let a, b = beta_params t in
+    Beta { a; b = b +. float_of_int c }
+
 type density =
   | Flat
   | Beta_density of { a : float; b : float; log_norm : float }
@@ -16,8 +27,9 @@ let beta_density a b = Beta_density { a; b; log_norm = Special.log_beta a b }
 
 let density = function
   | Uniform -> Flat
-  | Beta { a; b } -> beta_density a b
-  | Near_zero -> beta_density near_zero_a near_zero_b
+  | (Beta _ | Near_zero) as t ->
+      let a, b = beta_params t in
+      beta_density a b
 
 let log_density d p =
   match d with

@@ -19,6 +19,16 @@ type t =
 val default : t
 (** [Beta {a = 0.5; b = 0.5}]. *)
 
+val beta_params : t -> float * float
+(** The prior as Beta(a, b): [Uniform] is Beta(1, 1), [Near_zero] is
+    Beta(1, 20). *)
+
+val observe_clean : t -> int -> t
+(** [observe_clean t c] is the posterior of [t] after [c] observations
+    that show the property did not apply, i.e. [c] factors of qᵢ = 1 − pᵢ:
+    Beta(a, b + c) for the {!beta_params} (a, b) of [t], and [t] itself
+    when [c = 0]. *)
+
 val log_pdf : t -> float -> float
 val grad_log_pdf : t -> float -> float
 

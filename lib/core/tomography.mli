@@ -28,6 +28,14 @@ val of_observations : (Asn.t list * bool) list -> t
 (** Build from labeled paths.  Duplicate observations are counted, not
     dropped; empty paths are rejected. *)
 
+val positive_part : t -> t * int array
+(** [positive_part t] is the dataset of the distinct paths of [t] with a
+    positive count, each keeping its {!n_rfd} and with no clean count,
+    over the nodes those paths cross; with it, for each of its node
+    indices, the index of the same AS in [t].  Nodes and paths keep their
+    order in [t], so that map ascends.
+    @raise Invalid_argument when no observation is positive. *)
+
 val n_nodes : t -> int
 
 val n_paths : t -> int

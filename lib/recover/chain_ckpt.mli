@@ -11,6 +11,10 @@ type saved = {
   prior_warnings : string list;
       (** Restart warnings accumulated before the snapshot, so a resumed
           chain reports exactly what an uninterrupted one would. *)
+  layout : string;
+      (** Which coordinates the sampler state covers, as named by the
+          inference driver: [""] for every node of the dataset.  A
+          snapshot resumes only into the layout it was written for. *)
 }
 
 type hooks = {
@@ -27,11 +31,13 @@ val default_every_seconds : float
 
 val encode_saved : saved -> string
 val decode_saved : string -> saved
-(** Raises {!Codec.Malformed} on bad input. *)
+(** Raises {!Codec.Malformed} on bad input.  A payload that ends after the
+    warnings (every snapshot of the full layout) reads as layout [""]. *)
 
 val save_now :
   hooks ->
   key:string ->
+  layout:string ->
   prior_warnings:string list ->
   sweep:int ->
   state:(unit -> Sampler_state.t) ->
@@ -43,6 +49,7 @@ val save_now :
 val make_control :
   hooks ->
   key:string ->
+  layout:string ->
   final_sweep:int ->
   prior_warnings:string list ->
   sweep:int ->

@@ -8,6 +8,7 @@ module Pinpoint = Because.Pinpoint
 module Evaluate = Because.Evaluate
 module Hdpi = Because_stats.Hdpi
 module Rng = Because_stats.Rng
+module Chain = Because_mcmc.Chain
 
 let asn = Asn.of_int
 let path ints = List.map asn ints
@@ -121,25 +122,46 @@ let test_jobs_bit_identical () =
     par.Infer.warnings
 
 let test_single_chain_stream_unchanged () =
-  (* n_chains = 1 must reproduce what the historical sequential code drew
-     from the same seed: one split per sampler, nothing else. *)
+  (* n_chains = 1 must reproduce a hand-split run from the same seed: one
+     split per sampler for the sampled coordinates, then — the dataset has
+     an exact set (AS 7, on clean paths only) — one per sampler for the
+     exact draws, nothing else. *)
   let data = Tomography.of_observations identifiable_observations in
   let rng = Rng.create 33 in
   let result = Infer.run ~rng ~config:small_config data in
-  let expected_mh = Rng.split (Rng.create 33) in
+  let s = Infer.split small_config data in
+  Alcotest.(check (list int)) "AS 7 is exact" [ 7 ]
+    (List.map
+       (fun i -> Because_bgp.Asn.to_int (Tomography.node data i))
+       (Array.to_list s.Infer.exact));
+  let streams = Rng.split_n (Rng.create 33) 4 in
   let r =
-    Because_mcmc.Metropolis.run_single_site ~rng:expected_mh
+    Because_mcmc.Metropolis.run_single_site ~rng:streams.(0)
       ~thin:small_config.Infer.thin ~n_samples:small_config.Infer.n_samples
       ~burn_in:small_config.Infer.burn_in
-      (Because.Model.target
-         (Because.Model.create ~prior:small_config.Infer.prior data))
+      (Because.Model.target (Option.get s.Infer.sampled))
   in
   let mh =
     List.find (fun (x : Infer.sampler_run) -> x.Infer.name = "MH")
       result.Infer.runs
   in
-  Alcotest.(check bool) "MH chain matches a hand-split run" true
-    (chains_equal mh.Infer.chain r.Because_mcmc.Metropolis.chain)
+  let sampled = r.Because_mcmc.Metropolis.chain in
+  let same = ref true in
+  for k = 0 to Chain.length sampled - 1 do
+    Array.iteri
+      (fun ci i ->
+        if Chain.value sampled k ci <> Chain.value mh.Infer.chain k i then
+          same := false)
+      s.Infer.coupled;
+    Array.iteri
+      (fun e i ->
+        let a, b = s.Infer.exact_beta.(e) in
+        if Because_stats.Dist.beta streams.(2) ~a ~b
+           <> Chain.value mh.Infer.chain k i
+        then same := false)
+      s.Infer.exact
+  done;
+  Alcotest.(check bool) "MH chain matches a hand-split run" true !same
 
 let test_multi_chain_runs () =
   let data = Tomography.of_observations identifiable_observations in

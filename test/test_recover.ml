@@ -408,7 +408,8 @@ let test_retired_snapshot_tag_quarantined () =
   in
   let flat =
     Chain_ckpt.encode_saved
-      { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [] }
+      { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [];
+        layout = "" }
   in
   let retired = "\000" ^ String.sub flat 1 (String.length flat - 1) in
   (match Chain_ckpt.decode_saved retired with
@@ -505,6 +506,82 @@ let test_wrong_size_cache_snapshot_starts_cold () =
     (List.exists
        (fun w -> contains ~sub:"snapshot unusable" w)
        resumed.Because.Infer.warnings)
+
+(* Snapshots from before the exact/coupled split cover every dataset node
+   and carry no layout.  At eps = 0 the chains sample the coupled set only,
+   so such a snapshot must start cold with a warning — here even though its
+   sizes fit: every node lies on an RFD-labeled path and every distinct
+   path carries an RFD label, so the reduced target has the full dimension
+   and the full cache size. *)
+let test_full_layout_snapshot_starts_cold () =
+  let data =
+    Because.Tomography.of_observations
+      (List.map
+         (fun (path, rfd) -> (List.map Because_bgp.Asn.of_int path, rfd))
+         [ ([ 1; 2; 3 ], true); ([ 1; 2; 3 ], false); ([ 2; 4 ], true);
+           ([ 3; 4 ], true); ([ 3; 4 ], false) ])
+  in
+  let config checkpoint =
+    { Because.Infer.default_config with
+      n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+  in
+  let s = Because.Infer.split (config None) data in
+  Alcotest.(check int) "no exact set" 0 (Array.length s.Because.Infer.exact);
+  let reduced = Option.get s.Because.Infer.sampled in
+  Alcotest.(check int) "same paths" (Because.Tomography.n_paths data)
+    (Because.Tomography.n_paths (Because.Model.dataset reduced));
+  (* What a build without layouts saved mid-run: the full target's state,
+     encoded with no layout. *)
+  let st, _ =
+    capture_at 30 (fun ~control ->
+        Metropolis.run_single_site ~rng:(Rng.create 9) ~control
+          ~n_samples:40 ~burn_in:20
+          (Because.Model.target (Because.Model.create data)))
+  in
+  let parent =
+    Chain_ckpt.decode_saved
+      (Chain_ckpt.encode_saved
+         { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [];
+           layout = "" })
+  in
+  Alcotest.(check string) "no layout reads as the full one" ""
+    parent.Chain_ckpt.layout;
+  let hooks load saved =
+    { Chain_ckpt.load;
+      save = (fun ~key ~sweep:_ sv -> Hashtbl.replace saved key sv);
+      every_sweeps = Some 10;
+      every_seconds = None }
+  in
+  let run checkpoint =
+    Because.Infer.run ~rng:(Rng.create 3) ~config:(config checkpoint) data
+  in
+  let cold = run None in
+  let written = Hashtbl.create 4 in
+  let resumed =
+    run
+      (Some
+         (hooks
+            (fun ~key -> if key = "MH.chain0" then Some parent else None)
+            written))
+  in
+  Alcotest.(check bool) "chain starts cold" true
+    (runs_equal cold.Because.Infer.runs resumed.Because.Infer.runs);
+  Alcotest.(check bool) "warning names the snapshot" true
+    (List.exists
+       (fun w -> contains ~sub:"snapshot unusable" w)
+       resumed.Because.Infer.warnings);
+  (* The new snapshots name their layout, survive the codec, and resume
+     without a warning. *)
+  let sv = Hashtbl.find written "MH.chain0" in
+  Alcotest.(check string) "layout written" s.Because.Infer.layout
+    sv.Chain_ckpt.layout;
+  let sv = Chain_ckpt.decode_saved (Chain_ckpt.encode_saved sv) in
+  let again =
+    run (Some (hooks (fun ~key:_ -> Some sv) (Hashtbl.create 4)))
+  in
+  Alcotest.(check (list string)) "no warning" [] again.Because.Infer.warnings;
+  Alcotest.(check bool) "resumed bit-for-bit" true
+    (runs_equal cold.Because.Infer.runs again.Because.Infer.runs)
 
 let check_outcomes_equal ~what a b =
   Alcotest.(check string)
@@ -932,6 +1009,8 @@ let suite =
       Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
       Alcotest.test_case "wrong-size cache snapshot starts cold" `Quick
         test_wrong_size_cache_snapshot_starts_cold;
+      Alcotest.test_case "full-layout snapshot starts cold" `Quick
+        test_full_layout_snapshot_starts_cold;
       Alcotest.test_case "codec truncation detected" `Quick
         test_codec_truncation;
       QCheck_alcotest.to_alcotest qcheck_codec_floats;
