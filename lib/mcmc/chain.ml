@@ -146,21 +146,50 @@ let concat chains =
 
 let append a b = concat [ a; b ]
 
+type embedding = {
+  width : int;
+  columns : int array;
+  fill : float array -> int -> unit;
+}
+
 module Builder = struct
   type t = {
     b_dim : int;
     capacity : int;
-    buf : float array; (* capacity × b_dim, rows [0, count) are live *)
+    buf : float array;
+        (* capacity × row width, where the width is [b_dim] or the
+           embedding's; rows [0, count) of [b_dim] values are live at the
+           front until [to_chain] *)
+    embed : embedding option;
     mutable count : int;
     mutable sealed : bool;
   }
 
-  let create ~dim ~capacity =
+  let make embed ~dim ~capacity =
     if dim <= 0 then invalid_arg "Chain.Builder.create: dim must be positive";
     if capacity <= 0 then
       invalid_arg "Chain.Builder.create: capacity must be positive";
-    { b_dim = dim; capacity; buf = Array.make (capacity * dim) 0.0;
+    let width =
+      match embed with
+      | None -> dim
+      | Some e ->
+          let ascending = ref true in
+          Array.iteri
+            (fun c col ->
+              if col < 0 || col >= e.width || (c > 0 && col <= e.columns.(c - 1))
+              then ascending := false)
+            e.columns;
+          if Array.length e.columns <> dim || not !ascending then
+            invalid_arg
+              "Chain.Builder.create: embedding columns must be dim ascending \
+               columns below its width";
+          e.width
+    in
+    { b_dim = dim; capacity; buf = Array.make (capacity * width) 0.0; embed;
       count = 0; sealed = false }
+
+  let create ~dim ~capacity = make None ~dim ~capacity
+  let embedded e ~dim ~capacity = make (Some e) ~dim ~capacity
 
   let count b = b.count
   let dim b = b.b_dim
@@ -191,13 +220,42 @@ module Builder = struct
     Array.blit flat 0 b.buf 0 n;
     b.count <- rows
 
+  (* Spread the live rows to their embedded width in place, last row and
+     last column first: row [r]'s coordinate [c] moves from [r*dim + c] up
+     to [r*width + columns.(c)], which is never below it, so no value is
+     overwritten before it has moved.  The other columns are zeroed, then
+     filled row by row in order. *)
+  let embed_rows b e =
+    let dim = b.b_dim and width = e.width and buf = b.buf in
+    for r = b.count - 1 downto 0 do
+      let base = r * width in
+      for c = dim - 1 downto 0 do
+        buf.(base + e.columns.(c)) <- buf.((r * dim) + c)
+      done;
+      let c = ref 0 in
+      for j = 0 to width - 1 do
+        if !c < dim && e.columns.(!c) = j then incr c
+        else buf.(base + j) <- 0.0
+      done
+    done;
+    for r = 0 to b.count - 1 do
+      e.fill buf (r * width)
+    done
+
   let to_chain b =
     check_open b "Chain.Builder.to_chain";
     if b.count = 0 then invalid_arg "Chain.Builder.to_chain: empty";
     b.sealed <- true;
+    let dim =
+      match b.embed with
+      | None -> b.b_dim
+      | Some e ->
+          embed_rows b e;
+          e.width
+    in
     if b.count = b.capacity then
       (* The buffer is full: hand it over without copying.  [sealed] makes
          sure the builder can never mutate it afterwards. *)
-      { dim = b.b_dim; len = b.count; data = b.buf }
-    else { dim = b.b_dim; len = b.count; data = flat_prefix b }
+      { dim; len = b.count; data = b.buf }
+    else { dim; len = b.count; data = Array.sub b.buf 0 (b.count * dim) }
 end

@@ -73,6 +73,21 @@ val concat : t list -> t
 val append : t -> t -> t
 (** Concatenate two chains of equal dimension. *)
 
+type embedding = {
+  width : int;  (** Dimension of the full rows. *)
+  columns : int array;
+      (** Column of each pushed coordinate in the full row, strictly
+          ascending and below [width]. *)
+  fill : float array -> int -> unit;
+      (** [fill data base] writes the other columns of the full row that
+          starts at [data.(base)]; called once per row, in row order, after
+          the pushed coordinates are in place and the other columns are
+          zero. *)
+}
+(** Where a {!Builder}'s draws go in wider rows: a sampler that runs over a
+    subset of the coordinates fills full-dimension draws without a second
+    buffer. *)
+
 (** Pre-sized flat accumulator the samplers blit kept draws into.  One
     buffer allocation up front replaces one row allocation plus copy per
     kept draw, and {!Builder.to_chain} hands the buffer to the chain
@@ -83,6 +98,13 @@ module Builder : sig
 
   val create : dim:int -> capacity:int -> t
   (** @raise Invalid_argument when [dim <= 0] or [capacity <= 0]. *)
+
+  val embedded : embedding -> dim:int -> capacity:int -> t
+  (** [embedded e ~dim ~capacity] keeps draws of [dim] values like
+      {!create}, in room for [capacity] rows of [e.width] values, which
+      {!to_chain} spreads them over.
+      @raise Invalid_argument as {!create}, or when [e.columns] are not
+      [dim] ascending columns below [e.width]. *)
 
   val count : t -> int
   (** Draws pushed (or loaded) so far. *)
@@ -105,7 +127,8 @@ module Builder : sig
       exceeds the capacity. *)
 
   val to_chain : t -> chain
-  (** Seal the builder into a chain.  Zero-copy when exactly full
-      ([count = capacity]); the builder is unusable afterwards.
+  (** Seal the builder into a chain, of dimension [e.width] for an
+      {!embedded} builder (its draws spread in place, then [e.fill]ed).  Zero-copy when exactly full ([count = capacity]);
+      the builder is unusable afterwards.
       @raise Invalid_argument on an empty builder or a second call. *)
 end

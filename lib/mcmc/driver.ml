@@ -24,7 +24,8 @@ let restore ~name ~dim a =
     invalid_arg (name ^ ": resume state dimension mismatch");
   Array.copy a
 
-let run ~name ~rng ?(thin = 1) ?resume ?control ~n_samples ~burn_in step =
+let run ~name ~rng ?(thin = 1) ?resume ?control ?embed ~n_samples ~burn_in
+    step =
   if thin <= 0 then invalid_arg (name ^ ": thin must be positive");
   if resume = None && not (Float.is_finite step.log_density) then
     failwith
@@ -35,7 +36,11 @@ let run ~name ~rng ?(thin = 1) ?resume ?control ~n_samples ~burn_in step =
   (* A resumed run continues the *saved* stream; the caller's rng is left
      untouched (it was never consumed before the snapshot either). *)
   let rng = match resume with Some p -> Rng.of_state p.rng | None -> rng in
-  let kept = Chain.Builder.create ~dim:step.dim ~capacity:n_samples in
+  let kept =
+    match embed with
+    | None -> Chain.Builder.create ~dim:step.dim ~capacity:n_samples
+    | Some e -> Chain.Builder.embedded e ~dim:step.dim ~capacity:n_samples
+  in
   let sweep = ref 0 and accepted = ref 0 and proposed = ref 0 in
   (match resume with
   | Some p ->

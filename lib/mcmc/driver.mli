@@ -55,6 +55,7 @@ val run :
   ?thin:int ->
   ?resume:progress ->
   ?control:(sweep:int -> state:(unit -> 's) -> unit) ->
+  ?embed:Chain.embedding ->
   n_samples:int ->
   burn_in:int ->
   's step ->
@@ -64,9 +65,13 @@ val run :
     [resume] the loop continues from the saved progress — the saved RNG
     stream replaces [rng] — bit for bit as if it had never stopped.
     [control] runs after every completed sweep with a thunk that builds
-    the state only when called; exceptions it raises propagate.
-    @raise Invalid_argument when [thin <= 0] or the resumed kept draws do
-    not fit [step.dim × n_samples].
+    the state only when called; exceptions it raises propagate.  With
+    [embed] the chain holds full rows of [embed.width] values
+    ({!Chain.Builder.embedded}); the kept draws of [progress] stay
+    [step.dim] wide.
+    @raise Invalid_argument when [thin <= 0], [embed] does not fit
+    [step.dim], or the resumed kept draws do not fit
+    [step.dim × n_samples].
     @raise Failure when a fresh run starts at a non-finite log density.
     Messages start with [name]. *)
 

@@ -44,6 +44,7 @@ val run :
   ?thin:int ->
   ?resume:state ->
   ?control:(sweep:int -> state:(unit -> state) -> unit) ->
+  ?embed:Chain.embedding ->
   n_samples:int ->
   burn_in:int ->
   Target.t ->
@@ -51,7 +52,7 @@ val run :
 (** [run ~rng ~n_samples ~burn_in target] requires [target.grad_log_density].
     [leapfrog_steps] defaults to 15 and must match the original run when
     resuming.  The step size starts at 0.05 and adapts towards a 0.75
-    acceptance rate during burn-in.  [resume]/[control] follow the
+    acceptance rate during burn-in.  [resume]/[control]/[embed] follow the
     {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
     the target has no gradient, [thin <= 0], or a [resume] state has the
     wrong dimension.

@@ -49,6 +49,7 @@ val run_single_site :
   ?thin:int ->
   ?resume:state ->
   ?control:(sweep:int -> state:(unit -> state) -> unit) ->
+  ?embed:Chain.embedding ->
   n_samples:int ->
   burn_in:int ->
   Target.t ->
@@ -62,7 +63,9 @@ val run_single_site :
     of the saved stream and point.  [control] is invoked after every
     completed sweep with a lazy state thunk; supervisors use it to enforce
     budgets (raise to abort — exceptions propagate untouched) and to decide
-    when to checkpoint.  The thunk allocates only when called.
+    when to checkpoint.  The thunk allocates only when called.  [embed]
+    spreads each draw over a wider row ({!Chain.embedding}); the saved
+    state keeps the target's own dimension.
     @raise Invalid_argument when [thin <= 0] or a [resume] state does not
     match the target (dimension or cache-shape mismatch).
     @raise Failure when the log-density is non-finite at the initial point

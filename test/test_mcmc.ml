@@ -351,6 +351,48 @@ let test_chain_builder () =
   | (_ : Chain.Builder.t) -> Alcotest.fail "dim=0 accepted"
   | exception Invalid_argument _ -> ()
 
+(* An embedded builder keeps narrow rows (its snapshot payload) and spreads
+   them in place over full rows, filling the other columns in row order. *)
+let test_chain_builder_embedded () =
+  let next = ref 100.0 in
+  let fill data base =
+    List.iter
+      (fun j ->
+        data.(base + j) <- !next;
+        next := !next +. 1.0)
+      [ 0; 2 ]
+  in
+  let e = { Chain.width = 4; columns = [| 1; 3 |]; fill } in
+  let b = Chain.Builder.embedded e ~dim:2 ~capacity:3 in
+  Chain.Builder.push b [| 1.0; 2.0 |];
+  Chain.Builder.push b [| 3.0; 4.0 |];
+  Alcotest.(check (array (float 0.0))) "narrow snapshot" [| 1.0; 2.0; 3.0; 4.0 |]
+    (Chain.Builder.flat_prefix b);
+  Chain.Builder.push b [| 5.0; 6.0 |];
+  Alcotest.(check bool) "spread and filled" true
+    (Chain.equal
+       (Chain.Builder.to_chain b)
+       (Chain.of_samples
+          [| [| 100.0; 1.0; 101.0; 2.0 |];
+             [| 102.0; 3.0; 103.0; 4.0 |];
+             [| 104.0; 5.0; 105.0; 6.0 |] |]));
+  (* A partial builder seals into its live rows only. *)
+  let b = Chain.Builder.embedded { e with fill = (fun _ _ -> ()) } ~dim:2
+      ~capacity:3 in
+  Chain.Builder.load_flat b [| 7.0; 8.0 |];
+  Alcotest.(check bool) "partial: other columns zero" true
+    (Chain.equal (Chain.Builder.to_chain b)
+       (Chain.of_samples [| [| 0.0; 7.0; 0.0; 8.0 |] |]));
+  List.iter
+    (fun (what, columns) ->
+      match
+        Chain.Builder.embedded { e with columns } ~dim:2 ~capacity:1
+      with
+      | (_ : Chain.Builder.t) -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("too few columns", [| 1 |]); ("descending", [| 3; 1 |]);
+      ("repeated", [| 1; 1 |]); ("past the width", [| 1; 4 |]) ]
+
 (* The stateful cache protocol: a generic cache built by [Target.cache_at]
    must drive the single-site sampler to the exact same chain as the
    stateless path — the protocol changes bookkeeping, not arithmetic. *)
@@ -505,6 +547,8 @@ let suite =
         test_chain_storage_isolation;
       Alcotest.test_case "chain of_flat" `Quick test_chain_of_flat;
       Alcotest.test_case "chain builder" `Quick test_chain_builder;
+      Alcotest.test_case "embedded chain builder" `Quick
+        test_chain_builder_embedded;
       Alcotest.test_case "cache protocol preserves the sampler" `Quick
         test_cache_protocol_preserves_sampler;
       Alcotest.test_case "cache_at tracks commits" `Quick
