@@ -38,9 +38,3 @@ let rfd_applies scope ~neighbor ~relationship =
   | Only_customers -> relationship_equal relationship Customer
   | Only_neighbors set -> Asn.Set.mem neighbor set
   | All_except set -> not (Asn.Set.mem neighbor set)
-
-let scope_is_damping = function
-  | No_rfd -> false
-  | All_neighbors | Only_customers -> true
-  | Only_neighbors set -> not (Asn.Set.is_empty set)
-  | All_except _ -> true

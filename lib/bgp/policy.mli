@@ -35,6 +35,3 @@ type rfd_scope =
 val rfd_applies :
   rfd_scope -> neighbor:Asn.t -> relationship:relationship -> bool
 (** Does this AS damp updates received on the session to [neighbor]? *)
-
-val scope_is_damping : rfd_scope -> bool
-(** [true] iff the scope damps at least one potential session. *)

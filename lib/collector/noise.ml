@@ -5,16 +5,15 @@ type params = {
   invalid_aggregator_rate : float;
   session_reset_rate : float;
   reset_outage : float;
-  max_outages : int;
 }
 
 let none =
   { invalid_aggregator_rate = 0.0; session_reset_rate = 0.0;
-    reset_outage = 0.0; max_outages = 1 }
+    reset_outage = 0.0 }
 
 let realistic =
   { invalid_aggregator_rate = 0.01; session_reset_rate = 0.1;
-    reset_outage = 1800.0; max_outages = 1 }
+    reset_outage = 1800.0 }
 
 let corrupt_aggregator rng params update =
   match update with
@@ -26,24 +25,10 @@ let corrupt_aggregator rng params update =
       | None -> update)
   | Update.Announce _ | Update.Withdraw _ -> update
 
-(* Each of the [max_outages] slots is an independent Bernoulli draw followed,
-   on a hit, by a uniform start time — so with [max_outages = 1] the RNG
-   stream is exactly the historical single-window one. *)
+(* One Bernoulli draw, then a uniform start time on a hit. *)
 let outage_windows rng params ~campaign_end =
-  if params.max_outages < 0 then
-    invalid_arg "Noise.outage_windows: max_outages must be non-negative";
-  let rec go k acc =
-    if k = 0 then List.rev acc
-    else begin
-      let acc =
-        if Rng.float rng < params.session_reset_rate && campaign_end > 0.0
-        then begin
-          let start = Rng.range_float rng 0.0 campaign_end in
-          (start, start +. params.reset_outage) :: acc
-        end
-        else acc
-      in
-      go (k - 1) acc
-    end
-  in
-  go params.max_outages [] |> List.sort compare
+  if Rng.float rng < params.session_reset_rate && campaign_end > 0.0 then begin
+    let start = Rng.range_float rng 0.0 campaign_end in
+    [ (start, start +. params.reset_outage) ]
+  end
+  else []

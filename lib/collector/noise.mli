@@ -10,13 +10,9 @@
 type params = {
   invalid_aggregator_rate : float;  (** Probability an announcement's aggregator is corrupted. *)
   session_reset_rate : float;
-      (** Per-slot probability that a vantage point suffers a reset during
-          the campaign (see [max_outages]). *)
+      (** Probability that a vantage point suffers a reset during the
+          campaign. *)
   reset_outage : float;  (** Duration of the data gap a reset causes, seconds. *)
-  max_outages : int;
-      (** Number of independent reset slots per vantage point; each hits
-          with [session_reset_rate].  The historical behavior is
-          [max_outages = 1]. *)
 }
 
 val none : params
@@ -31,7 +27,6 @@ val corrupt_aggregator :
 
 val outage_windows :
   Because_stats.Rng.t -> params -> campaign_end:float -> (float * float) list
-(** Draw the outage windows for one vantage point: up to [max_outages]
-    windows, sorted by start time (possibly overlapping).  With
-    [max_outages = 1] this consumes the same RNG draws as the historical
-    single-window API it replaced. *)
+(** Draw the outage windows for one vantage point: one Bernoulli draw with
+    [session_reset_rate], then, on a hit, a uniform start time in
+    [\[0, campaign_end)] — so at most one window. *)

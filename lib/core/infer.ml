@@ -12,14 +12,10 @@ module Sampler_state = Because_recover.Sampler_state
 type config = {
   n_samples : int;
   burn_in : int;
-  thin : int;
   prior : Prior.t;
   node_priors : (Because_bgp.Asn.t * Prior.t) list;
   false_negative_rate : float;
   leapfrog_steps : int;
-  run_mh : bool;
-  run_hmc : bool;
-  max_restarts : int;
   n_chains : int;
   jobs : int;
   telemetry : Tel.t;
@@ -32,14 +28,10 @@ let default_config =
   {
     n_samples = 1000;
     burn_in = 500;
-    thin = 1;
     prior = Prior.default;
     node_priors = [];
     false_negative_rate = 0.0;
     leapfrog_steps = 12;
-    run_mh = true;
-    run_hmc = true;
-    max_restarts = 2;
     n_chains = 1;
     jobs = 1;
     telemetry = Tel.disabled;
@@ -64,6 +56,9 @@ type result = {
 
 let chain_healthy chain = Chain.for_all_values Float.is_finite chain
 
+(* Restarts granted to a chain whose run diverges: three attempts in all. *)
+let max_restarts = 2
+
 (* Attempt 0 runs on the task's own pre-split generator, so for the default
    single-chain configuration a healthy run consumes exactly the one
    [Rng.split] per sampler the sequential code always did; retries split
@@ -77,9 +72,8 @@ let chain_healthy chain = Chain.for_all_values Float.is_finite chain
    uninterrupted run would have given them, and even a
    fail-after-resume trajectory stays bit-for-bit identical. *)
 let run_with_restarts ~config ~layout ~rng ~name ~chain_index sample =
-  let max_restarts = config.max_restarts in
   let key = Printf.sprintf "%s.chain%d" name chain_index in
-  let final_sweep = config.burn_in + (config.n_samples * config.thin) in
+  let final_sweep = config.burn_in + config.n_samples in
   let unusable = ref None in
   let unusable_note reason =
     unusable :=
@@ -304,9 +298,7 @@ let flush_chain_telemetry reg config ~dim ~name ~chain_index outcome =
   | Some _ -> Tel.Counter.add (Tel.Counter.v reg "mcmc.aborts") 1
   | None -> ());
   (* [dim] counts the sampled coordinates; with none, no sampler ran. *)
-  let sweeps =
-    if dim = 0 then 0 else config.burn_in + (config.n_samples * config.thin)
-  in
+  let sweeps = if dim = 0 then 0 else config.burn_in + config.n_samples in
   Tel.Counter.add (Tel.Counter.v reg "mcmc.sweeps") sweeps;
   (if name = "MH" then
      Tel.Counter.add (Tel.Counter.v reg "mcmc.mh.deltas_cached") (dim * sweeps)
@@ -462,14 +454,9 @@ let exact_chain s ~dim ~n_samples ~block =
   Chain.of_flat ~dim flat
 
 let run ~rng ?(config = default_config) data =
-  if not (config.run_mh || config.run_hmc) then
-    invalid_arg "Infer.run: at least one sampler must be enabled";
-  if config.max_restarts < 0 then
-    invalid_arg "Infer.run: max_restarts must be non-negative";
   if config.n_chains < 1 then
     invalid_arg "Infer.run: n_chains must be positive";
   if config.jobs < 1 then invalid_arg "Infer.run: jobs must be positive";
-  if config.thin < 1 then invalid_arg "Infer.run: thin must be positive";
   let model = full_model config data in
   let s = split_of ~full:model config data in
   let dim = Tomography.n_nodes data in
@@ -479,31 +466,26 @@ let run ~rng ?(config = default_config) data =
      domains; all mutable sampler state (including the likelihood cache) is
      created inside each sampler call. *)
   let mh embed target rng resume control =
-    Metropolis.run_single_site ~rng ~thin:config.thin ?resume ?control ?init
+    Metropolis.run_single_site ~rng ?resume ?control ?init
       ?embed:(embed ()) ~n_samples:config.n_samples ~burn_in:config.burn_in
       target
   in
   let hmc embed target rng resume control =
-    Hmc.run ~rng ~leapfrog_steps:config.leapfrog_steps ~thin:config.thin
-      ?resume ?control ?init ?embed:(embed ()) ~n_samples:config.n_samples
-      ~burn_in:config.burn_in target
+    Hmc.run ~rng ~leapfrog_steps:config.leapfrog_steps ?resume ?control ?init
+      ?embed:(embed ()) ~n_samples:config.n_samples ~burn_in:config.burn_in
+      target
   in
   let sampler_specs =
-    (if config.run_mh then
-       [ ( "MH",
-           fun embed target ->
-             adapt (mh embed target)
-               ~wrap:(fun s -> Sampler_state.Mh s)
-               ~unwrap:(function Sampler_state.Mh s -> Some s | _ -> None) ) ]
-     else [])
-    @
-    if config.run_hmc then
-      [ ( "HMC",
-          fun embed target ->
-            adapt (hmc embed target)
-              ~wrap:(fun s -> Sampler_state.Hmc s)
-              ~unwrap:(function Sampler_state.Hmc s -> Some s | _ -> None) ) ]
-    else []
+    [ ( "MH",
+        fun embed target ->
+          adapt (mh embed target)
+            ~wrap:(fun s -> Sampler_state.Mh s)
+            ~unwrap:(function Sampler_state.Mh s -> Some s | _ -> None) );
+      ( "HMC",
+        fun embed target ->
+          adapt (hmc embed target)
+            ~wrap:(fun s -> Sampler_state.Hmc s)
+            ~unwrap:(function Sampler_state.Hmc s -> Some s | _ -> None) ) ]
   in
   let specs =
     List.concat_map

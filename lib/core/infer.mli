@@ -2,7 +2,8 @@
     Monte Carlo on a tomography dataset and collect their chains.
 
     The paper runs both samplers and, when categorising, keeps the highest
-    flag either assigns — so both are enabled by default.
+    flag either assigns — so every run samples with both, keeping every
+    draw after burn-in (no thinning).
 
     Sampling work is organised as independent tasks (one per sampler per
     chain), each owning a generator split off the caller's stream before
@@ -13,19 +14,13 @@
 type config = {
   n_samples : int;       (** Retained draws per sampler chain. *)
   burn_in : int;         (** Adaptation iterations discarded per chain. *)
-  thin : int;
   prior : Prior.t;
   node_priors : (Because_bgp.Asn.t * Prior.t) list;
   false_negative_rate : float;
       (** §7.2 error-aware likelihood; 0 recovers the base model. *)
   leapfrog_steps : int;  (** HMC trajectory length. *)
-  run_mh : bool;
-  run_hmc : bool;
-  max_restarts : int;
-      (** Automatic restarts (fresh RNG split each) granted to a chain
-          whose run diverges or raises on a non-finite log-density. *)
   n_chains : int;
-      (** Independent chains per enabled sampler.  1 (the default)
+      (** Independent chains per sampler.  1 (the default)
           reproduces the single-chain behaviour exactly; more chains feed
           the cross-chain {!r_hat} diagnostic. *)
   jobs : int;
@@ -68,9 +63,8 @@ type config = {
 }
 
 val default_config : config
-(** 1000 samples after 500 burn-in, no thinning, {!Prior.default}, 12
-    leapfrog steps, both samplers, 2 restarts, 1 chain each, 1 job,
-    telemetry disabled. *)
+(** 1000 samples after 500 burn-in, {!Prior.default}, 12 leapfrog steps,
+    1 chain per sampler, 1 job, telemetry disabled. *)
 
 type sampler_run = {
   name : string;          (** ["MH"] or ["HMC"]. *)
@@ -135,10 +129,12 @@ val split : config -> Tomography.t -> split
 
 val run :
   rng:Because_stats.Rng.t -> ?config:config -> Tomography.t -> result
-(** Never raises on sampler divergence: each chain gets [1 + max_restarts]
-    attempts and is skipped with a warning if none yields an all-finite
-    chain.  [runs] can therefore be empty; downstream consumers must treat
-    that as "no posterior" rather than call {!combined_chain}.
+(** Never raises on sampler divergence: each chain gets three attempts,
+    each restart on a fresh split of its generator, and is skipped with the
+    warning ["<sampler> disabled: no healthy chain in 3 attempts"] if none
+    yields an all-finite chain.  [runs] can therefore be empty; downstream
+    consumers must treat that as "no posterior" rather than call
+    {!combined_chain}.
 
     MH and HMC sample only the coupled set of {!split}.  Each chain's
     exact set is drawn i.i.d. from its Beta posteriors, [n_samples] draws
@@ -155,10 +151,10 @@ val run :
     exact set is non-empty — one more per task for its exact draws.  So the
     result — chains, acceptance rates and warnings alike — does not depend
     on [config.jobs], and a resumed or restarted chain redraws its exact
-    block bit for bit without storing it.  With the default single-chain config and no
-    exact set (always the case for ε > 0) a healthy run consumes exactly
-    one [Rng.split] per enabled sampler, as the sequential implementation
-    always did; with an exact set, two. *)
+    block bit for bit without storing it.  With the default single-chain
+    config and no exact set (always the case for ε > 0) a healthy run
+    consumes exactly one [Rng.split] per sampler, as the sequential
+    implementation always did; with an exact set, two. *)
 
 val combined_chain : result -> Because_mcmc.Chain.t
 (** All retained draws across samplers and chains concatenated in one
@@ -176,7 +172,7 @@ val gate_draws : ?threshold:float -> result -> int option
     diagnostic across every sampler and coordinate is [<= threshold]
     (default 1.1).  [None] when no runs survived, the chains are shorter
     than 8 draws, or no prefix on the grid passes.  Warm-started epochs
-    report [burn_in + gate_draws·thin] as their sweeps-to-convergence. *)
+    report [burn_in + gate_draws] as their sweeps-to-convergence. *)
 
 val dataset : result -> Tomography.t
 

@@ -8,10 +8,10 @@ type promotion = {
   posterior_prob : float;
 }
 
-let default_threshold = 0.8
-let default_min_support = 2
+(* Eq. 8's win-share threshold. *)
+let threshold = 0.8
 
-let promotions_nonempty ~threshold ~min_support result ~categories =
+let promotions_nonempty ~min_support result ~categories =
   let data = Infer.dataset result in
   (* The pooled draws, read run by run in place: a win count does not
      depend on the order the draws come in. *)
@@ -87,11 +87,10 @@ let promotions_nonempty ~threshold ~min_support result ~categories =
   in
   List.sort (fun a b -> Int.compare a.node b.node) results
 
-let promotions ?(threshold = default_threshold)
-    ?(min_support = default_min_support) result ~categories =
+let promotions ?(min_support = 2) result ~categories =
   (* No surviving sampler run means no pooled chain to pinpoint from. *)
   if result.Infer.runs = [] then []
-  else promotions_nonempty ~threshold ~min_support result ~categories
+  else promotions_nonempty ~min_support result ~categories
 
 let apply categories promotions =
   let promoted =
@@ -113,7 +112,7 @@ type pipeline = {
   categories : (Asn.t * Categorize.t) list;
 }
 
-let pipeline ?threshold ?min_support ~min_path_support result =
+let pipeline ~min_path_support result =
   let posterior = Posterior.summarize result in
   let step1 =
     Categorize.assign ~min_support:min_path_support ~posterior result
@@ -126,7 +125,7 @@ let pipeline ?threshold ?min_support ~min_path_support result =
   let promotions =
     List.filter
       (fun p -> not (List.exists (Asn.equal p.asn) insufficient))
-      (promotions ?threshold ?min_support result ~categories:step1)
+      (promotions result ~categories:step1)
   in
   { posterior; step1; insufficient; promotions;
     categories = apply step1 promotions }
@@ -149,5 +148,5 @@ let localize ?infer_span ?categorize_span ?warm_start ~rng ~config
   let result = span infer_span (fun () -> Infer.run ~rng ~config data) in
   (result, span categorize_span (fun () -> pipeline ~min_path_support result))
 
-let assign_with_pinpointing ?threshold ?min_support result =
-  (pipeline ?threshold ?min_support ~min_path_support:1 result).categories
+let assign_with_pinpointing result =
+  (pipeline ~min_path_support:1 result).categories

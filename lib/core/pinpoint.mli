@@ -20,28 +20,24 @@ type promotion = {
   posterior_prob : float; (** P(this AS is the path's most likely damper). *)
 }
 
-val default_threshold : float
-(** 0.8, per eq. 8. *)
-
-val default_min_support : int
-(** 2 — a promotion must be backed by at least two independent unexplained
-    RFD observations (a path observed twice counts twice).  (The paper
-    promotes from a single path; in a simulated world the convergence noise
-    that follows a release is perfectly repeatable, so a single mislabeled
-    path would promote an innocent AS.  Genuinely
-    inconsistent dampers sit on many damped paths, so this only filters
-    noise.  See DESIGN.md §1.) *)
-
 val promotions :
-  ?threshold:float ->
   ?min_support:int ->
   Infer.result ->
   categories:(Asn.t * Categorize.t) list ->
   promotion list
-(** ASs to promote to Category 4.  Uses the pooled chain of all samplers.
-    Each returned promotion cites its strongest supporting path.  Returns
-    [\[\]] when the result carries no sampler runs (all dropped after
-    divergence). *)
+(** ASs to promote to Category 4: an AS wins a draw on a path when it has
+    the draw's largest damping proportion, and it is promoted when its win
+    share exceeds 0.8 (eq. 8) on unexplained RFD paths carrying at least
+    [min_support] observations in total (a path observed twice counts
+    twice).  [min_support] defaults to 2: the paper promotes from a single
+    path, but in a simulated world the convergence noise that follows a
+    release is perfectly repeatable, so a single mislabeled path would
+    promote an innocent AS.  Genuinely inconsistent dampers sit on many
+    damped paths, so this only filters noise (DESIGN.md §1).
+
+    Uses the pooled chain of all samplers.  Each returned promotion cites
+    its strongest supporting path.  Returns [\[\]] when the result carries
+    no sampler runs (all dropped after divergence). *)
 
 val apply :
   (Asn.t * Categorize.t) list -> promotion list -> (Asn.t * Categorize.t) list
@@ -60,15 +56,10 @@ type pipeline = {
       (** [step1] with [promotions] applied. *)
 }
 
-val pipeline :
-  ?threshold:float ->
-  ?min_support:int ->
-  min_path_support:int ->
-  Infer.result ->
-  pipeline
+val pipeline : min_path_support:int -> Infer.result -> pipeline
 (** The full two-step identification procedure: Table-1 flags with
     [min_path_support] as {!Categorize.assign}'s [min_support], then the
-    eq. 8 promotions ([threshold], [min_support] as in {!promotions}). *)
+    eq. 8 {!promotions} at their defaults. *)
 
 val localize :
   ?infer_span:string ->
@@ -85,6 +76,5 @@ val localize :
     wrap each step on [config.telemetry]; [warm_start] maps the node order
     to the chains' start, replacing [config.init]. *)
 
-val assign_with_pinpointing :
-  ?threshold:float -> ?min_support:int -> Infer.result -> (Asn.t * Categorize.t) list
+val assign_with_pinpointing : Infer.result -> (Asn.t * Categorize.t) list
 (** [(pipeline ~min_path_support:1 result).categories]: no AS is demoted. *)

@@ -26,13 +26,13 @@ let torn gaps (burst_start, _burst_end, break_end) =
 
 (* Label the chronological [(time, update)] stream of one (vp, prefix),
    usable records only. *)
-let label_times ?min_r_delta ?margin ~match_threshold ~gaps ~vp ~prefix
+let label_times ?min_r_delta ~match_threshold ~gaps ~vp ~prefix
     ~times ~windows () =
   let windows = List.filter (fun w -> not (torn gaps w)) windows in
   let pairs =
     List.map
       (fun window ->
-        Signature.analyse_pair ?min_r_delta ?margin ~times ~window ())
+        Signature.analyse_pair ?min_r_delta ~times ~window ())
       windows
   in
   let table = Hashtbl.create 4 in
@@ -107,20 +107,6 @@ let label_times ?min_r_delta ?margin ~match_threshold ~gaps ~vp ~prefix
       })
     all_paths
 
-let label_vp_prefix ?min_r_delta ?margin ?(match_threshold = 0.9)
-    ?(gaps = []) ~records ~windows () =
-  match records with
-  | [] -> []
-  | (first : Dump.record) :: _ ->
-      let times =
-        List.filter_map
-          (fun (r : Dump.record) ->
-            if Dump.usable r then Some (r.export_at, r.update) else None)
-          records
-      in
-      label_times ?min_r_delta ?margin ~match_threshold ~gaps ~vp:first.vp
-        ~prefix:(Update.prefix first.update) ~times ~windows ()
-
 (* One (vantage point, prefix) stream: the vantage point and prefix of its
    first record, the prefix's windows, and its usable records, newest
    first. *)
@@ -138,7 +124,7 @@ module Key = Hashtbl.Make (struct
   let hash (vp, p) = (Prefix.hash p + (vp * 0x9E3779B1)) land max_int
 end)
 
-let label_all ?min_r_delta ?margin ?(match_threshold = 0.9)
+let label_all ?min_r_delta ?(match_threshold = 0.9)
     ?(gaps_of = fun _ -> []) ~records ~windows_of () =
   (* Group records per (vp, prefix), preserving chronology.  A stream's
      windows are looked up when it is first seen; the records of a prefix
@@ -182,7 +168,7 @@ let label_all ?min_r_delta ?margin ?(match_threshold = 0.9)
           (fun acc (r : Dump.record) -> (r.export_at, r.update) :: acc)
           [] st.rev_records
       in
-      label_times ?min_r_delta ?margin ~match_threshold ~gaps:(gaps_of vp_id)
+      label_times ?min_r_delta ~match_threshold ~gaps:(gaps_of vp_id)
         ~vp:st.vp ~prefix:st.prefix ~times ~windows:st.windows ())
     keys
 

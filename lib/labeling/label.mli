@@ -25,28 +25,8 @@ type labeled_path = {
   alternatives : Asn.t list list;  (** Other paths observed at the same (vp, prefix). *)
 }
 
-val label_vp_prefix :
-  ?min_r_delta:float ->
-  ?margin:float ->
-  ?match_threshold:float ->
-  ?gaps:(float * float) list ->
-  records:Because_collector.Dump.record list ->
-  windows:(float * float * float) list ->
-  unit ->
-  labeled_path list
-(** Label one (vantage point, prefix) record stream — one result per path
-    that accumulated evidence.  [records] must all belong to the same vantage
-    point and prefix.  Announcements with invalid aggregators are discarded
-    first.
-
-    [gaps] are known collection outages [(from, until)] of this vantage
-    point: a Burst–Break window overlapping a gap is discarded rather than
-    scored, since its missing updates would read as suppression.  Default:
-    none. *)
-
 val label_all :
   ?min_r_delta:float ->
-  ?margin:float ->
   ?match_threshold:float ->
   ?gaps_of:(int -> (float * float) list) ->
   records:Because_collector.Dump.record list ->
@@ -55,8 +35,13 @@ val label_all :
   labeled_path list
 (** Group records by (vantage point, prefix) and label each stream whose
     prefix has Burst–Break windows ([windows_of] returning [\[\]] skips the
-    prefix, e.g. anchors).  [gaps_of vp_id] supplies each vantage point's
-    collection gaps (see {!label_vp_prefix}); default none. *)
+    prefix, e.g. anchors) — one result per path that accumulated evidence.
+    Announcements with invalid aggregators are discarded first.
+
+    [gaps_of vp_id] supplies each vantage point's known collection outages
+    [(from, until)]: a Burst–Break window overlapping a gap is discarded
+    rather than scored, since its missing updates would read as
+    suppression.  Default: none. *)
 
 val observations : labeled_path list -> (Asn.t list * bool) list
 (** The tomography input: [(path, shows-RFD)] pairs. *)

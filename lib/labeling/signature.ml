@@ -37,10 +37,9 @@ let dominant_path counts =
    allocates nothing. *)
 type last = { mutable last : float }
 
-let analyse_pair ?(min_r_delta = default_min_r_delta)
-    ?(margin = default_margin) ~times ~window () =
+let analyse_pair ?(min_r_delta = default_min_r_delta) ~times ~window () =
   let burst_start, burst_end, break_end = window in
-  let burst_hi = burst_end +. margin in
+  let burst_hi = burst_end +. default_margin in
   let in_break t = t > burst_hi && t <= break_end in
   (* One walk over the Burst: its update count, its last arrival and the
      cleaned-path counts of its announcements. *)

@@ -37,13 +37,13 @@ val default_margin : float
 
 val analyse_pair :
   ?min_r_delta:float ->
-  ?margin:float ->
   times:(float * Because_bgp.Update.t) list ->
   window:float * float * float ->
   unit ->
   pair
 (** [analyse_pair ~times ~window ()] examines the chronological
     [(observation-time, update)] stream of one (vantage point, prefix) pair
-    against one [(burst_start, burst_end, break_end)] window.  Announcements
+    against one [(burst_start, burst_end, break_end)] window; arrivals up to
+    {!default_margin} after the Burst end still count as Burst.  Announcements
     without a valid aggregator cannot qualify as re-advertisements (their
     send time is unknown). *)

@@ -197,10 +197,9 @@ let[@warning "@9"] fingerprint world params ~intervals ~script =
         min_path_support; sim_jobs = _; sim_shards = _; telemetry = _ } =
     params
   in
-  let { Because.Infer.n_samples; burn_in; thin; prior; node_priors = _;
-        false_negative_rate; leapfrog_steps; run_mh; run_hmc; max_restarts;
-        n_chains; jobs = _; telemetry = _; supervise = _; checkpoint = _;
-        init } =
+  let { Because.Infer.n_samples; burn_in; prior; node_priors = _;
+        false_negative_rate; leapfrog_steps; n_chains; jobs = _;
+        telemetry = _; supervise = _; checkpoint = _; init } =
     infer_config
   in
   Marshal.to_string
@@ -212,8 +211,8 @@ let[@warning "@9"] fingerprint world params ~intervals ~script =
         background_mean_gap, min_path_support ),
       noise,
       faults,
-      ( n_samples, burn_in, thin, prior, false_negative_rate, leapfrog_steps,
-        run_mh, run_hmc, max_restarts, n_chains, init ) )
+      ( n_samples, burn_in, prior, false_negative_rate, leapfrog_steps,
+        n_chains, init ) )
     [ Marshal.No_sharing ]
   |> Digest.string |> Digest.to_hex
 

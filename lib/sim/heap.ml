@@ -4,31 +4,31 @@
    a sift moves only ints and floats and never runs the write barrier; the
    one pointer write per entry is the payload's store into its slot.
    Popped slots go on a free stack and are reused first, so the payload
-   array never holds more slots than the peak number of live entries. *)
+   array never holds more slots than the peak number of live entries.  The
+   free stack lives in the unused tail of [slots]: positions [len] to
+   [used - 1], its top at [len]. *)
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable slots : int array;       (* heap position -> payload slot *)
+  mutable slots : int array;
+      (* heap position -> payload slot, then the free stack *)
   mutable payloads : 'a array;     (* payload slot -> payload *)
-  mutable free : int array;        (* stack of popped slots *)
-  mutable n_free : int;
+  mutable used : int;              (* slots handed out so far *)
   mutable len : int;
   mutable next_seq : int;
 }
 
 let create () =
-  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; free = [||];
-    n_free = 0; len = 0; next_seq = 0 }
+  { times = [||]; seqs = [||]; slots = [||]; payloads = [||]; used = 0;
+    len = 0; next_seq = 0 }
 
 let is_empty t = t.len = 0
 let size t = t.len
+let capacity t = t.used
 
-(* Slots handed out so far: live entries plus the free stack. *)
-let capacity t = t.len + t.n_free
-
-(* Only called with every slot live ([len] = array length, free stack
-   empty).  [filler] initialises the fresh payload slots; [Array.make]
-   needs one. *)
+(* Only called with every slot live ([len] = [used] = array length, free
+   stack empty).  [filler] initialises the fresh payload slots;
+   [Array.make] needs one. *)
 let grow t filler =
   let cap = Stdlib.max 16 (2 * Array.length t.times) in
   let extend a fill =
@@ -39,17 +39,16 @@ let grow t filler =
   t.times <- extend t.times 0.0;
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
-  t.payloads <- extend t.payloads filler;
-  t.free <- Array.make cap 0
+  t.payloads <- extend t.payloads filler
 
 let push t ~time payload =
   if t.len = Array.length t.times then grow t payload;
   let slot =
-    if t.n_free > 0 then begin
-      t.n_free <- t.n_free - 1;
-      t.free.(t.n_free)
+    if t.len < t.used then t.slots.(t.len)
+    else begin
+      t.used <- t.used + 1;
+      t.len
     end
-    else t.len
   in
   t.payloads.(slot) <- payload;
   let times = t.times and seqs = t.seqs and slots = t.slots in
@@ -79,8 +78,6 @@ let remove_min t =
   if t.len = 0 then invalid_arg "Heap.remove_min: empty heap";
   let times = t.times and seqs = t.seqs and slots = t.slots in
   let top = slots.(0) in
-  t.free.(t.n_free) <- top;
-  t.n_free <- t.n_free + 1;
   let n = t.len - 1 in
   t.len <- n;
   if n > 0 then begin
@@ -114,4 +111,6 @@ let remove_min t =
     seqs.(!i) <- seq;
     slots.(!i) <- slot
   end;
+  (* The vacated last position becomes the free stack's new top. *)
+  slots.(n) <- top;
   t.payloads.(top)

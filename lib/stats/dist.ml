@@ -1,8 +1,5 @@
 let uniform rng ~lo ~hi = Rng.range_float rng lo hi
 
-let uniform_log_pdf ~lo ~hi x =
-  if x < lo || x >= hi then neg_infinity else -.Float.log (hi -. lo)
-
 let normal rng ~mu ~sigma =
   (* Box–Muller; draw both uniforms fresh to keep streams deterministic
      regardless of how callers interleave. *)
@@ -10,12 +7,6 @@ let normal rng ~mu ~sigma =
   let u2 = Rng.float rng in
   let r = Float.sqrt (-2.0 *. Float.log u1) in
   mu +. (sigma *. r *. Float.cos (2.0 *. Float.pi *. u2))
-
-let normal_log_pdf ~mu ~sigma x =
-  let z = (x -. mu) /. sigma in
-  (-0.5 *. z *. z)
-  -. Float.log sigma
-  -. (0.5 *. Float.log (2.0 *. Float.pi))
 
 let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
@@ -66,13 +57,6 @@ let beta_log_pdf ~a ~b x =
 
 let bernoulli rng ~p = Rng.float rng < p
 
-let binomial rng ~n ~p =
-  let count = ref 0 in
-  for _ = 1 to n do
-    if bernoulli rng ~p then incr count
-  done;
-  !count
-
 let categorical rng weights =
   let total = Array.fold_left ( +. ) 0.0 weights in
   if total <= 0.0 then invalid_arg "Dist.categorical: weights must sum > 0";
@@ -94,7 +78,3 @@ let poisson rng ~lambda =
     if p <= limit then k else loop (k + 1) p
   in
   loop 0 1.0
-
-let pareto rng ~alpha ~x_min =
-  let u = Float.max (Rng.float rng) 1e-300 in
-  x_min /. Float.pow u (1.0 /. alpha)

@@ -6,14 +6,9 @@
 val uniform : Rng.t -> lo:float -> hi:float -> float
 (** Uniform draw on [\[lo, hi)]. *)
 
-val uniform_log_pdf : lo:float -> hi:float -> float -> float
-(** Log-density of the uniform distribution ([neg_infinity] outside). *)
-
 val normal : Rng.t -> mu:float -> sigma:float -> float
 (** Gaussian draw (Box–Muller; no state is cached so draws are independent of
     call interleaving). *)
-
-val normal_log_pdf : mu:float -> sigma:float -> float -> float
 
 val exponential : Rng.t -> rate:float -> float
 (** Exponential draw with rate λ (mean 1/λ). *)
@@ -35,9 +30,6 @@ val beta_log_pdf_normed :
 
 val bernoulli : Rng.t -> p:float -> bool
 
-val binomial : Rng.t -> n:int -> p:float -> int
-(** Sum of [n] Bernoulli(p) draws. *)
-
 val categorical : Rng.t -> float array -> int
 (** [categorical rng weights] draws index [i] with probability proportional
     to [weights.(i)].  Weights must be non-negative with a positive sum. *)
@@ -45,6 +37,3 @@ val categorical : Rng.t -> float array -> int
 val poisson : Rng.t -> lambda:float -> int
 (** Poisson draw (Knuth's method; adequate for the small rates used by the
     background-churn generator). *)
-
-val pareto : Rng.t -> alpha:float -> x_min:float -> float
-(** Pareto draw; used for heavy-tailed AS degree/customer-cone sizes. *)

@@ -28,17 +28,10 @@ let of_array ~lo ~hi ~bins xs =
     xs;
   { t with counts; total = Array.length xs }
 
-let bin_center t i = t.lo +. ((float_of_int i +. 0.5) *. bin_width t)
-
 let densities t =
   let w = bin_width t in
   let n = Stdlib.max t.total 1 in
   Array.map (fun c -> float_of_int c /. (float_of_int n *. w)) t.counts
-
-let mode_bin t =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c > t.counts.(!best) then best := i) t.counts;
-  !best
 
 let sparkline t =
   let ramp = [| " "; "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";

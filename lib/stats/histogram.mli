@@ -20,14 +20,10 @@ val add : t -> float -> t
 
 val of_array : lo:float -> hi:float -> bins:int -> float array -> t
 
-val bin_center : t -> int -> float
 val bin_width : t -> float
 
 val densities : t -> float array
 (** Counts normalised so the histogram integrates to 1. *)
-
-val mode_bin : t -> int
-(** Index of the fullest bin (ties break low). *)
 
 val sparkline : t -> string
 (** Compact unicode bar rendering for terminal output. *)

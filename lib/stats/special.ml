@@ -55,6 +55,3 @@ let erf x =
                      +. (t *. (-1.453152027 +. (t *. 1.061405429))))))))
   in
   sign *. (1.0 -. (poly *. Float.exp (-.x *. x)))
-
-let normal_cdf ?(mu = 0.0) ?(sigma = 1.0) x =
-  0.5 *. (1.0 +. erf ((x -. mu) /. (sigma *. Float.sqrt 2.0)))

@@ -18,6 +18,3 @@ val log_sum_exp : float array -> float
 
 val erf : float -> float
 (** Error function (Abramowitz–Stegun 7.1.26, |error| ≤ 1.5e-7). *)
-
-val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
-(** Gaussian cumulative distribution function. *)

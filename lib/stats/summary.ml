@@ -33,20 +33,3 @@ let quantile xs q =
   sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
 let median xs = quantile xs 0.5
-
-let covariance xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Summary.covariance: length mismatch";
-  if n < 2 then 0.0
-  else begin
-    let mx = mean xs and my = mean ys in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. ((xs.(i) -. mx) *. (ys.(i) -. my))
-    done;
-    !acc /. float_of_int (n - 1)
-  end
-
-let correlation xs ys =
-  let sx = std xs and sy = std ys in
-  if sx = 0.0 || sy = 0.0 then 0.0 else covariance xs ys /. (sx *. sy)

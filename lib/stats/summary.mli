@@ -17,9 +17,3 @@ val quantile : float array -> float -> float
     statistics (type-7, as in R).  The input is not modified. *)
 
 val median : float array -> float
-
-val covariance : float array -> float array -> float
-(** Unbiased sample covariance of two equal-length arrays. *)
-
-val correlation : float array -> float array -> float
-(** Pearson correlation; 0 when either side is constant. *)

@@ -156,37 +156,16 @@ let intern reg name kind =
           id)
 
 (* Shards are sized for the metrics known when the domain first recorded;
-   later registrations grow them on demand. *)
-let ensure_int_slot arr id =
-  let len = Array.length !arr in
-  if id >= len then begin
-    let grown = Array.make (max (id + 1) (2 * max 1 len)) 0 in
-    Array.blit !arr 0 grown 0 len;
-    arr := grown
-  end
-
-let ensure_float_slot arr id ~default =
-  let len = Array.length !arr in
-  if id >= len then begin
+   later registrations grow them on demand: [with_slot arr id default] is
+   [arr] when it has slot [id], otherwise a copy grown past [id] whose new
+   slots hold [default]. *)
+let with_slot arr id default =
+  let len = Array.length arr in
+  if id < len then arr
+  else begin
     let grown = Array.make (max (id + 1) (2 * max 1 len)) default in
-    Array.blit !arr 0 grown 0 len;
-    arr := grown
-  end
-
-let ensure_bool_slot arr id =
-  let len = Array.length !arr in
-  if id >= len then begin
-    let grown = Array.make (max (id + 1) (2 * max 1 len)) false in
-    Array.blit !arr 0 grown 0 len;
-    arr := grown
-  end
-
-let ensure_hist_slot arr id =
-  let len = Array.length !arr in
-  if id >= len then begin
-    let grown = Array.make (max (id + 1) (2 * max 1 len)) [||] in
-    Array.blit !arr 0 grown 0 len;
-    arr := grown
+    Array.blit arr 0 grown 0 len;
+    grown
   end
 
 module Counter = struct
@@ -199,9 +178,7 @@ module Counter = struct
   let add h n =
     if h.c_reg.enabled && n <> 0 then begin
       let s = Domain.DLS.get h.c_reg.key in
-      let counts = ref s.counts in
-      ensure_int_slot counts h.c_id;
-      s.counts <- !counts;
+      s.counts <- with_slot s.counts h.c_id 0;
       s.counts.(h.c_id) <- s.counts.(h.c_id) + n
     end
 
@@ -218,12 +195,8 @@ module Gauge = struct
   let set h x =
     if h.g_reg.enabled then begin
       let s = Domain.DLS.get h.g_reg.key in
-      let gauges = ref s.gauges in
-      ensure_float_slot gauges h.g_id ~default:0.0;
-      s.gauges <- !gauges;
-      let set_flags = ref s.gauge_set in
-      ensure_bool_slot set_flags h.g_id;
-      s.gauge_set <- !set_flags;
+      s.gauges <- with_slot s.gauges h.g_id 0.0;
+      s.gauge_set <- with_slot s.gauge_set h.g_id false;
       s.gauges.(h.g_id) <- x;
       s.gauge_set.(h.g_id) <- true
     end
@@ -239,12 +212,8 @@ module Histogram = struct
   let observe h x =
     if h.h_reg.enabled then begin
       let s = Domain.DLS.get h.h_reg.key in
-      let hists = ref s.hist_buckets in
-      ensure_hist_slot hists h.h_id;
-      s.hist_buckets <- !hists;
-      let sums = ref s.hist_sums in
-      ensure_float_slot sums h.h_id ~default:0.0;
-      s.hist_sums <- !sums;
+      s.hist_buckets <- with_slot s.hist_buckets h.h_id [||];
+      s.hist_sums <- with_slot s.hist_sums h.h_id 0.0;
       if Array.length s.hist_buckets.(h.h_id) = 0 then
         s.hist_buckets.(h.h_id) <- Array.make Snapshot.n_buckets 0;
       let b = Snapshot.bucket_of x in

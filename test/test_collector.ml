@@ -89,10 +89,10 @@ let test_outage_within_campaign () =
         Alcotest.(check bool) "window sane" true
           (lo >= 0.0 && lo <= 10_000.0 && hi = lo +. 1800.0)
     | [] -> ()
-    | _ -> Alcotest.fail "max_outages = 1 yielded several windows"
+    | _ -> Alcotest.fail "one outage slot yielded several windows"
   done
 
-(* [max_outages = 1] must keep consuming the historical single-window RNG
+(* The one outage slot must keep consuming the historical single-window RNG
    stream: one bernoulli draw, then one uniform iff the slot hit. *)
 let test_outage_single_slot_stream () =
   let windows =
@@ -108,17 +108,6 @@ let test_outage_single_slot_stream () =
   in
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
     "same stream as the historical single-window draw" manual windows
-
-let test_multiple_outages () =
-  let rng = Rng.create 11 in
-  let params =
-    { Noise.none with session_reset_rate = 1.0; reset_outage = 100.0;
-      max_outages = 3 }
-  in
-  let windows = Noise.outage_windows rng params ~campaign_end:5_000.0 in
-  Alcotest.(check int) "three windows" 3 (List.length windows);
-  Alcotest.(check bool) "sorted" true
-    (windows = List.sort compare windows)
 
 (* Dump building over a tiny simulated network. *)
 let build_dump () =
@@ -202,7 +191,6 @@ let suite =
       Alcotest.test_case "outage window" `Quick test_outage_within_campaign;
       Alcotest.test_case "single-slot outage stream" `Quick
         test_outage_single_slot_stream;
-      Alcotest.test_case "multiple outages" `Quick test_multiple_outages;
       Alcotest.test_case "dump records" `Quick test_dump_records;
       Alcotest.test_case "aggregator filter" `Quick test_valid_aggregator_filter;
     ] )

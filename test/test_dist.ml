@@ -50,13 +50,6 @@ let test_bernoulli () =
   done;
   check_close "rate" 0.3 (float_of_int !hits /. float_of_int n) 0.01
 
-let test_binomial () =
-  let rng = Rng.create 7 in
-  let xs =
-    sample rng 5000 (fun r -> float_of_int (Dist.binomial r ~n:20 ~p:0.4))
-  in
-  check_close "mean = np" 8.0 (Summary.mean xs) 0.15
-
 let test_categorical () =
   let rng = Rng.create 8 in
   let counts = Array.make 3 0 in
@@ -83,14 +76,6 @@ let test_poisson () =
   check_close "mean" 4.0 (Summary.mean xs) 0.1;
   check_close "variance" 4.0 (Summary.variance xs) 0.25
 
-let test_pareto () =
-  let rng = Rng.create 11 in
-  let xs = sample rng 20_000 (fun r -> Dist.pareto r ~alpha:3.0 ~x_min:2.0) in
-  Alcotest.(check bool) "above x_min" true
-    (Array.for_all (fun x -> x >= 2.0) xs);
-  (* mean = α x_min / (α − 1) = 3 *)
-  check_close "mean" 3.0 (Summary.mean xs) 0.1
-
 let test_beta_log_pdf () =
   (* Beta(2,2): density 6x(1−x) *)
   let expected x = Float.log (6.0 *. x *. (1.0 -. x)) in
@@ -102,20 +87,6 @@ let test_beta_log_pdf () =
     [ 0.1; 0.5; 0.9 ];
   Alcotest.(check (float 0.0)) "outside support" neg_infinity
     (Dist.beta_log_pdf ~a:2.0 ~b:2.0 1.5)
-
-let test_normal_log_pdf () =
-  (* standard normal at 0: −½ln(2π) *)
-  check_close "peak"
-    (-0.5 *. Float.log (2.0 *. Float.pi))
-    (Dist.normal_log_pdf ~mu:0.0 ~sigma:1.0 0.0)
-    1e-10
-
-let test_uniform_log_pdf () =
-  check_close "density" (-.Float.log 4.0)
-    (Dist.uniform_log_pdf ~lo:1.0 ~hi:5.0 2.0)
-    1e-10;
-  Alcotest.(check (float 0.0)) "outside" neg_infinity
-    (Dist.uniform_log_pdf ~lo:1.0 ~hi:5.0 6.0)
 
 let qcheck_beta_support =
   QCheck.Test.make ~name:"beta sampler stays in (0,1)" ~count:300
@@ -141,14 +112,10 @@ let suite =
       Alcotest.test_case "gamma small shape" `Quick test_gamma_small_shape;
       Alcotest.test_case "beta moments" `Quick test_beta_moments;
       Alcotest.test_case "bernoulli" `Quick test_bernoulli;
-      Alcotest.test_case "binomial" `Quick test_binomial;
       Alcotest.test_case "categorical" `Quick test_categorical;
       Alcotest.test_case "categorical invalid" `Quick test_categorical_invalid;
       Alcotest.test_case "poisson" `Quick test_poisson;
-      Alcotest.test_case "pareto" `Quick test_pareto;
       Alcotest.test_case "beta log pdf" `Quick test_beta_log_pdf;
-      Alcotest.test_case "normal log pdf" `Quick test_normal_log_pdf;
-      Alcotest.test_case "uniform log pdf" `Quick test_uniform_log_pdf;
       QCheck_alcotest.to_alcotest qcheck_beta_support;
       QCheck_alcotest.to_alcotest qcheck_exponential_positive;
     ] )

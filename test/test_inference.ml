@@ -66,16 +66,47 @@ let test_mh_hmc_agree () =
     (Float.abs (mh.(damper).Posterior.mean -. hmc.(damper).Posterior.mean)
     < 0.12)
 
-let test_infer_config_validation () =
+(* A NaN start gives every attempt a non-finite initial log-density, so
+   each chain uses up its restart budget: three attempts, then dropped. *)
+let test_restart_budget () =
   let data = Tomography.of_observations identifiable_observations in
-  Alcotest.(check bool) "no sampler" true
-    (try
-       ignore
-         (Infer.run ~rng:(Rng.create 1)
-            ~config:{ small_config with run_mh = false; run_hmc = false }
-            data);
-       false
-     with Invalid_argument _ -> true)
+  let reg = Because_telemetry.Registry.create () in
+  let config =
+    { small_config with
+      Infer.init = Some (Array.make (Tomography.n_nodes data) Float.nan);
+      telemetry = reg }
+  in
+  let result = Infer.run ~rng:(Rng.create 5) ~config data in
+  Alcotest.(check int) "no run survives" 0 (List.length result.Infer.runs);
+  List.iter
+    (fun name ->
+      match
+        List.filter (String.starts_with ~prefix:(name ^ " "))
+          result.Infer.warnings
+      with
+      | [ a1; a2; a3; disabled ] ->
+          List.iteri
+            (fun k w ->
+              let prefix =
+                Printf.sprintf "%s attempt %d/3 diverged: " name (k + 1)
+              in
+              Alcotest.(check bool) prefix true
+                (String.starts_with ~prefix w))
+            [ a1; a2; a3 ];
+          Alcotest.(check string) (name ^ " gives up")
+            (name ^ " disabled: no healthy chain in 3 attempts")
+            disabled
+      | ws -> Alcotest.failf "%s: %d warnings, want 4" name (List.length ws))
+    [ "MH"; "HMC" ];
+  (match Infer.status result with
+  | Because_recover.Supervise.Degraded ws ->
+      Alcotest.(check (list string)) "degraded with the warnings"
+        result.Infer.warnings ws
+  | _ -> Alcotest.fail "expected a Degraded status");
+  Alcotest.(check (option int)) "two restarts per chain" (Some 4)
+    (Because_telemetry.Snapshot.counter
+       (Because_telemetry.Registry.snapshot reg)
+       "mcmc.restarts")
 
 let test_combined_chain_length () =
   let result = run_identifiable () in
@@ -137,7 +168,7 @@ let test_single_chain_stream_unchanged () =
   let streams = Rng.split_n (Rng.create 33) 4 in
   let r =
     Because_mcmc.Metropolis.run_single_site ~rng:streams.(0)
-      ~thin:small_config.Infer.thin ~n_samples:small_config.Infer.n_samples
+      ~n_samples:small_config.Infer.n_samples
       ~burn_in:small_config.Infer.burn_in
       (Because.Model.target (Option.get s.Infer.sampled))
   in
@@ -506,7 +537,7 @@ let suite =
       Alcotest.test_case "runs both samplers" `Slow test_infer_runs_both_samplers;
       Alcotest.test_case "identifies the damper" `Slow test_infer_identifies_damper;
       Alcotest.test_case "MH and HMC agree" `Slow test_mh_hmc_agree;
-      Alcotest.test_case "config validation" `Quick test_infer_config_validation;
+      Alcotest.test_case "restart budget" `Quick test_restart_budget;
       Alcotest.test_case "combined chain" `Slow test_combined_chain_length;
       Alcotest.test_case "jobs=4 bit-identical to jobs=1" `Slow
         test_jobs_bit_identical;

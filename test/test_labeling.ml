@@ -106,7 +106,7 @@ let vp = Vantage.make ~vp_id:0 ~host_asn:(asn 9) ~project:Because_collector.Proj
 let record t update =
   { Dump.received_at = t; export_at = t; vp; update }
 
-let test_label_vp_prefix_damped () =
+let test_label_damped_stream () =
   (* Two windows, both damped on path [9;7;65001]. *)
   let records =
     [
@@ -119,7 +119,7 @@ let test_label_vp_prefix_damped () =
     ]
   in
   let windows = [ (1000.0, 2000.0, 6000.0); (7000.0, 8000.0, 12000.0) ] in
-  match Label.label_vp_prefix ~records ~windows () with
+  match Label.label_all ~records ~windows_of:(fun _ -> windows) () with
   | [ lp ] ->
       Alcotest.(check bool) "rfd" true lp.Label.rfd;
       Alcotest.(check int) "matched" 2 lp.Label.matched_pairs;
@@ -141,14 +141,17 @@ let test_label_threshold () =
     ]
   in
   let windows = [ (1000.0, 2000.0, 6000.0); (7000.0, 8000.0, 12000.0) ] in
-  (match Label.label_vp_prefix ~records ~windows () with
+  (match Label.label_all ~records ~windows_of:(fun _ -> windows) () with
   | [ lp ] ->
       Alcotest.(check bool) "mixed evidence below 90%" false lp.Label.rfd;
       Alcotest.(check int) "matched" 1 lp.Label.matched_pairs;
       Alcotest.(check int) "total" 2 lp.Label.total_pairs
   | l -> Alcotest.failf "expected one labeled path, got %d" (List.length l));
   (* With a lax threshold the same evidence labels RFD. *)
-  match Label.label_vp_prefix ~match_threshold:0.5 ~records ~windows () with
+  match
+    Label.label_all ~match_threshold:0.5 ~records
+      ~windows_of:(fun _ -> windows) ()
+  with
   | [ lp ] -> Alcotest.(check bool) "lax threshold" true lp.Label.rfd
   | _ -> Alcotest.fail "expected one labeled path"
 
@@ -167,7 +170,7 @@ let test_label_path_split () =
     ]
   in
   let windows = [ (1000.0, 2000.0, 6000.0) ] in
-  let labeled = Label.label_vp_prefix ~records ~windows () in
+  let labeled = Label.label_all ~records ~windows_of:(fun _ -> windows) () in
   Alcotest.(check int) "two paths" 2 (List.length labeled);
   let damped = List.find (fun lp -> lp.Label.rfd) labeled in
   Alcotest.(check (list int)) "damped is the re-advertised path" [ 9; 7; 65001 ]
@@ -277,7 +280,7 @@ let suite =
         test_signature_invalid_aggregator_ignored;
       Alcotest.test_case "converged path attribution" `Quick
         test_signature_converged_path;
-      Alcotest.test_case "label damped stream" `Quick test_label_vp_prefix_damped;
+      Alcotest.test_case "label damped stream" `Quick test_label_damped_stream;
       Alcotest.test_case "90% threshold" `Quick test_label_threshold;
       Alcotest.test_case "path evidence split" `Quick test_label_path_split;
       Alcotest.test_case "label_all grouping" `Quick test_label_all_groups;

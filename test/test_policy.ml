@@ -62,14 +62,6 @@ let test_rfd_scopes () =
   Alcotest.(check bool) "except: others" true
     (applies (Policy.All_except set) 8 Policy.Peer)
 
-let test_scope_is_damping () =
-  Alcotest.(check bool) "no_rfd" false (Policy.scope_is_damping Policy.No_rfd);
-  Alcotest.(check bool) "all" true (Policy.scope_is_damping Policy.All_neighbors);
-  Alcotest.(check bool) "empty only" false
-    (Policy.scope_is_damping (Policy.Only_neighbors Asn.Set.empty));
-  Alcotest.(check bool) "except" true
-    (Policy.scope_is_damping (Policy.All_except (Asn.Set.singleton (asn 1))))
-
 let suite =
   ( "policy",
     [
@@ -77,5 +69,4 @@ let suite =
       Alcotest.test_case "flip" `Quick test_flip;
       Alcotest.test_case "valley-free export" `Quick test_export_valley_free;
       Alcotest.test_case "rfd scopes" `Quick test_rfd_scopes;
-      Alcotest.test_case "scope_is_damping" `Quick test_scope_is_damping;
     ] )

@@ -428,7 +428,7 @@ let test_retired_snapshot_tag_quarantined () =
     Because.Infer.run ~rng:(Rng.create 3)
       ~config:
         { Because.Infer.default_config with
-          n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+          n_samples = 40; burn_in = 20; checkpoint }
       data
   in
   let dir = fresh_dir () in
@@ -464,7 +464,7 @@ let test_wrong_size_cache_snapshot_starts_cold () =
     Because.Infer.run ~rng:(Rng.create 3)
       ~config:
         { Because.Infer.default_config with
-          n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+          n_samples = 40; burn_in = 20; checkpoint }
       data
   in
   let saved = Hashtbl.create 4 in
@@ -523,7 +523,7 @@ let test_full_layout_snapshot_starts_cold () =
   in
   let config checkpoint =
     { Because.Infer.default_config with
-      n_samples = 40; burn_in = 20; run_hmc = false; checkpoint }
+      n_samples = 40; burn_in = 20; checkpoint }
   in
   let s = Because.Infer.split (config None) data in
   Alcotest.(check int) "no exact set" 0 (Array.length s.Because.Infer.exact);

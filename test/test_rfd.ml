@@ -28,15 +28,6 @@ let test_flaps_to_suppress () =
   Alcotest.(check int) "juniper" 2 (Rfd_params.flaps_to_suppress Rfd_params.juniper);
   Alcotest.(check int) "rfc7454" 3 (Rfd_params.flaps_to_suppress Rfd_params.rfc7454)
 
-let test_scaled_max_suppress () =
-  let p = Rfd_params.with_max_suppress_scaled Rfd_params.cisco ~minutes:10.0 in
-  Alcotest.(check (float 0.0)) "max-suppress" (minutes 10.0) p.max_suppress_time;
-  Alcotest.(check (float 0.0)) "half-life scales" (minutes 2.5) p.half_life;
-  Alcotest.(check (float 1e-9)) "ceiling preserved" 12000.0
-    (Rfd_params.penalty_ceiling p);
-  Alcotest.(check bool) "ceiling above all thresholds" true
-    (Rfd_params.penalty_ceiling p > Rfd_params.rfc7454.suppress_threshold)
-
 let test_penalty_accumulates () =
   let s = Rfd.create Rfd_params.cisco in
   Rfd.record s ~now:0.0 Rfd.Withdrawal;
@@ -225,7 +216,6 @@ let suite =
       Alcotest.test_case "vendor presets (Appendix B)" `Quick test_vendor_presets;
       Alcotest.test_case "penalty ceiling" `Quick test_penalty_ceiling;
       Alcotest.test_case "flaps to suppress" `Quick test_flaps_to_suppress;
-      Alcotest.test_case "scaled max-suppress" `Quick test_scaled_max_suppress;
       Alcotest.test_case "penalty accumulates" `Quick test_penalty_accumulates;
       Alcotest.test_case "half-life decay" `Quick test_penalty_decays_half_life;
       Alcotest.test_case "suppression trigger" `Quick test_suppression_trigger;

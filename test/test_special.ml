@@ -67,11 +67,6 @@ let test_erf () =
   close "erf -1" (-0.8427007929) (Special.erf (-1.0)) ~tol:1e-5;
   close "erf 3" 0.9999779095 (Special.erf 3.0) ~tol:1e-5
 
-let test_normal_cdf () =
-  close "median" 0.5 (Special.normal_cdf 0.0) ~tol:1e-7;
-  close "one sigma" 0.8413447 (Special.normal_cdf 1.0) ~tol:1e-4;
-  close "shifted" 0.5 (Special.normal_cdf ~mu:3.0 ~sigma:2.0 3.0) ~tol:1e-7
-
 let qcheck_log1mexp_monotone =
   QCheck.Test.make ~name:"log1mexp decreasing in x" ~count:300
     QCheck.(pair (float_range (-30.0) (-0.01)) (float_range (-30.0) (-0.01)))
@@ -80,13 +75,6 @@ let qcheck_log1mexp_monotone =
       QCheck.assume (lo < hi);
       (* larger x ⇒ e^x closer to 1 ⇒ smaller 1 − e^x *)
       Special.log1mexp hi <= Special.log1mexp lo +. 1e-12)
-
-let qcheck_normal_cdf_bounds =
-  QCheck.Test.make ~name:"normal_cdf within [0,1]" ~count:300
-    QCheck.(float_range (-50.0) 50.0)
-    (fun x ->
-      let v = Special.normal_cdf x in
-      v >= 0.0 && v <= 1.0)
 
 let suite =
   ( "special",
@@ -100,7 +88,5 @@ let suite =
       Alcotest.test_case "log1mexp invalid" `Quick test_log1mexp_invalid;
       Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
       Alcotest.test_case "erf" `Quick test_erf;
-      Alcotest.test_case "normal_cdf" `Quick test_normal_cdf;
       QCheck_alcotest.to_alcotest qcheck_log1mexp_monotone;
-      QCheck_alcotest.to_alcotest qcheck_normal_cdf_bounds;
     ] )

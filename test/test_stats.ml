@@ -33,14 +33,6 @@ let test_quantile_unsorted_input () =
   close "median of unsorted" 5.0 (Summary.median xs) 1e-12;
   Alcotest.(check (float 0.0)) "input untouched" 9.0 xs.(0)
 
-let test_correlation () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let ys = Array.map (fun x -> (2.0 *. x) +. 1.0) xs in
-  close "perfect" 1.0 (Summary.correlation xs ys) 1e-12;
-  let inv = Array.map (fun x -> -.x) xs in
-  close "inverse" (-1.0) (Summary.correlation xs inv) 1e-12;
-  close "constant" 0.0 (Summary.correlation xs [| 1.0; 1.0; 1.0; 1.0 |]) 1e-12
-
 (* ---------------- Histogram ---------------- *)
 
 let test_histogram_counts () =
@@ -59,11 +51,6 @@ let test_histogram_density () =
     Array.fold_left (fun acc v -> acc +. (v *. Histogram.bin_width h)) 0.0 d
   in
   close "integrates to 1" 1.0 integral 1e-12
-
-let test_histogram_mode_center () =
-  let h = Histogram.of_array ~lo:0.0 ~hi:1.0 ~bins:10 [| 0.55; 0.52; 0.58; 0.1 |] in
-  Alcotest.(check int) "mode bin" 5 (Histogram.mode_bin h);
-  close "center of bin 5" 0.55 (Histogram.bin_center h 5) 1e-12
 
 (* ---------------- Hdpi ---------------- *)
 
@@ -317,11 +304,9 @@ let suite =
       Alcotest.test_case "mean/variance" `Quick test_mean_variance;
       Alcotest.test_case "quantiles" `Quick test_quantiles;
       Alcotest.test_case "quantile unsorted" `Quick test_quantile_unsorted_input;
-      Alcotest.test_case "correlation" `Quick test_correlation;
       Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
       Alcotest.test_case "histogram clamp" `Quick test_histogram_clamp;
       Alcotest.test_case "histogram density" `Quick test_histogram_density;
-      Alcotest.test_case "histogram mode/center" `Quick test_histogram_mode_center;
       Alcotest.test_case "hdpi uniform" `Quick test_hdpi_uniform;
       Alcotest.test_case "hdpi point mass" `Quick test_hdpi_point_mass;
       Alcotest.test_case "hdpi concentrated" `Quick test_hdpi_concentrated;

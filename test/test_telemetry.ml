@@ -272,8 +272,7 @@ let test_campaign_snapshot_contents () =
         (Snapshot.counter s "sim.deliveries");
       let cfg = (fast_params reg).Sc.Campaign.infer_config in
       let sweeps =
-        cfg.Because.Infer.burn_in
-        + (cfg.Because.Infer.n_samples * cfg.Because.Infer.thin)
+        cfg.Because.Infer.burn_in + cfg.Because.Infer.n_samples
       in
       (* MH + HMC, one chain each. *)
       Alcotest.(check (option int)) "mcmc.sweeps" (Some (2 * sweeps))
