@@ -46,8 +46,8 @@ let sim_jobs_arg =
     value & opt positive_int 1
     & info [ "sim-jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the BGP simulation itself: prefixes are \
-           partitioned into N shards simulated in parallel.  Every value \
+          "Worker domains for the BGP simulation itself: at most N shard \
+           networks are simulated at once, in parallel.  Every value \
            yields the identical outcome, faulted campaigns included.")
 
 let sim_shards_arg =
@@ -55,11 +55,11 @@ let sim_shards_arg =
     value & opt (some positive_int) None
     & info [ "sim-shards" ] ~docv:"N"
         ~doc:
-          "Simulation shard count, decoupled from --sim-jobs (default: one \
-           shard per job).  More shards than jobs queue on the domain pool \
-           — at most --sim-jobs shard networks are live at once, so peak \
-           memory is bounded by the seat count while per-shard state \
-           shrinks.  Outcomes are shard-invariant.")
+          "Simulation shard count (default: one shard per prefix, at most \
+           the prefix count); fewer shards group several prefixes into one \
+           network.  Shards beyond --sim-jobs queue on the domain pool, so \
+           at most --sim-jobs shard networks are live at once.  Outcomes \
+           are shard-invariant.")
 
 let chains_arg =
   Arg.(
@@ -379,13 +379,10 @@ let print_campaign_summary world outcome =
     (List.length rfd_paths)
     (Asn.Set.cardinal (Sc.Campaign.universe outcome))
     outcome.Sc.Campaign.deliveries;
-  Printf.printf "events processed: %d" outcome.Sc.Campaign.events;
-  let shard_events = outcome.Sc.Campaign.shard_events in
-  if Array.length shard_events > 1 then begin
-    Printf.printf " over %d shards:" (Array.length shard_events);
-    Array.iter (Printf.printf " %d") shard_events
-  end;
-  print_newline ();
+  let shards = Array.length outcome.Sc.Campaign.shard_events in
+  Printf.printf "events processed: %d over %d shard%s\n"
+    outcome.Sc.Campaign.events shards
+    (if shards = 1 then "" else "s");
   let flagged = Sc.Campaign.because_damping outcome in
   Printf.printf "BeCAUSe flags %d damping ASs:" (Asn.Set.cardinal flagged);
   Asn.Set.iter (fun a -> Printf.printf " %s" (Asn.to_string a)) flagged;

@@ -30,16 +30,15 @@ type params = {
           trusted; below it the AS is demoted to C3 and listed in
           [outcome.insufficient].  Default 1 (no demotion). *)
   sim_jobs : int;
-      (** Worker domains for the BGP simulation itself: the campaign's
-          prefixes are partitioned into shards run in parallel
+      (** Worker domains for the BGP simulation itself: at most [sim_jobs]
+          shard networks run at once, in parallel
           ({!Because_sim.Sharded}).  Outcomes are shard-invariant: every
           value yields the identical outcome, faults included. *)
   sim_shards : int option;
-      (** Simulation shard count, decoupled from [sim_jobs] ([None] — the
-          default — means one shard per job, the historical behaviour).
-          More shards than jobs queue on the domain pool, bounding peak
-          live router state by the seat count while shrinking per-shard
-          state.  Outcomes are shard-invariant (property-tested). *)
+      (** Simulation shard count ([None] — the default — means one shard
+          per prefix); a smaller count groups prefixes into fewer
+          networks.  Shards beyond [sim_jobs] queue on the domain pool.
+          Outcomes are shard-invariant (property-tested). *)
   telemetry : Because_telemetry.Registry.t;
       (** Observability sink threaded through every phase: campaign phase
           spans, simulator traffic/RFD counters and table gauges, fault
@@ -83,7 +82,7 @@ type outcome = {
   events : int;              (** Total simulator events processed. *)
   shard_events : int array;
       (** Events processed per simulation shard — the load-balance view;
-          [\[| events |\]] when [sim_jobs = 1]. *)
+          one entry per prefix by default. *)
   campaign_end : float;
   fault_log : (float * Because_faults.Injector.injected) list;
       (** Every injected fault that materialized, chronological: session

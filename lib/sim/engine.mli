@@ -17,7 +17,7 @@ val processed : 'a t -> int
 
 val max_pending : 'a t -> int
 (** High-water mark of the event queue — the simulator's peak memory
-    pressure, surfaced as the [sim.shard*.max_queue_depth] gauge. *)
+    pressure; the maximum over shards is the [sim.max_queue_depth] gauge. *)
 
 val run : 'a t -> until:float -> handler:(now:float -> 'a -> unit) -> unit
 (** Process events in time order until the queue drains or the next event

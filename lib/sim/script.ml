@@ -48,19 +48,54 @@ let prefixes t =
   |> List.sort (fun (_, a) (_, b) -> Int.compare a b)
   |> List.map fst
 
-let install ?keep t net =
-  let keep = match keep with Some f -> f | None -> fun _ -> true in
+let replay ops net =
   List.iter
-    (fun op ->
-      match op with
+    (function
       | Announce { time; origin; prefix } ->
-          if keep prefix then Network.schedule_announce net ~time ~origin prefix
+          Network.schedule_announce net ~time ~origin prefix
       | Withdraw { time; origin; prefix } ->
-          if keep prefix then Network.schedule_withdraw net ~time ~origin prefix
+          Network.schedule_withdraw net ~time ~origin prefix
       | Session_reset { time; a; b } ->
           Network.schedule_session_reset net ~time ~a ~b
       | Link_down { time; a; b } -> Network.schedule_link_down net ~time ~a ~b
       | Link_up { time; a; b } -> Network.schedule_link_up net ~time ~a ~b
       | Impair { a; b; loss; duplication } ->
           Network.set_link_impairment net ~a ~b ~loss ~duplication)
-    (ops t)
+    ops
+
+let install t net = replay (ops t) net
+
+(* Ops tagged with their recording position.  The prefix-agnostic ops are
+   kept once, not copied into every bucket: a shard's op list interleaves
+   them back by position when it is asked for. *)
+type partition = {
+  shared : (int * op) list;
+  own : (int * op) list array;
+}
+
+let partition t ~shards =
+  if shards < 1 then invalid_arg "Script.partition: shards must be positive";
+  let own = Array.make shards [] and shared = ref [] in
+  (* [t.ops] is newest first: counting down and consing leaves every
+     bucket in recording order without a reversal. *)
+  let n = List.length t.ops in
+  List.iteri
+    (fun i op ->
+      let pos = n - 1 - i in
+      match op with
+      | Announce { prefix; _ } | Withdraw { prefix; _ } ->
+          let s = Prefix.Map.find prefix t.ranks mod shards in
+          own.(s) <- (pos, op) :: own.(s)
+      | Session_reset _ | Link_down _ | Link_up _ | Impair _ ->
+          shared := (pos, op) :: !shared)
+    t.ops;
+  { shared = !shared; own }
+
+let shard_ops p shard =
+  let[@tail_mod_cons] rec interleave a b =
+    match (a, b) with
+    | (i, x) :: a', (j, _) :: _ when i < j -> x :: interleave a' b
+    | _, (_, y) :: b' -> y :: interleave a b'
+    | rest, [] -> List.map snd rest
+  in
+  interleave p.own.(shard) p.shared

@@ -5,8 +5,8 @@
     link/session events — recorded {e before} any network exists.  Recording
     rather than scheduling directly is what makes the per-prefix sharded
     driver ({!Sharded}) possible: the same script can be replayed into one
-    network (bit-for-bit the historical event stream) or filtered by prefix
-    into many shard networks.
+    network (bit-for-bit the historical event stream) or partitioned by
+    prefix into many shard networks.
 
     Replay order is recording order, so a single-network replay produces
     exactly the heap insertion order of the pre-script code path. *)
@@ -44,7 +44,22 @@ val rank : t -> Prefix.t -> int option
 (** First-touch position of a prefix — the shard partitioning key and the
     cross-shard merge tiebreak. *)
 
-val install : ?keep:(Prefix.t -> bool) -> t -> Network.t -> unit
-(** Replay the script into a network in recording order.  [keep] filters
-    origin (announce/withdraw) events by prefix; link/session/impairment
-    events are prefix-agnostic and always replayed. *)
+val install : t -> Network.t -> unit
+(** Replay the whole script into one network, in recording order. *)
+
+val replay : op list -> Network.t -> unit
+(** Replay [ops] into a network in list order. *)
+
+type partition
+(** The ops bucketed by shard. *)
+
+val partition : t -> shards:int -> partition
+(** One pass over the script: each origin (announce/withdraw) op goes to
+    the shard [rank mod shards] of its prefix.  The link/session/impairment
+    ops are prefix-agnostic and belong to every shard; they are stored once,
+    so the partition costs O(ops) whatever [shards] is.  Raises
+    [Invalid_argument] if [shards < 1]. *)
+
+val shard_ops : partition -> int -> op list
+(** One shard's ops in recording order: its prefixes' origin ops with every
+    prefix-agnostic op interleaved back at its recorded position. *)

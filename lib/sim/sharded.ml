@@ -39,29 +39,79 @@ type checkpoint_hooks = {
 (* Merge one vantage's per-shard entries.  Entries of a given prefix all
    live in one shard, in their sequential relative order; the cross-prefix
    interleave is reconstructed by time with the prefix's first-touch rank
-   breaking ties.  A stable sort on that key keeps each prefix's own order,
-   so every shard count, one included, gives the same feed. *)
-let entry_order rank_of (ta, ua) (tb, ub) =
-  match Float.compare ta tb with
-  | 0 -> Int.compare (rank_of (Update.prefix ua)) (rank_of (Update.prefix ub))
-  | c -> c
+   breaking ties.  Keeping each prefix's own order makes every shard count,
+   one included, give the same feed.  Times are never NaN, so the float
+   comparisons order them as [Float.compare] does, inline. *)
+let entry_order rank_of ((ta : float), ua) (tb, ub) =
+  if ta < tb then -1
+  else if ta > tb then 1
+  else Int.compare (rank_of (Update.prefix ua)) (rank_of (Update.prefix ub))
 
-let rec ordered cmp = function
-  | a :: (b :: _ as rest) -> cmp a b <= 0 && ordered cmp rest
+let rec ordered rank_of = function
+  | a :: (b :: _ as rest) ->
+      entry_order rank_of a b <= 0 && ordered rank_of rest
   | [] | [ _ ] -> true
 
+(* K-way merge of lists each in [entry_order], through a binary heap of
+   list indices keyed on their heads.  Equal heads leave the lower index
+   first, so the result is the stable sort of the lists' concatenation. *)
+let merge_ordered rank_of lists =
+  let heads = Array.of_list (List.filter (fun l -> l <> []) lists) in
+  let n = ref (Array.length heads) in
+  let heap = Array.init !n Fun.id in
+  let before i j =
+    match (heads.(i), heads.(j)) with
+    | x :: _, y :: _ ->
+        let c = entry_order rank_of x y in
+        c < 0 || (c = 0 && i < j)
+    | _ -> assert false
+  in
+  let rec sift_down k =
+    let l = (2 * k) + 1 in
+    if l < !n then begin
+      let c =
+        if l + 1 < !n && before heap.(l + 1) heap.(l) then l + 1 else l
+      in
+      if before heap.(c) heap.(k) then begin
+        let top = heap.(k) in
+        heap.(k) <- heap.(c);
+        heap.(c) <- top;
+        sift_down c
+      end
+    end
+  in
+  for k = (!n / 2) - 1 downto 0 do
+    sift_down k
+  done;
+  let[@tail_mod_cons] rec drain () =
+    if !n = 0 then []
+    else
+      let i = heap.(0) in
+      match heads.(i) with
+      | x :: rest ->
+          heads.(i) <- rest;
+          (match rest with
+          | [] ->
+              decr n;
+              heap.(0) <- heap.(!n)
+          | _ :: _ -> ());
+          sift_down 0;
+          x :: drain ()
+      | [] -> assert false
+  in
+  match heads with [| only |] -> only | _ -> drain ()
+
 let feed result asn =
-  let order = entry_order result.rank_of in
-  match result.stores with
-  | [| store |] ->
-      (* One shard: recording order, which a fault can leave with two
-         prefixes out of rank order at one instant.  Sort only then. *)
-      let entries = store_feed store asn in
-      if ordered order entries then entries else List.stable_sort order entries
-  | stores ->
-      List.stable_sort order
-        (List.concat_map (fun store -> store_feed store asn)
-           (Array.to_list stores))
+  let rank_of = result.rank_of in
+  (* A shard holding several prefixes records them in event order, which a
+     fault can leave with two of them out of rank order at one instant. *)
+  let sorted entries =
+    if ordered rank_of entries then entries
+    else List.stable_sort (entry_order rank_of) entries
+  in
+  merge_ordered rank_of
+    (Array.to_list
+       (Array.map (fun store -> sorted (store_feed store asn)) result.stores))
 
 let feeds result =
   Asn.Set.fold
@@ -128,7 +178,6 @@ let merge_stats (per_shard : Network.stats list) : Network.stats =
 let flush_shard_telemetry reg ~shard net =
   if Tel.is_enabled reg then begin
     let c name n = Tel.Counter.add (Tel.Counter.v reg name) n in
-    let g name v = Tel.Gauge.set (Tel.Gauge.v reg name) v in
     let st = Network.stats net in
     let events = Network.events_processed net in
     c "sim.events" events;
@@ -144,19 +193,30 @@ let flush_shard_telemetry reg ~shard net =
     let supp, rel = Network.rfd_stats net in
     c "sim.rfd_suppressions" supp;
     c "sim.rfd_releases" rel;
-    let ts = Network.table_totals net in
-    g "sim.tables.rib_in" (float_of_int ts.Router.rib_in_entries);
-    g "sim.tables.rfd" (float_of_int ts.Router.rfd_states);
-    g "sim.tables.adj_out" (float_of_int ts.Router.adj_out_entries);
-    g "sim.tables.mrai" (float_of_int ts.Router.mrai_states);
-    g "sim.tables.loc_rib" (float_of_int ts.Router.loc_rib_entries);
     Tel.Histogram.observe
       (Tel.Histogram.v reg "sim.shard_events")
-      (float_of_int events);
-    g (Printf.sprintf "sim.shard%d.events" shard) (float_of_int events);
-    g
-      (Printf.sprintf "sim.shard%d.max_queue_depth" shard)
-      (float_of_int (Network.max_queue_depth net))
+      (float_of_int events)
+  end
+
+(* What a simulated shard's network held when it finished: its router
+   tables and the high-water mark of its event queue. *)
+type shard_load = { tables : Router.table_sizes; queue_depth : int }
+
+(* A gauge keeps the last value written per domain and sums over domains,
+   and one domain may run many shards; so the gauges are set once, from the
+   calling domain: table sizes summed over the simulated shards, the queue
+   depth as their maximum. *)
+let flush_load_telemetry reg loads =
+  if loads <> [] then begin
+    let g name v = Tel.Gauge.set (Tel.Gauge.v reg name) (float_of_int v) in
+    let sum f = List.fold_left (fun acc l -> acc + f l.tables) 0 loads in
+    g "sim.tables.rib_in" (sum (fun t -> t.Router.rib_in_entries));
+    g "sim.tables.rfd" (sum (fun t -> t.Router.rfd_states));
+    g "sim.tables.adj_out" (sum (fun t -> t.Router.adj_out_entries));
+    g "sim.tables.mrai" (sum (fun t -> t.Router.mrai_states));
+    g "sim.tables.loc_rib" (sum (fun t -> t.Router.loc_rib_entries));
+    g "sim.max_queue_depth"
+      (List.fold_left (fun acc l -> max acc l.queue_depth) 0 loads)
   end
 
 let count_restored telemetry =
@@ -164,9 +224,10 @@ let count_restored telemetry =
     Tel.Counter.add (Tel.Counter.v telemetry "sim.shards_restored") 1
 
 (* Run one shard, preferring its saved result.  A restored shard skips
-   network construction and replay entirely. *)
+   network construction and replay entirely.  The load is measured only
+   for a live registry. *)
 let run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay ~monitored
-    ~until ~script ~keep ~shard ~shards () =
+    ~until ~partition ~shard ~shards () =
   let restored =
     match checkpoint with
     | Some h -> h.load_shard ~shard ~shards
@@ -175,10 +236,10 @@ let run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay ~monitored
   match restored with
   | Some sr ->
       count_restored telemetry;
-      sr
+      (sr, None)
   | None ->
       let net = Network.create ~fault_seed ~configs ~delay ~monitored () in
-      Script.install ?keep script net;
+      Script.replay (Script.shard_ops partition shard) net;
       Tel.Span.with_ telemetry
         ~name:(Printf.sprintf "sim.shard%d.replay" shard) (fun () ->
           Network.run net ~until);
@@ -194,7 +255,14 @@ let run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay ~monitored
       (match checkpoint with
       | Some h -> h.save_shard ~shard ~shards sr
       | None -> ());
-      sr
+      let load =
+        if Tel.is_enabled telemetry then
+          Some
+            { tables = Network.table_totals net;
+              queue_depth = Network.max_queue_depth net }
+        else None
+      in
+      (sr, load)
 
 let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ?shards
     ~jobs ~configs ~delay ~monitored ~until script =
@@ -203,29 +271,25 @@ let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ?shards
   | Some s when s < 1 -> invalid_arg "Sharded.run: shards must be positive"
   | _ -> ());
   let n_prefixes = Script.n_prefixes script in
-  (* Default one shard per pool seat; an explicit [shards] may exceed [jobs]
-     — the work-stealing pool then runs at most [jobs] shard networks at a
-     time and queues the rest, so peak live state is bounded by the seat
-     count, not the shard count. *)
+  (* Default one shard per prefix.  [jobs] only bounds how many shard
+     networks are live at once: the work-stealing pool runs at most [jobs]
+     and queues the rest. *)
   let shards =
-    max 1 (min (Option.value shards ~default:jobs) n_prefixes)
+    max 1 (min (Option.value shards ~default:n_prefixes) n_prefixes)
   in
   let rank_of prefix =
     match Script.rank script prefix with Some r -> r | None -> max_int
   in
-  let shard_of prefix =
-    match Script.rank script prefix with Some r -> r mod shards | None -> 0
-  in
-  (* A lone shard replays the full script unfiltered, in recording order. *)
-  let keep shard =
-    if shards > 1 then Some (fun p -> shard_of p = shard) else None
-  in
+  let partition = Script.partition script ~shards in
   let tasks =
     Array.init shards (fun shard () ->
         run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay
-          ~monitored ~until ~script ~keep:(keep shard) ~shard ~shards ())
+          ~monitored ~until ~partition ~shard ~shards ())
   in
-  let results = Parallel.run_tasks ~jobs tasks in
+  let ran = Parallel.run_tasks ~jobs tasks in
+  flush_load_telemetry telemetry
+    (List.filter_map snd (Array.to_list ran));
+  let results = Array.map fst ran in
   Tel.Span.with_ telemetry ~name:"sim.merge" (fun () ->
       {
         stats =

@@ -10,10 +10,10 @@
     full fault plan into each shard, run the shards on the shared domain
     pool, and merge.
 
-    Shards may outnumber pool seats: the work-stealing pool runs at most
-    [jobs] shard networks at a time and queues the rest, so peak live router
-    state is bounded by the seat count while per-shard state shrinks with
-    the shard count.
+    The default partition is one shard per prefix: each network then holds
+    one prefix's routes, and its event queue one prefix's in-flight events.
+    [jobs] only bounds how many shard networks are live at once: the
+    work-stealing pool runs at most [jobs] of them and queues the rest.
 
     Outcomes are shard-invariant: the merged result is the same for any
     [jobs] and any [shards] (property-tested), faults and impairments
@@ -37,7 +37,8 @@ type result = {
   shards : int;  (** Number of shards actually run. *)
   shard_events : int array;
       (** Events processed per shard (length [shards]) — the load-balance
-          view the telemetry shard table and Chrome trace lanes expose. *)
+          view behind the [sim.shard_events] histogram and the Chrome trace
+          lanes. *)
   monitored : Asn.Set.t;  (** Vantage ASs the feeds were collected for. *)
   rank_of : Prefix.t -> int;
       (** First-touch script rank — the cross-prefix tie-break key. *)
@@ -48,10 +49,12 @@ type result = {
 
 val feed : result -> Asn.t -> (float * Update.t) list
 (** Chronological observations of one vantage, merged across shards on
-    demand: a stable sort on time, cross-prefix ties by first-touch rank,
-    each prefix's own entries in their recorded order.  The same for every
-    shard count; a single shard's recorded feed is returned as is when it
-    is already in that order (a linear check), and sorted otherwise. *)
+    demand: ordered on time, cross-prefix ties by first-touch rank, each
+    prefix's own entries in their recorded order.  The same for every
+    shard count.  A k-way merge of the per-shard lists; a shard's list is
+    stable-sorted first only when a linear check finds it out of that
+    order, which needs several prefixes in the shard and a fault that left
+    two of them out of rank order at one instant. *)
 
 val feeds : result -> (Asn.t * (float * Update.t) list) list
 (** Every monitored vantage's merged feed, ascending ASN. *)
@@ -88,12 +91,14 @@ val run :
   Script.t ->
   result
 (** Replay [script] and run to [until] over
-    [min (max 1 shards) n_prefixes] shards, where [shards] defaults to
-    [jobs].  One shard replays into a single network in recording order,
-    on the calling domain.  [shards > jobs] queues the excess on the pool —
-    at most [jobs] shard networks are live at once.  [fault_seed] (default
-    0) keys every shard's impairment draws ({!Network.create}).  Raises
-    [Invalid_argument] if [jobs < 1] or [shards < 1].
+    [max 1 (min shards n_prefixes)] shards, where [shards] defaults to
+    [n_prefixes]: one shard per prefix.  An explicit [shards] groups
+    prefixes, by first-touch rank modulo [shards]; [shards = 1] replays
+    the whole script into a single network in recording order.  At most
+    [jobs] shard networks are live at once; the rest queue on the pool.
+    [fault_seed] (default 0) keys every shard's impairment draws
+    ({!Network.create}).  Raises [Invalid_argument] if [jobs < 1] or
+    [shards < 1].
 
     [checkpoint] short-circuits finished shards: a shard whose saved result
     loads is returned without building a network or replaying anything,
@@ -103,7 +108,10 @@ val run :
 
     [telemetry] (default {!Because_telemetry.Registry.disabled}) receives,
     per shard and from inside the worker domain that ran it: a
-    [sim.shard<i>.replay] span, the [sim.*] traffic/RFD counters, table-size
-    gauges and the per-shard event gauge; the cross-shard merge runs under a
-    [sim.merge] span.  Telemetry never touches the fault draws or event
-    order, so a disabled registry is bit-for-bit free (property-tested). *)
+    [sim.shard<i>.replay] span, the [sim.*] traffic/RFD counters and one
+    [sim.shard_events] histogram observation.  Once all shards are done, the
+    calling domain sets the [sim.tables.*] gauges (summed over the shards it
+    simulated) and [sim.max_queue_depth] (their maximum); the cross-shard
+    merge runs under a [sim.merge] span.  Telemetry never touches the fault
+    draws or event order, so a disabled registry is bit-for-bit free
+    (property-tested). *)

@@ -69,12 +69,3 @@ let categorical rng weights =
     end
   in
   find 0 0.0
-
-let poisson rng ~lambda =
-  if lambda < 0.0 then invalid_arg "Dist.poisson: lambda must be >= 0";
-  let limit = Float.exp (-.lambda) in
-  let rec loop k p =
-    let p = p *. Rng.float rng in
-    if p <= limit then k else loop (k + 1) p
-  in
-  loop 0 1.0

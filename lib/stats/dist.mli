@@ -33,7 +33,3 @@ val bernoulli : Rng.t -> p:float -> bool
 val categorical : Rng.t -> float array -> int
 (** [categorical rng weights] draws index [i] with probability proportional
     to [weights.(i)].  Weights must be non-negative with a positive sum. *)
-
-val poisson : Rng.t -> lambda:float -> int
-(** Poisson draw (Knuth's method; adequate for the small rates used by the
-    background-churn generator). *)

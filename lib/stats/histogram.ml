@@ -12,12 +12,6 @@ let bin_of t x =
   let i = int_of_float (Float.floor ((x -. t.lo) /. bin_width t)) in
   if i < 0 then 0 else if i >= bins then bins - 1 else i
 
-let add t x =
-  let counts = Array.copy t.counts in
-  let i = bin_of t x in
-  counts.(i) <- counts.(i) + 1;
-  { t with counts; total = t.total + 1 }
-
 let of_array ~lo ~hi ~bins xs =
   let t = create ~lo ~hi ~bins in
   let counts = Array.make bins 0 in
@@ -45,6 +39,3 @@ let sparkline t =
       Buffer.add_string buf ramp.(level))
     t.counts;
   Buffer.contents buf
-
-let pp fmt t =
-  Format.fprintf fmt "[%.3f,%.3f) n=%d %s" t.lo t.hi t.total (sparkline t)

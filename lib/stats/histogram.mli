@@ -13,12 +13,10 @@ type t = {
 val create : lo:float -> hi:float -> bins:int -> t
 (** Empty histogram with [bins] equal-width bins over [\[lo, hi)]. *)
 
-val add : t -> float -> t
-(** Add one observation.  Values outside [\[lo, hi)] are clamped into the
-    first/last bin (posterior samples live on a known support, so clamping
-    only absorbs floating-point edge cases). *)
-
 val of_array : lo:float -> hi:float -> bins:int -> float array -> t
+(** Values outside [\[lo, hi)] are clamped into the first/last bin
+    (posterior samples live on a known support, so clamping only absorbs
+    floating-point edge cases). *)
 
 val bin_width : t -> float
 
@@ -27,5 +25,3 @@ val densities : t -> float array
 
 val sparkline : t -> string
 (** Compact unicode bar rendering for terminal output. *)
-
-val pp : Format.formatter -> t -> unit

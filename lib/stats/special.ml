@@ -41,17 +41,3 @@ let log_sum_exp xs =
     end
   end
 
-let erf x =
-  let sign = if x < 0.0 then -1.0 else 1.0 in
-  let x = Float.abs x in
-  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-  let poly =
-    t
-    *. (0.254829592
-       +. (t
-           *. (-0.284496736
-              +. (t
-                  *. (1.421413741
-                     +. (t *. (-1.453152027 +. (t *. 1.061405429))))))))
-  in
-  sign *. (1.0 -. (poly *. Float.exp (-.x *. x)))

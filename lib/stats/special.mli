@@ -15,6 +15,3 @@ val log1mexp : float -> float
 
 val log_sum_exp : float array -> float
 (** Numerically stable ln Σ eˣⁱ. *)
-
-val erf : float -> float
-(** Error function (Abramowitz–Stegun 7.1.26, |error| ≤ 1.5e-7). *)

@@ -68,14 +68,6 @@ let test_categorical_invalid () =
     (Invalid_argument "Dist.categorical: weights must sum > 0") (fun () ->
       ignore (Dist.categorical rng [| 0.0; 0.0 |]))
 
-let test_poisson () =
-  let rng = Rng.create 10 in
-  let xs =
-    sample rng 30_000 (fun r -> float_of_int (Dist.poisson r ~lambda:4.0))
-  in
-  check_close "mean" 4.0 (Summary.mean xs) 0.1;
-  check_close "variance" 4.0 (Summary.variance xs) 0.25
-
 let test_beta_log_pdf () =
   (* Beta(2,2): density 6x(1−x) *)
   let expected x = Float.log (6.0 *. x *. (1.0 -. x)) in
@@ -114,7 +106,6 @@ let suite =
       Alcotest.test_case "bernoulli" `Quick test_bernoulli;
       Alcotest.test_case "categorical" `Quick test_categorical;
       Alcotest.test_case "categorical invalid" `Quick test_categorical_invalid;
-      Alcotest.test_case "poisson" `Quick test_poisson;
       Alcotest.test_case "beta log pdf" `Quick test_beta_log_pdf;
       QCheck_alcotest.to_alcotest qcheck_beta_support;
       QCheck_alcotest.to_alcotest qcheck_exponential_positive;

@@ -744,7 +744,10 @@ let test_undecodable_shard_snapshot_recovers () =
     Codec.read_string r
   in
   let store = Checkpoint.open_ ~dir ~fingerprint () in
-  let key = "sim.shard0of1" in
+  let key =
+    Printf.sprintf "sim.shard0of%d"
+      (Array.length clean.Sc.Campaign.shard_events)
+  in
   (match Checkpoint.load store ~key with
   | Some payload ->
       (* One trailing byte: the envelope is sound, the payload is not. *)
@@ -758,7 +761,7 @@ let test_undecodable_shard_snapshot_recovers () =
       Alcotest.(check int) "one fallback" 1 (Sc.Recovery.fallbacks recovery);
       Alcotest.(check bool) "shard snapshot quarantined" true
         (Array.exists
-           (fun f -> contains ~sub:"sim.shard0of1.prev.ck.corrupt-" f)
+           (fun f -> contains ~sub:(key ^ ".prev.ck.corrupt-") f)
            (Sys.readdir dir));
       Alcotest.(check bool) "previous snapshot used" true
         (List.exists

@@ -174,13 +174,13 @@ let test_admission_rejections () =
 
 (* A campaign interrupted mid-run is readmitted at its original sequence
    number and is claimed ahead of everything submitted after it.  The kill
-   lands inside "a"'s inference, on its third save (after its simulation
-   shard and a chain snapshot): seed 5's tiny world labels RFD paths, so
-   its chains are sampled and save. *)
+   lands inside "a"'s inference, on its sixteenth save (after its 14
+   simulation shards, one per prefix, and a chain snapshot): seed 5's tiny
+   world labels RFD paths, so its chains are sampled and save. *)
 let test_readmit_keeps_fifo_place () =
   with_drain_reset @@ fun () ->
   let dir = fresh_dir () in
-  let killed = Service.create (cfg ~kill:2 ~dir ()) in
+  let killed = Service.create (cfg ~kill:15 ~dir ()) in
   submit_ok killed (tiny_spec ~seed:5 "a");
   submit_ok killed (tiny_spec ~seed:7 "b");
   (match Service.run_until_idle killed with

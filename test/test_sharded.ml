@@ -259,7 +259,8 @@ let test_shards_clamped () =
   Alcotest.(check bool) "shards bounded by prefix count" true
     (r.Sharded.shards <= Script.n_prefixes script);
   let r1 = run ~jobs:1 ~with_flap:false world script in
-  Alcotest.(check int) "single shard at jobs=1" 1 r1.Sharded.shards
+  Alcotest.(check int) "one shard per prefix at jobs=1"
+    (Script.n_prefixes script) r1.Sharded.shards
 
 let test_invalid_jobs () =
   let rng = Rng.create 8 in
@@ -280,6 +281,156 @@ let test_empty_script () =
   in
   Alcotest.(check int) "no events" 0 r.Sharded.events;
   Alcotest.(check int) "no faults" 0 (List.length r.Sharded.fault_log)
+
+(* The merge as it stood before the k-way merge: a stable sort of the
+   concatenated per-shard entries on (time, prefix rank). *)
+let reference_order (r : Sharded.result) (ta, ua) (tb, ub) =
+  match Float.compare ta tb with
+  | 0 ->
+      Int.compare
+        (r.Sharded.rank_of (Update.prefix ua))
+        (r.Sharded.rank_of (Update.prefix ub))
+  | c -> c
+
+let reference_feed (r : Sharded.result) asn =
+  List.stable_sort (reference_order r)
+    (List.concat_map
+       (fun store -> Option.value ~default:[] (List.assoc_opt asn store))
+       (Array.to_list r.Sharded.stores))
+
+(* Equal-time entries of different prefixes in one feed: the link flap and
+   the session reset re-advertise every prefix at once. *)
+let cross_prefix_ties feed =
+  let rec go n = function
+    | (ta, ua) :: ((tb, ub) :: _ as rest) ->
+        let tie =
+          Float.equal ta tb
+          && not (Prefix.equal (Update.prefix ua) (Update.prefix ub))
+        in
+        go (if tie then n + 1 else n) rest
+    | [] | [ _ ] -> n
+  in
+  go 0 feed
+
+(* The same script with the prefixes' addresses in reverse first-touch
+   order.  A re-advertising router sends its prefixes in address order, so
+   after a session reset a shard holding several of them records them out
+   of rank order at one instant. *)
+let reverse_addresses script =
+  let prefixes = Array.of_list (Script.prefixes script) in
+  let n = Array.length prefixes in
+  let rename p = prefixes.(n - 1 - Option.get (Script.rank script p)) in
+  let s = Script.create () in
+  List.iter
+    (function
+      | Script.Announce { time; origin; prefix } ->
+          Script.announce s ~time ~origin (rename prefix)
+      | Script.Withdraw { time; origin; prefix } ->
+          Script.withdraw s ~time ~origin (rename prefix)
+      | Script.Session_reset { time; a; b } ->
+          Script.session_reset s ~time ~a ~b
+      | Script.Link_down { time; a; b } -> Script.link_down s ~time ~a ~b
+      | Script.Link_up { time; a; b } -> Script.link_up s ~time ~a ~b
+      | Script.Impair { a; b; loss; duplication } ->
+          Script.impair s ~a ~b ~loss ~duplication)
+    (Script.ops script);
+  s
+
+(* Replay one faulted script at every shard count from 1 to its prefix
+   count: each merged feed must equal [reference_feed], and each run the
+   one-shard run.  Odd seeds reverse the prefix addresses.  Returns the
+   cross-prefix ties in the merged feeds and the shard feeds recorded out
+   of rank order, summed over the runs. *)
+let check_feed_reference seed =
+  let rng = Rng.create (seed + 301) in
+  let world = make_world rng in
+  let _, _, origin, _, _ = world in
+  let script = make_script rng ~origin in
+  let script = if seed mod 2 = 1 then reverse_addresses script else script in
+  Script.impair script ~a:(asn origin) ~b:(asn 1) ~loss:0.2 ~duplication:0.2;
+  let run shards =
+    run ~fault_seed:seed ~shards ~jobs:1 ~with_flap:true world script
+  in
+  let one = run 1 in
+  let ties = ref 0 and unordered = ref 0 in
+  for shards = 1 to Script.n_prefixes script do
+    let r = run shards in
+    let what = Printf.sprintf "seed %d shards %d" seed shards in
+    Alcotest.(check int) (what ^ ": shards") shards r.Sharded.shards;
+    Array.iter
+      (List.iter (fun (_, entries) ->
+           if entries <> List.stable_sort (reference_order r) entries then
+             incr unordered))
+      r.Sharded.stores;
+    List.iter
+      (fun (asn, feed) ->
+        ties := !ties + cross_prefix_ties feed;
+        if feed <> reference_feed r asn then
+          Alcotest.failf "%s: AS%d feed differs from the reference" what
+            (Asn.to_int asn))
+      (Sharded.feeds r);
+    check_feeds_equal what one r;
+    check_stats_equal what one.Sharded.stats r.Sharded.stats;
+    Alcotest.(check bool) (what ^ ": fault log") true
+      (one.Sharded.fault_log = r.Sharded.fault_log)
+  done;
+  (!ties, !unordered)
+
+let qcheck_feed_matches_reference =
+  QCheck.Test.make
+    ~name:"feed == stable-sort merge (faulted, every shard count)" ~count:20
+    QCheck.small_int (fun seed ->
+      ignore (check_feed_reference seed : int * int);
+      true)
+
+(* Seed 1 exercises both hard cases of the merge: equal-time entries of
+   different prefixes, and a shard whose recorded feed a session reset
+   left out of rank order, which the merge must sort first. *)
+let test_feed_ties_and_resort () =
+  let ties, unordered = check_feed_reference 1 in
+  Alcotest.(check bool) "cross-prefix ties" true (ties > 0);
+  Alcotest.(check bool) "shard feeds out of rank order" true (unordered > 0)
+
+(* A script of origin ops over a few prefixes, with link, session and
+   impairment ops interleaved at random recording positions. *)
+let random_script rng =
+  let script = Script.create () in
+  let n_prefixes = 1 + Rng.int rng 6 in
+  let prefix k = Prefix.beacon ~site:(k / 4) ~slot:(k mod 4) in
+  for _ = 1 to 5 + Rng.int rng 40 do
+    let time = float_of_int (Rng.int rng 100) in
+    let a = asn 1 and b = asn 2 in
+    let p () = prefix (Rng.int rng n_prefixes) in
+    match Rng.int rng 6 with
+    | 0 -> Script.announce script ~time ~origin:a (p ())
+    | 1 -> Script.withdraw script ~time ~origin:a (p ())
+    | 2 -> Script.session_reset script ~time ~a ~b
+    | 3 -> Script.link_down script ~time ~a ~b
+    | 4 -> Script.link_up script ~time ~a ~b
+    | _ -> Script.impair script ~a ~b ~loss:0.1 ~duplication:0.0
+  done;
+  script
+
+let qcheck_partition_matches_filter =
+  QCheck.Test.make ~name:"partitioned ops == per-shard prefix filter"
+    ~count:100 QCheck.small_int (fun seed ->
+      let script = random_script (Rng.create (seed + 401)) in
+      let kept shards shard =
+        List.filter
+          (function
+            | Script.Announce { prefix; _ } | Script.Withdraw { prefix; _ } ->
+                Option.get (Script.rank script prefix) mod shards = shard
+            | Script.Session_reset _ | Script.Link_down _ | Script.Link_up _
+            | Script.Impair _ -> true)
+          (Script.ops script)
+      in
+      List.for_all
+        (fun shards ->
+          let partition = Script.partition script ~shards in
+          List.for_all
+            (fun shard -> Script.shard_ops partition shard = kept shards shard)
+            (List.init shards Fun.id))
+        (List.init (Script.n_prefixes script + 1) (fun k -> k + 1)))
 
 let test_script_ranks () =
   let script = Script.create () in
@@ -305,4 +456,8 @@ let suite =
       Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
       Alcotest.test_case "empty script" `Quick test_empty_script;
       Alcotest.test_case "script ranks" `Quick test_script_ranks;
+      QCheck_alcotest.to_alcotest qcheck_feed_matches_reference;
+      Alcotest.test_case "feed ties and re-sort" `Quick
+        test_feed_ties_and_resort;
+      QCheck_alcotest.to_alcotest qcheck_partition_matches_filter;
     ] )

@@ -61,12 +61,6 @@ let test_log_sum_exp () =
   Alcotest.(check (float 0.0)) "all -inf" neg_infinity
     (Special.log_sum_exp [| neg_infinity; neg_infinity |])
 
-let test_erf () =
-  close "erf 0" 0.0 (Special.erf 0.0) ~tol:1e-7;
-  close "erf 1" 0.8427007929 (Special.erf 1.0) ~tol:1e-5;
-  close "erf -1" (-0.8427007929) (Special.erf (-1.0)) ~tol:1e-5;
-  close "erf 3" 0.9999779095 (Special.erf 3.0) ~tol:1e-5
-
 let qcheck_log1mexp_monotone =
   QCheck.Test.make ~name:"log1mexp decreasing in x" ~count:300
     QCheck.(pair (float_range (-30.0) (-0.01)) (float_range (-30.0) (-0.01)))
@@ -87,6 +81,5 @@ let suite =
       Alcotest.test_case "log1mexp" `Quick test_log1mexp;
       Alcotest.test_case "log1mexp invalid" `Quick test_log1mexp_invalid;
       Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
-      Alcotest.test_case "erf" `Quick test_erf;
       QCheck_alcotest.to_alcotest qcheck_log1mexp_monotone;
     ] )

@@ -288,18 +288,19 @@ let test_campaign_snapshot_contents () =
           "sim.shard1.replay"; "sim.merge"; "campaign.collect";
           "campaign.label"; "campaign.infer"; "infer.MH.chain0";
           "infer.HMC.chain0"; "campaign.categorize"; "campaign.heuristics" ];
-      (* Shard gauges sum to the event total even though each was written
-         from a different worker domain. *)
-      let shard_sum =
-        match
-          ( Snapshot.gauge s "sim.shard0.events",
-            Snapshot.gauge s "sim.shard1.events" )
-        with
-        | Some a, Some b -> int_of_float (a +. b)
-        | _ -> -1
-      in
-      Alcotest.(check int) "shard gauges sum to total" o.Sc.Campaign.events
-        shard_sum
+      (* One histogram observation per shard, each written from the worker
+         domain that ran it; together they add up to the event total. *)
+      (match Snapshot.hist s "sim.shard_events" with
+      | None -> Alcotest.fail "sim.shard_events histogram missing"
+      | Some h ->
+          Alcotest.(check int) "one observation per shard"
+            (Array.length o.Sc.Campaign.shard_events) h.Snapshot.count;
+          Alcotest.(check int) "shard events sum to total"
+            o.Sc.Campaign.events (int_of_float h.Snapshot.sum));
+      Alcotest.(check bool) "queue depth gauge set" true
+        (match Snapshot.gauge s "sim.max_queue_depth" with
+        | Some d -> d > 0.0
+        | None -> false)
 
 let suite =
   ( "telemetry",
