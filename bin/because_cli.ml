@@ -46,20 +46,10 @@ let sim_jobs_arg =
     value & opt positive_int 1
     & info [ "sim-jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the BGP simulation itself: at most N shard \
-           networks are simulated at once, in parallel.  Every value \
-           yields the identical outcome, faulted campaigns included.")
-
-let sim_shards_arg =
-  Arg.(
-    value & opt (some positive_int) None
-    & info [ "sim-shards" ] ~docv:"N"
-        ~doc:
-          "Simulation shard count (default: one shard per prefix, at most \
-           the prefix count); fewer shards group several prefixes into one \
-           network.  Shards beyond --sim-jobs queue on the domain pool, so \
-           at most --sim-jobs shard networks are live at once.  Outcomes \
-           are shard-invariant.")
+          "Worker domains for the BGP simulation itself: at most N of \
+           the shard networks, one per prefix, are simulated at once, in \
+           parallel; the rest queue.  Every value yields the identical \
+           outcome, faulted campaigns included.")
 
 let chains_arg =
   Arg.(
@@ -410,8 +400,8 @@ let install_drain_handlers () =
     [ Sys.sigterm; Sys.sigint ]
 
 let campaign_cmd =
-  let run seed sizes interval cycles severity jobs chains sim_jobs sim_shards
-      telemetry metrics_out trace_out checkpoint_dir resume checkpoint_every
+  let run seed sizes interval cycles severity jobs chains sim_jobs telemetry
+      metrics_out trace_out checkpoint_dir resume checkpoint_every
       chain_deadline sweep_budget =
     if resume && checkpoint_dir = None then
       failwith "--resume requires --checkpoint-dir";
@@ -432,8 +422,7 @@ let campaign_cmd =
     in
     let base =
       { base with
-        Sc.Campaign.sim_shards;
-        infer_config =
+        Sc.Campaign.infer_config =
           { base.Sc.Campaign.infer_config with
             Because.Infer.supervise =
               { Supervise.deadline_s = chain_deadline;
@@ -493,10 +482,6 @@ let campaign_cmd =
           ("jobs", string_of_int jobs);
           ("chains", string_of_int chains);
           ("sim_jobs", string_of_int sim_jobs);
-          ( "sim_shards",
-            match sim_shards with
-            | None -> "auto"
-            | Some n -> string_of_int n );
           ( "faults",
             match severity with
             | None -> "none"
@@ -512,10 +497,9 @@ let campaign_cmd =
        ~doc:"Run one measurement campaign end to end on a simulated world.")
     Term.(
       const run $ seed_arg $ world_size_args $ interval_arg $ cycles_arg
-      $ faults_arg $ jobs_arg $ chains_arg $ sim_jobs_arg $ sim_shards_arg
-      $ telemetry_arg $ metrics_out_arg $ trace_out_arg $ checkpoint_dir_arg
-      $ resume_arg $ checkpoint_every_arg $ chain_deadline_arg
-      $ sweep_budget_arg)
+      $ faults_arg $ jobs_arg $ chains_arg $ sim_jobs_arg $ telemetry_arg
+      $ metrics_out_arg $ trace_out_arg $ checkpoint_dir_arg $ resume_arg
+      $ checkpoint_every_arg $ chain_deadline_arg $ sweep_budget_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                                *)

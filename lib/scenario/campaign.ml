@@ -31,7 +31,6 @@ type params = {
   faults : Plan.t;
   min_path_support : int;
   sim_jobs : int;
-  sim_shards : int option;
   telemetry : Tel.t;
 }
 
@@ -58,7 +57,6 @@ let default_params ~update_interval =
     faults = Plan.empty;
     min_path_support = 1;
     sim_jobs = 1;
-    sim_shards = None;
     telemetry = Tel.disabled;
   }
 
@@ -184,7 +182,7 @@ let stimulus world params ~intervals ~churn_rng =
    inference settings.  Both records are destructured field by field under
    warning 9, so a new field does not compile until it is listed here as
    fingerprinted or excluded.  Excluded are the parallelism knobs
-   ([sim_jobs], [sim_shards], infer [jobs]): outcomes are invariant in them,
+   ([sim_jobs], infer [jobs]): outcomes are invariant in them,
    faulted campaigns included.  So is the supervision budget; resuming with
    more workers or a larger budget is exactly the operational move the
    checkpoint store exists to allow.  The rest of the excluded fields are
@@ -194,7 +192,7 @@ let[@warning "@9"] fingerprint world params ~intervals ~script =
   let { update_interval = _; burst_duration; break_duration; cycles; lead_in;
         anchor_period; noise; min_r_delta; match_threshold; infer_config;
         run_inference; background_prefixes; background_mean_gap; faults;
-        min_path_support; sim_jobs = _; sim_shards = _; telemetry = _ } =
+        min_path_support; sim_jobs = _; telemetry = _ } =
     params
   in
   let { Because.Infer.n_samples; burn_in; prior; node_priors = _;
@@ -244,7 +242,7 @@ let run_multi ?recovery world params ~intervals =
   let noise_rng = World.fresh_rng world ~salt:(salt + 1) in
   let churn_rng = World.fresh_rng world ~salt:(salt + 2) in
   (* The stimulus is replayed over per-prefix shards; the outcome does not
-     depend on how many. *)
+     depend on how many run at once. *)
   let { schedules; sites; campaign_end; script } =
     Tel.Span.with_ params.telemetry ~name:"campaign.stimulus" (fun () ->
         stimulus world params ~intervals ~churn_rng)
@@ -267,7 +265,6 @@ let run_multi ?recovery world params ~intervals =
     Tel.Span.with_ params.telemetry ~name:"campaign.sim" (fun () ->
         Sharded.run ~fault_seed ~telemetry:params.telemetry
           ?checkpoint:(Option.map Recovery.sim_hooks recovery)
-          ?shards:params.sim_shards
           ~jobs:params.sim_jobs
           ~configs:(World.router_configs world)
           ~delay:(World.delay world)

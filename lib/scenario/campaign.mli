@@ -31,14 +31,10 @@ type params = {
           [outcome.insufficient].  Default 1 (no demotion). *)
   sim_jobs : int;
       (** Worker domains for the BGP simulation itself: at most [sim_jobs]
-          shard networks run at once, in parallel
-          ({!Because_sim.Sharded}).  Outcomes are shard-invariant: every
-          value yields the identical outcome, faults included. *)
-  sim_shards : int option;
-      (** Simulation shard count ([None] — the default — means one shard
-          per prefix); a smaller count groups prefixes into fewer
-          networks.  Shards beyond [sim_jobs] queue on the domain pool.
-          Outcomes are shard-invariant (property-tested). *)
+          of the one-per-prefix shard networks run at once, in parallel
+          ({!Because_sim.Sharded}); the rest queue on the domain pool.
+          Every value yields the identical outcome, faults included
+          (property-tested). *)
   telemetry : Because_telemetry.Registry.t;
       (** Observability sink threaded through every phase: campaign phase
           spans, simulator traffic/RFD counters and table gauges, fault
@@ -82,7 +78,7 @@ type outcome = {
   events : int;              (** Total simulator events processed. *)
   shard_events : int array;
       (** Events processed per simulation shard — the load-balance view;
-          one entry per prefix by default. *)
+          one entry per prefix. *)
   campaign_end : float;
   fault_log : (float * Because_faults.Injector.injected) list;
       (** Every injected fault that materialized, chronological: session

@@ -73,9 +73,8 @@ type partition = {
   own : (int * op) list array;
 }
 
-let partition t ~shards =
-  if shards < 1 then invalid_arg "Script.partition: shards must be positive";
-  let own = Array.make shards [] and shared = ref [] in
+let partition t =
+  let own = Array.make (max 1 t.n_prefixes) [] and shared = ref [] in
   (* [t.ops] is newest first: counting down and consing leaves every
      bucket in recording order without a reversal. *)
   let n = List.length t.ops in
@@ -84,12 +83,14 @@ let partition t ~shards =
       let pos = n - 1 - i in
       match op with
       | Announce { prefix; _ } | Withdraw { prefix; _ } ->
-          let s = Prefix.Map.find prefix t.ranks mod shards in
+          let s = Prefix.Map.find prefix t.ranks in
           own.(s) <- (pos, op) :: own.(s)
       | Session_reset _ | Link_down _ | Link_up _ | Impair _ ->
           shared := (pos, op) :: !shared)
     t.ops;
   { shared = !shared; own }
+
+let n_shards p = Array.length p.own
 
 let shard_ops p shard =
   let[@tail_mod_cons] rec interleave a b =

@@ -5,8 +5,8 @@
     link/session events — recorded {e before} any network exists.  Recording
     rather than scheduling directly is what makes the per-prefix sharded
     driver ({!Sharded}) possible: the same script can be replayed into one
-    network (bit-for-bit the historical event stream) or partitioned by
-    prefix into many shard networks.
+    network (bit-for-bit the historical event stream) or partitioned into
+    one shard network per prefix.
 
     Replay order is recording order, so a single-network replay produces
     exactly the heap insertion order of the pre-script code path. *)
@@ -41,7 +41,7 @@ val prefixes : t -> Prefix.t list
 (** Every prefix an origin event touches, in first-touch order. *)
 
 val rank : t -> Prefix.t -> int option
-(** First-touch position of a prefix — the shard partitioning key and the
+(** First-touch position of a prefix — its shard number, and so the
     cross-shard merge tiebreak. *)
 
 val install : t -> Network.t -> unit
@@ -51,14 +51,17 @@ val replay : op list -> Network.t -> unit
 (** Replay [ops] into a network in list order. *)
 
 type partition
-(** The ops bucketed by shard. *)
+(** The ops bucketed by shard, one shard per prefix. *)
 
-val partition : t -> shards:int -> partition
+val partition : t -> partition
 (** One pass over the script: each origin (announce/withdraw) op goes to
-    the shard [rank mod shards] of its prefix.  The link/session/impairment
-    ops are prefix-agnostic and belong to every shard; they are stored once,
-    so the partition costs O(ops) whatever [shards] is.  Raises
-    [Invalid_argument] if [shards < 1]. *)
+    the shard numbered by its prefix's first-touch rank.  The
+    link/session/impairment ops are prefix-agnostic and belong to every
+    shard; they are stored once, so the partition costs O(ops) whatever
+    the prefix count. *)
+
+val n_shards : partition -> int
+(** [max 1 (n_prefixes t)]: an empty script is one shard. *)
 
 val shard_ops : partition -> int -> op list
 (** One shard's ops in recording order: its prefixes' origin ops with every

@@ -15,8 +15,7 @@ type result = {
   shards : int;
   shard_events : int array;
   monitored : Asn.Set.t;
-  rank_of : Prefix.t -> int;
-  stores : feed_store array;  (* one per shard *)
+  stores : feed_store array;  (* one per shard, indexed by prefix rank *)
 }
 
 type shard_result = {
@@ -29,41 +28,25 @@ type shard_result = {
 (* The checkpoint layer lives above this library (it needs serializers for
    Update values and a durable store); the simulator only knows how to ask
    it for a finished shard and how to hand one over.  Keyed by (shard,
-   shards): a result saved under a different shard count partitions the
-   prefixes differently and must not be reused. *)
+   shards), where [shards] is the prefix count: a result saved under a
+   different count belongs to another partition and must not be reused. *)
 type checkpoint_hooks = {
   load_shard : shard:int -> shards:int -> shard_result option;
   save_shard : shard:int -> shards:int -> shard_result -> unit;
 }
 
-(* Merge one vantage's per-shard entries.  Entries of a given prefix all
-   live in one shard, in their sequential relative order; the cross-prefix
-   interleave is reconstructed by time with the prefix's first-touch rank
-   breaking ties.  Keeping each prefix's own order makes every shard count,
-   one included, give the same feed.  Times are never NaN, so the float
-   comparisons order them as [Float.compare] does, inline. *)
-let entry_order rank_of ((ta : float), ua) (tb, ub) =
-  if ta < tb then -1
-  else if ta > tb then 1
-  else Int.compare (rank_of (Update.prefix ua)) (rank_of (Update.prefix ub))
-
-let rec ordered rank_of = function
-  | a :: (b :: _ as rest) ->
-      entry_order rank_of a b <= 0 && ordered rank_of rest
-  | [] | [ _ ] -> true
-
-(* K-way merge of lists each in [entry_order], through a binary heap of
-   list indices keyed on their heads.  Equal heads leave the lower index
-   first, so the result is the stable sort of the lists' concatenation. *)
-let merge_ordered rank_of lists =
+(* K-way merge of lists each in time order, through a binary heap of list
+   indices keyed on their heads' times.  Equal times leave the lower index
+   first, so the result is the stable sort on time of the lists'
+   concatenation.  Times are never NaN, so the float comparisons order them
+   as [Float.compare] does, inline. *)
+let merge_ordered (lists : (float * _) list list) =
   let heads = Array.of_list (List.filter (fun l -> l <> []) lists) in
   let n = ref (Array.length heads) in
   let heap = Array.init !n Fun.id in
   let before i j =
     match (heads.(i), heads.(j)) with
-    | x :: _, y :: _ ->
-        let c = entry_order rank_of x y in
-        c < 0 || (c = 0 && i < j)
+    | (x, _) :: _, (y, _) :: _ -> x < y || (x = y && i < j)
     | _ -> assert false
   in
   let rec sift_down k =
@@ -101,17 +84,13 @@ let merge_ordered rank_of lists =
   in
   match heads with [| only |] -> only | _ -> drain ()
 
+(* A shard holds one prefix and records its entries at nondecreasing event
+   times; its index is the prefix's first-touch rank, so the merge orders
+   cross-prefix ties by rank. *)
 let feed result asn =
-  let rank_of = result.rank_of in
-  (* A shard holding several prefixes records them in event order, which a
-     fault can leave with two of them out of rank order at one instant. *)
-  let sorted entries =
-    if ordered rank_of entries then entries
-    else List.stable_sort (entry_order rank_of) entries
-  in
-  merge_ordered rank_of
+  merge_ordered
     (Array.to_list
-       (Array.map (fun store -> sorted (store_feed store asn)) result.stores))
+       (Array.map (fun store -> store_feed store asn) result.stores))
 
 let feeds result =
   Asn.Set.fold
@@ -123,36 +102,27 @@ let collect net monitored =
   Asn.Set.fold (fun asn acc -> (asn, Network.feed net asn) :: acc) monitored []
   |> List.rev
 
-(* The prefix of an update loss/duplication entry; [None] for link and
-   session transitions. *)
-let fault_prefix = function
-  | Network.Fault_update_lost { prefix; _ }
-  | Network.Fault_update_duplicated { prefix; _ } -> Some prefix
+(* Update loss/duplication is per-prefix traffic; link and session
+   transitions are not. *)
+let per_prefix (_, ev) =
+  match ev with
+  | Network.Fault_update_lost _ | Network.Fault_update_duplicated _ -> true
   | Network.Fault_link_down _ | Network.Fault_link_up _
   | Network.Fault_session_reset _ | Network.Fault_session_down _
-  | Network.Fault_session_up _ -> None
+  | Network.Fault_session_up _ -> false
 
-(* Merge per-shard fault logs.  Link/session transitions replay identically
-   in every shard (the session layer is prefix-agnostic), so shard 0 speaks
-   for all of them; update loss/duplication is per-shard traffic and is kept
-   from every shard.  A stable sort then orders them by time, equal times
-   by prefix rank with link/session transitions first, so the merged log
-   is the same for every partition (including a single shard). *)
-let merge_fault_logs rank_of logs =
-  let rank (_, ev) = Option.fold ~none:(-1) ~some:rank_of (fault_prefix ev) in
-  let per_shard =
-    List.mapi
-      (fun i log ->
-        if i = 0 then log
-        else List.filter (fun (_, ev) -> fault_prefix ev <> None) log)
-      logs
-  in
-  List.stable_sort
-    (fun ((ta, _) as a) ((tb, _) as b) ->
-      match Float.compare ta tb with
-      | 0 -> Int.compare (rank a) (rank b)
-      | c -> c)
-    (List.concat per_shard)
+(* Merge per-shard fault logs, each chronological.  Link/session
+   transitions replay identically in every shard (the session layer is
+   prefix-agnostic), so shard 0 speaks for all of them; update
+   loss/duplication is per-shard traffic and is kept from every shard.
+   Equal times order the transitions first, then the shards by index, which
+   is prefix rank. *)
+let merge_fault_logs = function
+  | [] -> invalid_arg "Sharded: no shards"
+  | first :: _ as logs ->
+      merge_ordered
+        (List.filter (fun e -> not (per_prefix e)) first
+        :: List.map (List.filter per_prefix) logs)
 
 let merge_stats (per_shard : Network.stats list) : Network.stats =
   match per_shard with
@@ -264,23 +234,14 @@ let run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay ~monitored
       in
       (sr, load)
 
-let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ?shards
-    ~jobs ~configs ~delay ~monitored ~until script =
+let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ~jobs
+    ~configs ~delay ~monitored ~until script =
   if jobs < 1 then invalid_arg "Sharded.run: jobs must be positive";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Sharded.run: shards must be positive"
-  | _ -> ());
-  let n_prefixes = Script.n_prefixes script in
-  (* Default one shard per prefix.  [jobs] only bounds how many shard
-     networks are live at once: the work-stealing pool runs at most [jobs]
-     and queues the rest. *)
-  let shards =
-    max 1 (min (Option.value shards ~default:n_prefixes) n_prefixes)
-  in
-  let rank_of prefix =
-    match Script.rank script prefix with Some r -> r | None -> max_int
-  in
-  let partition = Script.partition script ~shards in
+  (* One shard per prefix, an empty script one shard.  [jobs] only bounds
+     how many shard networks are live at once: the work-stealing pool runs
+     at most [jobs] and queues the rest. *)
+  let partition = Script.partition script in
+  let shards = Script.n_shards partition in
   let tasks =
     Array.init shards (fun shard () ->
         run_shard ~fault_seed ~checkpoint ~telemetry ~configs ~delay
@@ -296,13 +257,12 @@ let run ?(fault_seed = 0) ?(telemetry = Tel.disabled) ?checkpoint ?shards
           merge_stats
             (Array.to_list (Array.map (fun sr -> sr.shard_stats) results));
         fault_log =
-          merge_fault_logs rank_of
+          merge_fault_logs
             (Array.to_list (Array.map (fun sr -> sr.shard_fault_log) results));
         events =
           Array.fold_left (fun acc sr -> acc + sr.shard_events_count) 0 results;
         shards;
         shard_events = Array.map (fun sr -> sr.shard_events_count) results;
         monitored;
-        rank_of;
         stores = Array.map (fun sr -> sr.shard_feeds) results;
       })

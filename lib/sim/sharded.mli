@@ -4,21 +4,23 @@
     (adj-RIB-in, RFD state, loc-RIB, adj-RIB-out, MRAI gates, feed
     de-duplication) is keyed by prefix, and the session layer is
     prefix-agnostic — link and session faults evolve identically whatever
-    traffic crosses them.  A campaign therefore decomposes exactly: partition
-    the prefix set of a {!Script} into shards, build one {!Network} per shard
+    traffic crosses them.  A campaign therefore decomposes exactly: give
+    each prefix of a {!Script} its own shard, build one {!Network} per shard
     from the shared immutable router configs and delay function, replay the
     full fault plan into each shard, run the shards on the shared domain
     pool, and merge.
 
-    The default partition is one shard per prefix: each network then holds
-    one prefix's routes, and its event queue one prefix's in-flight events.
-    [jobs] only bounds how many shard networks are live at once: the
-    work-stealing pool runs at most [jobs] of them and queues the rest.
+    Each network holds one prefix's routes, and its event queue one
+    prefix's in-flight events.  [jobs] only bounds how many shard networks
+    are live at once: the work-stealing pool runs at most [jobs] of them and
+    queues the rest.
 
-    Outcomes are shard-invariant: the merged result is the same for any
-    [jobs] and any [shards] (property-tested), faults and impairments
+    The merged result is the same for any [jobs], and equals one network
+    replaying the whole script (property-tested), faults and impairments
     included, because every loss/duplication draw is keyed by its link,
-    prefix and delivery index rather than taken from a shared stream. *)
+    prefix and delivery index rather than taken from a shared stream.  Only
+    [events] differs from the one network: every shard replays the link
+    and session faults. *)
 
 open Because_bgp
 
@@ -40,21 +42,17 @@ type result = {
           view behind the [sim.shard_events] histogram and the Chrome trace
           lanes. *)
   monitored : Asn.Set.t;  (** Vantage ASs the feeds were collected for. *)
-  rank_of : Prefix.t -> int;
-      (** First-touch script rank — the cross-prefix tie-break key. *)
   stores : feed_store array;
-      (** Per-shard feed stores (length [shards]); consume via {!feed} /
-          {!feeds}, which merge lazily. *)
+      (** Per-shard feed stores (length [shards], indexed by the prefix's
+          first-touch rank); consume via {!feed} / {!feeds}, which merge
+          lazily. *)
 }
 
 val feed : result -> Asn.t -> (float * Update.t) list
 (** Chronological observations of one vantage, merged across shards on
     demand: ordered on time, cross-prefix ties by first-touch rank, each
-    prefix's own entries in their recorded order.  The same for every
-    shard count.  A k-way merge of the per-shard lists; a shard's list is
-    stable-sorted first only when a linear check finds it out of that
-    order, which needs several prefixes in the shard and a fault that left
-    two of them out of rank order at one instant. *)
+    prefix's own entries in their recorded order.  A k-way merge of the
+    per-shard lists, each already in time order. *)
 
 val feeds : result -> (Asn.t * (float * Update.t) list) list
 (** Every monitored vantage's merged feed, ascending ASN. *)
@@ -73,16 +71,15 @@ type checkpoint_hooks = {
   save_shard : shard:int -> shards:int -> shard_result -> unit;
 }
 (** Durable-storage callbacks supplied by the recovery layer.  Keys carry
-    the shard count because a different [shards] partitions prefixes
-    differently — a saved result is only valid for the exact partition it
-    was computed under.  [save_shard] runs inside worker domains and must
-    be thread-safe. *)
+    the shard count, which is the prefix count: a result saved under
+    another count (a store written by a build that grouped prefixes) was
+    computed under another partition and is not reused.  [save_shard] runs
+    inside worker domains and must be thread-safe. *)
 
 val run :
   ?fault_seed:int ->
   ?telemetry:Because_telemetry.Registry.t ->
   ?checkpoint:checkpoint_hooks ->
-  ?shards:int ->
   jobs:int ->
   configs:Router.config list ->
   delay:(from_asn:Asn.t -> to_asn:Asn.t -> float) ->
@@ -90,15 +87,11 @@ val run :
   until:float ->
   Script.t ->
   result
-(** Replay [script] and run to [until] over
-    [max 1 (min shards n_prefixes)] shards, where [shards] defaults to
-    [n_prefixes]: one shard per prefix.  An explicit [shards] groups
-    prefixes, by first-touch rank modulo [shards]; [shards = 1] replays
-    the whole script into a single network in recording order.  At most
+(** Replay [script] and run to [until] over one shard per prefix
+    ({!Script.partition}); an empty script runs as one shard.  At most
     [jobs] shard networks are live at once; the rest queue on the pool.
     [fault_seed] (default 0) keys every shard's impairment draws
-    ({!Network.create}).  Raises [Invalid_argument] if [jobs < 1] or
-    [shards < 1].
+    ({!Network.create}).  Raises [Invalid_argument] if [jobs < 1].
 
     [checkpoint] short-circuits finished shards: a shard whose saved result
     loads is returned without building a network or replaying anything,

@@ -825,68 +825,47 @@ let severe_plan seed =
          (Sc.World.vantages w))
     ~horizon:(Sc.Campaign.horizon (mini_params ~jobs:1 ~sim_jobs:1))
 
-(* [outcome_digest] less [events], the replay work summed over shards:
-   link and session events are replayed once per shard. *)
-let shard_free_digest (o : Sc.Campaign.outcome) =
-  outcome_digest { o with Sc.Campaign.events = 0 }
-
-let faulted_run ~sim_jobs ~sim_shards ~jobs faults =
+let faulted_run ~sim_jobs ~jobs faults =
   let p = mini_params ~jobs ~sim_jobs in
-  Sc.Campaign.run (Lazy.force mini_world)
-    { p with Sc.Campaign.faults; sim_shards }
+  Sc.Campaign.run (Lazy.force mini_world) { p with Sc.Campaign.faults }
 
 (* Every field [Campaign.fingerprint] leaves out, varied away from the
    sequential setting on a severe plan: the outcome (labels, categories,
-   fault log, deliveries and the rest of the digest) must not move, or a
-   resume under other settings would mix two datasets. *)
+   fault log, deliveries, events and the rest of the digest) must not
+   move, or a resume under other settings would mix two datasets. *)
 let qcheck_faulted_outcome_ignores_excluded_fields =
-  let settings =
-    List.filter
-      (fun s -> s <> (1, None, 1))
-      (List.concat_map
-         (fun sim_jobs ->
-           List.concat_map
-             (fun sim_shards ->
-               List.map (fun jobs -> (sim_jobs, sim_shards, jobs)) [ 1; 2 ])
-             [ None; Some 4 ])
-         [ 1; 2 ])
-  in
-  QCheck.Test.make
-    ~name:"faulted outcome ignores sim_jobs, sim_shards and infer jobs"
+  QCheck.Test.make ~name:"faulted outcome ignores sim_jobs and infer jobs"
     ~count:3
-    QCheck.(pair (int_bound 1000) (make Gen.(oneofl settings)))
-    (fun (seed, (sim_jobs, sim_shards, jobs)) ->
+    QCheck.(
+      pair (int_bound 1000) (make Gen.(oneofl [ (1, 2); (2, 1); (2, 2) ])))
+    (fun (seed, (sim_jobs, jobs)) ->
       let faults = severe_plan seed in
-      let base = faulted_run ~sim_jobs:1 ~sim_shards:None ~jobs:1 faults in
-      let varied = faulted_run ~sim_jobs ~sim_shards ~jobs faults in
-      shard_free_digest base = shard_free_digest varied)
+      let base = faulted_run ~sim_jobs:1 ~jobs:1 faults in
+      let varied = faulted_run ~sim_jobs ~jobs faults in
+      outcome_digest base = outcome_digest varied)
 
 (* The severe plan drawn with seed 1000 delivers 10.0.1.0/24 and
-   10.1.1.0/24 to vantage 4 at one instant, and the one-shard replay
-   records them out of prefix-rank order: the feeds, and so the records,
-   must still come out the same under two shards. *)
+   10.1.1.0/24 to vantage 4 at one instant, from two shards: the merged
+   feeds, and so the records, must order them by prefix rank whichever
+   shard finishes first. *)
 let test_faulted_equal_time_feed_order () =
   let faults = severe_plan 1000 in
-  let base =
-    shard_free_digest (faulted_run ~sim_jobs:1 ~sim_shards:None ~jobs:1 faults)
-  in
+  let base = outcome_digest (faulted_run ~sim_jobs:1 ~jobs:1 faults) in
   List.iter
-    (fun (sim_jobs, sim_shards, jobs) ->
+    (fun (sim_jobs, jobs) ->
       Alcotest.(check string)
-        (Printf.sprintf "sim_jobs %d, sim_shards %s, jobs %d" sim_jobs
-           (Option.fold ~none:"none" ~some:string_of_int sim_shards)
-           jobs)
+        (Printf.sprintf "sim_jobs %d, jobs %d" sim_jobs jobs)
         base
-        (shard_free_digest (faulted_run ~sim_jobs ~sim_shards ~jobs faults)))
-    [ (2, None, 1); (2, Some 4, 2) ]
+        (outcome_digest (faulted_run ~sim_jobs ~jobs faults)))
+    [ (2, 1); (2, 2) ]
 
 (* Kill a faulted checkpointed run under [sim_jobs = 1], resume it under
-   [sim_jobs = 2]: the resumed shards are re-simulated under the other
-   partition while the chains continue from their snapshots, and the two
-   must still agree with the uninterrupted run. *)
+   [sim_jobs = 2]: the partition does not depend on [sim_jobs], so the
+   finished shards restore while the chains continue from their snapshots,
+   and the two must still agree with the uninterrupted run. *)
 let test_faulted_resume_across_sim_jobs () =
   let faults = severe_plan 1 in
-  let clean = faulted_run ~sim_jobs:1 ~sim_shards:None ~jobs:1 faults in
+  let clean = faulted_run ~sim_jobs:1 ~jobs:1 faults in
   Alcotest.(check bool) "the plan loses or duplicates updates" true
     (List.exists
        (fun (_, ev) ->
@@ -907,9 +886,8 @@ let test_faulted_resume_across_sim_jobs () =
   | Some (resumed, recovery) ->
       Alcotest.(check bool) "a chain snapshot was restored" true
         (Sc.Recovery.restores recovery > 0);
-      check_outcomes_equal ~what:"faulted resume under sim_jobs 2"
-        { clean with Sc.Campaign.events = 0 }
-        { resumed with Sc.Campaign.events = 0 }
+      check_outcomes_equal ~what:"faulted resume under sim_jobs 2" clean
+        resumed
 
 let test_shard_result_codec_roundtrip () =
   let sr =

@@ -1,10 +1,12 @@
-(* Sharded-vs-sequential equivalence of the per-prefix simulation driver.
+(* Equivalence of the per-prefix simulation driver.
 
    The bit-for-bit guarantee under test: with an empty fault plan and no
    impairments, [Sharded.run ~jobs] must reproduce the sequential run's
    feeds, stats, and (empty) fault log exactly, for any [jobs].  With link
    faults, the link/session timeline must be independent of [jobs]; with
-   lossy, duplicating sessions, so must everything else. *)
+   lossy, duplicating sessions, so must everything else.  Under faults and
+   impairments the merged feeds, stats and fault log must also equal one
+   network replaying the whole script. *)
 
 open Because_bgp
 module Network = Because_sim.Network
@@ -80,33 +82,33 @@ let make_script rng ~origin =
   done;
   script
 
-let run ?fault_seed ?shards ~jobs ~with_flap
-    (configs, delay, origin, n_transit, monitored) script =
-  let script =
-    if not with_flap then script
-    else begin
-      (* Flap the middle rung: prefix-agnostic, replayed into every shard. *)
-      let s = Script.create () in
-      List.iter
-        (fun op ->
-          match op with
-          | Script.Announce { time; origin; prefix } ->
-              Script.announce s ~time ~origin prefix
-          | Script.Withdraw { time; origin; prefix } ->
-              Script.withdraw s ~time ~origin prefix
-          | Script.Impair { a; b; loss; duplication } ->
-              Script.impair s ~a ~b ~loss ~duplication
-          | _ -> ())
-        (Script.ops script);
-      let mid = max 1 (n_transit / 2) in
-      Script.link_down s ~time:90.0 ~a:(asn mid) ~b:(asn (mid + 1));
-      Script.link_up s ~time:210.0 ~a:(asn mid) ~b:(asn (mid + 1));
-      Script.session_reset s ~time:400.0 ~a:(asn 1) ~b:(asn origin);
-      s
-    end
-  in
-  Sharded.run ?fault_seed ?shards ~jobs ~configs ~delay ~monitored
-    ~until:2000.0 script
+(* The script with the middle rung flapped and the origin's session reset:
+   prefix-agnostic ops, replayed into every shard. *)
+let with_link_faults (_, _, origin, n_transit, _) script =
+  let s = Script.create () in
+  List.iter
+    (fun op ->
+      match op with
+      | Script.Announce { time; origin; prefix } ->
+          Script.announce s ~time ~origin prefix
+      | Script.Withdraw { time; origin; prefix } ->
+          Script.withdraw s ~time ~origin prefix
+      | Script.Impair { a; b; loss; duplication } ->
+          Script.impair s ~a ~b ~loss ~duplication
+      | _ -> ())
+    (Script.ops script);
+  let mid = max 1 (n_transit / 2) in
+  Script.link_down s ~time:90.0 ~a:(asn mid) ~b:(asn (mid + 1));
+  Script.link_up s ~time:210.0 ~a:(asn mid) ~b:(asn (mid + 1));
+  Script.session_reset s ~time:400.0 ~a:(asn 1) ~b:(asn origin);
+  s
+
+let until = 2000.0
+
+let run ?fault_seed ~jobs ~with_flap world script =
+  let configs, delay, _, _, monitored = world in
+  let script = if with_flap then with_link_faults world script else script in
+  Sharded.run ?fault_seed ~jobs ~configs ~delay ~monitored ~until script
 
 let check_feeds_equal what a b =
   let feeds_a = Sharded.feeds a and feeds_b = Sharded.feeds b in
@@ -236,31 +238,31 @@ let test_shards_exceed_jobs () =
   let world = make_world rng in
   let _, _, origin, _, _ = world in
   let script = make_script rng ~origin in
+  Alcotest.(check bool) "more prefixes than jobs" true
+    (Script.n_prefixes script > 2);
   let sequential = run ~jobs:1 ~with_flap:false world script in
-  let queued = run ~jobs:2 ~shards:8 ~with_flap:false world script in
-  Alcotest.(check int) "shards clamped to prefixes"
-    (min 8 (Script.n_prefixes script))
+  let queued = run ~jobs:2 ~with_flap:false world script in
+  Alcotest.(check int) "one shard per prefix" (Script.n_prefixes script)
     queued.Sharded.shards;
-  check_feeds_equal "jobs=2 shards=8" sequential queued;
-  check_stats_equal "jobs=2 shards=8" sequential.Sharded.stats
-    queued.Sharded.stats;
+  check_feeds_equal "jobs=2" sequential queued;
+  check_stats_equal "jobs=2" sequential.Sharded.stats queued.Sharded.stats;
   Alcotest.(check int) "events conserved" sequential.Sharded.events
-    queued.Sharded.events;
-  Alcotest.check_raises "shards = 0 rejected"
-    (Invalid_argument "Sharded.run: shards must be positive") (fun () ->
-      ignore (run ~jobs:2 ~shards:0 ~with_flap:false world script))
+    queued.Sharded.events
 
 let test_shards_clamped () =
   let rng = Rng.create 7 in
   let world = make_world rng in
   let _, _, origin, _, _ = world in
   let script = make_script rng ~origin in
-  let r = run ~jobs:64 ~with_flap:false world script in
-  Alcotest.(check bool) "shards bounded by prefix count" true
-    (r.Sharded.shards <= Script.n_prefixes script);
-  let r1 = run ~jobs:1 ~with_flap:false world script in
-  Alcotest.(check int) "one shard per prefix at jobs=1"
-    (Script.n_prefixes script) r1.Sharded.shards
+  List.iter
+    (fun jobs ->
+      let r = run ~jobs ~with_flap:false world script in
+      let what = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check int) (what ^ ": one shard per prefix")
+        (Script.n_prefixes script) r.Sharded.shards;
+      Alcotest.(check int) (what ^ ": events per shard") r.Sharded.shards
+        (Array.length r.Sharded.shard_events))
+    [ 1; 64 ]
 
 let test_invalid_jobs () =
   let rng = Rng.create 8 in
@@ -279,24 +281,25 @@ let test_empty_script () =
   let r =
     Sharded.run ~jobs:4 ~configs ~delay ~monitored ~until:100.0 script
   in
+  Alcotest.(check int) "one shard" 1 r.Sharded.shards;
   Alcotest.(check int) "no events" 0 r.Sharded.events;
   Alcotest.(check int) "no faults" 0 (List.length r.Sharded.fault_log)
 
-(* The merge as it stood before the k-way merge: a stable sort of the
-   concatenated per-shard entries on (time, prefix rank). *)
-let reference_order (r : Sharded.result) (ta, ua) (tb, ub) =
-  match Float.compare ta tb with
-  | 0 ->
-      Int.compare
-        (r.Sharded.rank_of (Update.prefix ua))
-        (r.Sharded.rank_of (Update.prefix ub))
-  | c -> c
+(* Order on time, equal times by the first-touch rank of [key]'s prefix;
+   [List.stable_sort] keeps each prefix's own equal-time entries in their
+   recorded order. *)
+let by_time_then_rank key ((ta : float), a) (tb, b) =
+  match Float.compare ta tb with 0 -> Int.compare (key a) (key b) | c -> c
 
-let reference_feed (r : Sharded.result) asn =
-  List.stable_sort (reference_order r)
-    (List.concat_map
-       (fun store -> Option.value ~default:[] (List.assoc_opt asn store))
-       (Array.to_list r.Sharded.stores))
+let rank_of script prefix = Option.get (Script.rank script prefix)
+
+(* Link and session transitions sort before every prefix at one instant. *)
+let fault_rank script = function
+  | Network.Fault_update_lost { prefix; _ }
+  | Network.Fault_update_duplicated { prefix; _ } -> rank_of script prefix
+  | Network.Fault_link_down _ | Network.Fault_link_up _
+  | Network.Fault_session_reset _ | Network.Fault_session_down _
+  | Network.Fault_session_up _ -> -1
 
 (* Equal-time entries of different prefixes in one feed: the link flap and
    the session reset re-advertise every prefix at once. *)
@@ -314,7 +317,7 @@ let cross_prefix_ties feed =
 
 (* The same script with the prefixes' addresses in reverse first-touch
    order.  A re-advertising router sends its prefixes in address order, so
-   after a session reset a shard holding several of them records them out
+   after a session reset one network holding all of them records them out
    of rank order at one instant. *)
 let reverse_addresses script =
   let prefixes = Array.of_list (Script.prefixes script) in
@@ -336,60 +339,57 @@ let reverse_addresses script =
     (Script.ops script);
   s
 
-(* Replay one faulted script at every shard count from 1 to its prefix
-   count: each merged feed must equal [reference_feed], and each run the
-   one-shard run.  Odd seeds reverse the prefix addresses.  Returns the
-   cross-prefix ties in the merged feeds and the shard feeds recorded out
-   of rank order, summed over the runs. *)
-let check_feed_reference seed =
+(* Replay one faulted, impaired script over the per-prefix shards and into
+   one network: every merged feed must equal the one network's feed
+   stable-sorted on (time, prefix rank), and the stats and the whole fault
+   log must match too.  [events] is not compared: every shard replays the
+   link and session faults.  Odd seeds reverse the prefix addresses.
+   Returns the cross-prefix ties in the merged feeds. *)
+let check_one_network seed =
   let rng = Rng.create (seed + 301) in
   let world = make_world rng in
-  let _, _, origin, _, _ = world in
+  let configs, delay, origin, _, monitored = world in
   let script = make_script rng ~origin in
   let script = if seed mod 2 = 1 then reverse_addresses script else script in
   Script.impair script ~a:(asn origin) ~b:(asn 1) ~loss:0.2 ~duplication:0.2;
-  let run shards =
-    run ~fault_seed:seed ~shards ~jobs:1 ~with_flap:true world script
+  let script = with_link_faults world script in
+  let r =
+    Sharded.run ~fault_seed:seed ~jobs:(1 + (seed mod 2)) ~configs ~delay
+      ~monitored ~until script
   in
-  let one = run 1 in
-  let ties = ref 0 and unordered = ref 0 in
-  for shards = 1 to Script.n_prefixes script do
-    let r = run shards in
-    let what = Printf.sprintf "seed %d shards %d" seed shards in
-    Alcotest.(check int) (what ^ ": shards") shards r.Sharded.shards;
-    Array.iter
-      (List.iter (fun (_, entries) ->
-           if entries <> List.stable_sort (reference_order r) entries then
-             incr unordered))
-      r.Sharded.stores;
-    List.iter
-      (fun (asn, feed) ->
-        ties := !ties + cross_prefix_ties feed;
-        if feed <> reference_feed r asn then
-          Alcotest.failf "%s: AS%d feed differs from the reference" what
-            (Asn.to_int asn))
-      (Sharded.feeds r);
-    check_feeds_equal what one r;
-    check_stats_equal what one.Sharded.stats r.Sharded.stats;
-    Alcotest.(check bool) (what ^ ": fault log") true
-      (one.Sharded.fault_log = r.Sharded.fault_log)
-  done;
-  (!ties, !unordered)
+  let net = Network.create ~fault_seed:seed ~configs ~delay ~monitored () in
+  Script.install script net;
+  Network.run net ~until;
+  let what = Printf.sprintf "seed %d" seed in
+  let feed_order =
+    by_time_then_rank (fun u -> rank_of script (Update.prefix u))
+  in
+  let ties = ref 0 in
+  List.iter
+    (fun (asn, feed) ->
+      ties := !ties + cross_prefix_ties feed;
+      if feed <> List.stable_sort feed_order (Network.feed net asn) then
+        Alcotest.failf "%s: AS%d feed differs from one network" what
+          (Asn.to_int asn))
+    (Sharded.feeds r);
+  check_stats_equal what (Network.stats net) r.Sharded.stats;
+  Alcotest.(check bool) (what ^ ": fault log") true
+    (List.stable_sort (by_time_then_rank (fault_rank script))
+       (Network.fault_log net)
+    = r.Sharded.fault_log);
+  !ties
 
-let qcheck_feed_matches_reference =
+let qcheck_one_network_reference =
   QCheck.Test.make
-    ~name:"feed == stable-sort merge (faulted, every shard count)" ~count:20
+    ~name:"sharded == one network (faulted, impaired, reversed)" ~count:20
     QCheck.small_int (fun seed ->
-      ignore (check_feed_reference seed : int * int);
+      ignore (check_one_network seed : int);
       true)
 
-(* Seed 1 exercises both hard cases of the merge: equal-time entries of
-   different prefixes, and a shard whose recorded feed a session reset
-   left out of rank order, which the merge must sort first. *)
-let test_feed_ties_and_resort () =
-  let ties, unordered = check_feed_reference 1 in
-  Alcotest.(check bool) "cross-prefix ties" true (ties > 0);
-  Alcotest.(check bool) "shard feeds out of rank order" true (unordered > 0)
+(* Seed 1 exercises the hard case of the merge: equal-time entries of
+   different prefixes, which only the shard index (prefix rank) orders. *)
+let test_feed_ties () =
+  Alcotest.(check bool) "cross-prefix ties" true (check_one_network 1 > 0)
 
 (* A script of origin ops over a few prefixes, with link, session and
    impairment ops interleaved at random recording positions. *)
@@ -411,26 +411,27 @@ let random_script rng =
   done;
   script
 
+(* Shard [k] holds the origin ops of the prefix of rank [k] and every
+   prefix-agnostic op; a script without origin ops is one shard. *)
 let qcheck_partition_matches_filter =
   QCheck.Test.make ~name:"partitioned ops == per-shard prefix filter"
     ~count:100 QCheck.small_int (fun seed ->
       let script = random_script (Rng.create (seed + 401)) in
-      let kept shards shard =
+      let kept shard =
         List.filter
           (function
             | Script.Announce { prefix; _ } | Script.Withdraw { prefix; _ } ->
-                Option.get (Script.rank script prefix) mod shards = shard
+                rank_of script prefix = shard
             | Script.Session_reset _ | Script.Link_down _ | Script.Link_up _
             | Script.Impair _ -> true)
           (Script.ops script)
       in
-      List.for_all
-        (fun shards ->
-          let partition = Script.partition script ~shards in
-          List.for_all
-            (fun shard -> Script.shard_ops partition shard = kept shards shard)
-            (List.init shards Fun.id))
-        (List.init (Script.n_prefixes script + 1) (fun k -> k + 1)))
+      let partition = Script.partition script in
+      let shards = max 1 (Script.n_prefixes script) in
+      Script.n_shards partition = shards
+      && List.for_all
+           (fun shard -> Script.shard_ops partition shard = kept shard)
+           (List.init shards Fun.id))
 
 let test_script_ranks () =
   let script = Script.create () in
@@ -456,8 +457,7 @@ let suite =
       Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
       Alcotest.test_case "empty script" `Quick test_empty_script;
       Alcotest.test_case "script ranks" `Quick test_script_ranks;
-      QCheck_alcotest.to_alcotest qcheck_feed_matches_reference;
-      Alcotest.test_case "feed ties and re-sort" `Quick
-        test_feed_ties_and_resort;
+      QCheck_alcotest.to_alcotest qcheck_one_network_reference;
+      Alcotest.test_case "feed cross-prefix ties" `Quick test_feed_ties;
       QCheck_alcotest.to_alcotest qcheck_partition_matches_filter;
     ] )
