@@ -21,8 +21,9 @@ module Supervise = Because_recover.Supervise
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-(* Counts of workers, shards, chains, cycles and draws: a value below 1 is a
-   usage error (exit 124, naming the flag), caught before any work starts. *)
+(* Counts of workers, shards, chains, cycles, draws, attempts, queue slots
+   and checkpoint sweeps: a value below 1 is a usage error (exit 124, naming
+   the flag), caught before any work starts. *)
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -115,7 +116,7 @@ let resume_arg =
 let checkpoint_every_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "checkpoint-every-sweeps" ] ~docv:"N"
         ~doc:
           "Snapshot each chain every N completed sweeps (in addition to \
@@ -798,7 +799,7 @@ let serve_cmd =
   in
   let max_queue_arg =
     Arg.(
-      value & opt int 16
+      value & opt positive_int 16
       & info [ "max-queue" ] ~docv:"N"
           ~doc:
             "Admission bound: submissions past N queued campaigns are \
@@ -820,7 +821,7 @@ let serve_cmd =
   in
   let max_attempts_arg =
     Arg.(
-      value & opt int 3
+      value & opt positive_int 3
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:
             "Runs per campaign before it is declared insufficient; \
@@ -875,7 +876,7 @@ let serve_cmd =
   in
   let http_threads_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "http-threads" ] ~docv:"N"
           ~doc:"HTTP worker threads (connections served concurrently).")
   in

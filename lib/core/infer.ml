@@ -56,24 +56,12 @@ type result = {
 
 let chain_healthy chain = Chain.for_all_values Float.is_finite chain
 
-(* Restarts granted to a chain whose run diverges: three attempts in all. *)
-let max_restarts = 2
-
-(* Attempt 0 runs on the task's own pre-split generator, so for the default
-   single-chain configuration a healthy run consumes exactly the one
-   [Rng.split] per sampler the sequential code always did; retries split
-   fresh streams off the task generator only after a failure, never touching
-   any other task's stream.
-
-   Resume replays the split discipline exactly: a snapshot taken during
-   attempt [k] records the [k] warnings of the earlier failed attempts, so
-   the resumed process consumes the same [k] splits off the task generator
-   before continuing — later retries therefore see the very streams the
-   uninterrupted run would have given them, and even a
-   fail-after-resume trajectory stays bit-for-bit identical. *)
-let run_with_restarts ~config ~layout ~rng ~name ~chain_index sample =
+(* One chain, run once on the task's own pre-split generator: a chain that
+   diverges ([Driver.run]'s non-finite start, or non-finite draws) is
+   dropped with one warning.  A rerun could only repeat the failure, which
+   depends on the start point and not on the generator. *)
+let run_chain ~config ~layout ~rng ~name ~chain_index sample =
   let key = Printf.sprintf "%s.chain%d" name chain_index in
-  let final_sweep = config.burn_in + config.n_samples in
   let unusable = ref None in
   let unusable_note reason =
     unusable :=
@@ -81,10 +69,10 @@ let run_with_restarts ~config ~layout ~rng ~name ~chain_index sample =
         (Printf.sprintf "%s: checkpoint snapshot unusable (%s); started cold"
            key reason)
   in
-  (* A snapshot of another layout is ignored whole, warnings included, even
-     where its sizes would fit: its coordinates are other nodes, or the
-     same nodes under another target. *)
-  let saved =
+  (* A snapshot of another layout is ignored whole, even where its sizes
+     would fit: its coordinates are other nodes, or the same nodes under
+     another target. *)
+  let resume =
     match config.checkpoint with
     | None -> None
     | Some hooks -> (
@@ -92,104 +80,61 @@ let run_with_restarts ~config ~layout ~rng ~name ~chain_index sample =
         | Some sv when sv.Chain_ckpt.layout <> layout ->
             unusable_note "written for another chain layout";
             None
-        | saved -> saved)
+        | saved -> Option.map (fun sv -> sv.Chain_ckpt.state) saved)
   in
-  (* [warnings] accumulates newest-first, so its length is always the
-     current attempt index — also the invariant the snapshot relies on. *)
-  let resume0, warnings0 =
-    match saved with
-    | Some sv -> (Some sv.Chain_ckpt.state, sv.Chain_ckpt.prior_warnings)
-    | None -> (None, [])
+  let token = Supervise.start ~label:key config.supervise in
+  let cadence =
+    Option.map
+      (fun hooks ->
+        Chain_ckpt.make_control hooks ~key ~layout
+          ~final_sweep:(config.burn_in + config.n_samples))
+      config.checkpoint
   in
-  let k0 = List.length warnings0 in
-  for _ = 2 to k0 do
-    ignore (Rng.split rng)
-  done;
-  let rec attempt k warnings ~resume =
-    (* A restart is an in-process recomputation on a fresh split, so it
-       starts at once: waiting first would change nothing. *)
-    let attempt_rng = if k = 0 then rng else Rng.split rng in
-    let token = Supervise.start ~label:key config.supervise in
-    (* Every chain gets a control callback so a process-wide drain request
-       (SIGTERM, service shutdown) reaches it at the next sweep boundary.
-       With checkpoint hooks the drain writes one final snapshot first —
-       resuming loses no work; without them it just stops.  The drain check
-       is an atomic load and never touches an RNG stream, so results stay
-       bit-for-bit identical to the control-free path. *)
-    let control =
-      match config.checkpoint with
-      | None ->
-          if Supervise.is_unlimited config.supervise then
-            Some (fun ~sweep:_ ~state:_ -> Supervise.check_drain ())
-          else
-            Some
-              (fun ~sweep:_ ~state:_ ->
-                Supervise.check_drain ();
-                Supervise.tick token)
-      | Some hooks ->
-          let save_ctl =
-            Chain_ckpt.make_control hooks ~key ~layout ~final_sweep
-              ~prior_warnings:warnings
-          in
-          Some
-            (fun ~sweep ~state ->
-              if Supervise.draining () then begin
-                Chain_ckpt.save_now hooks ~key ~layout
-                  ~prior_warnings:warnings ~sweep ~state;
-                raise Supervise.Drained
-              end;
-              Supervise.tick token;
-              save_ctl ~sweep ~state)
-    in
-    let run_sample resume =
-      match sample attempt_rng ~resume ~control with
-      | chain, acceptance ->
-          if chain_healthy chain then `Ok (chain, acceptance)
-          else `Diverged "chain contains non-finite draws"
-      | exception Failure msg -> `Diverged msg
-      | exception Supervise.Aborted reason -> `Aborted reason
-    in
-    (* A snapshot the sampler rejects (a dimension or cache-state size
-       that does not fit this dataset, e.g. one written by a build with a
-       different cache layout) is unusable, not fatal: the attempt runs
-       cold on the same generator — a resumed sampler never touches it —
-       so it draws exactly what an attempt without the snapshot would. *)
-    let outcome =
-      match resume with
-      | None -> run_sample None
-      | Some _ -> (
-          try run_sample resume
-          with Invalid_argument msg ->
-            unusable_note msg;
-            run_sample None)
-    in
-    match outcome with
-    | `Ok (chain, acceptance) ->
-        (Some { name; chain_index; chain; acceptance }, List.rev warnings, None)
-    | `Diverged msg ->
-        let warnings =
-          Printf.sprintf "%s attempt %d/%d diverged: %s" name (k + 1)
-            (max_restarts + 1) msg
-          :: warnings
-        in
-        if k >= max_restarts then
-          ( None,
-            List.rev
-              (Printf.sprintf "%s disabled: no healthy chain in %d attempts"
-                 name (max_restarts + 1)
-              :: warnings),
-            None )
-        else attempt (k + 1) warnings ~resume:None
-    | `Aborted reason ->
-        (* Budget exhaustion is terminal, not a divergence: retrying would
-           burn the same budget again.  The caller degrades gracefully. *)
-        ( None,
-          List.rev
-            (Printf.sprintf "%s disabled: %s" name reason :: warnings),
-          Some reason )
+  (* Every chain gets this control callback so a process-wide drain request
+     (SIGTERM, service shutdown) reaches it at the next sweep boundary.
+     With checkpoint hooks the drain writes one final snapshot first —
+     resuming loses no work; without them it just stops.  Neither the drain
+     check nor the budget tick touches an RNG stream, so results stay
+     bit-for-bit identical to a control-free run. *)
+  let control ~sweep ~state =
+    if Supervise.draining () then begin
+      Option.iter
+        (fun hooks -> Chain_ckpt.save_now hooks ~key ~layout ~sweep ~state)
+        config.checkpoint;
+      raise Supervise.Drained
+    end;
+    Supervise.tick token;
+    Option.iter (fun save -> save ~sweep ~state) cadence
   in
-  let run, warnings, aborted = attempt k0 warnings0 ~resume:resume0 in
-  (run, Option.to_list !unusable @ warnings, aborted)
+  let run_sample resume =
+    match sample rng ~resume ~control with
+    | chain, acceptance ->
+        if chain_healthy chain then `Ok (chain, acceptance)
+        else `Diverged "chain contains non-finite draws"
+    | exception Failure msg -> `Diverged msg
+    | exception Supervise.Aborted reason -> `Aborted reason
+  in
+  (* A snapshot the sampler rejects (a dimension or cache-state size that
+     does not fit this dataset, e.g. one written by a build with a
+     different cache layout) is unusable, not fatal: the chain runs cold on
+     the same generator — a resumed sampler never touches it — so it draws
+     exactly what a chain without the snapshot would. *)
+  let outcome =
+    match resume with
+    | None -> run_sample None
+    | Some _ -> (
+        try run_sample resume
+        with Invalid_argument msg ->
+          unusable_note msg;
+          run_sample None)
+  in
+  let notes = Option.to_list !unusable in
+  let dropped why = notes @ [ Printf.sprintf "%s disabled: %s" name why ] in
+  match outcome with
+  | `Ok (chain, acceptance) ->
+      (Some { name; chain_index; chain; acceptance }, notes, None)
+  | `Diverged msg -> (None, dropped ("diverged: " ^ msg), None)
+  | `Aborted reason -> (None, dropped reason, Some reason)
 
 (* Work-stealing over a fixed task array (shared with the simulator's shard
    driver): result order — and, thanks to per-task pre-split generators, the
@@ -293,7 +238,7 @@ let gate_draws ?(threshold = 1.1) result =
    the sampler's loop structure — sweeps and per-sweep evaluation counts are
    fixed by the config, not by the chain's trajectory. *)
 let flush_chain_telemetry reg config ~dim ~name ~chain_index outcome =
-  let run_opt, warnings, aborted = outcome in
+  let run_opt, _, aborted = outcome in
   (match aborted with
   | Some _ -> Tel.Counter.add (Tel.Counter.v reg "mcmc.aborts") 1
   | None -> ());
@@ -306,24 +251,13 @@ let flush_chain_telemetry reg config ~dim ~name ~chain_index outcome =
      Tel.Counter.add
        (Tel.Counter.v reg "mcmc.hmc.grad_evals")
        (config.leapfrog_steps * sweeps));
-  match run_opt with
-  | Some r ->
+  Option.iter
+    (fun r ->
       Tel.Gauge.set
         (Tel.Gauge.v reg
            (Printf.sprintf "mcmc.%s.chain%d.acceptance" name chain_index))
-        r.acceptance;
-      (* Each warning of a healthy run is one diverged attempt = one
-         restart (a cold start after an unusable snapshot counts as one). *)
-      Tel.Counter.add (Tel.Counter.v reg "mcmc.restarts")
-        (List.length warnings)
-  | None ->
-      (* A dropped chain logs one warning per attempt plus a "disabled"
-         note; restarts are the attempts beyond the first.  An aborted
-         chain logs the disabled note without a per-attempt warning for
-         its final (interrupted) attempt. *)
-      let extra_notes = if aborted = None then 2 else 1 in
-      Tel.Counter.add (Tel.Counter.v reg "mcmc.restarts")
-        (max 0 (List.length warnings - extra_notes))
+        r.acceptance)
+    run_opt
 
 (* The one resume/control adapter between a sampler's own state record and
    the checkpoint layer's [Sampler_state.t].  A saved state for a different
@@ -331,10 +265,8 @@ let flush_chain_telemetry reg config ~dim ~name ~chain_index outcome =
    ignored rather than trusted. *)
 let adapt run ~wrap ~unwrap rng ~resume ~control =
   let r : Because_mcmc.Driver.result =
-    run rng (Option.bind resume unwrap)
-      (Option.map
-         (fun f ~sweep ~state -> f ~sweep ~state:(fun () -> wrap (state ())))
-         control)
+    run rng (Option.bind resume unwrap) (fun ~sweep ~state ->
+        control ~sweep ~state:(fun () -> wrap (state ())))
   in
   (r.chain, r.acceptance)
 
@@ -433,9 +365,9 @@ let fill_exact s rng data base =
 
 (* How a sampler's coupled-set draws become full-dimension rows: scattered
    to their dataset nodes, the exact set filled row by row from a generator
-   restarted at [block] on every call, so each attempt of a chain (a
-   restart, a resume, a cold rerun after an unusable snapshot) draws the
-   same block.  [None] for the identity split, whose sampler already draws
+   restarted at [block] on every call, so every run of a chain (a fresh
+   run, a resume, a cold rerun after an unusable snapshot) draws the same
+   block.  [None] for the identity split, whose sampler already draws
    every node. *)
 let embedding s ~dim ~block () =
   if s.layout = "" then None
@@ -466,12 +398,12 @@ let run ~rng ?(config = default_config) data =
      domains; all mutable sampler state (including the likelihood cache) is
      created inside each sampler call. *)
   let mh embed target rng resume control =
-    Metropolis.run_single_site ~rng ?resume ?control ?init
+    Metropolis.run_single_site ~rng ?resume ~control ?init
       ?embed:(embed ()) ~n_samples:config.n_samples ~burn_in:config.burn_in
       target
   in
   let hmc embed target rng resume control =
-    Hmc.run ~rng ~leapfrog_steps:config.leapfrog_steps ?resume ?control ?init
+    Hmc.run ~rng ~leapfrog_steps:config.leapfrog_steps ?resume ~control ?init
       ?embed:(embed ()) ~n_samples:config.n_samples ~burn_in:config.burn_in
       target
   in
@@ -524,7 +456,7 @@ let run ~rng ?(config = default_config) data =
                       [],
                       None )
                 | Some target ->
-                    run_with_restarts ~config ~layout:s.layout
+                    run_chain ~config ~layout:s.layout
                       ~rng:task_rngs.(idx) ~name ~chain_index
                       (sample (embedding s ~dim ~block) target)
               in

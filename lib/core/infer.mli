@@ -33,7 +33,7 @@ type config = {
           a span, per-chain acceptance gauges, sampler work counters
           ([mcmc.sweeps], [mcmc.mh.deltas_cached] — one per sampled
           coordinate per sweep, so the exact set adds none —,
-          [mcmc.hmc.grad_evals], [mcmc.restarts], [mcmc.aborts]) and —
+          [mcmc.hmc.grad_evals], [mcmc.aborts]) and —
           after the result is
           assembled — worst-case [mcmc.rhat.<sampler>] gauges.  Telemetry
           never touches the RNG streams, so results are identical either
@@ -43,7 +43,7 @@ type config = {
           every sweep inside the worker domain.  A chain that crosses a
           limit is terminated and reported in [result.aborted] — the run
           itself completes (degraded), it does not fail.  Unlimited (the
-          default) adds no per-sweep work at all. *)
+          default) costs one counter bump per sweep. *)
   checkpoint : Because_recover.Chain_ckpt.hooks option;
       (** Per-chain durable snapshots.  When set, each chain loads its last
           snapshot before starting (continuing mid-stream, bit-for-bit) and
@@ -77,11 +77,11 @@ type result = {
   model : Model.t;
   runs : sampler_run list;
       (** One entry per sampler chain that produced a healthy run, in
-          deterministic (sampler, chain) order; a chain exhausting its
-          restarts is dropped (see [warnings]). *)
+          deterministic (sampler, chain) order; a chain that diverges is
+          dropped (see [warnings]). *)
   warnings : string list;
-      (** Human-readable notes on diverged attempts, disabled chains and
-          unusable checkpoint snapshots; [\[\]] on a clean run. *)
+      (** Human-readable notes on disabled chains and unusable checkpoint
+          snapshots; [\[\]] on a clean run. *)
   aborted : string list;
       (** One entry per chain terminated by the supervision budget
           ([config.supervise]).  Non-empty means the posterior is partial:
@@ -129,12 +129,13 @@ val split : config -> Tomography.t -> split
 
 val run :
   rng:Because_stats.Rng.t -> ?config:config -> Tomography.t -> result
-(** Never raises on sampler divergence: each chain gets three attempts,
-    each restart on a fresh split of its generator, and is skipped with the
-    warning ["<sampler> disabled: no healthy chain in 3 attempts"] if none
-    yields an all-finite chain.  [runs] can therefore be empty; downstream
-    consumers must treat that as "no posterior" rather than call
-    {!combined_chain}.
+(** Never raises on sampler divergence: each chain runs once, and one
+    that fails to start (a non-finite log density at its initial point) or
+    yields a non-finite draw is skipped with the warning
+    ["<sampler> disabled: diverged: <reason>"].  A rerun would only repeat
+    the failure, which depends on the start point, not on the generator.
+    [runs] can therefore be empty; downstream consumers must treat that as
+    "no posterior" rather than call {!combined_chain}.
 
     MH and HMC sample only the coupled set of {!split}.  Each chain's
     exact set is drawn i.i.d. from its Beta posteriors, [n_samples] draws
@@ -150,8 +151,8 @@ val run :
     (sampler chain) is split off [rng] in fixed task order, and — when the
     exact set is non-empty — one more per task for its exact draws.  So the
     result — chains, acceptance rates and warnings alike — does not depend
-    on [config.jobs], and a resumed or restarted chain redraws its exact
-    block bit for bit without storing it.  With the default single-chain
+    on [config.jobs], and a resumed chain redraws its exact block bit for
+    bit without storing it.  With the default single-chain
     config and no exact set (always the case for ε > 0) a healthy run
     consumes exactly one [Rng.split] per sampler, as the sequential
     implementation always did; with an exact set, two. *)

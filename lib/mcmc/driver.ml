@@ -24,9 +24,7 @@ let restore ~name ~dim a =
     invalid_arg (name ^ ": resume state dimension mismatch");
   Array.copy a
 
-let run ~name ~rng ?(thin = 1) ?resume ?control ?embed ~n_samples ~burn_in
-    step =
-  if thin <= 0 then invalid_arg (name ^ ": thin must be positive");
+let run ~name ~rng ?resume ?control ?embed ~n_samples ~burn_in step =
   if resume = None && not (Float.is_finite step.log_density) then
     failwith
       (Printf.sprintf
@@ -69,8 +67,7 @@ let run ~name ~rng ?(thin = 1) ?resume ?control ?embed ~n_samples ~burn_in
     if not in_burn_in then begin
       accepted := !accepted + a;
       proposed := !proposed + step.proposals;
-      if (!sweep - burn_in) mod thin = 0 then
-        Chain.Builder.push kept (step.draw ())
+      Chain.Builder.push kept (step.draw ())
     end;
     incr sweep;
     (* Exceptions (budget aborts, simulated kills) propagate untouched. *)

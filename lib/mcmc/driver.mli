@@ -7,7 +7,7 @@
 
     - the non-finite-start check;
     - resume — the saved RNG stream, kept draws, sweep index and counters;
-    - the burn-in/retained split, thinning and the {!Chain.Builder} pushes;
+    - the burn-in/retained split and the {!Chain.Builder} pushes;
     - the post-burn-in accepted/proposed counters and the acceptance ratio;
     - the per-sweep [control] hook with its lazy state thunk.
 
@@ -45,14 +45,13 @@ type 's step = {
 (** One sampler positioned at its start (fresh or resumed). *)
 
 type result = {
-  chain : Chain.t;     (** Post burn-in, thinned draws. *)
+  chain : Chain.t;     (** Post burn-in draws. *)
   acceptance : float;  (** Post burn-in accepted / proposed; 0 with no proposals. *)
 }
 
 val run :
   name:string ->
   rng:Because_stats.Rng.t ->
-  ?thin:int ->
   ?resume:progress ->
   ?control:(sweep:int -> state:(unit -> 's) -> unit) ->
   ?embed:Chain.embedding ->
@@ -61,7 +60,7 @@ val run :
   's step ->
   result
 (** Sweep until [n_samples] draws are kept: sweeps [0, burn_in) are
-    discarded, then every [thin]-th sweep (default 1) is kept.  With
+    discarded, then every sweep is kept.  With
     [resume] the loop continues from the saved progress — the saved RNG
     stream replaces [rng] — bit for bit as if it had never stopped.
     [control] runs after every completed sweep with a thunk that builds
@@ -69,7 +68,7 @@ val run :
     [embed] the chain holds full rows of [embed.width] values
     ({!Chain.Builder.embedded}); the kept draws of [progress] stay
     [step.dim] wide.
-    @raise Invalid_argument when [thin <= 0], [embed] does not fit
+    @raise Invalid_argument when [embed] does not fit
     [step.dim], or the resumed kept draws do not fit
     [step.dim × n_samples].
     @raise Failure when a fresh run starts at a non-finite log density.

@@ -194,7 +194,7 @@ let progress s =
   { Driver.sweep = s.s_iter; rng = s.s_rng; kept = s.s_kept;
     accepted = s.s_accepted_post; proposed = s.s_proposed_post }
 
-let run ~rng ?init ?leapfrog_steps ?thin ?resume ?control ?embed ~n_samples
+let run ~rng ?init ?leapfrog_steps ?resume ?control ?embed ~n_samples
     ~burn_in target =
-  Driver.run ~name ~rng ?thin ?resume:(Option.map progress resume) ?control
+  Driver.run ~name ~rng ?resume:(Option.map progress resume) ?control
     ?embed ~n_samples ~burn_in (start ?init ?leapfrog_steps ?resume target)

@@ -13,7 +13,7 @@
     before being stored, so the returned chain always lives in the original
     parametrisation.
 
-    One trajectory is one {!Driver.step}; burn-in, thinning, resume and the
+    One trajectory is one {!Driver.step}; burn-in, resume and the
     supervision hook are {!Driver.run}'s. *)
 
 type result = Driver.result = {
@@ -41,7 +41,6 @@ val run :
   rng:Because_stats.Rng.t ->
   ?init:float array ->
   ?leapfrog_steps:int ->
-  ?thin:int ->
   ?resume:state ->
   ?control:(sweep:int -> state:(unit -> state) -> unit) ->
   ?embed:Chain.embedding ->
@@ -54,8 +53,8 @@ val run :
     resuming.  The step size starts at 0.05 and adapts towards a 0.75
     acceptance rate during burn-in.  [resume]/[control]/[embed] follow the
     {!Metropolis.run_single_site} contract.  Raises [Invalid_argument] if
-    the target has no gradient, [thin <= 0], or a [resume] state has the
-    wrong dimension.
+    the target has no gradient or a [resume] state has the wrong
+    dimension.
     @raise Failure when the log-density is non-finite at the initial point
     (a broken target or an initializer outside the support). *)
 

@@ -11,11 +11,11 @@
     Per-coordinate step sizes start at 0.2, adapt during burn-in
     (Robbins–Monro towards the single-site optimal acceptance rate 0.44)
     and are frozen afterwards, preserving detailed balance for the
-    retained draws.  One sweep is one {!Driver.step}; burn-in, thinning,
-    resume and the supervision hook are {!Driver.run}'s. *)
+    retained draws.  One sweep is one {!Driver.step}; burn-in, resume and
+    the supervision hook are {!Driver.run}'s. *)
 
 type result = Driver.result = {
-  chain : Chain.t;     (** Post burn-in, thinned draws. *)
+  chain : Chain.t;     (** Post burn-in draws. *)
   acceptance : float;  (** Post burn-in acceptance rate. *)
 }
 
@@ -46,7 +46,6 @@ type state = {
 val run_single_site :
   rng:Because_stats.Rng.t ->
   ?init:float array ->
-  ?thin:int ->
   ?resume:state ->
   ?control:(sweep:int -> state:(unit -> state) -> unit) ->
   ?embed:Chain.embedding ->
@@ -66,7 +65,7 @@ val run_single_site :
     when to checkpoint.  The thunk allocates only when called.  [embed]
     spreads each draw over a wider row ({!Chain.embedding}); the saved
     state keeps the target's own dimension.
-    @raise Invalid_argument when [thin <= 0] or a [resume] state does not
+    @raise Invalid_argument when a [resume] state does not
     match the target (dimension or cache-shape mismatch).
     @raise Failure when the log-density is non-finite at the initial point
     (a broken target or an initializer outside the support) — instead of

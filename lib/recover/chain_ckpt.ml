@@ -1,11 +1,7 @@
 (* Per-chain checkpoint plumbing: what the inference driver needs to save
    and restore a chain, without knowing about stores, files or cadences. *)
 
-type saved = {
-  state : Sampler_state.t;
-  prior_warnings : string list;
-  layout : string;
-}
+type saved = { state : Sampler_state.t; layout : string }
 
 type hooks = {
   load : key:string -> saved option;
@@ -19,26 +15,20 @@ let default_every_seconds = 30.0
 let encode_saved sv =
   let w = Codec.writer () in
   Sampler_state.encode w sv.state;
-  Codec.list w Codec.string sv.prior_warnings;
-  (* The full layout writes nothing here, so its bytes are the ones a
-     build without layouts wrote, and read back as [""]. *)
-  if sv.layout <> "" then Codec.string w sv.layout;
+  Codec.string w sv.layout;
   Codec.contents w
 
 let decode_saved payload =
   let r = Codec.reader payload in
   let state = Sampler_state.decode r in
-  let prior_warnings = Codec.read_list r Codec.read_string in
-  let layout =
-    if Codec.pos r < String.length payload then Codec.read_string r else ""
-  in
+  let layout = Codec.read_string r in
   Codec.expect_end r;
-  { state; prior_warnings; layout }
+  { state; layout }
 
-let save_now hooks ~key ~layout ~prior_warnings ~sweep ~state =
-  hooks.save ~key ~sweep { state = state (); prior_warnings; layout }
+let save_now hooks ~key ~layout ~sweep ~state =
+  hooks.save ~key ~sweep { state = state (); layout }
 
-let make_control hooks ~key ~layout ~final_sweep ~prior_warnings =
+let make_control hooks ~key ~layout ~final_sweep =
   let last_save_sweep = ref 0 in
   let last_save_ns = ref (Monotonic_clock.now ()) in
   fun ~sweep ~state ->
@@ -59,7 +49,7 @@ let make_control hooks ~key ~layout ~final_sweep ~prior_warnings =
        kill then resumes instantly instead of replaying from its last
        periodic snapshot. *)
     if due_sweeps || sweep >= final_sweep || due_clock () then begin
-      hooks.save ~key ~sweep { state = state (); prior_warnings; layout };
+      hooks.save ~key ~sweep { state = state (); layout };
       last_save_sweep := sweep;
       last_save_ns := Monotonic_clock.now ()
     end

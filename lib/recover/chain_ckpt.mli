@@ -8,9 +8,6 @@
 
 type saved = {
   state : Sampler_state.t;
-  prior_warnings : string list;
-      (** Restart warnings accumulated before the snapshot, so a resumed
-          chain reports exactly what an uninterrupted one would. *)
   layout : string;
       (** Which coordinates the sampler state covers, as named by the
           inference driver: [""] for every node of the dataset.  A
@@ -31,14 +28,14 @@ val default_every_seconds : float
 
 val encode_saved : saved -> string
 val decode_saved : string -> saved
-(** Raises {!Codec.Malformed} on bad input.  A payload that ends after the
-    warnings (every snapshot of the full layout) reads as layout [""]. *)
+(** Raises {!Codec.Malformed} on bad input.  The layout is a length-prefixed
+    string, so the 8 zero bytes of an empty list written after the state
+    by earlier builds read as layout [""]. *)
 
 val save_now :
   hooks ->
   key:string ->
   layout:string ->
-  prior_warnings:string list ->
   sweep:int ->
   state:(unit -> Sampler_state.t) ->
   unit
@@ -51,11 +48,10 @@ val make_control :
   key:string ->
   layout:string ->
   final_sweep:int ->
-  prior_warnings:string list ->
   sweep:int ->
   state:(unit -> Sampler_state.t) ->
   unit
 (** Per-sweep callback for a sampler's [?control] (after partial
-    application up to [prior_warnings]).  Saves when the sweep or
+    application up to [final_sweep]).  Saves when the sweep or
     wall-clock cadence is due, and always on [final_sweep] so completed
     chains resume instantly. *)

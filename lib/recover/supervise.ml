@@ -13,7 +13,6 @@ exception Aborted of string
 type budget = { deadline_s : float option; max_sweeps : int option }
 
 let unlimited = { deadline_s = None; max_sweeps = None }
-let is_unlimited b = b.deadline_s = None && b.max_sweeps = None
 
 type token = {
   budget : budget;

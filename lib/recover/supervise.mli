@@ -18,7 +18,6 @@ type budget = {
 }
 
 val unlimited : budget
-val is_unlimited : budget -> bool
 
 type token
 (** One supervised chain execution: a budget plus a monotonic start time

@@ -88,7 +88,9 @@ type outcome = {
       (** ASs demoted to C3 because fewer than [min_path_support]
           observations survived the faults. *)
   warnings : string list;
-      (** Sampler-divergence notes propagated from {!Because.Infer}. *)
+      (** {!Because.Infer.result}'s warnings: chains dropped after a
+          divergence or a budget abort, and checkpoint snapshots that
+          could not be used. *)
   telemetry : Because_telemetry.Snapshot.t option;
       (** Merged metrics/span snapshot of the whole campaign, [Some] iff
           [params.telemetry] was enabled.  {!run_multi} outcomes share one

@@ -88,15 +88,21 @@ let check_uniform name counts =
         true (x < chi2_critical))
     counts
 
+(* Every [k]-th retained draw of a [draws × k] run: the sweeps
+   [burn_in + j·k], j < draws. *)
 let mh rng target =
-  (Because_mcmc.Metropolis.run_single_site ~rng ~thin:6 ~n_samples:draws
-     ~burn_in:100 target)
-    .Because_mcmc.Metropolis.chain
+  Chain.thin
+    (Because_mcmc.Metropolis.run_single_site ~rng ~n_samples:(draws * 6)
+       ~burn_in:100 target)
+      .Because_mcmc.Metropolis.chain
+    6
 
 let hmc rng target =
-  (Because_mcmc.Hmc.run ~rng ~thin:15 ~leapfrog_steps:8 ~n_samples:draws
-     ~burn_in:100 target)
-    .Because_mcmc.Hmc.chain
+  Chain.thin
+    (Because_mcmc.Hmc.run ~rng ~leapfrog_steps:8 ~n_samples:(draws * 15)
+       ~burn_in:100 target)
+      .Because_mcmc.Hmc.chain
+    15
 
 let test_sbc ~sampler ~name ~epsilon ~seed () =
   check_uniform

@@ -408,8 +408,7 @@ let test_retired_snapshot_tag_quarantined () =
   in
   let flat =
     Chain_ckpt.encode_saved
-      { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [];
-        layout = "" }
+      { Chain_ckpt.state = Sampler_state.Mh st; layout = "" }
   in
   let retired = "\000" ^ String.sub flat 1 (String.length flat - 1) in
   (match Chain_ckpt.decode_saved retired with
@@ -507,6 +506,41 @@ let test_wrong_size_cache_snapshot_starts_cold () =
        (fun w -> contains ~sub:"snapshot unusable" w)
        resumed.Because.Infer.warnings)
 
+(* A chain snapshot as builds with divergence restarts wrote it: the
+   sampler state, the restart warnings accumulated before it, then the
+   layout unless it was the full one. *)
+let parent_payload ?(warnings = []) ?(layout = "") state =
+  let w = Codec.writer () in
+  Sampler_state.encode w state;
+  Codec.list w Codec.string warnings;
+  if layout <> "" then Codec.string w layout;
+  Codec.contents w
+
+(* Such a payload either reads as the same state and layout or is
+   rejected, which quarantines it and reruns that chain cold: a full-layout
+   one carries an empty warning list, whose zero count reads as layout "";
+   a split-layout one or one with warnings leaves bytes unread. *)
+let test_parent_chain_payload () =
+  let st, _ =
+    capture_at 25 (fun ~control ->
+        Metropolis.run_single_site ~rng:(Rng.create 13) ~control
+          ~n_samples:30 ~burn_in:10 unit_target)
+  in
+  let state = Sampler_state.Mh st in
+  let full = Chain_ckpt.decode_saved (parent_payload state) in
+  Alcotest.(check string) "full layout reads as the full one" ""
+    full.Chain_ckpt.layout;
+  Alcotest.(check string) "same state, same bytes" (parent_payload state)
+    (Chain_ckpt.encode_saved full);
+  List.iter
+    (fun (what, payload) ->
+      match Chain_ckpt.decode_saved payload with
+      | _ -> Alcotest.failf "%s payload decoded" what
+      | exception Codec.Malformed _ -> ())
+    [ ("split-layout", parent_payload ~layout:"coupled 2/3 0f" state);
+      ("warning-carrying",
+       parent_payload ~warnings:[ "MH attempt 1/3 diverged: x" ] state) ]
+
 (* Snapshots from before the exact/coupled split cover every dataset node
    and carry no layout.  At eps = 0 the chains sample the coupled set only,
    so such a snapshot must start cold with a warning — here even though its
@@ -539,13 +573,8 @@ let test_full_layout_snapshot_starts_cold () =
           (Because.Model.target (Because.Model.create data)))
   in
   let parent =
-    Chain_ckpt.decode_saved
-      (Chain_ckpt.encode_saved
-         { Chain_ckpt.state = Sampler_state.Mh st; prior_warnings = [];
-           layout = "" })
+    Chain_ckpt.decode_saved (parent_payload (Sampler_state.Mh st))
   in
-  Alcotest.(check string) "no layout reads as the full one" ""
-    parent.Chain_ckpt.layout;
   let hooks load saved =
     { Chain_ckpt.load;
       save = (fun ~key ~sweep:_ sv -> Hashtbl.replace saved key sv);
@@ -992,6 +1021,8 @@ let suite =
         test_wrong_size_cache_snapshot_starts_cold;
       Alcotest.test_case "full-layout snapshot starts cold" `Quick
         test_full_layout_snapshot_starts_cold;
+      Alcotest.test_case "parent chain payload" `Quick
+        test_parent_chain_payload;
       Alcotest.test_case "codec truncation detected" `Quick
         test_codec_truncation;
       QCheck_alcotest.to_alcotest qcheck_codec_floats;

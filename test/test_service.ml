@@ -510,8 +510,7 @@ let chain_payloads =
               s_log_post = -3.5; s_accept_window = [| 1; 2 |];
               s_kept = [| 0.2; 0.6; 0.3; 0.7 |]; s_accepted_post = 3;
               s_proposed_post = 4; s_cache = Some [| 1.0; 2.0 |] };
-        prior_warnings = [ "w" ];
-        layout = "" };
+        layout = "w" };
       { state =
           Because_recover.Sampler_state.Hmc
             { Because_mcmc.Hmc.s_iter = 4; s_rng = rng;
@@ -519,7 +518,6 @@ let chain_payloads =
               s_log_post = -2.0; s_accept_window = 3;
               s_kept = [| 0.2; 0.6 |]; s_accepted_post = 2;
               s_proposed_post = 2 };
-        prior_warnings = [];
         layout = "" } ]
 
 (* A queue snapshot by hand, in either version: one finished campaign with
