@@ -100,6 +100,7 @@ type t = {
   nstates : neighbor_state array;         (* in config order *)
   index_of : int Atbl.t;                  (* neighbor ASN -> nstates index *)
   rows : row Ptbl.t;
+  mutable last_row : row;                 (* last row found, or [no_row] *)
   damping : bool;                         (* some session damps *)
   monitored : bool;                       (* a vantage listens here *)
   stats : stats;
@@ -118,6 +119,19 @@ let no_route = Origin (Sys.opaque_identity None)
    vantage has observed before its first feed: a withdraw, so it reads as
    already withdrawn and equals no announcement. *)
 let never_sent = Update.Withdraw { prefix = Prefix.of_string "0.0.0.0/0" }
+
+(* The row cache before the first lookup; never returned. *)
+let no_row =
+  {
+    prefix = Prefix.of_string "0.0.0.0/0";
+    rib_in = [||];
+    rfd = [||];
+    adj_out = [||];
+    mrai = [||];
+    origin = no_route;
+    best = no_route;
+    last_feed = never_sent;
+  }
 
 let create ?(monitored = true) cfg =
   let n = List.length cfg.neighbors in
@@ -156,6 +170,7 @@ let create ?(monitored = true) cfg =
     nstates;
     index_of;
     rows = Ptbl.create 8;
+    last_row = no_row;
     damping = Array.exists (fun ns -> ns.damps) nstates;
     monitored;
     stats = { rfd_suppressions = 0; rfd_releases = 0 };
@@ -165,8 +180,20 @@ let asn t = t.cfg.asn
 let config t = t.cfg
 let stats t = t.stats
 
+(* A shard network holds one prefix, so nearly every lookup asks for the
+   row found last; the table serves multi-prefix networks.  Raises
+   [Not_found]. *)
+let find_row t prefix =
+  let last = t.last_row in
+  if last != no_row && Prefix.equal last.prefix prefix then last
+  else begin
+    let row = Ptbl.find t.rows prefix in
+    t.last_row <- row;
+    row
+  end
+
 let row_of t prefix =
-  match Ptbl.find t.rows prefix with
+  match find_row t prefix with
   | row -> row
   | exception Not_found ->
       let n = Array.length t.nstates in
@@ -183,6 +210,7 @@ let row_of t prefix =
         }
       in
       Ptbl.add t.rows prefix row;
+      t.last_row <- row;
       row
 
 let table_sizes t =
@@ -207,7 +235,7 @@ let slot t asn_ =
            (Asn.to_string t.cfg.asn) (Asn.to_string asn_))
 
 let find_rfd t ~slot ~prefix =
-  match Ptbl.find t.rows prefix with
+  match find_row t prefix with
   | exception Not_found -> None
   | row ->
       if (not t.damping) || row.rfd.(slot) == no_rfd then None
@@ -232,7 +260,7 @@ let is_suppressing t ~now =
     (Ptbl.to_seq_values t.rows)
 
 let best_route t prefix =
-  match Ptbl.find t.rows prefix with
+  match find_row t prefix with
   | row when row.best != no_route -> Some row.best
   | _ | (exception Not_found) -> None
 

@@ -40,9 +40,9 @@ type facc = { mutable v : float }
      n_rfd · (ln(1−ε) + ln(1 − e^S))  +  n_clean · ln(ε + (1−ε)·e^S)
 
    A zero count skips its term, so a path seen with one label once gives
-   exactly the single-observation term (× 1.0 is exact).  [Special.log1mexp]
-   is spelled out: small enough for the non-flambda inliner, so the hot
-   loops pay no boxed call per path. *)
+   exactly the single-observation term (× 1.0 is exact).  The tomography
+   accessors and [Special.log1mexp] are small enough for the non-flambda
+   inliner, so the hot loops pay no boxed call per path. *)
 let path_term t j s =
   let r = Tomography.n_rfd t.data j and c = Tomography.n_clean t.data j in
   let rfd =
@@ -50,10 +50,7 @@ let path_term t j s =
     else
       float_of_int r
       *. ((if t.epsilon = 0.0 then 0.0 else Float.log1p (-.t.epsilon))
-         +.
-         if s >= 0.0 then invalid_arg "Special.log1mexp: requires x < 0"
-         else if s > -.Float.log 2.0 then Float.log (-.Float.expm1 s)
-         else Float.log1p (-.Float.exp s))
+         +. Special.log1mexp s)
   in
   if c = 0 then rfd
   else begin
@@ -76,9 +73,9 @@ let log_q t p =
   done;
   lq
 
-(* Σ over the nodes of distinct path [j] of [lq], accumulated in [s]: a
-   float-returning loop is not inlined without flambda, and its boxed
-   result would be the likelihood's one allocation per path. *)
+(* Σ over the nodes of distinct path [j] of [lq], accumulated in [s]: the
+   sum never boxes, whether or not the inliner copies the loop into the
+   caller (it does in every kernel below). *)
 let path_sum s off nodes lq j =
   s.v <- 0.0;
   for k = Array.unsafe_get off j to Array.unsafe_get off (j + 1) - 1 do

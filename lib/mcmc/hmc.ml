@@ -54,18 +54,12 @@ let transformed target =
       (* One constrained-space scratch shared by the density and gradient
          closures: both fully consume it before returning (the target never
          retains its argument), so the integrator's per-step transform costs
-         zero allocation.  [sigmoid] is inlined by hand — without flambda
-         the call would box on every element. *)
+         zero allocation.  [sigmoid] is small enough for the non-flambda
+         inliner, so the loop boxes nothing. *)
       let scratch = Array.make target.Target.dim 0.0 in
       let fill_p theta =
         for i = 0 to Array.length theta - 1 do
-          let x = Array.unsafe_get theta i in
-          Array.unsafe_set scratch i
-            (if x >= 0.0 then 1.0 /. (1.0 +. Float.exp (-.x))
-             else begin
-               let e = Float.exp x in
-               e /. (1.0 +. e)
-             end)
+          Array.unsafe_set scratch i (sigmoid (Array.unsafe_get theta i))
         done
       in
       let log_density theta =

@@ -264,10 +264,31 @@ let decode_shard_result payload =
 
 let shard_key ~shard ~shards = Printf.sprintf "sim.shard%dof%d" shard shards
 
+(* The shard count is the prefix count, which the fingerprint pins, so
+   only a store written before shards became one per prefix can hold keys
+   under another count; nothing would ever read them.  Quarantined files
+   are kept, as by [wipe_snapshots]. *)
+let remove_stale_shards t ~shards =
+  let stale f =
+    Filename.check_suffix f ".ck"
+    && Scanf.sscanf_opt f "sim.shard%_uof%u.%s" (fun n _ -> n <> shards)
+       = Some true
+  in
+  Array.iter
+    (fun f ->
+      if stale f then
+        try Sys.remove (Filename.concat t.dir f) with Sys_error _ -> ())
+    (try Sys.readdir t.dir with Sys_error _ -> [||])
+
 let sim_hooks t =
+  (* A fresh run starts from an empty store; a resumed one sweeps once,
+     at the first shard's load. *)
+  let swept = Atomic.make (not t.resume) in
   {
     Sharded.load_shard =
       (fun ~shard ~shards ->
+        if not (Atomic.exchange swept true) then
+          remove_stale_shards t ~shards;
         load_decoded t ~key:(shard_key ~shard ~shards) decode_shard_result);
     save_shard =
       (fun ~shard ~shards sr ->

@@ -1013,6 +1013,27 @@ let test_shard_result_codec_roundtrip () =
     (Digest.to_hex (Digest.string (Marshal.to_string sr [ Marshal.No_sharing ])))
     (Digest.to_hex (Digest.string (Marshal.to_string back [ Marshal.No_sharing ])))
 
+(* Shards are one per prefix, so a resumed store can only hold keys under
+   another shard count if it was written before that: they are removed at
+   the first shard load, both slots, and nothing else is touched. *)
+let test_stale_shard_keys_removed () =
+  let dir = fresh_dir () in
+  let store = Checkpoint.open_ ~dir ~fingerprint:"fp-shards" () in
+  List.iter
+    (fun key -> Checkpoint.save store ~key "payload")
+    [ "sim.shard0of1"; "sim.shard0of1"; "sim.shard3of14"; "iv0.MH.chain0" ];
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check bool) "both slots of the old key seeded" true
+    (List.mem "sim.shard0of1.prev.ck" (listing ()));
+  let recovery = Sc.Recovery.create ~dir ~resume:true () in
+  Sc.Recovery.attach recovery ~fingerprint:"fp-shards";
+  let hooks = Sc.Recovery.sim_hooks recovery in
+  Alcotest.(check bool) "no snapshot for shard 0 of 14" true
+    (hooks.Because_sim.Sharded.load_shard ~shard:0 ~shards:14 = None);
+  Alcotest.(check (list string)) "stale shard keys removed"
+    [ "MANIFEST"; "iv0.MH.chain0.ck"; "sim.shard3of14.ck" ]
+    (listing ())
+
 let suite =
   ( "recover",
     [
@@ -1048,6 +1069,8 @@ let suite =
       Alcotest.test_case "exit codes 0/3/4" `Quick test_exit_codes;
       Alcotest.test_case "shard_result codec round-trip" `Quick
         test_shard_result_codec_roundtrip;
+      Alcotest.test_case "resume removes stale shard keys" `Quick
+        test_stale_shard_keys_removed;
       Alcotest.test_case "kill and resume (sequential)" `Slow
         (test_kill_and_resume ~jobs:1 ~sim_jobs:1);
       Alcotest.test_case "kill and resume (4 jobs)" `Slow

@@ -283,6 +283,82 @@ let test_unknown_neighbor_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* One router that hears two prefixes, interleaved, must act step for step
+   like two fresh routers that each hear one of them: state is per prefix,
+   so no lookup may hand one prefix's row to the other.  Prefix A flaps on
+   the customer session until damping suppresses it; prefix B moves between
+   the customer and the peer; the provider session's MRAI gates both.  The
+   timers the steps arm are fired in time order, like the engine does. *)
+let test_two_prefixes_like_two_routers () =
+  let cfg =
+    config ~rfd_scope:Policy.All_neighbors 2
+      [ neighbor 1 Policy.Customer; neighbor 4 Policy.Peer;
+        neighbor ~mrai:30.0 3 Policy.Provider ]
+  in
+  let pa = Prefix.of_string "10.0.0.0/24"
+  and pb = Prefix.of_string "10.0.1.0/24" in
+  let both = Router.create cfg in
+  let alone = [ (pa, Router.create cfg); (pb, Router.create cfg) ] in
+  let hear n p path =
+    `Hear (n, if path = [] then Update.Withdraw { prefix = p }
+              else Update.Announce { prefix = p; as_path = List.map asn path;
+                                     aggregator = None })
+  in
+  let prefix_of = function
+    | `Hear (_, u) -> Update.prefix u
+    | `Mrai (_, p) | `Reuse (_, p) -> p
+  in
+  let apply r now = function
+    | `Hear (n, u) -> Router.handle_update r ~now ~slot:(from r n) u
+    | `Mrai (slot, prefix) -> Router.handle_mrai_expiry r ~now ~slot ~prefix
+    | `Reuse (slot, prefix) -> Router.handle_reuse_check r ~now ~slot ~prefix
+  in
+  let queue =
+    ref
+      (List.concat
+         (List.init 16 (fun k ->
+              let t = 20.0 *. float_of_int k in
+              let nb = if k mod 3 = 0 then 4 else 1 in
+              [ (t, hear 1 pa (if k mod 2 = 0 then [ 1 ] else []));
+                (t +. 10.0, hear nb pb (if k mod 4 = 3 then [] else [ nb; 9 ]))
+              ])))
+  in
+  let timers = ref 0 and steps = ref 0 in
+  let rec loop () =
+    match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !queue with
+    | [] -> ()
+    | (now, ev) :: rest ->
+        queue := rest;
+        let got = apply both now ev in
+        let want = apply (List.assoc (prefix_of ev) alone) now ev in
+        incr steps;
+        Alcotest.(check bool)
+          (Printf.sprintf "step %d at %g s acts alike" !steps now)
+          true (got = want);
+        List.iter
+          (function
+            | Router.Set_mrai_timer { slot; prefix; at } ->
+                incr timers;
+                queue := !queue @ [ (at, `Mrai (slot, prefix)) ]
+            | Router.Set_reuse_timer { slot; prefix; at } ->
+                incr timers;
+                queue := !queue @ [ (at, `Reuse (slot, prefix)) ]
+            | Router.Send _ | Router.Feed _ -> ())
+          got;
+        loop ()
+  in
+  loop ();
+  Alcotest.(check bool) "timers fired" true (!timers > 0);
+  Alcotest.(check bool) "prefix A was damped" true
+    ((Router.stats both).Router.rfd_suppressions > 0);
+  List.iter
+    (fun (p, r) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "best route for %s" (Prefix.to_string p))
+        true
+        (Router.best_route both p = Router.best_route r p))
+    alone
+
 (* ------------------------------------------------------------------ *)
 (* Property: the flattened hot path (dense neighbor ids, interned paths,
    precomputed export bits) pins to a naive reference on random inputs.  *)
@@ -475,4 +551,6 @@ let suite =
         test_rfd_suppression_and_release;
       Alcotest.test_case "RFD scope respected" `Quick test_rfd_scope_respected;
       Alcotest.test_case "unknown neighbor" `Quick test_unknown_neighbor_rejected;
+      Alcotest.test_case "two prefixes act like two routers" `Quick
+        test_two_prefixes_like_two_routers;
     ] )
